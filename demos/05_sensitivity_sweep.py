@@ -14,7 +14,7 @@ import pathlib
 import numpy as np
 
 from fnnmadm import PipelineConfig, lambda_sweep
-from fnnmadm.cli import parse_problem
+from fnnmadm.cli import closeness_csv, parse_problem
 
 HERE = pathlib.Path(__file__).parent
 dm = parse_problem(str(HERE / "engineers.csv"))
@@ -45,8 +45,5 @@ for tr in sweep.transitions:
 print("(the recommended alternative itself flips at the last transition)")
 
 out = HERE / "closeness_vs_lambda.csv"
-lines = ["lambda," + ",".join(f"D{k + 1}" for k in range(len(labels)))]
-for row in sweep.rows:
-    lines.append(f"{row.lam!r}," + ",".join(repr(v) for v in row.closeness))
-out.write_text("\n".join(lines) + "\n")
+out.write_text(closeness_csv(sweep, labels) + "\n")  # what --plot-out writes
 print(f"\nplot data written to {out.name}")

@@ -8,6 +8,8 @@ ranking pipeline with lambda sensitivity sweeps.  A CLI front end lives
 in :mod:`fnnmadm.cli` (``fnn-madm`` or ``python -m fnnmadm``).
 """
 
+from types import ModuleType as _ModuleType
+
 from .aggregate import (
     OPERATORS,
     WEIGHT_SUM_TOLERANCE,
@@ -36,12 +38,14 @@ from .distance import euclidean, hamming, normal_distance, phi
 from .errors import (
     CubicSumExceeded,
     DegenerateCloseness,
+    DuplicateLabel,
     EmptyInput,
     FnnError,
     LambdaInvalid,
     LengthMismatch,
     MembershipOutOfRange,
     NormalDomainError,
+    NotFinite,
     NotNormalized,
     ParseError,
     SpreadNonPositive,
@@ -80,67 +84,8 @@ from .reference import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CUBIC_SUM_BOUND",
-    "CubicSumExceeded",
-    "DecisionMatrix",
-    "DegenerateCloseness",
-    "EmptyInput",
-    "FOLDS",
-    "Fnnn",
-    "FnnError",
-    "FnnnGenConfig",
-    "LambdaInvalid",
-    "LengthMismatch",
-    "METRICS",
-    "MembershipOutOfRange",
-    "MembershipTriple",
-    "NormalDomainError",
-    "NormalParams",
-    "NotNormalized",
-    "OPERATORS",
-    "ParseError",
-    "PipelineConfig",
-    "RankingReport",
-    "SpreadNonPositive",
-    "SweepResult",
-    "Transition",
-    "ValidationError",
-    "WEIGHT_SUM_TOLERANCE",
-    "WeightInvalid",
-    "WeightNonPositive",
-    "ZeroLocation",
-    "accuracy_ffn",
-    "aggregate_rows",
-    "boxplus",
-    "boxtimes",
-    "check_lambda",
-    "check_weights",
-    "closeness",
-    "detect_transitions",
-    "euclidean",
-    "fnnwa",
-    "fnnwg",
-    "fold_fnnwa",
-    "fold_fnnwg",
-    "fold_gfnnwa",
-    "fold_gfnnwg",
-    "gen_fnnn",
-    "gen_weights",
-    "gfnnwa",
-    "gfnnwg",
-    "hamming",
-    "ideal_values",
-    "lambda_sweep",
-    "make_decision_matrix",
-    "make_fnnn",
-    "membership_at",
-    "normal_distance",
-    "normalize",
-    "phi",
-    "power",
-    "rank",
-    "run_pipeline",
-    "scale",
-    "score_ffn",
-]
+# the names imported from the submodules above
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -20,8 +20,8 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from ._numeric import clip01, nested_prob_channel, real_pow, weighted_prob_sum
-from .core import Fnnn, MembershipTriple, NormalParams, check_lambda
+from ._numeric import nested_prob_channel, real_pow, weighted_prob_sum
+from .core import Fnnn, check_lambda, combined
 from .errors import EmptyInput, LengthMismatch, WeightInvalid
 
 WEIGHT_SUM_TOLERANCE = 1e-6
@@ -33,16 +33,17 @@ def check_weights(
     """Validate a weight vector; optionally rescale it to sum to 1.
 
     Raises LengthMismatch when n is given and disagrees, WeightInvalid for
-    nonpositive entries or (without renormalize) a sum off by more than
-    WEIGHT_SUM_TOLERANCE.
+    nonpositive or non-finite entries or (without renormalize) a sum off
+    by more than WEIGHT_SUM_TOLERANCE.
     """
     ws = tuple(float(w) for w in weights)
     if n is not None and len(ws) != n:
         raise LengthMismatch(f"expected {n} weights, got {len(ws)}")
     if not ws:
         raise WeightInvalid("weight vector is empty")
-    if any(not w > 0.0 for w in ws):
-        raise WeightInvalid(f"weights must be strictly positive: {ws}")
+    for k, w in enumerate(ws, start=1):
+        if not 0.0 < w < math.inf:
+            raise WeightInvalid(f"weight {k} of {len(ws)} must be a finite number > 0")
     total = sum(ws)
     if renormalize:
         return tuple(w / total for w in ws)
@@ -67,9 +68,7 @@ def fnnwa(items: Sequence[Fnnn], weights: Sequence[float], lam: float = 1.0) -> 
     t = weighted_prob_sum((L.t for L in items), ws, 3.0 * lam)
     i = weighted_prob_sum((L.i for L in items), ws, lam)
     f = math.prod(L.f ** w for w, L in zip(ws, items))
-    return Fnnn(
-        NormalParams(eta, xi), MembershipTriple(clip01(t), clip01(i), clip01(f))
-    )
+    return combined(eta, xi, t, i, f)
 
 
 def fnnwg(items: Sequence[Fnnn], weights: Sequence[float], lam: float = 1.0) -> Fnnn:
@@ -80,9 +79,7 @@ def fnnwg(items: Sequence[Fnnn], weights: Sequence[float], lam: float = 1.0) -> 
     t = math.prod(L.t ** w for w, L in zip(ws, items))
     i = weighted_prob_sum((L.i for L in items), ws, lam)
     f = weighted_prob_sum((L.f for L in items), ws, 3.0 * lam)
-    return Fnnn(
-        NormalParams(eta, xi), MembershipTriple(clip01(t), clip01(i), clip01(f))
-    )
+    return combined(eta, xi, t, i, f)
 
 
 def gfnnwa(items: Sequence[Fnnn], weights: Sequence[float], lam: float = 1.0) -> Fnnn:
@@ -94,9 +91,7 @@ def gfnnwa(items: Sequence[Fnnn], weights: Sequence[float], lam: float = 1.0) ->
     t = weighted_prob_sum((L.t for L in items), ws, 3.0 * lam * lam)
     i = weighted_prob_sum((L.i for L in items), ws, lam)
     f = nested_prob_channel((L.f for L in items), ws, lam)
-    return Fnnn(
-        NormalParams(eta, xi), MembershipTriple(clip01(t), clip01(i), clip01(f))
-    )
+    return combined(eta, xi, t, i, f)
 
 
 def gfnnwg(items: Sequence[Fnnn], weights: Sequence[float], lam: float = 1.0) -> Fnnn:
@@ -108,9 +103,7 @@ def gfnnwg(items: Sequence[Fnnn], weights: Sequence[float], lam: float = 1.0) ->
     t = nested_prob_channel((L.t for L in items), ws, lam)
     i = weighted_prob_sum((L.i for L in items), ws, lam)
     f = weighted_prob_sum((L.f for L in items), ws, 3.0 * lam * lam)
-    return Fnnn(
-        NormalParams(eta, xi), MembershipTriple(clip01(t), clip01(i), clip01(f))
-    )
+    return combined(eta, xi, t, i, f)
 
 
 OPERATORS = {

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -20,6 +21,7 @@ from .aggregate import OPERATORS, check_weights
 from .core import Fnnn, make_fnnn
 from .errors import (
     DegenerateCloseness,
+    EmptyInput,
     FnnError,
     LambdaInvalid,
     LengthMismatch,
@@ -34,7 +36,6 @@ from .pipeline import (
     SweepResult,
     lambda_sweep,
     make_decision_matrix,
-    rank,
     run_pipeline,
 )
 
@@ -44,7 +45,11 @@ EXIT_DATA = 2
 EXIT_DEGENERATE = 3
 
 DEFAULT_PRECISION = 4
+MAX_PRECISION = 17  # float64 carries at most 17 significant digits
 PRECISION_ENV = "FNN_MADM_PRECISION"
+
+# most values an a..b range may expand to; it is sized before it is built
+LAMBDA_GRID_CAP = 10_000
 
 
 # ---------------------------------------------------------------------------
@@ -119,11 +124,16 @@ def _read_json_problem(path: str) -> RawProblem:
         except json.JSONDecodeError as e:
             raise ParseError(f"{path}: invalid JSON: {e}") from None
     try:
-        alternatives = [str(a) for a in doc["alternatives"]]
-        attributes = [str(a) for a in doc["attributes"]]
+        alternatives = doc["alternatives"]
+        attributes = doc["attributes"]
         raw_cells = doc["cells"]
     except (KeyError, TypeError) as e:
         raise ParseError(f"{path}: missing field {e}") from None
+    weights = doc.get("weights") or None
+    if not all(isinstance(v, list) for v in (alternatives, attributes, raw_cells, weights or [])):
+        raise ParseError(f"{path}: alternatives, attributes, cells and weights must be lists")
+    alternatives = [str(a) for a in alternatives]
+    attributes = [str(a) for a in attributes]
     n, m = len(alternatives), len(attributes)
     if len(raw_cells) != n * m:
         raise ParseError(f"expected {n * m} cells (row-major), got {len(raw_cells)}")
@@ -139,33 +149,35 @@ def _read_json_problem(path: str) -> RawProblem:
             except (KeyError, TypeError, ValueError) as e:
                 raise ParseError(f"cell object {i * m + j}: {e}", row=i, col=j) from None
         cells.append(row)
-    weights = [float(w) for w in doc["weights"]] if doc.get("weights") else None
+    try:
+        weights = [float(w) for w in weights] if weights else None
+    except (TypeError, ValueError) as e:
+        raise ParseError(f"{path}: weights must be numbers: {e}") from None
     return RawProblem(alternatives, attributes, cells, weights)
 
 
-def _detect_format(path: str, declared: str | None) -> str:
-    if declared:
-        return declared
-    return "json" if path.lower().endswith(".json") else "csv"
-
-
 def _read_raw(path: str, fmt: str | None = None) -> RawProblem:
-    fmt = _detect_format(path, fmt)
-    if fmt == "json":
-        return _read_json_problem(path)
-    return _read_csv_problem(path)
+    fmt = fmt or ("json" if path.lower().endswith(".json") else "csv")
+    try:
+        return _read_json_problem(path) if fmt == "json" else _read_csv_problem(path)
+    except (UnicodeDecodeError, csv.Error) as e:
+        raise ParseError(f"{path}: {e}") from None
 
 
-def _cell_diagnostics(raw: RawProblem) -> list[tuple[str, str, str]]:
-    """(alternative, attribute, reason) for every invalid cell."""
-    out = []
-    for i, row in enumerate(raw.cells):
-        for j, values in enumerate(row):
+def _build_cells(raw: RawProblem) -> tuple[list[list[Fnnn]], list[tuple[str, str, str]]]:
+    """Build every cell once.  Returns the rows of valid cells and
+    (alternative, attribute, reason) for every invalid cell; the rows are
+    complete only when there are no diagnostics."""
+    rows, bad = [], []
+    for i, values_row in enumerate(raw.cells):
+        row = []
+        for j, values in enumerate(values_row):
             try:
-                make_fnnn(*values)
+                row.append(make_fnnn(*values))
             except FnnError as e:
-                out.append((raw.alternatives[i], raw.attributes[j], str(e)))
-    return out
+                bad.append((raw.alternatives[i], raw.attributes[j], str(e)))
+        rows.append(row)
+    return rows, bad
 
 
 def _build_matrix(
@@ -173,11 +185,10 @@ def _build_matrix(
     weights_override: list[float] | None = None,
     renormalize: bool = False,
 ) -> DecisionMatrix:
-    bad = _cell_diagnostics(raw)
+    cells, bad = _build_cells(raw)
     if bad:
         alt, attr, reason = bad[0]
         raise ParseError(f"invalid cell at ({alt}, {attr}): {reason}")
-    cells = [[make_fnnn(*values) for values in row] for row in raw.cells]
     weights = weights_override if weights_override is not None else raw.weights
     if weights is None:
         raise ParseError("no weights: embed a 'weights' row or pass --weights")
@@ -199,10 +210,11 @@ def _precision() -> int:
     value = os.environ.get(PRECISION_ENV)
     if value is None:
         return DEFAULT_PRECISION
-    try:
-        return int(value)
-    except ValueError:
-        raise ValueError(f"{PRECISION_ENV} must be an integer, got {value!r}") from None
+    if value.strip() not in [str(k) for k in range(MAX_PRECISION + 1)]:
+        raise _UsageError(
+            f"{PRECISION_ENV} must be an integer from 0 to {MAX_PRECISION}, got {value!r}"
+        )
+    return int(value)
 
 
 def fnnn_to_dict(v: Fnnn) -> dict:
@@ -344,52 +356,43 @@ def _render_sweep_table(result: SweepResult, dm: DecisionMatrix, prec: int) -> s
     return "\n".join(lines)
 
 
-def _render_sweep_csv(result: SweepResult, dm: DecisionMatrix) -> str:
-    labels = dm.alternatives
-    lines = ["lambda," + ",".join(f"D{k + 1}" for k in range(len(labels))) + ",ordering"]
+def closeness_csv(result: SweepResult, labels, ordering: bool = False) -> str:
+    """The ``lambda,D1,...,Dn`` closeness table, one row per lambda, at
+    full precision; ``ordering`` appends each row's ordering by label."""
+    head = "lambda," + ",".join(f"D{k + 1}" for k in range(len(labels)))
+    lines = [head + ",ordering" if ordering else head]
     for row in result.rows:
-        vals = ",".join(repr(v) for v in row.closeness)
-        lines.append(
-            f"{row.lam!r},{vals},{_ordering_str([labels[k] for k in row.ordering])}"
-        )
+        line = f"{row.lam!r}," + ",".join(repr(v) for v in row.closeness)
+        if ordering:
+            line += "," + _ordering_str([labels[k] for k in row.ordering])
+        lines.append(line)
     return "\n".join(lines)
-
-
-def _plot_csv(result: SweepResult, n: int) -> str:
-    lines = ["lambda," + ",".join(f"D{k + 1}" for k in range(n))]
-    for row in result.rows:
-        lines.append(f"{row.lam!r}," + ",".join(repr(v) for v in row.closeness))
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
 # commands
 
 
-def _parse_weights_flag(text: str) -> list[float]:
-    try:
-        return [float(w) for w in text.split(",")]
-    except ValueError as e:
-        raise WeightInvalid(f"--weights: {e}") from None
-
-
 def _load_matrix(args) -> DecisionMatrix:
     """Read the problem file; apply the --weights override if given.
 
-    File/data problems raise FnnError subclasses (exit 2); a bad
-    --weights flag is a usage problem and raises _UsageError (exit 1).
+    File/data problems raise FnnError subclasses (exit 2); a --weights
+    flag that does not parse or that make_decision_matrix rejects is a
+    usage problem and raises _UsageError (exit 1).
     """
     raw = _read_raw(args.path, args.input_format)
     override = None
     if args.weights is not None:
-        override = _parse_weights_flag(args.weights)
         try:
-            check_weights(
-                override, n=len(raw.attributes), renormalize=args.renormalize_weights
-            )
-        except (LengthMismatch, WeightInvalid) as e:
-            raise _UsageError(str(e)) from None
-    return _build_matrix(raw, override, renormalize=args.renormalize_weights)
+            override = [float(w) for w in args.weights.split(",")]
+        except ValueError as e:
+            raise _UsageError(f"--weights: {e}") from None
+    try:
+        return _build_matrix(raw, override, renormalize=args.renormalize_weights)
+    except (LengthMismatch, WeightInvalid) as e:
+        if override is None:
+            raise
+        raise _UsageError(f"--weights: {e}") from None
 
 
 class _UsageError(Exception):
@@ -414,48 +417,50 @@ def cmd_rank(args) -> int:
 
 
 def _sweep_lambdas(args) -> list[float]:
+    """The grid the flags ask for; ``lambda_sweep`` checks its values."""
     if args.lambdas:
         try:
-            lams = [float(v) for v in args.lambdas.split(",")]
+            return [float(v) for v in args.lambdas.split(",")]
         except ValueError as e:
             raise _UsageError(f"--lambdas: {e}") from None
-    elif args.lambda_range:
-        text = args.lambda_range
-        if ".." not in text:
-            raise _UsageError(f"--lambda-range must look like 'a..b', got {text!r}")
-        lo_s, hi_s = text.split("..", 1)
-        try:
-            lo, hi = float(lo_s), float(hi_s)
-        except ValueError as e:
-            raise _UsageError(f"--lambda-range: {e}") from None
-        if not (1.0 <= lo <= hi):
-            raise _UsageError(f"--lambda-range needs 1 <= a <= b, got {text!r}")
-        lams, v = [], lo
-        while v <= hi + 1e-9:
-            lams.append(v)
-            v += 1.0
-    else:
+    if not args.lambda_range:
         raise _UsageError("sweep needs --lambda-range a..b or --lambdas x,y,...")
-    if any(v < 1.0 for v in lams):
-        raise _UsageError("every lambda must be >= 1")
-    if any(b <= a for a, b in zip(lams, lams[1:])):
-        raise _UsageError("lambda values must be strictly increasing")
+    text = args.lambda_range
+    if ".." not in text:
+        raise _UsageError(f"--lambda-range must look like 'a..b', got {text!r}")
+    lo_s, hi_s = text.split("..", 1)
+    try:
+        lo, hi = float(lo_s), float(hi_s)
+    except ValueError as e:
+        raise _UsageError(f"--lambda-range: {e}") from None
+    span = hi - lo
+    if not (math.isfinite(span) and span <= LAMBDA_GRID_CAP - 1):
+        raise _UsageError(
+            f"--lambda-range must be finite and hold at most {LAMBDA_GRID_CAP} "
+            f"values, got {text!r}"
+        )
+    lams, v = [], lo
+    for _ in range(math.floor(span + 1e-9) + 1):
+        lams.append(v)
+        v += 1.0
     return lams
 
 
 def cmd_sweep(args) -> int:
     dm = _load_matrix(args)
-    lams = _sweep_lambdas(args)
-    config = PipelineConfig(operator=args.operator, metric=args.metric, lam=lams[0])
-    result = lambda_sweep(dm, config, lams)
+    config = PipelineConfig(operator=args.operator, metric=args.metric)
+    try:
+        result = lambda_sweep(dm, config, _sweep_lambdas(args))
+    except (LambdaInvalid, EmptyInput) as e:
+        raise _UsageError(str(e)) from None
     prec = _precision()
     if args.plot_out:
         with open(args.plot_out, "w", encoding="utf-8") as fh:
-            fh.write(_plot_csv(result, dm.n_alternatives))
+            fh.write(closeness_csv(result, dm.alternatives) + "\n")
     if args.format == "json":
         print(_dump_json(sweep_to_dict(result, dm, config)))
     elif args.format == "csv":
-        print(_render_sweep_csv(result, dm))
+        print(closeness_csv(result, dm.alternatives, ordering=True))
     else:
         print(_render_sweep_table(result, dm, prec))
     return EXIT_OK
@@ -463,9 +468,9 @@ def cmd_sweep(args) -> int:
 
 def cmd_validate(args) -> int:
     raw = _read_raw(args.path, args.input_format)
-    diagnostics = _cell_diagnostics(raw)
+    _, diagnostics = _build_cells(raw)
     weight_problem = None
-    if args.weights is None and raw.weights is not None:
+    if raw.weights is not None:
         try:
             check_weights(raw.weights, n=len(raw.attributes))
         except (LengthMismatch, WeightInvalid) as e:
@@ -579,7 +584,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_val.add_argument(
         "--input-format", choices=("csv", "json"), default=None
     )
-    p_val.add_argument("--weights", default=None, metavar="w1,...,wm")
     p_val.set_defaults(func=cmd_validate)
 
     return parser
@@ -592,10 +596,7 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         return args.func(args)
-    except _UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as e:
+    except (_UsageError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except DegenerateCloseness as e:

@@ -18,11 +18,19 @@ from .errors import (
     CubicSumExceeded,
     LambdaInvalid,
     MembershipOutOfRange,
+    NotFinite,
     SpreadNonPositive,
     WeightNonPositive,
 )
 
 CUBIC_SUM_BOUND = 2.0
+
+
+def _check_unit(name: str, v: float) -> None:
+    if not 0.0 <= v <= 1.0:
+        raise MembershipOutOfRange(
+            f"{name} = {v!r} is outside [0, 1]" if v == v else f"{name} is not a number"
+        )
 
 
 @dataclass(frozen=True)
@@ -34,9 +42,9 @@ class MembershipTriple:
     f: float
 
     def __post_init__(self):
-        for name, v in (("t", self.t), ("i", self.i), ("f", self.f)):
-            if not 0.0 <= v <= 1.0:
-                raise MembershipOutOfRange(f"{name} = {v!r} is outside [0, 1]")
+        _check_unit("t", self.t)
+        _check_unit("i", self.i)
+        _check_unit("f", self.f)
 
     def cubic_sum(self) -> float:
         return self.t ** 3 + self.i ** 3 + self.f ** 3
@@ -44,12 +52,17 @@ class MembershipTriple:
 
 @dataclass(frozen=True)
 class NormalParams:
-    """Location and strictly positive spread of a normal membership curve."""
+    """Finite location and finite, strictly positive spread of a normal
+    membership curve."""
 
     eta: float
     xi: float
 
     def __post_init__(self):
+        if not math.isfinite(self.eta):
+            raise NotFinite("eta must be a finite number")
+        if not math.isfinite(self.xi):
+            raise NotFinite("xi must be a finite number")
         if not self.xi > 0.0:
             raise SpreadNonPositive(f"xi = {self.xi!r} must be > 0")
 
@@ -96,32 +109,34 @@ class Fnnn:
         )
 
 
+def combined(eta: float, xi: float, t: float, i: float, f: float) -> Fnnn:
+    """The value an operation computed; memberships are clipped to [0, 1]
+    against round-off, and no cubic-sum bound is applied."""
+    return Fnnn(NormalParams(eta, xi), MembershipTriple(clip01(t), clip01(i), clip01(f)))
+
+
 def make_fnnn(eta: float, xi: float, t: float, i: float, f: float) -> Fnnn:
     """Validate raw components and build a value.
 
-    Raises SpreadNonPositive, MembershipOutOfRange or CubicSumExceeded;
-    the cubic-sum bound is inclusive (t^3 + i^3 + f^3 == 2 is valid).
+    Raises NotFinite, SpreadNonPositive, MembershipOutOfRange or
+    CubicSumExceeded, in that order; the cubic-sum bound is inclusive
+    (t^3 + i^3 + f^3 == 2 is valid).
     """
-    eta, xi = float(eta), float(xi)
-    t, i, f = float(t), float(i), float(f)
-    if not xi > 0.0:
-        raise SpreadNonPositive(f"xi = {xi!r} must be > 0")
-    for name, v in (("t", t), ("i", i), ("f", f)):
-        if not 0.0 <= v <= 1.0:
-            raise MembershipOutOfRange(f"{name} = {v!r} is outside [0, 1]")
-    cubic = t ** 3 + i ** 3 + f ** 3
+    normal = NormalParams(float(eta), float(xi))
+    mu = MembershipTriple(float(t), float(i), float(f))
+    cubic = mu.cubic_sum()
     if cubic > CUBIC_SUM_BOUND:
         raise CubicSumExceeded(
             f"t^3 + i^3 + f^3 = {cubic:.6g} exceeds {CUBIC_SUM_BOUND:g}"
         )
-    return Fnnn(NormalParams(eta, xi), MembershipTriple(t, i, f))
+    return Fnnn(normal, mu)
 
 
 def check_lambda(lam: float) -> float:
-    """Validate the operation parameter; any real >= 1 is accepted."""
+    """Validate the operation parameter; any finite real >= 1 is accepted."""
     lam = float(lam)
-    if not lam >= 1.0:
-        raise LambdaInvalid(f"lam = {lam!r} must be >= 1")
+    if not 1.0 <= lam < math.inf:
+        raise LambdaInvalid(f"lam = {lam!r} must be a finite real >= 1")
     return lam
 
 
@@ -141,10 +156,7 @@ def boxplus(a: Fnnn, b: Fnnn, lam: float = 1.0) -> Fnnn:
     t = root(prob_sum(a.t ** p, b.t ** p), p)
     i = root(prob_sum(a.i ** lam, b.i ** lam), lam)
     f = a.f * b.f
-    return Fnnn(
-        NormalParams(a.eta + b.eta, a.xi + b.xi),
-        MembershipTriple(clip01(t), clip01(i), clip01(f)),
-    )
+    return combined(a.eta + b.eta, a.xi + b.xi, t, i, f)
 
 
 def boxtimes(a: Fnnn, b: Fnnn, lam: float = 1.0) -> Fnnn:
@@ -155,10 +167,7 @@ def boxtimes(a: Fnnn, b: Fnnn, lam: float = 1.0) -> Fnnn:
     t = a.t * b.t
     i = root(prob_sum(a.i ** lam, b.i ** lam), lam)
     f = root(prob_sum(a.f ** p, b.f ** p), p)
-    return Fnnn(
-        NormalParams(a.eta * b.eta, a.xi * b.xi),
-        MembershipTriple(clip01(t), clip01(i), clip01(f)),
-    )
+    return combined(a.eta * b.eta, a.xi * b.xi, t, i, f)
 
 
 def scale(w: float, a: Fnnn, lam: float = 1.0) -> Fnnn:
@@ -170,10 +179,7 @@ def scale(w: float, a: Fnnn, lam: float = 1.0) -> Fnnn:
     t = q_channel(a.t, w, 3.0 * lam)
     i = q_channel(a.i, w, lam)
     f = a.f ** w
-    return Fnnn(
-        NormalParams(w * a.eta, w * a.xi),
-        MembershipTriple(clip01(t), clip01(i), clip01(f)),
-    )
+    return combined(w * a.eta, w * a.xi, t, i, f)
 
 
 def power(w: float, a: Fnnn, lam: float = 1.0) -> Fnnn:
@@ -188,10 +194,7 @@ def power(w: float, a: Fnnn, lam: float = 1.0) -> Fnnn:
     t = a.t ** w
     i = q_channel(a.i, w, lam)
     f = q_channel(a.f, w, 3.0 * lam)
-    return Fnnn(
-        NormalParams(real_pow(a.eta, w), a.xi ** w),
-        MembershipTriple(clip01(t), clip01(i), clip01(f)),
-    )
+    return combined(real_pow(a.eta, w), a.xi ** w, t, i, f)
 
 
 def membership_at(a: Fnnn, x: float) -> MembershipTriple:
@@ -209,9 +212,8 @@ def membership_at(a: Fnnn, x: float) -> MembershipTriple:
 
 def _check_ffn_pair(t: float, f: float) -> tuple[float, float]:
     t, f = float(t), float(f)
-    for name, v in (("t", t), ("f", f)):
-        if not 0.0 <= v <= 1.0:
-            raise MembershipOutOfRange(f"{name} = {v!r} is outside [0, 1]")
+    _check_unit("t", t)
+    _check_unit("f", f)
     cubic = t ** 3 + f ** 3
     if cubic > 1.0:
         raise CubicSumExceeded(f"t^3 + f^3 = {cubic:.6g} exceeds 1")

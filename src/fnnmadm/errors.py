@@ -13,6 +13,11 @@ class SpreadNonPositive(ValidationError):
     """Spread parameter xi must be strictly positive."""
 
 
+class NotFinite(ValidationError):
+    """A location, spread or distance was NaN or infinite, as given or
+    after a float64 overflow."""
+
+
 class MembershipOutOfRange(ValidationError):
     """A membership degree fell outside [0, 1]."""
 
@@ -35,6 +40,10 @@ class LambdaInvalid(FnnError):
 
 class LengthMismatch(FnnError):
     """Items and weights (or row widths) disagree in length."""
+
+
+class DuplicateLabel(FnnError):
+    """Alternative or attribute labels must be unique."""
 
 
 class WeightInvalid(FnnError):

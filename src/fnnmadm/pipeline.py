@@ -11,19 +11,20 @@ transition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, replace
 from typing import Sequence
-
-import numpy as np
 
 from .aggregate import OPERATORS, check_weights
 from .core import Fnnn, MembershipTriple, NormalParams, check_lambda
 from .distance import euclidean, hamming
 from .errors import (
     DegenerateCloseness,
+    DuplicateLabel,
     EmptyInput,
     LambdaInvalid,
     LengthMismatch,
+    NotFinite,
     NotNormalized,
     ZeroLocation,
 )
@@ -52,8 +53,13 @@ class DecisionMatrix:
     def row(self, i: int) -> tuple[Fnnn, ...]:
         return self.cells[i]
 
-    def column(self, j: int) -> tuple[Fnnn, ...]:
-        return tuple(row[j] for row in self.cells)
+
+def _check_unique(kind: str, labels: tuple[str, ...]) -> None:
+    seen = set()
+    for label in labels:
+        if label in seen:
+            raise DuplicateLabel(f"{kind} label {label!r} appears twice")
+        seen.add(label)
 
 
 def make_decision_matrix(
@@ -66,8 +72,9 @@ def make_decision_matrix(
     """Assemble and validate a decision matrix.
 
     Raises EmptyInput for a zero-sized matrix, LengthMismatch for ragged
-    rows or label/weight arity problems, and WeightInvalid for a bad
-    weight vector (unless renormalize is set).
+    rows or label/weight arity problems, DuplicateLabel for a repeated
+    label, and WeightInvalid for a bad weight vector (unless renormalize
+    is set).
     """
     alternatives = tuple(str(a) for a in alternatives)
     attributes = tuple(str(a) for a in attributes)
@@ -83,6 +90,8 @@ def make_decision_matrix(
             raise LengthMismatch(
                 f"row {i} has {len(row)} cells, expected {len(attributes)}"
             )
+    _check_unique("alternative", alternatives)
+    _check_unique("attribute", attributes)
     for j, attr in enumerate(attributes):
         if max(row[j].eta for row in rows) <= 0.0:
             raise ZeroLocation(
@@ -100,16 +109,16 @@ def normalize(dm: DecisionMatrix) -> DecisionMatrix:
     maximum times the cell's own spread-to-location ratio.  Raises
     ZeroLocation unless every location is strictly positive.
     """
-    etas = np.array([[c.eta for c in row] for row in dm.cells])
-    xis = np.array([[c.xi for c in row] for row in dm.cells])
-    if (etas <= 0.0).any():
-        i, j = map(int, np.argwhere(etas <= 0.0)[0])
-        raise ZeroLocation(
-            f"eta = {etas[i, j]!r} at ({dm.alternatives[i]}, {dm.attributes[j]}) "
-            "must be > 0 for normalization"
-        )
-    eta_max = etas.max(axis=0)
-    xi_max = xis.max(axis=0)
+    for i, row in enumerate(dm.cells):
+        for j, cell in enumerate(row):
+            if cell.eta <= 0.0:
+                raise ZeroLocation(
+                    f"eta = {cell.eta!r} at ({dm.alternatives[i]}, {dm.attributes[j]}) "
+                    "must be > 0 for normalization"
+                )
+    columns = tuple(zip(*dm.cells))
+    eta_max = [max(c.eta for c in col) for col in columns]
+    xi_max = [max(c.xi for c in col) for col in columns]
     rows = tuple(
         tuple(
             Fnnn(
@@ -156,17 +165,18 @@ def ideal_values(aggregates: Sequence[Fnnn]) -> tuple[Fnnn, Fnnn]:
 
 def closeness(dplus: Sequence[float], dminus: Sequence[float]) -> list[float]:
     """Relative closeness D- / (D+ + D-) per alternative, each in [0, 1]."""
-    dp = np.asarray(dplus, dtype=float)
-    dn = np.asarray(dminus, dtype=float)
-    if dp.shape != dn.shape:
-        raise LengthMismatch(f"distance vectors differ in length: {dp.size} vs {dn.size}")
-    if (dp < 0).any() or (dn < 0).any():
+    dp = [float(v) for v in dplus]
+    dn = [float(v) for v in dminus]
+    if len(dp) != len(dn):
+        raise LengthMismatch(f"distance vectors differ in length: {len(dp)} vs {len(dn)}")
+    if not all(map(math.isfinite, dp + dn)):
+        raise NotFinite("distances must be finite; a value overflowed float64")
+    if any(v < 0 for v in dp) or any(v < 0 for v in dn):
         raise ValueError("distances must be nonnegative")
-    total = dp + dn
-    if (total == 0.0).any():
-        k = int(np.flatnonzero(total == 0.0)[0])
-        raise DegenerateCloseness(f"D+ + D- is zero for alternative index {k}")
-    return [float(v) for v in dn / total]
+    totals = [p + n for p, n in zip(dp, dn)]
+    if 0.0 in totals:
+        raise DegenerateCloseness(f"D+ + D- is zero for alternative index {totals.index(0.0)}")
+    return [n / total for n, total in zip(dn, totals)]
 
 
 def rank(values: Sequence[float]) -> list[int]:
@@ -222,14 +232,18 @@ def run_pipeline(dm: DecisionMatrix, config: PipelineConfig = PipelineConfig()) 
     Accepts a raw or already-normalized matrix; deterministic for
     identical inputs.  Diagnostic notes flag a fractional lambda and any
     aggregate whose membership cubic sum drifts above the construction
-    bound (informational, never an error).
+    bound (informational, never an error).  Raises NotFinite when a value
+    overflows float64.
     """
     nm = dm if dm.normalized else normalize(dm)
-    aggs = aggregate_rows(nm, config.operator, config.lam)
-    positive, negative = ideal_values(aggs)
     metric = METRICS[config.metric]
-    dplus = tuple(metric(a, positive) for a in aggs)
-    dminus = tuple(metric(a, negative) for a in aggs)
+    try:
+        aggs = aggregate_rows(nm, config.operator, config.lam)
+        positive, negative = ideal_values(aggs)
+        dplus = tuple(metric(a, positive) for a in aggs)
+        dminus = tuple(metric(a, negative) for a in aggs)
+    except OverflowError:
+        raise NotFinite(f"a value overflowed float64 at lambda = {config.lam:g}") from None
     close = tuple(closeness(dplus, dminus))
     ordering = tuple(rank(close))
     notes = []
@@ -277,7 +291,6 @@ class Transition:
 class SweepResult:
     rows: tuple[SweepRow, ...]
     transitions: tuple[Transition, ...]
-    reports: tuple[RankingReport, ...] = field(repr=False, default=())
 
 
 def detect_transitions(rows: Sequence[SweepRow]) -> tuple[Transition, ...]:
@@ -293,18 +306,21 @@ def detect_transitions(rows: Sequence[SweepRow]) -> tuple[Transition, ...]:
 def lambda_sweep(
     dm: DecisionMatrix, config: PipelineConfig, lambdas: Sequence[float]
 ) -> SweepResult:
-    """Run the pipeline once per parameter value (strictly increasing,
-    each >= 1) and collect closeness rows, orderings and transitions."""
-    lams = [float(v) for v in lambdas]
+    """Run the pipeline once per parameter value and collect closeness
+    rows, orderings and transitions.
+
+    This is where a grid is checked: EmptyInput for no values,
+    LambdaInvalid unless every value passes ``check_lambda`` and the
+    values strictly increase.
+    """
+    lams = [check_lambda(v) for v in lambdas]
     if not lams:
         raise EmptyInput("sweep needs at least one lambda value")
     if any(b <= a for a, b in zip(lams, lams[1:])):
         raise LambdaInvalid("sweep values must be strictly increasing")
     nm = dm if dm.normalized else normalize(dm)
-    reports = tuple(
-        run_pipeline(nm, replace(config, lam=lam)) for lam in lams
-    )
     rows = tuple(
-        SweepRow(lam, rep.closeness, rep.ordering) for lam, rep in zip(lams, reports)
+        SweepRow(rep.config.lam, rep.closeness, rep.ordering)
+        for rep in (run_pipeline(nm, replace(config, lam=lam)) for lam in lams)
     )
-    return SweepResult(rows=rows, transitions=detect_transitions(rows), reports=reports)
+    return SweepResult(rows=rows, transitions=detect_transitions(rows))

@@ -4,8 +4,8 @@ The folds build each aggregate literally from its defining expression
 using only :mod:`fnnmadm.core` primitives (left association; the algebra
 is associative, so the order is immaterial up to round-off).  They exist
 to cross-check the closed forms in :mod:`fnnmadm.aggregate` and the
-algebraic identities, so they deliberately share no code with them
-beyond the primitives themselves.
+algebraic identities, so they deliberately share no arithmetic with
+them: only the primitives and the input checks of ``_prepare``.
 """
 
 from __future__ import annotations
@@ -15,16 +15,9 @@ from dataclasses import dataclass
 from functools import reduce
 from typing import Sequence
 
-from .aggregate import check_weights
-from .core import CUBIC_SUM_BOUND, Fnnn, boxplus, boxtimes, check_lambda, make_fnnn, power, scale
+from .aggregate import _prepare
+from .core import CUBIC_SUM_BOUND, Fnnn, boxplus, boxtimes, make_fnnn, power, scale
 from .errors import EmptyInput
-
-
-def _prepare(items, weights, lam):
-    items = tuple(items)
-    if not items:
-        raise EmptyInput("cannot aggregate zero values")
-    return items, check_weights(weights, n=len(items)), check_lambda(lam)
 
 
 def fold_fnnwa(items: Sequence[Fnnn], weights: Sequence[float], lam: float = 1.0) -> Fnnn:

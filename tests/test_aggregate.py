@@ -1,5 +1,6 @@
 """Closed-form aggregation operators: goldens, algebra, and validation."""
 
+import math
 import random
 
 import pytest
@@ -51,6 +52,12 @@ def test_check_weights_rejects_nonpositive():
         check_weights((1.2, -0.2))
     with pytest.raises(WeightInvalid):
         check_weights(())
+
+
+@pytest.mark.parametrize("weights", [(math.inf, 1.0), (math.nan, 1.0)])
+def test_check_weights_rejects_non_finite(weights):
+    with pytest.raises(WeightInvalid):
+        check_weights(weights, renormalize=True)
 
 
 def test_check_weights_length_mismatch():

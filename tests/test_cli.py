@@ -1,18 +1,30 @@
 """Command-line interface: parsing, commands, formats, exit codes."""
 
+import csv
+import io
 import json
+import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import engineers_case as case
 from fnnmadm import rank
 from fnnmadm.cli import (
     EXIT_DATA,
+    EXIT_DEGENERATE,
     EXIT_OK,
     EXIT_USAGE,
     main,
     parse_problem,
 )
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 E5_FIRST = "E5 >= E2 >= E4 >= E3 >= E1"
 
@@ -77,6 +89,51 @@ def test_parse_problem_cubic_sum_violation(tmp_path, capsys):
     code, _, err = run_cli(capsys, "rank", str(path))
     assert code == EXIT_DATA
     assert "exceeds" in err
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("weights", ["abc"]), ("weights", 5), ("weights", [None]), ("weights", "1"),
+     ("alternatives", "AB"), ("cells", 5)],
+)
+def test_malformed_json_fields_are_data_errors(tmp_path, capsys, field, value):
+    cell = {"eta": 1, "xi": 1, "t": 0.5, "i": 0.5, "f": 0.5}
+    doc = {"alternatives": ["A", "B"], "attributes": ["x"], "weights": [1], "cells": [cell] * 2}
+    doc[field] = value
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run_cli(capsys, "rank", str(path))
+    assert code == EXIT_DATA
+    assert field in err
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "alt,x\nA,1;1;0.5;0.5;0.5\nA,1;1;0.5;0.5;0.5\nweights,1\n",
+        "alt,x,x\nA,1;1;0.5;0.5;0.5,1;1;0.5;0.5;0.5\nweights,0.5,0.5\n",
+    ],
+)
+def test_duplicate_labels_are_data_errors(tmp_path, capsys, text):
+    path = tmp_path / "dup.csv"
+    path.write_text(text)
+    code, _, err = run_cli(capsys, "rank", str(path))
+    assert code == EXIT_DATA
+    assert "twice" in err
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b"alt,x\n\xff\xfe,1;1;0.5;0.5;0.5\nweights,1\n",  # not UTF-8
+     b"alt,x\nA," + b"1" * 200_000 + b";1;0.5;0.5;0.5\nweights,1\n"],  # over csv's field limit
+    ids=["not-utf8", "field-too-large"],
+)
+def test_unreadable_csv_is_data_error(tmp_path, capsys, content):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(content)
+    code, _, err = run_cli(capsys, "rank", str(path))
+    assert code == EXIT_DATA
+    assert str(path) in err
 
 
 def test_missing_file(capsys):
@@ -167,6 +224,46 @@ def test_rank_precision_env(engineers_csv_path, capsys, monkeypatch):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("value", ["-1", "18", "9" * 5000], ids=["-1", "18", "5000-digits"])
+def test_rank_precision_out_of_range_names_the_variable(engineers_csv_path, capsys,
+                                                        monkeypatch, value):
+    # 18 stands for any larger value: 1e9 digits per number would exhaust memory
+    monkeypatch.setenv("FNN_MADM_PRECISION", value)
+    code, out, err = run_cli(capsys, "rank", engineers_csv_path)
+    assert code == EXIT_USAGE and out == ""
+    assert "FNN_MADM_PRECISION" in err
+    monkeypatch.setenv("FNN_MADM_PRECISION", "17")
+    assert run_cli(capsys, "rank", engineers_csv_path)[0] == EXIT_OK
+
+
+@pytest.mark.parametrize("lam", ["inf", "nan"])
+def test_rank_non_finite_lambda_is_usage_error(engineers_csv_path, capsys, lam):
+    code, out, err = run_cli(capsys, "rank", engineers_csv_path, "--lambda", lam)
+    assert code == EXIT_USAGE
+    assert "lam" in err and out == ""
+
+
+def test_rank_non_finite_weights_flag_is_usage_error(engineers_csv_path, capsys):
+    code, _, _ = run_cli(capsys, "rank", engineers_csv_path,
+                         "--weights", "inf,1,1,1", "--renormalize-weights")
+    assert code == EXIT_USAGE
+
+
+def test_rank_csv_prints_plain_floats(engineers_csv_path, capsys):
+    code, out, _ = run_cli(capsys, "rank", engineers_csv_path, "--format", "csv")
+    _, out_json, _ = run_cli(capsys, "rank", engineers_csv_path, "--format", "json")
+    assert code == EXIT_OK
+    assert "np." not in out
+    rows = list(csv.DictReader(io.StringIO(out)))
+    report = json.loads(out_json)
+    assert [r["alternative"] for r in rows] == list(case.ALTERNATIVES)
+    for key in ("d_plus", "d_minus", "closeness"):
+        assert [float(r[key]) for r in rows] == report[key]
+    assert [int(r["rank"]) for r in rows] == [
+        report["ordering"].index(k) + 1 for k in range(len(rows))
+    ]
+
+
 def test_rank_deterministic_output(engineers_csv_path, capsys):
     _, out1, _ = run_cli(capsys, "rank", engineers_csv_path, "--format", "json")
     _, out2, _ = run_cli(capsys, "rank", engineers_csv_path, "--format", "json")
@@ -207,6 +304,35 @@ def test_sweep_requires_lambda_grid(engineers_csv_path, capsys):
     code, _, _ = run_cli(capsys, "sweep", engineers_csv_path,
                          "--lambda-range", "7..3")
     assert code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("flag, value", [("--lambdas", "1,inf"), ("--lambdas", "2,1"),
+                                         ("--lambda-range", "nan..3")])
+def test_sweep_bad_grid_is_usage_error(engineers_csv_path, capsys, flag, value):
+    code, out, _ = run_cli(capsys, "sweep", engineers_csv_path, flag, value)
+    assert code == EXIT_USAGE
+    assert out == ""
+
+
+def run_capped(*argv):
+    """Run the CLI in a child whose address space is capped at 256 MiB and
+    whose run time is capped at 60 s, so a grid that was built before it
+    was sized fails the test instead of exhausting memory."""
+    code = (
+        "import resource, sys; "
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 28, 1 << 28)); "
+        "from fnnmadm.cli import main; sys.exit(main(sys.argv[1:]))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                          text=True, timeout=60, env=env)
+
+
+@pytest.mark.parametrize("grid", ["1..inf", "1..1e12"])
+def test_sweep_range_is_sized_before_it_is_built(engineers_csv_path, grid):
+    done = run_capped("sweep", engineers_csv_path, "--lambda-range", grid)
+    assert done.returncode == EXIT_USAGE, done.stderr
+    assert "--lambda-range" in done.stderr and "Traceback" not in done.stderr
 
 
 def test_sweep_plot_csv_recomputation(engineers_csv_path, capsys, tmp_path):
@@ -250,6 +376,15 @@ def test_sweep_csv_format(engineers_csv_path, capsys):
     assert lines[1].endswith(E5_FIRST)
 
 
+def test_sweep_csv_is_plot_csv_plus_ordering(engineers_csv_path, capsys, tmp_path):
+    plot = tmp_path / "plot.csv"
+    code, out, _ = run_cli(capsys, "sweep", engineers_csv_path, "--lambda-range", "1..34",
+                           "--format", "csv", "--plot-out", str(plot))
+    assert code == EXIT_OK
+    rows = out.strip().splitlines()
+    assert [r.rsplit(",", 1)[0] for r in rows] == plot.read_text().strip().splitlines()
+
+
 # ---------------------------------------------------------------------------
 # validate
 
@@ -287,3 +422,66 @@ def test_validate_flags_bad_embedded_weights(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "validate", str(path))
     assert code == EXIT_DATA
     assert "invalid weights" in out
+
+
+def test_validate_names_a_nan_location(tmp_path, capsys):
+    path = tmp_path / "nan.csv"
+    path.write_text("alt,x,y\nE1,nan;1;0.5;0.5;0.5,1;1;0.5;0.5;0.5\nweights,0.5,0.5\n")
+    code, out, _ = run_cli(capsys, "validate", str(path))
+    assert code == EXIT_DATA
+    assert "(E1, x)" in out and "eta" in out
+    assert "1 of 2 cells valid" in out
+
+
+def test_validate_has_no_weights_option(tmp_path, capsys):
+    path = tmp_path / "badweights.csv"
+    path.write_text("alt,x,y\nE1,1;1;0.5;0.5;0.5,1;1;0.5;0.5;0.5\nweights,0.9,0.7\n")
+    code, _, _ = run_cli(capsys, "validate", str(path), "--weights", "0.5,0.5")
+    assert code == EXIT_USAGE
+
+
+# ---------------------------------------------------------------------------
+# exit-code contract
+
+NUMBER = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, 1.0, 1e-300, 1e300, math.inf, -math.inf, math.nan]),
+)
+UNIT = st.floats(min_value=0.0, max_value=1.0) | NUMBER  # valid about half the time
+CELL = st.tuples(NUMBER, NUMBER, UNIT, UNIT, UNIT)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@example(cells=[(1.0, 1e300, 0.5, 0.5, 0.5)], weight=None, operator="fnnwa",
+         metric="euclidean", lam="1")
+@example(cells=[(1.0, 1e300, 0.5, 0.5, 0.5)], weight=None, operator="gfnnwa",
+         metric="hamming", lam="3")
+@example(cells=[(1.0, 1e300, 0.5, 0.5, 0.5), (1e-300, 1.0, 0.5, 0.5, 0.5)],
+         weight=None, operator="fnnwa", metric="hamming", lam="1")
+@given(
+    cells=st.lists(CELL, min_size=1, max_size=3),
+    weight=st.one_of(st.none(), st.floats(allow_nan=True, allow_infinity=True)),
+    operator=st.sampled_from(["fnnwa", "fnnwg", "gfnnwa", "gfnnwg"]),
+    metric=st.sampled_from(["hamming", "euclidean"]),
+    lam=st.sampled_from(["1", "3", "34"]),
+)
+def test_exit_code_contract_on_arbitrary_cells(tmp_path, capsys, cells, weight,
+                                               operator, metric, lam):
+    m = len(cells)
+    weights = [1.0 / m] * m if weight is None else [weight] * m
+    header = "alt," + ",".join(f"C{j}" for j in range(m))
+    row = "A1," + ",".join(";".join(repr(v) for v in cell) for cell in cells)
+    wrow = "weights," + ",".join(repr(w) for w in weights)
+    path = tmp_path / "one-row.csv"
+    path.write_text(f"{header}\n{row}\n{wrow}\n")
+    runs = [
+        ["validate", str(path)],
+        ["rank", str(path), "--operator", operator, "--metric", metric, "--lambda", lam,
+         "--format", "json"],
+        ["rank", str(path), "--operator", operator, "--metric", metric, "--format", "csv"],
+    ]
+    for argv in runs:
+        code, out, _ = run_cli(capsys, *argv)  # an escaping exception fails the test
+        assert code in (EXIT_OK, EXIT_DATA, EXIT_DEGENERATE), argv
+        assert "nan" not in out.lower() and "np.float64" not in out

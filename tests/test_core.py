@@ -11,12 +11,16 @@ from fnnmadm import (
     FnnnGenConfig,
     LambdaInvalid,
     MembershipOutOfRange,
+    MembershipTriple,
     NormalDomainError,
+    NormalParams,
+    NotFinite,
     SpreadNonPositive,
     WeightNonPositive,
     accuracy_ffn,
     boxplus,
     boxtimes,
+    check_lambda,
     gen_fnnn,
     make_fnnn,
     membership_at,
@@ -63,10 +67,45 @@ def test_make_fnnn_rejects_nonpositive_spread(xi):
         make_fnnn(1, xi, 0.5, 0.5, 0.5)
 
 
-@pytest.mark.parametrize("bad", [(-0.1, 0.5, 0.5), (0.5, 1.2, 0.5), (0.5, 0.5, 2.0)])
+@pytest.mark.parametrize(
+    "bad", [(-0.1, 0.5, 0.5), (0.5, 1.2, 0.5), (0.5, 0.5, 2.0), (0.5, math.nan, 0.5)]
+)
 def test_make_fnnn_rejects_out_of_range_memberships(bad):
     with pytest.raises(MembershipOutOfRange):
         make_fnnn(1, 1, *bad)
+
+
+@pytest.mark.parametrize(
+    "eta, xi",
+    [(math.nan, 1.0), (math.inf, 1.0), (-math.inf, 1.0), (1.0, math.inf), (1.0, math.nan)],
+)
+def test_make_fnnn_rejects_non_finite_location_or_spread(eta, xi):
+    with pytest.raises(NotFinite):
+        make_fnnn(eta, xi, 0.5, 0.5, 0.5)
+
+
+def test_make_fnnn_reports_spread_then_membership_then_cubic_sum():
+    with pytest.raises(SpreadNonPositive):
+        make_fnnn(1, 0, 2.0, 0.95, 0.95)
+    with pytest.raises(MembershipOutOfRange):
+        make_fnnn(1, 1, 2.0, 0.95, 0.95)
+    with pytest.raises(CubicSumExceeded):
+        make_fnnn(1, 1, 0.95, 0.95, 0.95)
+
+
+def test_value_types_enforce_the_construction_rules():
+    with pytest.raises(NotFinite):
+        NormalParams(math.nan, 1.0)
+    with pytest.raises(SpreadNonPositive):
+        NormalParams(1.0, 0.0)
+    with pytest.raises(MembershipOutOfRange):
+        MembershipTriple(0.5, 1.5, 0.5)
+
+
+@pytest.mark.parametrize("lam", [math.inf, math.nan, 0.5])
+def test_check_lambda_rejects_non_finite_and_small(lam):
+    with pytest.raises(LambdaInvalid):
+        check_lambda(lam)
 
 
 def test_negative_location_is_allowed():

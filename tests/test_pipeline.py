@@ -7,9 +7,11 @@ import pytest
 import engineers_case as case
 from fnnmadm import (
     DegenerateCloseness,
+    DuplicateLabel,
     EmptyInput,
     LambdaInvalid,
     LengthMismatch,
+    NotFinite,
     NotNormalized,
     PipelineConfig,
     ZeroLocation,
@@ -40,6 +42,17 @@ def test_matrix_shape_validation():
         make_decision_matrix(["A"], ["x"], [[neg]], (1.0,))
 
 
+@pytest.mark.parametrize(
+    "alternatives, attributes", [(["A", "A"], ["x"]), (["A", "B"], ["x", "x"])]
+)
+def test_matrix_rejects_duplicate_labels(alternatives, attributes):
+    v = make_fnnn(1, 1, 0.5, 0.5, 0.5)
+    cells = [[v] * len(attributes)] * len(alternatives)
+    weights = [1.0 / len(attributes)] * len(attributes)
+    with pytest.raises(DuplicateLabel):
+        make_decision_matrix(alternatives, attributes, cells, weights)
+
+
 def test_normalize_matches_published_cells(engineers_matrix):
     nm = normalize(engineers_matrix)
     assert nm.normalized
@@ -50,6 +63,15 @@ def test_normalize_matches_published_cells(engineers_matrix):
             assert cell.eta == pytest.approx(eta_exp, abs=1e-3)
             assert cell.xi == pytest.approx(xi_exp, abs=1e-3)
             assert cell.mu == engineers_matrix.cells[i][j].mu
+
+
+def test_pipeline_values_are_plain_floats(engineers_matrix):
+    # numpy scalars would leak their reprs into CSV output
+    rep = run_pipeline(engineers_matrix)
+    cell = rep.matrix.cells[0][0]
+    assert type(cell.eta) is float and type(cell.xi) is float
+    for values in (rep.d_plus, rep.d_minus, rep.closeness):
+        assert all(type(v) is float for v in values)
 
 
 def test_normalize_single_alternative():
@@ -150,6 +172,15 @@ def test_closeness_values():
         closeness([0.1], [0.1, 0.2])
 
 
+def test_overflow_is_a_typed_error():
+    big = make_fnnn(1.0, 1e300, 0.5, 0.5, 0.5)
+    dm = make_decision_matrix(["A"], ["x"], [[big]], (1.0,))
+    with pytest.raises(NotFinite):
+        run_pipeline(dm, PipelineConfig(metric="euclidean"))  # xi' ** 3 overflows
+    with pytest.raises(NotFinite):
+        closeness([float("inf")], [1.0])
+
+
 def test_rank_ordering_and_ties():
     assert rank(case.CLOSENESS) == list(case.ORDERING_FNNWA_LAM1)
     assert rank([0.5, 0.5, 0.5]) == [0, 1, 2]
@@ -240,6 +271,12 @@ def test_sweep_requires_increasing_lambdas(engineers_matrix):
         lambda_sweep(engineers_matrix, PipelineConfig(), [3, 1])
     with pytest.raises(EmptyInput):
         lambda_sweep(engineers_matrix, PipelineConfig(), [])
+
+
+@pytest.mark.parametrize("lambdas", [[0.5, 2.0], [1.0, float("inf")], [float("nan")]])
+def test_sweep_checks_every_lambda(engineers_matrix, lambdas):
+    with pytest.raises(LambdaInvalid):
+        lambda_sweep(engineers_matrix, PipelineConfig(), lambdas)
 
 
 def test_sweep_spot_rows_match_published_table(engineers_matrix):
