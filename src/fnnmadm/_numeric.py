@@ -16,6 +16,7 @@ import math
 from .errors import NormalDomainError
 
 _LOG_HALF = -0.6931471805599453
+_NEG_INF = -math.inf
 
 
 def clip01(x: float) -> float:
@@ -36,10 +37,10 @@ def xlog(x: float) -> float:
 
 def log_one_minus_exp(z: float) -> float:
     """log(1 - exp(z)) for z <= 0, stable at both ends."""
-    if z == -math.inf:
+    if z == _NEG_INF:
         return 0.0
     if z >= 0.0:
-        return -math.inf
+        return _NEG_INF
     if z > _LOG_HALF:
         return math.log(-math.expm1(z))  # 1 - e^z is small: expm1 keeps it
     return math.log1p(-math.exp(z))  # e^z is small: log1p keeps it
@@ -63,28 +64,36 @@ def q_channel(v: float, w: float, p: float) -> float:
     return math.exp(log_one_minus_exp(w * log_one_minus_exp(p * xlog(v))) / p)
 
 
-def weighted_prob_sum(values, weights, p: float) -> float:
-    """(1 - prod_i (1 - v_i**p)**w_i)**(1/p) over paired values/weights."""
+def xlogs(values) -> list[float]:
+    """xlog of each value in [0, 1], and -inf for a value of 0, whose
+    log is undefined (math.log(0) raises)."""
+    return [xlog(v) if v > 0.0 else _NEG_INF for v in values]
+
+
+def weighted_prob_sum(logs, weights, p: float) -> float:
+    """(1 - prod_i (1 - v_i**p)**w_i)**(1/p) over paired logs/weights,
+    with logs[i] = xlog(v_i) as :func:`xlogs` gives them."""
     acc = 0.0  # log prod (1 - v^p)^w
-    for v, w in zip(values, weights):
-        if v >= 1.0:
+    for lv, w in zip(logs, weights):
+        if lv == 0.0:  # v == 1; xlog(v) < 0 for every v < 1
             return 1.0
-        if v > 0.0:  # v == 0 contributes a neutral factor
-            acc += w * log_one_minus_exp(p * xlog(v))
+        if lv != _NEG_INF:  # v == 0 contributes a neutral factor
+            acc += w * log_one_minus_exp(p * lv)
     return math.exp(log_one_minus_exp(acc) / p)
 
 
-def nested_prob_channel(values, weights, lam: float) -> float:
+def nested_prob_channel(logs, weights, lam: float) -> float:
     """(1 - (1 - prod_i d_i**w_i)**(1/lam))**(1/(3 lam)) with
-    d_i = 1 - (1 - v_i**(3 lam))**lam; the nested channel of the
-    generalized operators."""
+    d_i = 1 - (1 - v_i**(3 lam))**lam, over logs[i] = xlog(v_i) as
+    :func:`xlogs` gives them; the nested channel of the generalized
+    operators."""
     p = 3.0 * lam
     log_prod = 0.0  # log prod d_i^w
-    for v, w in zip(values, weights):
-        if v <= 0.0:
-            log_prod = -math.inf
+    for lv, w in zip(logs, weights):
+        if lv == _NEG_INF:  # v == 0
+            log_prod = _NEG_INF
             continue
-        log_eps = lam * log_one_minus_exp(p * xlog(v))  # log (1 - v^p)^lam
+        log_eps = lam * log_one_minus_exp(p * lv)  # log (1 - v^p)^lam
         log_prod += w * log_one_minus_exp(log_eps)
     log_u = log_one_minus_exp(log_prod) / lam
     return math.exp(log_one_minus_exp(log_u) / p)

@@ -13,15 +13,24 @@ and a parameter ``lam >= 1``:
 
 Each closed form agrees with its definitional fold of the primitive
 operations (see :mod:`fnnmadm.reference`) to within float accumulation.
+
+The closed forms are written once, each as a :class:`Kernel` over one
+row read into :class:`Channels` (a list per component, and the log of
+each membership once it is needed).  The operators below read their
+values into one such row.  The pipeline reads a whole matrix once and
+evaluates the kernels at every lam of a sweep; the channels that do not
+depend on lam (eta, xi and f for fnnwa; eta, xi and t for fnnwg) are
+computed only once.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from functools import cached_property
+from typing import Callable, NamedTuple, Sequence
 
-from ._numeric import nested_prob_channel, real_pow, weighted_prob_sum
-from .core import Fnnn, check_lambda, combined
+from ._numeric import clip01, nested_prob_channel, real_pow, weighted_prob_sum, xlogs
+from .core import Fnnn, check_lambda, check_membership, check_normal, combined
 from .errors import EmptyInput, LengthMismatch, WeightInvalid
 
 WEIGHT_SUM_TOLERANCE = 1e-6
@@ -60,50 +69,140 @@ def _prepare(items, weights, lam):
     return items, ws, check_lambda(lam)
 
 
+class Channels:
+    """One row of values read per component: locations, spreads and
+    memberships, as float lists.  The xlog of each membership (see
+    ``xlogs``) does not depend on any operator parameter, so it is
+    computed on first use and kept."""
+
+    def __init__(self, eta, xi, t, i, f):
+        self.eta, self.xi, self.t, self.i, self.f = eta, xi, t, i, f
+
+    @cached_property
+    def log_t(self) -> list[float]:
+        return xlogs(self.t)
+
+    @cached_property
+    def log_i(self) -> list[float]:
+        return xlogs(self.i)
+
+    @cached_property
+    def log_f(self) -> list[float]:
+        return xlogs(self.f)
+
+
+class Kernel(NamedTuple):
+    """An operator's closed form over one channel row, split into the
+    channels that do not depend on lam (``fixed``, computed once for any
+    number of lam values) and the evaluation at one lam (``at``)."""
+
+    fixed: Callable[[Channels, Sequence[float]], tuple]
+    at: Callable[[Channels, Sequence[float], float, tuple], tuple]
+
+    def floats(self, row: Channels, ws, lam: float, fixed: tuple) -> tuple:
+        """The aggregate as plain floats (eta, xi, t, i, f), checked and
+        clipped as :func:`combined` does."""
+        eta, xi, t, i, f = self.at(row, ws, lam, fixed)
+        t, i, f = clip01(t), clip01(i), clip01(f)
+        check_normal(eta, xi)
+        check_membership(t, i, f)  # clip01 passes a NaN through
+        return eta, xi, t, i, f
+
+    def value(self, row: Channels, ws, lam: float) -> Fnnn:
+        """The aggregate of one row at one lam."""
+        return combined(*self.at(row, ws, lam, self.fixed(row, ws)))
+
+
+def _no_fixed(row, ws):
+    return ()
+
+
+def _fnnwa_fixed(row, ws):
+    eta = sum(w * e for w, e in zip(ws, row.eta))
+    xi = sum(w * x for w, x in zip(ws, row.xi))
+    f = math.prod(v ** w for w, v in zip(ws, row.f))
+    return eta, xi, f
+
+
+def _fnnwa_at(row, ws, lam, fixed):
+    eta, xi, f = fixed
+    t = weighted_prob_sum(row.log_t, ws, 3.0 * lam)
+    i = weighted_prob_sum(row.log_i, ws, lam)
+    return eta, xi, t, i, f
+
+
+def _fnnwg_fixed(row, ws):
+    eta = math.prod(real_pow(e, w) for w, e in zip(ws, row.eta))
+    xi = math.prod(x ** w for w, x in zip(ws, row.xi))
+    t = math.prod(v ** w for w, v in zip(ws, row.t))
+    return eta, xi, t
+
+
+def _fnnwg_at(row, ws, lam, fixed):
+    eta, xi, t = fixed
+    i = weighted_prob_sum(row.log_i, ws, lam)
+    f = weighted_prob_sum(row.log_f, ws, 3.0 * lam)
+    return eta, xi, t, i, f
+
+
+def _gfnnwa_at(row, ws, lam, fixed):
+    eta = real_pow(sum(w * real_pow(e, lam) for w, e in zip(ws, row.eta)), 1.0 / lam)
+    xi = sum(w * x ** lam for w, x in zip(ws, row.xi)) ** (1.0 / lam)
+    t = weighted_prob_sum(row.log_t, ws, 3.0 * lam * lam)
+    i = weighted_prob_sum(row.log_i, ws, lam)
+    f = nested_prob_channel(row.log_f, ws, lam)
+    return eta, xi, t, i, f
+
+
+def _gfnnwg_at(row, ws, lam, fixed):
+    eta = math.prod(real_pow(lam * e, w) for w, e in zip(ws, row.eta)) / lam
+    xi = math.prod((lam * x) ** w for w, x in zip(ws, row.xi)) / lam
+    t = nested_prob_channel(row.log_t, ws, lam)
+    i = weighted_prob_sum(row.log_i, ws, lam)
+    f = weighted_prob_sum(row.log_f, ws, 3.0 * lam * lam)
+    return eta, xi, t, i, f
+
+
+KERNELS = {
+    "fnnwa": Kernel(_fnnwa_fixed, _fnnwa_at),
+    "fnnwg": Kernel(_fnnwg_fixed, _fnnwg_at),
+    "gfnnwa": Kernel(_no_fixed, _gfnnwa_at),
+    "gfnnwg": Kernel(_no_fixed, _gfnnwg_at),
+}
+
+
+def _aggregate(operator: str, items, weights, lam) -> Fnnn:
+    items, ws, lam = _prepare(items, weights, lam)
+    row = Channels(
+        [L.eta for L in items],
+        [L.xi for L in items],
+        [L.t for L in items],
+        [L.i for L in items],
+        [L.f for L in items],
+    )
+    return KERNELS[operator].value(row, ws, lam)
+
+
 def fnnwa(items: Sequence[Fnnn], weights: Sequence[float], lam: float = 1.0) -> Fnnn:
     """Weighted averaging aggregation."""
-    items, ws, lam = _prepare(items, weights, lam)
-    eta = sum(w * L.eta for w, L in zip(ws, items))
-    xi = sum(w * L.xi for w, L in zip(ws, items))
-    t = weighted_prob_sum((L.t for L in items), ws, 3.0 * lam)
-    i = weighted_prob_sum((L.i for L in items), ws, lam)
-    f = math.prod(L.f ** w for w, L in zip(ws, items))
-    return combined(eta, xi, t, i, f)
+    return _aggregate("fnnwa", items, weights, lam)
 
 
 def fnnwg(items: Sequence[Fnnn], weights: Sequence[float], lam: float = 1.0) -> Fnnn:
     """Weighted geometric aggregation."""
-    items, ws, lam = _prepare(items, weights, lam)
-    eta = math.prod(real_pow(L.eta, w) for w, L in zip(ws, items))
-    xi = math.prod(L.xi ** w for w, L in zip(ws, items))
-    t = math.prod(L.t ** w for w, L in zip(ws, items))
-    i = weighted_prob_sum((L.i for L in items), ws, lam)
-    f = weighted_prob_sum((L.f for L in items), ws, 3.0 * lam)
-    return combined(eta, xi, t, i, f)
+    return _aggregate("fnnwg", items, weights, lam)
 
 
 def gfnnwa(items: Sequence[Fnnn], weights: Sequence[float], lam: float = 1.0) -> Fnnn:
     """Generalized weighted averaging: lam-th root of the weighted
     average of lam-th powers."""
-    items, ws, lam = _prepare(items, weights, lam)
-    eta = real_pow(sum(w * real_pow(L.eta, lam) for w, L in zip(ws, items)), 1.0 / lam)
-    xi = sum(w * L.xi ** lam for w, L in zip(ws, items)) ** (1.0 / lam)
-    t = weighted_prob_sum((L.t for L in items), ws, 3.0 * lam * lam)
-    i = weighted_prob_sum((L.i for L in items), ws, lam)
-    f = nested_prob_channel((L.f for L in items), ws, lam)
-    return combined(eta, xi, t, i, f)
+    return _aggregate("gfnnwa", items, weights, lam)
 
 
 def gfnnwg(items: Sequence[Fnnn], weights: Sequence[float], lam: float = 1.0) -> Fnnn:
     """Generalized weighted geometric: 1/lam times the weighted geometric
     of lam-multiples."""
-    items, ws, lam = _prepare(items, weights, lam)
-    eta = math.prod(real_pow(lam * L.eta, w) for w, L in zip(ws, items)) / lam
-    xi = math.prod((lam * L.xi) ** w for w, L in zip(ws, items)) / lam
-    t = nested_prob_channel((L.t for L in items), ws, lam)
-    i = weighted_prob_sum((L.i for L in items), ws, lam)
-    f = weighted_prob_sum((L.f for L in items), ws, 3.0 * lam * lam)
-    return combined(eta, xi, t, i, f)
+    return _aggregate("gfnnwg", items, weights, lam)
 
 
 OPERATORS = {

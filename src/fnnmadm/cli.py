@@ -21,6 +21,7 @@ from .aggregate import OPERATORS, check_weights
 from .core import Fnnn, make_fnnn
 from .errors import (
     DegenerateCloseness,
+    DuplicateLabel,
     EmptyInput,
     FnnError,
     LambdaInvalid,
@@ -34,6 +35,7 @@ from .pipeline import (
     PipelineConfig,
     RankingReport,
     SweepResult,
+    _check_unique,
     lambda_sweep,
     make_decision_matrix,
     run_pipeline,
@@ -469,17 +471,22 @@ def cmd_sweep(args) -> int:
 def cmd_validate(args) -> int:
     raw = _read_raw(args.path, args.input_format)
     _, diagnostics = _build_cells(raw)
-    weight_problem = None
+    problems = []
+    for kind, labels in (("alternative", raw.alternatives), ("attribute", raw.attributes)):
+        try:
+            _check_unique(kind, tuple(labels))
+        except DuplicateLabel as e:
+            problems.append(f"invalid labels: {e}")
     if raw.weights is not None:
         try:
             check_weights(raw.weights, n=len(raw.attributes))
         except (LengthMismatch, WeightInvalid) as e:
-            weight_problem = str(e)
+            problems.append(f"invalid weights: {e}")
     for alt, attr, reason in diagnostics:
         print(f"invalid cell ({alt}, {attr}): {reason}")
-    if weight_problem:
-        print(f"invalid weights: {weight_problem}")
-    if diagnostics or weight_problem:
+    for problem in problems:
+        print(problem)
+    if diagnostics or problems:
         total = len(raw.alternatives) * len(raw.attributes)
         print(f"{total - len(diagnostics)} of {total} cells valid")
         return EXIT_DATA

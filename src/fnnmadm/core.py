@@ -33,6 +33,15 @@ def _check_unit(name: str, v: float) -> None:
         )
 
 
+def check_membership(t: float, i: float, f: float) -> None:
+    """Raise MembershipOutOfRange unless t, i and f are each in [0, 1]."""
+    if not (0.0 <= t <= 1.0 and 0.0 <= i <= 1.0 and 0.0 <= f <= 1.0):
+        # one test for the common case; the per-name checks find the culprit
+        _check_unit("t", t)
+        _check_unit("i", i)
+        _check_unit("f", f)
+
+
 @dataclass(frozen=True)
 class MembershipTriple:
     """Truth, indeterminacy and falsity degrees, each in [0, 1]."""
@@ -42,9 +51,7 @@ class MembershipTriple:
     f: float
 
     def __post_init__(self):
-        _check_unit("t", self.t)
-        _check_unit("i", self.i)
-        _check_unit("f", self.f)
+        check_membership(self.t, self.i, self.f)
 
     def cubic_sum(self) -> float:
         return self.t ** 3 + self.i ** 3 + self.f ** 3
@@ -59,12 +66,18 @@ class NormalParams:
     xi: float
 
     def __post_init__(self):
-        if not math.isfinite(self.eta):
-            raise NotFinite("eta must be a finite number")
-        if not math.isfinite(self.xi):
-            raise NotFinite("xi must be a finite number")
-        if not self.xi > 0.0:
-            raise SpreadNonPositive(f"xi = {self.xi!r} must be > 0")
+        check_normal(self.eta, self.xi)
+
+
+def check_normal(eta: float, xi: float) -> None:
+    """Raise NotFinite unless eta and xi are finite, SpreadNonPositive
+    unless xi > 0."""
+    if not math.isfinite(eta):
+        raise NotFinite("eta must be a finite number")
+    if not math.isfinite(xi):
+        raise NotFinite("xi must be a finite number")
+    if not xi > 0.0:
+        raise SpreadNonPositive(f"xi = {xi!r} must be > 0")
 
 
 @dataclass(frozen=True)

@@ -14,23 +14,38 @@ from .core import Fnnn, MembershipTriple, NormalParams
 
 def phi(mu: MembershipTriple) -> float:
     """(1 + t^3 + i^3 - f^3) / 3, in [0, 1] for any valid triple."""
-    return (1.0 + mu.t ** 3 + mu.i ** 3 - mu.f ** 3) / 3.0
+    return phi_of(mu.t, mu.i, mu.f)
+
+
+def phi_of(t: float, i: float, f: float) -> float:
+    """:func:`phi` of the memberships t, i and f."""
+    return (1.0 + t ** 3 + i ** 3 - f ** 3) / 3.0
 
 
 def hamming(a: Fnnn, b: Fnnn) -> float:
     """Phi-weighted L1-style distance on the (eta, xi) plane."""
-    pa, pb = phi(a.mu), phi(b.mu)
-    return (
-        abs(pa * a.eta - pb * b.eta) + abs(pa * a.xi - pb * b.xi) / 3.0
-    ) / 3.0
+    return hamming_of(phi(a.mu), a.eta, a.xi, phi(b.mu), b.eta, b.xi)
+
+
+def hamming_of(pa: float, ea: float, xa: float, pb: float, eb: float, xb: float) -> float:
+    """:func:`hamming` of (ea, xa) and (eb, xb) with phi values pa and pb."""
+    return (abs(pa * ea - pb * eb) + abs(pa * xa - pb * xb) / 3.0) / 3.0
 
 
 def euclidean(a: Fnnn, b: Fnnn) -> float:
     """Phi-weighted cubic-mean distance on the (eta, xi) plane."""
-    pa, pb = phi(a.mu), phi(b.mu)
-    de = abs(pa * a.eta - pb * b.eta)
-    dx = abs(pa * a.xi - pb * b.xi)
+    return euclidean_of(phi(a.mu), a.eta, a.xi, phi(b.mu), b.eta, b.xi)
+
+
+def euclidean_of(pa: float, ea: float, xa: float, pb: float, eb: float, xb: float) -> float:
+    """:func:`euclidean` of (ea, xa) and (eb, xb) with phi values pa and pb."""
+    de = abs(pa * ea - pb * eb)
+    dx = abs(pa * xa - pb * xb)
     return (de ** 3 + dx ** 3 / 3.0) ** (1.0 / 3.0) / 3.0
+
+
+# the distances on plain floats, by metric name
+FORMULAS = {"hamming": hamming_of, "euclidean": euclidean_of}
 
 
 def normal_distance(p: NormalParams, q: NormalParams) -> float:

@@ -4,20 +4,22 @@ The pipeline normalizes the matrix per attribute, aggregates each
 alternative's row with one of the four weighted operators, synthesizes
 positive/negative ideal values from the aggregates' extrema, measures
 each alternative's distance to both ideals, and ranks by relative
-closeness D- / (D+ + D-), larger is better.  A lambda sweep repeats the
-run over a grid of operator parameters and reports every ranking
-transition.
+closeness D- / (D+ + D-), larger is better.  A lambda sweep ranks at
+each value of a grid of operator parameters and reports every ranking
+transition.  Both evaluate each parameter value on plain floats, from
+per-row channel lists read once from the matrix; a ranking run then
+wraps its values into a report.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
-from .aggregate import OPERATORS, check_weights
-from .core import Fnnn, MembershipTriple, NormalParams, check_lambda
-from .distance import euclidean, hamming
+from .aggregate import KERNELS, OPERATORS, Channels, check_weights
+from .core import Fnnn, MembershipTriple, NormalParams, check_lambda, check_normal, combined
+from .distance import FORMULAS, euclidean, hamming, phi, phi_of
 from .errors import (
     DegenerateCloseness,
     DuplicateLabel,
@@ -102,37 +104,60 @@ def make_decision_matrix(
     return DecisionMatrix(alternatives, attributes, rows, ws)
 
 
+def _normalized(dm: DecisionMatrix) -> list[tuple[list[float], list[float]]]:
+    """Each row's normalized locations and spreads, as float lists."""
+    normals = [[cell.normal for cell in row] for row in dm.cells]
+    for i, row in enumerate(normals):
+        for j, n in enumerate(row):
+            if n.eta <= 0.0:
+                raise ZeroLocation(
+                    f"eta = {n.eta!r} at ({dm.alternatives[i]}, {dm.attributes[j]}) "
+                    "must be > 0 for normalization"
+                )
+    columns = tuple(zip(*normals))
+    eta_max = [max(n.eta for n in col) for col in columns]
+    xi_max = [max(n.xi for n in col) for col in columns]
+    out = []
+    for row in normals:
+        etas = [n.eta / m for n, m in zip(row, eta_max)]
+        xis = [(n.xi / m) * (n.xi / n.eta) for n, m in zip(row, xi_max)]
+        for eta, xi in zip(etas, xis):
+            check_normal(eta, xi)
+        out.append((etas, xis))
+    return out
+
+
 def normalize(dm: DecisionMatrix) -> DecisionMatrix:
     """Per-attribute normalization; membership triples are untouched.
 
     Locations are rescaled by the column maximum; spreads by the column
     maximum times the cell's own spread-to-location ratio.  Raises
-    ZeroLocation unless every location is strictly positive.
+    ZeroLocation unless every location is strictly positive, and
+    NotFinite or SpreadNonPositive for a spread that leaves float64's
+    range.
     """
-    for i, row in enumerate(dm.cells):
-        for j, cell in enumerate(row):
-            if cell.eta <= 0.0:
-                raise ZeroLocation(
-                    f"eta = {cell.eta!r} at ({dm.alternatives[i]}, {dm.attributes[j]}) "
-                    "must be > 0 for normalization"
-                )
-    columns = tuple(zip(*dm.cells))
-    eta_max = [max(c.eta for c in col) for col in columns]
-    xi_max = [max(c.xi for c in col) for col in columns]
     rows = tuple(
-        tuple(
-            Fnnn(
-                NormalParams(
-                    cell.eta / eta_max[j],
-                    (cell.xi / xi_max[j]) * (cell.xi / cell.eta),
-                ),
-                cell.mu,
-            )
-            for j, cell in enumerate(row)
-        )
-        for row in dm.cells
+        tuple(Fnnn(NormalParams(eta, xi), cell.mu) for eta, xi, cell in zip(etas, xis, row))
+        for (etas, xis), row in zip(_normalized(dm), dm.cells)
     )
     return replace(dm, cells=rows, normalized=True)
+
+
+def _channel_rows(dm: DecisionMatrix) -> list[Channels]:
+    """Each row read into channels; a raw matrix is normalized on the
+    way, without building its normalized cells."""
+    if dm.normalized:
+        normal = [
+            ([n.eta for n in normals], [n.xi for n in normals])
+            for normals in ([c.normal for c in row] for row in dm.cells)
+        ]
+    else:
+        normal = _normalized(dm)
+    out = []
+    for (etas, xis), row in zip(normal, dm.cells):
+        mus = [c.mu for c in row]
+        out.append(Channels(etas, xis, [m.t for m in mus], [m.i for m in mus], [m.f for m in mus]))
+    return out
 
 
 def aggregate_rows(dm: DecisionMatrix, operator: str, lam: float = 1.0) -> tuple[Fnnn, ...]:
@@ -142,8 +167,23 @@ def aggregate_rows(dm: DecisionMatrix, operator: str, lam: float = 1.0) -> tuple
         raise NotNormalized("normalize the decision matrix before aggregating")
     if operator not in OPERATORS:
         raise KeyError(f"unknown operator {operator!r}; choose from {sorted(OPERATORS)}")
-    op = OPERATORS[operator]
-    return tuple(op(row, dm.weights, lam) for row in dm.cells)
+    kernel = KERNELS[operator]
+    ws = check_weights(dm.weights, n=dm.n_attributes)
+    lam = check_lambda(lam)
+    return tuple(kernel.value(row, ws, lam) for row in _channel_rows(dm))
+
+
+_POSITIVE_MU = MembershipTriple(1.0, 1.0, 0.0)
+_NEGATIVE_MU = MembershipTriple(0.0, 0.0, 1.0)
+
+
+def _ideals(etas: Sequence[float], xis: Sequence[float]):
+    """(eta, xi) of the positive and of the negative ideal."""
+    return (max(etas), min(xis)), (min(etas), max(xis))
+
+
+def _ideal_values(positive, negative) -> tuple[Fnnn, Fnnn]:
+    return Fnnn(NormalParams(*positive), _POSITIVE_MU), Fnnn(NormalParams(*negative), _NEGATIVE_MU)
 
 
 def ideal_values(aggregates: Sequence[Fnnn]) -> tuple[Fnnn, Fnnn]:
@@ -152,15 +192,7 @@ def ideal_values(aggregates: Sequence[Fnnn]) -> tuple[Fnnn, Fnnn]:
     aggs = tuple(aggregates)
     if not aggs:
         raise EmptyInput("cannot take ideals of zero aggregates")
-    positive = Fnnn(
-        NormalParams(max(a.eta for a in aggs), min(a.xi for a in aggs)),
-        MembershipTriple(1.0, 1.0, 0.0),
-    )
-    negative = Fnnn(
-        NormalParams(min(a.eta for a in aggs), max(a.xi for a in aggs)),
-        MembershipTriple(0.0, 0.0, 1.0),
-    )
-    return positive, negative
+    return _ideal_values(*_ideals([a.eta for a in aggs], [a.xi for a in aggs]))
 
 
 def closeness(dplus: Sequence[float], dminus: Sequence[float]) -> list[float]:
@@ -226,6 +258,51 @@ class RankingReport:
         return tuple(self.matrix.alternatives[k] for k in self.ordering)
 
 
+class _Evaluation(NamedTuple):
+    """A ranking at one lam, on plain floats."""
+
+    lam: float
+    aggregates: list[tuple[float, float, float, float, float]]
+    positive: tuple[float, float]  # (eta, xi) of the positive ideal
+    negative: tuple[float, float]
+    d_plus: tuple[float, ...]
+    d_minus: tuple[float, ...]
+    closeness: tuple[float, ...]
+    ordering: tuple[int, ...]
+
+
+def _evaluations(dm: DecisionMatrix, operator: str, metric: str, lams: Sequence[float]):
+    """Yield the ranking at each of the checked values ``lams``.
+
+    The matrix is read into channels and the weights are checked once;
+    the channels that do not depend on lam are aggregated once.  Raises
+    NotFinite when a value overflows float64.
+    """
+    kernel, formula = KERNELS[operator], FORMULAS[metric]
+    phi_positive, phi_negative = phi(_POSITIVE_MU), phi(_NEGATIVE_MU)
+    rows = _channel_rows(dm)
+    ws = check_weights(dm.weights, n=dm.n_attributes)
+    lam = lams[0]  # the value an overflow in the lam-free channels is reported at
+    try:
+        fixed = [kernel.fixed(row, ws) for row in rows]
+        for lam in lams:
+            aggs = [kernel.floats(row, ws, lam, fx) for row, fx in zip(rows, fixed)]
+            etas = [a[0] for a in aggs]
+            xis = [a[1] for a in aggs]
+            phis = [phi_of(t, i, f) for _, _, t, i, f in aggs]
+            positive, negative = _ideals(etas, xis)
+            dplus = tuple(
+                formula(p, eta, xi, phi_positive, *positive) for p, eta, xi in zip(phis, etas, xis)
+            )
+            dminus = tuple(
+                formula(p, eta, xi, phi_negative, *negative) for p, eta, xi in zip(phis, etas, xis)
+            )
+            close = tuple(closeness(dplus, dminus))
+            yield _Evaluation(lam, aggs, positive, negative, dplus, dminus, close, tuple(rank(close)))
+    except OverflowError:
+        raise NotFinite(f"a value overflowed float64 at lambda = {lam:g}") from None
+
+
 def run_pipeline(dm: DecisionMatrix, config: PipelineConfig = PipelineConfig()) -> RankingReport:
     """Execute normalization through ranking and collect the full report.
 
@@ -236,16 +313,9 @@ def run_pipeline(dm: DecisionMatrix, config: PipelineConfig = PipelineConfig()) 
     overflows float64.
     """
     nm = dm if dm.normalized else normalize(dm)
-    metric = METRICS[config.metric]
-    try:
-        aggs = aggregate_rows(nm, config.operator, config.lam)
-        positive, negative = ideal_values(aggs)
-        dplus = tuple(metric(a, positive) for a in aggs)
-        dminus = tuple(metric(a, negative) for a in aggs)
-    except OverflowError:
-        raise NotFinite(f"a value overflowed float64 at lambda = {config.lam:g}") from None
-    close = tuple(closeness(dplus, dminus))
-    ordering = tuple(rank(close))
+    (ev,) = _evaluations(nm, config.operator, config.metric, [check_lambda(config.lam)])
+    aggs = tuple(combined(*a) for a in ev.aggregates)
+    positive, negative = _ideal_values(ev.positive, ev.negative)
     notes = []
     if float(config.lam) != int(config.lam):
         notes.append(
@@ -263,10 +333,10 @@ def run_pipeline(dm: DecisionMatrix, config: PipelineConfig = PipelineConfig()) 
         aggregates=aggs,
         positive_ideal=positive,
         negative_ideal=negative,
-        d_plus=dplus,
-        d_minus=dminus,
-        closeness=close,
-        ordering=ordering,
+        d_plus=ev.d_plus,
+        d_minus=ev.d_minus,
+        closeness=ev.closeness,
+        ordering=ev.ordering,
         notes=tuple(notes),
     )
 
@@ -306,8 +376,13 @@ def detect_transitions(rows: Sequence[SweepRow]) -> tuple[Transition, ...]:
 def lambda_sweep(
     dm: DecisionMatrix, config: PipelineConfig, lambdas: Sequence[float]
 ) -> SweepResult:
-    """Run the pipeline once per parameter value and collect closeness
-    rows, orderings and transitions.
+    """Rank at each parameter value and collect closeness rows, orderings
+    and transitions; each row equals :func:`run_pipeline`'s at its value.
+
+    The matrix is read once into per-row channels (normalized locations
+    and spreads, memberships and their logs) and the weights are checked
+    once; each value then evaluates only what depends on it, on plain
+    floats, and builds no report.
 
     This is where a grid is checked: EmptyInput for no values,
     LambdaInvalid unless every value passes ``check_lambda`` and the
@@ -318,9 +393,8 @@ def lambda_sweep(
         raise EmptyInput("sweep needs at least one lambda value")
     if any(b <= a for a, b in zip(lams, lams[1:])):
         raise LambdaInvalid("sweep values must be strictly increasing")
-    nm = dm if dm.normalized else normalize(dm)
     rows = tuple(
-        SweepRow(rep.config.lam, rep.closeness, rep.ordering)
-        for rep in (run_pipeline(nm, replace(config, lam=lam)) for lam in lams)
+        SweepRow(ev.lam, ev.closeness, ev.ordering)
+        for ev in _evaluations(dm, config.operator, config.metric, lams)
     )
     return SweepResult(rows=rows, transitions=detect_transitions(rows))

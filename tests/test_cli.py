@@ -120,6 +120,9 @@ def test_duplicate_labels_are_data_errors(tmp_path, capsys, text):
     code, _, err = run_cli(capsys, "rank", str(path))
     assert code == EXIT_DATA
     assert "twice" in err
+    code, out, _ = run_cli(capsys, "validate", str(path))
+    assert code == EXIT_DATA
+    assert "twice" in out
 
 
 @pytest.mark.parametrize(
@@ -335,6 +338,23 @@ def test_sweep_range_is_sized_before_it_is_built(engineers_csv_path, grid):
     assert "--lambda-range" in done.stderr and "Traceback" not in done.stderr
 
 
+def test_cli_sweep_loads_no_numpy(engineers_csv_path):
+    code = (
+        "import sys; from fnnmadm.cli import main; "
+        "code = main(sys.argv[1:]); "
+        "assert 'numpy' not in sys.modules, 'numpy was imported'; "
+        "sys.exit(code)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run(
+        [sys.executable, "-c", code, "sweep", engineers_csv_path, "--lambda-range", "1..34",
+         "--format", "json"],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert done.returncode == EXIT_OK, done.stderr
+    assert len(json.loads(done.stdout)["rows"]) == 34
+
+
 def test_sweep_plot_csv_recomputation(engineers_csv_path, capsys, tmp_path):
     plot = tmp_path / "plot.csv"
     code, _, _ = run_cli(capsys, "sweep", engineers_csv_path,
@@ -480,6 +500,10 @@ def test_exit_code_contract_on_arbitrary_cells(tmp_path, capsys, cells, weight,
         ["rank", str(path), "--operator", operator, "--metric", metric, "--lambda", lam,
          "--format", "json"],
         ["rank", str(path), "--operator", operator, "--metric", metric, "--format", "csv"],
+        ["sweep", str(path), "--operator", operator, "--metric", metric,
+         "--lambdas", "1,3,34", "--format", "json"],
+        ["sweep", str(path), "--operator", operator, "--metric", metric,
+         "--lambda-range", "1..34", "--format", "csv"],
     ]
     for argv in runs:
         code, out, _ = run_cli(capsys, *argv)  # an escaping exception fails the test

@@ -1,6 +1,8 @@
 """Seven-step ranking pipeline and the lambda sweep."""
 
 import dataclasses
+import random
+import re
 
 import pytest
 
@@ -9,6 +11,8 @@ from fnnmadm import (
     DegenerateCloseness,
     DuplicateLabel,
     EmptyInput,
+    FnnError,
+    FnnnGenConfig,
     LambdaInvalid,
     LengthMismatch,
     NotFinite,
@@ -18,6 +22,8 @@ from fnnmadm import (
     aggregate_rows,
     closeness,
     fold_fnnwa,
+    gen_fnnn,
+    gen_weights,
     ideal_values,
     lambda_sweep,
     make_decision_matrix,
@@ -26,6 +32,8 @@ from fnnmadm import (
     rank,
     run_pipeline,
 )
+from fnnmadm.cli import EXIT_DATA
+from fnnmadm.cli import main as cli_main
 from fnnmadm.cli import report_to_dict, _dump_json
 
 
@@ -172,13 +180,21 @@ def test_closeness_values():
         closeness([0.1], [0.1, 0.2])
 
 
-def test_overflow_is_a_typed_error():
+def test_overflow_is_a_typed_error(tmp_path, capsys):
     big = make_fnnn(1.0, 1e300, 0.5, 0.5, 0.5)
     dm = make_decision_matrix(["A"], ["x"], [[big]], (1.0,))
     with pytest.raises(NotFinite):
         run_pipeline(dm, PipelineConfig(metric="euclidean"))  # xi' ** 3 overflows
     with pytest.raises(NotFinite):
+        lambda_sweep(dm, PipelineConfig(metric="euclidean"), [1, 2])
+    with pytest.raises(NotFinite):
+        lambda_sweep(dm, PipelineConfig(operator="gfnnwa"), [1, 3])  # xi' ** 3 again
+    with pytest.raises(NotFinite):
         closeness([float("inf")], [1.0])
+    path = tmp_path / "big.csv"
+    path.write_text("alt,x\nA,1.0;1e300;0.5;0.5;0.5\nweights,1\n")
+    assert cli_main(["sweep", str(path), "--metric", "euclidean", "--lambdas", "1,2"]) == EXIT_DATA
+    assert "overflowed" in capsys.readouterr().err
 
 
 def test_rank_ordering_and_ties():
@@ -255,13 +271,52 @@ def test_pipeline_config_validation():
 # sweep
 
 
-def test_sweep_single_lambda_equals_pipeline(engineers_matrix):
-    config = PipelineConfig()
-    sweep = lambda_sweep(engineers_matrix, config, [5])
-    rep = run_pipeline(engineers_matrix, dataclasses.replace(config, lam=5))
-    assert sweep.rows[0].closeness == rep.closeness
-    assert sweep.rows[0].ordering == rep.ordering
-    assert sweep.transitions == ()
+def _seeded_matrix(n=6, m=5):
+    values = gen_fnnn(FnnnGenConfig(seed=11), n * m)
+    cells = [values[k * m:(k + 1) * m] for k in range(n)]
+    return make_decision_matrix(
+        [f"A{k}" for k in range(n)], [f"C{j}" for j in range(m)], cells,
+        gen_weights(random.Random(11), m),
+    )
+
+
+def _edge_matrix():
+    # memberships of exactly 0 and 1, the kernels' v <= 0 and v >= 1 cases
+    triples = [(0.0, 0.5, 0.5), (1.0, 0.0, 0.3), (0.4, 1.0, 0.0),
+               (0.7, 0.2, 1.0), (0.0, 0.0, 0.0), (1.0, 1.0, 0.0)]
+    cells = [[make_fnnn(0.5 + 0.1 * k, 0.3 + 0.05 * j, *triples[(j + k) % 6]) for j in range(6)]
+             for k in range(4)]
+    return make_decision_matrix(list("abcd"), list("uvwxyz"), cells, [1 / 6] * 6)
+
+
+@pytest.mark.parametrize("operator", ["fnnwa", "fnnwg", "gfnnwa", "gfnnwg"])
+@pytest.mark.parametrize("metric", ["hamming", "euclidean"])
+@pytest.mark.parametrize("matrix", ["engineers", "seeded", "edge"])
+def test_sweep_single_lambda_equals_pipeline(engineers_matrix, matrix, operator, metric):
+    dm = {"engineers": engineers_matrix, "seeded": _seeded_matrix(), "edge": _edge_matrix()}[matrix]
+    config = PipelineConfig(operator=operator, metric=metric)
+    single = lambda_sweep(dm, config, [5])
+    assert single.transitions == ()
+    lams = list(range(1, 35))
+    sweep = lambda_sweep(dm, config, lams)
+    for row, lam in zip([single.rows[0], *sweep.rows], [5, *lams]):
+        rep = run_pipeline(dm, dataclasses.replace(config, lam=lam))
+        assert row.lam == lam
+        assert row.closeness == rep.closeness  # bit for bit, not approximately
+        assert row.ordering == rep.ordering
+
+
+@pytest.mark.parametrize("operator", ["gfnnwa", "gfnnwg"])
+def test_float_path_rejects_what_building_the_aggregates_rejects(engineers_matrix, operator):
+    # at lambda = 1e200 gfnnwa's spread underflows to 0 and gfnnwg's f is NaN;
+    # ranking on plain floats must fail as building the aggregate values does
+    with pytest.raises(FnnError) as built:
+        aggregate_rows(normalize(engineers_matrix), operator, 1e200)
+    config = PipelineConfig(operator=operator, lam=1e200)
+    with pytest.raises(type(built.value), match=re.escape(str(built.value))):
+        run_pipeline(engineers_matrix, config)
+    with pytest.raises(type(built.value), match=re.escape(str(built.value))):
+        lambda_sweep(engineers_matrix, config, [1e200])
 
 
 def test_sweep_requires_increasing_lambdas(engineers_matrix):
