@@ -14,20 +14,20 @@ and a parameter ``lam >= 1``:
 Each closed form agrees with its definitional fold of the primitive
 operations (see :mod:`fnnmadm.reference`) to within float accumulation.
 
-The closed forms are written once, each as a :class:`Kernel` over one
-row read into :class:`Channels` (a list per component, and the log of
-each membership once it is needed).  The operators below read their
-values into one such row.  The pipeline reads a whole matrix once and
-evaluates the kernels at every lam of a sweep; the channels that do not
-depend on lam (eta, xi and f for fnnwa; eta, xi and t for fnnwg) are
-computed only once.
+Each closed form is written once, as a generator over one row of values
+read into five float lists (eta, xi, t, i, f) by :func:`read_row`.  It
+first computes what does not depend on lam: the xlog of each membership
+it uses, and for fnnwa and fnnwg the location, the spread and one
+membership.  It then yields the checked aggregate at each lam it is
+given.  The operators below take its one value at their lam; the
+pipeline asks each row's generator for the next value at every lam of a
+sweep.
 """
 
 from __future__ import annotations
 
 import math
-from functools import cached_property
-from typing import Callable, NamedTuple, Sequence
+from typing import Sequence
 
 from ._numeric import clip01, nested_prob_channel, real_pow, weighted_prob_sum, xlogs
 from .core import Fnnn, check_lambda, check_membership, check_normal, combined
@@ -69,145 +69,105 @@ def _prepare(items, weights, lam):
     return items, ws, check_lambda(lam)
 
 
-class Channels:
-    """One row of values read per component: locations, spreads and
-    memberships, as float lists.  The xlog of each membership (see
-    ``xlogs``) does not depend on any operator parameter, so it is
-    computed on first use and kept."""
-
-    def __init__(self, eta, xi, t, i, f):
-        self.eta, self.xi, self.t, self.i, self.f = eta, xi, t, i, f
-
-    @cached_property
-    def log_t(self) -> list[float]:
-        return xlogs(self.t)
-
-    @cached_property
-    def log_i(self) -> list[float]:
-        return xlogs(self.i)
-
-    @cached_property
-    def log_f(self) -> list[float]:
-        return xlogs(self.f)
+def read_row(cells: Sequence[Fnnn]) -> tuple[list[float], ...]:
+    """A row of values as five float lists: eta, xi, t, i and f."""
+    normals = [c.normal for c in cells]
+    mus = [c.mu for c in cells]
+    etas, xis = [n.eta for n in normals], [n.xi for n in normals]
+    return etas, xis, [m.t for m in mus], [m.i for m in mus], [m.f for m in mus]
 
 
-class Kernel(NamedTuple):
-    """An operator's closed form over one channel row, split into the
-    channels that do not depend on lam (``fixed``, computed once for any
-    number of lam values) and the evaluation at one lam (``at``)."""
-
-    fixed: Callable[[Channels, Sequence[float]], tuple]
-    at: Callable[[Channels, Sequence[float], float, tuple], tuple]
-
-    def floats(self, row: Channels, ws, lam: float, fixed: tuple) -> tuple:
-        """The aggregate as plain floats (eta, xi, t, i, f), checked and
-        clipped as :func:`combined` does."""
-        eta, xi, t, i, f = self.at(row, ws, lam, fixed)
-        t, i, f = clip01(t), clip01(i), clip01(f)
-        check_normal(eta, xi)
-        check_membership(t, i, f)  # clip01 passes a NaN through
-        return eta, xi, t, i, f
-
-    def value(self, row: Channels, ws, lam: float) -> Fnnn:
-        """The aggregate of one row at one lam."""
-        return combined(*self.at(row, ws, lam, self.fixed(row, ws)))
-
-
-def _no_fixed(row, ws):
-    return ()
-
-
-def _fnnwa_fixed(row, ws):
-    eta = sum(w * e for w, e in zip(ws, row.eta))
-    xi = sum(w * x for w, x in zip(ws, row.xi))
-    f = math.prod(v ** w for w, v in zip(ws, row.f))
-    return eta, xi, f
-
-
-def _fnnwa_at(row, ws, lam, fixed):
-    eta, xi, f = fixed
-    t = weighted_prob_sum(row.log_t, ws, 3.0 * lam)
-    i = weighted_prob_sum(row.log_i, ws, lam)
+def _checked(eta, xi, t, i, f) -> tuple[float, float, float, float, float]:
+    """An aggregate as plain floats, checked and clipped as
+    :func:`combined` does."""
+    t, i, f = clip01(t), clip01(i), clip01(f)
+    check_normal(eta, xi)
+    check_membership(t, i, f)  # clip01 passes a NaN through
     return eta, xi, t, i, f
 
 
-def _fnnwg_fixed(row, ws):
-    eta = math.prod(real_pow(e, w) for w, e in zip(ws, row.eta))
-    xi = math.prod(x ** w for w, x in zip(ws, row.xi))
-    t = math.prod(v ** w for w, v in zip(ws, row.t))
-    return eta, xi, t
+def _fnnwa(row, ws, lams):
+    etas, xis, ts, i_s, fs = row
+    eta = sum(w * e for w, e in zip(ws, etas))
+    xi = sum(w * x for w, x in zip(ws, xis))
+    f = math.prod(v ** w for w, v in zip(ws, fs))
+    log_t, log_i = xlogs(ts), xlogs(i_s)
+    for lam in lams:
+        t = weighted_prob_sum(log_t, ws, 3.0 * lam)
+        i = weighted_prob_sum(log_i, ws, lam)
+        yield _checked(eta, xi, t, i, f)
 
 
-def _fnnwg_at(row, ws, lam, fixed):
-    eta, xi, t = fixed
-    i = weighted_prob_sum(row.log_i, ws, lam)
-    f = weighted_prob_sum(row.log_f, ws, 3.0 * lam)
-    return eta, xi, t, i, f
+def _fnnwg(row, ws, lams):
+    etas, xis, ts, i_s, fs = row
+    eta = math.prod(real_pow(e, w) for w, e in zip(ws, etas))
+    xi = math.prod(x ** w for w, x in zip(ws, xis))
+    t = math.prod(v ** w for w, v in zip(ws, ts))
+    log_i, log_f = xlogs(i_s), xlogs(fs)
+    for lam in lams:
+        i = weighted_prob_sum(log_i, ws, lam)
+        f = weighted_prob_sum(log_f, ws, 3.0 * lam)
+        yield _checked(eta, xi, t, i, f)
 
 
-def _gfnnwa_at(row, ws, lam, fixed):
-    eta = real_pow(sum(w * real_pow(e, lam) for w, e in zip(ws, row.eta)), 1.0 / lam)
-    xi = sum(w * x ** lam for w, x in zip(ws, row.xi)) ** (1.0 / lam)
-    t = weighted_prob_sum(row.log_t, ws, 3.0 * lam * lam)
-    i = weighted_prob_sum(row.log_i, ws, lam)
-    f = nested_prob_channel(row.log_f, ws, lam)
-    return eta, xi, t, i, f
+def _gfnnwa(row, ws, lams):
+    etas, xis, ts, i_s, fs = row
+    log_t, log_i, log_f = xlogs(ts), xlogs(i_s), xlogs(fs)
+    for lam in lams:
+        eta = real_pow(sum(w * real_pow(e, lam) for w, e in zip(ws, etas)), 1.0 / lam)
+        xi = sum(w * x ** lam for w, x in zip(ws, xis)) ** (1.0 / lam)
+        t = weighted_prob_sum(log_t, ws, 3.0 * lam * lam)
+        i = weighted_prob_sum(log_i, ws, lam)
+        f = nested_prob_channel(log_f, ws, lam)
+        yield _checked(eta, xi, t, i, f)
 
 
-def _gfnnwg_at(row, ws, lam, fixed):
-    eta = math.prod(real_pow(lam * e, w) for w, e in zip(ws, row.eta)) / lam
-    xi = math.prod((lam * x) ** w for w, x in zip(ws, row.xi)) / lam
-    t = nested_prob_channel(row.log_t, ws, lam)
-    i = weighted_prob_sum(row.log_i, ws, lam)
-    f = weighted_prob_sum(row.log_f, ws, 3.0 * lam * lam)
-    return eta, xi, t, i, f
+def _gfnnwg(row, ws, lams):
+    etas, xis, ts, i_s, fs = row
+    log_t, log_i, log_f = xlogs(ts), xlogs(i_s), xlogs(fs)
+    for lam in lams:
+        eta = math.prod(real_pow(lam * e, w) for w, e in zip(ws, etas)) / lam
+        xi = math.prod((lam * x) ** w for w, x in zip(ws, xis)) / lam
+        t = nested_prob_channel(log_t, ws, lam)
+        i = weighted_prob_sum(log_i, ws, lam)
+        f = weighted_prob_sum(log_f, ws, 3.0 * lam * lam)
+        yield _checked(eta, xi, t, i, f)
 
 
-KERNELS = {
-    "fnnwa": Kernel(_fnnwa_fixed, _fnnwa_at),
-    "fnnwg": Kernel(_fnnwg_fixed, _fnnwg_at),
-    "gfnnwa": Kernel(_no_fixed, _gfnnwa_at),
-    "gfnnwg": Kernel(_no_fixed, _gfnnwg_at),
-}
+# each operator's closed form over one row, by name
+GENERATORS = {"fnnwa": _fnnwa, "fnnwg": _fnnwg, "gfnnwa": _gfnnwa, "gfnnwg": _gfnnwg}
 
 
-def _aggregate(operator: str, items, weights, lam) -> Fnnn:
+def value_at(generator, row, ws, lam: float) -> Fnnn:
+    """The aggregate of one row, read by :func:`read_row`, at one lam."""
+    return combined(*next(generator(row, ws, (lam,))))
+
+
+def _aggregate(generator, items, weights, lam) -> Fnnn:
     items, ws, lam = _prepare(items, weights, lam)
-    row = Channels(
-        [L.eta for L in items],
-        [L.xi for L in items],
-        [L.t for L in items],
-        [L.i for L in items],
-        [L.f for L in items],
-    )
-    return KERNELS[operator].value(row, ws, lam)
+    return value_at(generator, read_row(items), ws, lam)
 
 
 def fnnwa(items: Sequence[Fnnn], weights: Sequence[float], lam: float = 1.0) -> Fnnn:
     """Weighted averaging aggregation."""
-    return _aggregate("fnnwa", items, weights, lam)
+    return _aggregate(_fnnwa, items, weights, lam)
 
 
 def fnnwg(items: Sequence[Fnnn], weights: Sequence[float], lam: float = 1.0) -> Fnnn:
     """Weighted geometric aggregation."""
-    return _aggregate("fnnwg", items, weights, lam)
+    return _aggregate(_fnnwg, items, weights, lam)
 
 
 def gfnnwa(items: Sequence[Fnnn], weights: Sequence[float], lam: float = 1.0) -> Fnnn:
     """Generalized weighted averaging: lam-th root of the weighted
     average of lam-th powers."""
-    return _aggregate("gfnnwa", items, weights, lam)
+    return _aggregate(_gfnnwa, items, weights, lam)
 
 
 def gfnnwg(items: Sequence[Fnnn], weights: Sequence[float], lam: float = 1.0) -> Fnnn:
     """Generalized weighted geometric: 1/lam times the weighted geometric
     of lam-multiples."""
-    return _aggregate("gfnnwg", items, weights, lam)
+    return _aggregate(_gfnnwg, items, weights, lam)
 
 
-OPERATORS = {
-    "fnnwa": fnnwa,
-    "fnnwg": fnnwg,
-    "gfnnwa": gfnnwa,
-    "gfnnwg": gfnnwg,
-}
+OPERATORS = {"fnnwa": fnnwa, "fnnwg": fnnwg, "gfnnwa": gfnnwa, "gfnnwg": gfnnwg}

@@ -36,6 +36,7 @@ from .pipeline import (
     RankingReport,
     SweepResult,
     _check_unique,
+    _nonpositive_locations,
     lambda_sweep,
     make_decision_matrix,
     run_pipeline,
@@ -68,6 +69,16 @@ class RawProblem:
     weights: list[float] | None
 
 
+def _numbers(values, where: str, row: int | None = None, col: int | None = None) -> list[float]:
+    """The fields of a cell, or the weights, of either file format as
+    floats.  Anything ``float`` rejects, an integer too large for a float
+    included, is a ParseError that names ``where``."""
+    try:
+        return list(map(float, values))
+    except (TypeError, ValueError, OverflowError) as e:
+        raise ParseError(f"{where}: {e}", row=row, col=col) from None
+
+
 def _parse_cell(text: str, row: int, col: int) -> tuple[float, ...]:
     parts = [p.strip() for p in text.split(";")]
     if len(parts) != 5:
@@ -76,10 +87,7 @@ def _parse_cell(text: str, row: int, col: int) -> tuple[float, ...]:
             row=row,
             col=col,
         )
-    try:
-        return tuple(float(p) for p in parts)
-    except ValueError as e:
-        raise ParseError(f"cell {text!r}: {e}", row=row, col=col) from None
+    return tuple(_numbers(parts, f"cell {text!r}", row, col))
 
 
 def _read_csv_problem(path: str) -> RawProblem:
@@ -100,10 +108,7 @@ def _read_csv_problem(path: str) -> RawProblem:
                 f"weights row has {len(wrow) - 1} entries, expected {len(attributes)}",
                 row=len(rows),
             )
-        try:
-            weights = [float(w) for w in wrow[1:]]
-        except ValueError as e:
-            raise ParseError(f"weights row: {e}", row=len(rows)) from None
+        weights = _numbers(wrow[1:], "weights row", len(rows))
     if not data_rows:
         raise ParseError("no alternative rows found")
     alternatives, cells = [], []
@@ -123,7 +128,8 @@ def _read_json_problem(path: str) -> RawProblem:
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as e:
+        # ValueError covers an integer of over 4300 digits as well
+        except (ValueError, RecursionError) as e:
             raise ParseError(f"{path}: invalid JSON: {e}") from None
     try:
         alternatives = doc["alternatives"]
@@ -143,18 +149,16 @@ def _read_json_problem(path: str) -> RawProblem:
     for i in range(n):
         row = []
         for j in range(m):
+            where = f"cell object {i * m + j}"
             d = raw_cells[i * m + j]
             try:
-                row.append(
-                    tuple(float(d[k]) for k in ("eta", "xi", "t", "i", "f"))
-                )
-            except (KeyError, TypeError, ValueError) as e:
-                raise ParseError(f"cell object {i * m + j}: {e}", row=i, col=j) from None
+                fields = [d[k] for k in ("eta", "xi", "t", "i", "f")]
+            except (KeyError, TypeError) as e:
+                raise ParseError(f"{where}: {e}", row=i, col=j) from None
+            row.append(tuple(_numbers(fields, where, i, j)))
         cells.append(row)
-    try:
-        weights = [float(w) for w in weights] if weights else None
-    except (TypeError, ValueError) as e:
-        raise ParseError(f"{path}: weights must be numbers: {e}") from None
+    if weights:
+        weights = _numbers(weights, f"{path}: weights must be numbers")
     return RawProblem(alternatives, attributes, cells, weights)
 
 
@@ -166,10 +170,10 @@ def _read_raw(path: str, fmt: str | None = None) -> RawProblem:
         raise ParseError(f"{path}: {e}") from None
 
 
-def _build_cells(raw: RawProblem) -> tuple[list[list[Fnnn]], list[tuple[str, str, str]]]:
-    """Build every cell once.  Returns the rows of valid cells and
-    (alternative, attribute, reason) for every invalid cell; the rows are
-    complete only when there are no diagnostics."""
+def _build_cells(raw: RawProblem) -> tuple[list[list[Fnnn | None]], list[tuple[str, str, str]]]:
+    """Build every cell once.  Returns the rows of cells, with None for
+    each invalid one, and (alternative, attribute, reason) for every
+    invalid cell."""
     rows, bad = [], []
     for i, values_row in enumerate(raw.cells):
         row = []
@@ -177,6 +181,7 @@ def _build_cells(raw: RawProblem) -> tuple[list[list[Fnnn]], list[tuple[str, str
             try:
                 row.append(make_fnnn(*values))
             except FnnError as e:
+                row.append(None)
                 bad.append((raw.alternatives[i], raw.attributes[j], str(e)))
         rows.append(row)
     return rows, bad
@@ -470,7 +475,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_validate(args) -> int:
     raw = _read_raw(args.path, args.input_format)
-    _, diagnostics = _build_cells(raw)
+    cells, diagnostics = _build_cells(raw)
+    diagnostics += _nonpositive_locations(raw.alternatives, raw.attributes, cells)
     problems = []
     for kind, labels in (("alternative", raw.alternatives), ("attribute", raw.attributes)):
         try:

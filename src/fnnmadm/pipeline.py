@@ -6,9 +6,11 @@ positive/negative ideal values from the aggregates' extrema, measures
 each alternative's distance to both ideals, and ranks by relative
 closeness D- / (D+ + D-), larger is better.  A lambda sweep ranks at
 each value of a grid of operator parameters and reports every ranking
-transition.  Both evaluate each parameter value on plain floats, from
-per-row channel lists read once from the matrix; a ranking run then
-wraps its values into a report.
+transition.  Both read the matrix once into one float-list row per
+alternative, normalized on the way, and make one aggregation generator
+per row (see :mod:`fnnmadm.aggregate`).  Each parameter value then takes
+every generator's next aggregate and ranks on plain floats; a ranking
+run wraps the values at its one parameter into a report.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
 
-from .aggregate import KERNELS, OPERATORS, Channels, check_weights
+from .aggregate import GENERATORS, OPERATORS, check_weights, read_row, value_at
 from .core import Fnnn, MembershipTriple, NormalParams, check_lambda, check_normal, combined
 from .distance import FORMULAS, euclidean, hamming, phi, phi_of
 from .errors import (
@@ -104,16 +106,25 @@ def make_decision_matrix(
     return DecisionMatrix(alternatives, attributes, rows, ws)
 
 
+def _nonpositive_locations(alternatives, attributes, rows) -> list[tuple[str, str, str]]:
+    """(alternative, attribute, reason) for each cell whose location is
+    not > 0, which normalization cannot divide by.  A cell is anything
+    with an ``eta``; one given as None is skipped."""
+    return [
+        (alt, attr, f"eta = {cell.eta!r} must be > 0 for normalization")
+        for alt, row in zip(alternatives, rows)
+        for attr, cell in zip(attributes, row)
+        if cell is not None and cell.eta <= 0.0
+    ]
+
+
 def _normalized(dm: DecisionMatrix) -> list[tuple[list[float], list[float]]]:
     """Each row's normalized locations and spreads, as float lists."""
     normals = [[cell.normal for cell in row] for row in dm.cells]
-    for i, row in enumerate(normals):
-        for j, n in enumerate(row):
-            if n.eta <= 0.0:
-                raise ZeroLocation(
-                    f"eta = {n.eta!r} at ({dm.alternatives[i]}, {dm.attributes[j]}) "
-                    "must be > 0 for normalization"
-                )
+    faults = _nonpositive_locations(dm.alternatives, dm.attributes, normals)
+    if faults:
+        alt, attr, reason = faults[0]
+        raise ZeroLocation(f"invalid cell at ({alt}, {attr}): {reason}")
     columns = tuple(zip(*normals))
     eta_max = [max(n.eta for n in col) for col in columns]
     xi_max = [max(n.xi for n in col) for col in columns]
@@ -131,11 +142,13 @@ def normalize(dm: DecisionMatrix) -> DecisionMatrix:
     """Per-attribute normalization; membership triples are untouched.
 
     Locations are rescaled by the column maximum; spreads by the column
-    maximum times the cell's own spread-to-location ratio.  Raises
-    ZeroLocation unless every location is strictly positive, and
-    NotFinite or SpreadNonPositive for a spread that leaves float64's
-    range.
+    maximum times the cell's own spread-to-location ratio.  A matrix that
+    is already normalized is returned as it is.  Raises ZeroLocation
+    unless every location is strictly positive, and NotFinite or
+    SpreadNonPositive for a spread that leaves float64's range.
     """
+    if dm.normalized:
+        return dm
     rows = tuple(
         tuple(Fnnn(NormalParams(eta, xi), cell.mu) for eta, xi, cell in zip(etas, xis, row))
         for (etas, xis), row in zip(_normalized(dm), dm.cells)
@@ -143,21 +156,13 @@ def normalize(dm: DecisionMatrix) -> DecisionMatrix:
     return replace(dm, cells=rows, normalized=True)
 
 
-def _channel_rows(dm: DecisionMatrix) -> list[Channels]:
-    """Each row read into channels; a raw matrix is normalized on the
-    way, without building its normalized cells."""
+def _channel_rows(dm: DecisionMatrix) -> list[tuple[list[float], ...]]:
+    """Each row read by :func:`read_row`; a raw matrix is normalized on
+    the way, without building its normalized cells."""
+    rows = [read_row(row) for row in dm.cells]
     if dm.normalized:
-        normal = [
-            ([n.eta for n in normals], [n.xi for n in normals])
-            for normals in ([c.normal for c in row] for row in dm.cells)
-        ]
-    else:
-        normal = _normalized(dm)
-    out = []
-    for (etas, xis), row in zip(normal, dm.cells):
-        mus = [c.mu for c in row]
-        out.append(Channels(etas, xis, [m.t for m in mus], [m.i for m in mus], [m.f for m in mus]))
-    return out
+        return rows
+    return [(etas, xis, *row[2:]) for (etas, xis), row in zip(_normalized(dm), rows)]
 
 
 def aggregate_rows(dm: DecisionMatrix, operator: str, lam: float = 1.0) -> tuple[Fnnn, ...]:
@@ -167,10 +172,10 @@ def aggregate_rows(dm: DecisionMatrix, operator: str, lam: float = 1.0) -> tuple
         raise NotNormalized("normalize the decision matrix before aggregating")
     if operator not in OPERATORS:
         raise KeyError(f"unknown operator {operator!r}; choose from {sorted(OPERATORS)}")
-    kernel = KERNELS[operator]
+    generator = GENERATORS[operator]
     ws = check_weights(dm.weights, n=dm.n_attributes)
     lam = check_lambda(lam)
-    return tuple(kernel.value(row, ws, lam) for row in _channel_rows(dm))
+    return tuple(value_at(generator, read_row(row), ws, lam) for row in dm.cells)
 
 
 _POSITIVE_MU = MembershipTriple(1.0, 1.0, 0.0)
@@ -274,19 +279,18 @@ class _Evaluation(NamedTuple):
 def _evaluations(dm: DecisionMatrix, operator: str, metric: str, lams: Sequence[float]):
     """Yield the ranking at each of the checked values ``lams``.
 
-    The matrix is read into channels and the weights are checked once;
-    the channels that do not depend on lam are aggregated once.  Raises
-    NotFinite when a value overflows float64.
+    The matrix is read and the weights are checked once, and each row
+    gets one generator over ``lams``, which does its lam-free work once.
+    Raises NotFinite when a value overflows float64.
     """
-    kernel, formula = KERNELS[operator], FORMULAS[metric]
+    generator, formula = GENERATORS[operator], FORMULAS[metric]
     phi_positive, phi_negative = phi(_POSITIVE_MU), phi(_NEGATIVE_MU)
     rows = _channel_rows(dm)
     ws = check_weights(dm.weights, n=dm.n_attributes)
-    lam = lams[0]  # the value an overflow in the lam-free channels is reported at
+    values = [generator(row, ws, lams) for row in rows]
     try:
-        fixed = [kernel.fixed(row, ws) for row in rows]
         for lam in lams:
-            aggs = [kernel.floats(row, ws, lam, fx) for row, fx in zip(rows, fixed)]
+            aggs = [next(v) for v in values]
             etas = [a[0] for a in aggs]
             xis = [a[1] for a in aggs]
             phis = [phi_of(t, i, f) for _, _, t, i, f in aggs]
@@ -312,7 +316,7 @@ def run_pipeline(dm: DecisionMatrix, config: PipelineConfig = PipelineConfig()) 
     bound (informational, never an error).  Raises NotFinite when a value
     overflows float64.
     """
-    nm = dm if dm.normalized else normalize(dm)
+    nm = normalize(dm)
     (ev,) = _evaluations(nm, config.operator, config.metric, [check_lambda(config.lam)])
     aggs = tuple(combined(*a) for a in ev.aggregates)
     positive, negative = _ideal_values(ev.positive, ev.negative)
@@ -379,10 +383,10 @@ def lambda_sweep(
     """Rank at each parameter value and collect closeness rows, orderings
     and transitions; each row equals :func:`run_pipeline`'s at its value.
 
-    The matrix is read once into per-row channels (normalized locations
-    and spreads, memberships and their logs) and the weights are checked
-    once; each value then evaluates only what depends on it, on plain
-    floats, and builds no report.
+    The matrix is read once into float-list rows (normalized locations
+    and spreads, memberships) and the weights are checked once; each row's
+    generator does its lam-free work once, each value then evaluates only
+    what depends on it, on plain floats, and builds no report.
 
     This is where a grid is checked: EmptyInput for no values,
     LambdaInvalid unless every value passes ``check_lambda`` and the

@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import engineers_case as case
-from fnnmadm import rank
+from fnnmadm import ParseError, rank
 from fnnmadm.cli import (
     EXIT_DATA,
     EXIT_DEGENERATE,
@@ -105,6 +105,32 @@ def test_malformed_json_fields_are_data_errors(tmp_path, capsys, field, value):
     code, _, err = run_cli(capsys, "rank", str(path))
     assert code == EXIT_DATA
     assert field in err
+
+
+def _one_cell_json(eta="1", weight="1"):
+    return ('{"alternatives": ["A"], "attributes": ["x"], "weights": [%s], "cells": '
+            '[{"eta": %s, "xi": 1, "t": 0.5, "i": 0.5, "f": 0.5}]}' % (weight, eta))
+
+
+HUGE_INT = "1" + "0" * 400  # too large for a float
+LONG_INT = "1" * 5000  # over int's 4300-digit conversion limit
+
+
+@pytest.mark.parametrize(
+    "text",
+    [_one_cell_json(eta=HUGE_INT), _one_cell_json(weight=HUGE_INT),
+     _one_cell_json(eta=LONG_INT), "[" * 100_000],
+    ids=["huge-int-cell", "huge-int-weight", "5000-digit-int", "deep-nesting"],
+)
+def test_unconvertible_json_is_a_parse_error(tmp_path, capsys, text):
+    path = tmp_path / "problem.json"
+    path.write_text(text)
+    with pytest.raises(ParseError):
+        parse_problem(str(path))
+    for command in ("rank", "validate"):
+        code, out, err = run_cli(capsys, command, str(path))
+        assert code == EXIT_DATA
+        assert err.startswith("error: ") and out == ""
 
 
 @pytest.mark.parametrize(
@@ -453,6 +479,21 @@ def test_validate_names_a_nan_location(tmp_path, capsys):
     assert "1 of 2 cells valid" in out
 
 
+@pytest.mark.parametrize("eta", ["0", "-0.5"])
+def test_validate_names_each_location_rank_cannot_normalize(tmp_path, capsys, eta):
+    # each column has a positive location, so only normalization rejects the file
+    path = tmp_path / "zero.csv"
+    path.write_text(f"alt,x,y\nE1,{eta};1;0.5;0.5;0.5,1;1;0.5;0.5;0.5\n"
+                    f"E2,1;1;0.5;0.5;0.5,{eta};1;0.5;0.5;0.5\nweights,0.5,0.5\n")
+    code, _, err = run_cli(capsys, "rank", str(path))
+    assert code == EXIT_DATA and "(E1, x)" in err
+    code, out, _ = run_cli(capsys, "validate", str(path))
+    assert code == EXIT_DATA
+    assert f"invalid cell (E1, x): eta = {float(eta)!r}" in out
+    assert f"invalid cell (E2, y): eta = {float(eta)!r}" in out
+    assert "2 of 4 cells valid" in out
+
+
 def test_validate_has_no_weights_option(tmp_path, capsys):
     path = tmp_path / "badweights.csv"
     path.write_text("alt,x,y\nE1,1;1;0.5;0.5;0.5,1;1;0.5;0.5;0.5\nweights,0.9,0.7\n")
@@ -504,6 +545,53 @@ def test_exit_code_contract_on_arbitrary_cells(tmp_path, capsys, cells, weight,
          "--lambdas", "1,3,34", "--format", "json"],
         ["sweep", str(path), "--operator", operator, "--metric", metric,
          "--lambda-range", "1..34", "--format", "csv"],
+    ]
+    for argv in runs:
+        code, out, _ = run_cli(capsys, *argv)  # an escaping exception fails the test
+        assert code in (EXIT_OK, EXIT_DATA, EXIT_DEGENERATE), argv
+        assert "nan" not in out.lower() and "np.float64" not in out
+
+
+JSON_FIELD = st.one_of(
+    NUMBER,
+    st.integers(),
+    st.sampled_from([10 ** 400, -10 ** 400]),
+    st.text(max_size=4),
+    st.none(),
+    st.lists(NUMBER, max_size=2),
+)
+JSON_CELL = st.one_of(CELL, st.tuples(*[JSON_FIELD] * 5)).map(
+    lambda fields: dict(zip(("eta", "xi", "t", "i", "f"), fields))
+)
+
+
+@st.composite
+def json_problems(draw):
+    """A one-row problem of arbitrary cell and weight fields, or a
+    document that is not an object at all."""
+    if draw(st.integers(0, 4)) == 0:
+        return json.dumps(draw(st.one_of(JSON_FIELD, st.lists(JSON_FIELD, max_size=3))))
+    cells = draw(st.lists(JSON_CELL, min_size=1, max_size=3))
+    m = len(cells)
+    weights = draw(st.one_of(st.just([1.0 / m] * m), JSON_FIELD, st.lists(JSON_FIELD, max_size=3)))
+    return json.dumps({"alternatives": ["A1"], "attributes": [f"C{j}" for j in range(m)],
+                       "weights": weights, "cells": cells})
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@example(text=_one_cell_json(eta=HUGE_INT))
+@example(text=_one_cell_json(weight=HUGE_INT))
+@example(text=_one_cell_json(eta=LONG_INT))
+@example(text="[" * 100_000)
+@given(text=json_problems())
+def test_exit_code_contract_on_arbitrary_json(tmp_path, capsys, text):
+    path = tmp_path / "one-row.json"
+    path.write_text(text)
+    runs = [
+        ["validate", str(path)],
+        ["rank", str(path), "--operator", "gfnnwa", "--lambda", "3", "--format", "json"],
+        ["sweep", str(path), "--lambdas", "1,3,34", "--format", "csv"],
     ]
     for argv in runs:
         code, out, _ = run_cli(capsys, *argv)  # an escaping exception fails the test

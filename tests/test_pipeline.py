@@ -7,6 +7,7 @@ import re
 import pytest
 
 import engineers_case as case
+from fnnmadm import aggregate
 from fnnmadm import (
     DegenerateCloseness,
     DuplicateLabel,
@@ -97,6 +98,13 @@ def test_normalize_rejects_nonpositive_location():
     dm = make_decision_matrix(["A", "B"], ["x"], [[zero], [ok]], (1.0,))
     with pytest.raises(ZeroLocation):
         normalize(dm)
+
+
+def test_normalize_returns_a_normalized_matrix_unchanged(engineers_matrix):
+    # normalizing twice used to rescale the spreads again (E1's xi 0.4525 -> 0.2205)
+    nm = normalize(engineers_matrix)
+    assert normalize(nm) is nm
+    assert run_pipeline(nm) == run_pipeline(engineers_matrix)
 
 
 def test_normalize_column_scale_invariance(engineers_matrix):
@@ -304,6 +312,18 @@ def test_sweep_single_lambda_equals_pipeline(engineers_matrix, matrix, operator,
         assert row.lam == lam
         assert row.closeness == rep.closeness  # bit for bit, not approximately
         assert row.ordering == rep.ordering
+
+
+@pytest.mark.parametrize("operator, logs_per_row",
+                         [("fnnwa", 2), ("fnnwg", 2), ("gfnnwa", 3), ("gfnnwg", 3)])
+def test_sweep_takes_membership_logs_once_per_row(monkeypatch, operator, logs_per_row):
+    # the lam-free work of each row is done once per sweep, not once per lambda
+    calls = []
+    xlogs = aggregate.xlogs
+    monkeypatch.setattr(aggregate, "xlogs", lambda values: calls.append(1) or xlogs(values))
+    dm = _seeded_matrix()
+    lambda_sweep(dm, PipelineConfig(operator=operator), list(range(1, 35)))
+    assert len(calls) == dm.n_alternatives * logs_per_row
 
 
 @pytest.mark.parametrize("operator", ["gfnnwa", "gfnnwg"])
