@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -35,6 +36,7 @@ from .pipeline import (
     PipelineConfig,
     RankingReport,
     SweepResult,
+    _check_nonempty,
     _check_unique,
     _nonpositive_locations,
     lambda_sweep,
@@ -137,8 +139,9 @@ def _read_json_problem(path: str) -> RawProblem:
         raw_cells = doc["cells"]
     except (KeyError, TypeError) as e:
         raise ParseError(f"{path}: missing field {e}") from None
-    weights = doc.get("weights") or None
-    if not all(isinstance(v, list) for v in (alternatives, attributes, raw_cells, weights or [])):
+    weights = doc.get("weights")  # absent or null: no weights
+    fields = (alternatives, attributes, raw_cells, [] if weights is None else weights)
+    if not all(isinstance(v, list) for v in fields):
         raise ParseError(f"{path}: alternatives, attributes, cells and weights must be lists")
     alternatives = [str(a) for a in alternatives]
     attributes = [str(a) for a in attributes]
@@ -157,7 +160,7 @@ def _read_json_problem(path: str) -> RawProblem:
                 raise ParseError(f"{where}: {e}", row=i, col=j) from None
             row.append(tuple(_numbers(fields, where, i, j)))
         cells.append(row)
-    if weights:
+    if weights is not None:
         weights = _numbers(weights, f"{path}: weights must be numbers")
     return RawProblem(alternatives, attributes, cells, weights)
 
@@ -263,8 +266,93 @@ def report_to_dict(rep: RankingReport) -> dict:
     }
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
 def _dump_json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True)
+    """``obj`` as ``json.dumps(obj, indent=2, sort_keys=True)`` renders
+    it, byte for byte.
+
+    The standard library encodes indented output in pure Python, one
+    generator per container, which made rendering the slowest step of a
+    large ``rank``.  Here a container whose items are all finite plain
+    floats, plain ints or strings is joined in one call, and a dict of
+    finite plain floats fills a format template built once per key set
+    and depth.  Takes dicts with str keys, lists, tuples, str, int,
+    float, bool and None, subclasses included; any other value, and any
+    dict key that is not a str, raises TypeError.
+    """
+    return _encode(obj, "\n")
+
+
+def _encode(o, nl: str) -> str:
+    """One value at the depth whose line break and indent is ``nl``."""
+    if isinstance(o, str):
+        return _encode_str(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        if o != o:
+            return "NaN"
+        if o == math.inf:
+            return "Infinity"
+        if o == -math.inf:
+            return "-Infinity"
+        return float.__repr__(o)
+    if isinstance(o, (list, tuple)):
+        return _encode_list(o, nl)
+    if isinstance(o, dict):
+        return _encode_dict(o, nl)
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
+def _encode_list(lst, nl: str) -> str:
+    if not lst:
+        return "[]"
+    inner = nl + "  "
+    kinds = set(map(type, lst))
+    if kinds == {float} and all(map(math.isfinite, lst)):
+        items = map(float.__repr__, lst)
+    elif kinds == {int}:
+        items = map(int.__repr__, lst)
+    elif kinds == {str}:
+        items = map(_encode_str, lst)
+    else:
+        items = [_encode(v, inner) for v in lst]
+    return f"[{inner}{(',' + inner).join(items)}{nl}]"
+
+
+@functools.lru_cache(maxsize=256)
+def _float_dict_template(keys: tuple[str, ...], nl: str) -> str:
+    """A ``%``-template of a dict with these sorted keys at this depth,
+    one ``%r`` per value."""
+    inner = nl + "  "
+    entries = (f"{_check_key(k).replace('%', '%%')}: %r" for k in keys)
+    return f"{{{inner}{(',' + inner).join(entries)}{nl}}}"
+
+
+def _check_key(key) -> str:
+    """A dict key, encoded; only str keys are taken."""
+    if not isinstance(key, str):
+        raise TypeError(f"keys must be str, not {type(key).__name__}")
+    return _encode_str(key)
+
+
+def _encode_dict(d, nl: str) -> str:
+    if not d:
+        return "{}"
+    keys, values = zip(*sorted(d.items()))
+    if set(map(type, values)) == {float} and all(map(math.isfinite, values)):
+        return _float_dict_template(keys, nl) % values
+    inner = nl + "  "
+    entries = (f"{_check_key(k)}: {_encode(v, inner)}" for k, v in zip(keys, values))
+    return f"{{{inner}{(',' + inner).join(entries)}{nl}}}"
 
 
 def _render_rank_table(rep: RankingReport, prec: int) -> str:
@@ -475,6 +563,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_validate(args) -> int:
     raw = _read_raw(args.path, args.input_format)
+    _check_nonempty(raw.alternatives, raw.attributes)
     cells, diagnostics = _build_cells(raw)
     diagnostics += _nonpositive_locations(raw.alternatives, raw.attributes, cells)
     problems = []

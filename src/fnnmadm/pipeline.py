@@ -58,6 +58,11 @@ class DecisionMatrix:
         return self.cells[i]
 
 
+def _check_nonempty(alternatives: Sequence[str], attributes: Sequence[str]) -> None:
+    if not alternatives or not attributes:
+        raise EmptyInput("need at least one alternative and one attribute")
+
+
 def _check_unique(kind: str, labels: tuple[str, ...]) -> None:
     seen = set()
     for label in labels:
@@ -83,8 +88,7 @@ def make_decision_matrix(
     alternatives = tuple(str(a) for a in alternatives)
     attributes = tuple(str(a) for a in attributes)
     rows = tuple(tuple(row) for row in cells)
-    if not alternatives or not attributes:
-        raise EmptyInput("need at least one alternative and one attribute")
+    _check_nonempty(alternatives, attributes)
     if len(rows) != len(alternatives):
         raise LengthMismatch(
             f"{len(alternatives)} alternatives but {len(rows)} cell rows"

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import pathlib
+import random
 import subprocess
 import sys
 
@@ -110,6 +111,33 @@ def test_malformed_json_fields_are_data_errors(tmp_path, capsys, field, value):
 def _one_cell_json(eta="1", weight="1"):
     return ('{"alternatives": ["A"], "attributes": ["x"], "weights": [%s], "cells": '
             '[{"eta": %s, "xi": 1, "t": 0.5, "i": 0.5, "f": 0.5}]}' % (weight, eta))
+
+
+@pytest.mark.parametrize(
+    "weights, validate_code",
+    [("0", EXIT_DATA), ("false", EXIT_DATA), ('""', EXIT_DATA), ("[]", EXIT_DATA),
+     ("null", EXIT_OK)],
+)
+def test_only_null_json_weights_mean_no_weights(tmp_path, capsys, weights, validate_code):
+    path = tmp_path / "problem.json"
+    path.write_text(_one_cell_json().replace('"weights": [1]', f'"weights": {weights}'))
+    code, _, err = run_cli(capsys, "rank", str(path))
+    assert code == EXIT_DATA
+    assert ("no weights" in err) == (weights == "null")
+    code, out, err = run_cli(capsys, "validate", str(path))
+    assert code == validate_code
+    if weights == "[]":
+        assert "invalid weights" in out
+
+
+def test_empty_problem_is_a_data_error_for_validate_as_for_rank(tmp_path, capsys):
+    path = tmp_path / "empty.json"
+    path.write_text('{"alternatives": [], "attributes": ["x"], "cells": [], "weights": [1]}')
+    for command in ("rank", "validate"):
+        code, out, err = run_cli(capsys, command, str(path))
+        assert code == EXIT_DATA, command
+        assert err == "error: need at least one alternative and one attribute\n"
+        assert out == ""
 
 
 HUGE_INT = "1" + "0" * 400  # too large for a float
@@ -297,6 +325,39 @@ def test_rank_deterministic_output(engineers_csv_path, capsys):
     _, out1, _ = run_cli(capsys, "rank", engineers_csv_path, "--format", "json")
     _, out2, _ = run_cli(capsys, "rank", engineers_csv_path, "--format", "json")
     assert out1 == out2
+
+
+@pytest.fixture
+def awkward_labels_json(tmp_path):
+    """A seeded 4x3 problem whose labels need JSON escaping."""
+    rng = random.Random(7)
+    alternatives = ["Ä%r", 'B"q', "C\\d", "D%%s\t"]
+    attributes = ["größe", "%", '"']
+    cells = [
+        dict(zip(("eta", "xi", "t", "i", "f"),
+                 (rng.uniform(0.1, 1), rng.uniform(0.05, 1),
+                  *(rng.uniform(0.1, 0.8) for _ in range(3)))))
+        for _ in range(len(alternatives) * len(attributes))
+    ]
+    path = tmp_path / "awkward.json"
+    path.write_text(json.dumps({"alternatives": alternatives, "attributes": attributes,
+                                "weights": [0.5, 0.25, 0.25], "cells": cells}))
+    return str(path)
+
+
+@pytest.mark.parametrize("problem", ["engineers_csv_path", "awkward_labels_json"])
+def test_json_output_is_the_standard_library_rendering(problem, capsys, request):
+    # floats round-trip through repr, so re-rendering what was parsed
+    # reproduces the output only if the CLI renders as json.dumps does
+    path = request.getfixturevalue(problem)
+    runs = [["rank", path, "--operator", op, "--metric", metric, "--format", "json"]
+            for op in ("fnnwa", "fnnwg", "gfnnwa", "gfnnwg")
+            for metric in ("hamming", "euclidean")]
+    runs.append(["sweep", path, "--lambda-range", "1..34", "--format", "json"])
+    for argv in runs:
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == EXIT_OK, argv
+        assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n", argv
 
 
 # ---------------------------------------------------------------------------
