@@ -55,6 +55,10 @@ def check_weights(
             raise WeightInvalid(f"weight {k} of {len(ws)} must be a finite number > 0")
     total = sum(ws)
     if renormalize:
+        if total == math.inf:  # finite weights whose sum overflows
+            top = max(ws)
+            ws = tuple(w / top for w in ws)
+            total = sum(ws)
         return tuple(w / total for w in ws)
     if abs(total - 1.0) > WEIGHT_SUM_TOLERANCE:
         raise WeightInvalid(f"weights sum to {total!r}, expected 1")

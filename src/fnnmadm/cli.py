@@ -11,15 +11,16 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import json
 import math
 import os
 import sys
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 
 from .aggregate import OPERATORS, check_weights
-from .core import Fnnn, make_fnnn
+from .core import Fnnn, check_cell
 from .errors import (
     DegenerateCloseness,
     DuplicateLabel,
@@ -38,9 +39,9 @@ from .pipeline import (
     SweepResult,
     _check_nonempty,
     _check_unique,
+    _matrix_of_rows,
     _nonpositive_locations,
     lambda_sweep,
-    make_decision_matrix,
     run_pipeline,
 )
 
@@ -82,13 +83,15 @@ def _numbers(values, where: str, row: int | None = None, col: int | None = None)
 
 
 def _parse_cell(text: str, row: int, col: int) -> tuple[float, ...]:
-    parts = [p.strip() for p in text.split(";")]
+    parts = text.split(";")
+    if len(parts) == 5:
+        try:
+            return tuple(map(float, parts))  # float strips whitespace itself
+        except ValueError:
+            pass  # name the fault as below, from the stripped fields
+    parts = [p.strip() for p in parts]
     if len(parts) != 5:
-        raise ParseError(
-            f"cell {text!r} must have 5 ';'-separated fields eta;xi;t;i;f",
-            row=row,
-            col=col,
-        )
+        raise ParseError(f"cell {text!r} must have 5 ';'-separated fields eta;xi;t;i;f", row, col)
     return tuple(_numbers(parts, f"cell {text!r}", row, col))
 
 
@@ -173,21 +176,16 @@ def _read_raw(path: str, fmt: str | None = None) -> RawProblem:
         raise ParseError(f"{path}: {e}") from None
 
 
-def _build_cells(raw: RawProblem) -> tuple[list[list[Fnnn | None]], list[tuple[str, str, str]]]:
-    """Build every cell once.  Returns the rows of cells, with None for
-    each invalid one, and (alternative, attribute, reason) for every
-    invalid cell."""
-    rows, bad = [], []
-    for i, values_row in enumerate(raw.cells):
-        row = []
-        for j, values in enumerate(values_row):
+def _cell_faults(raw: RawProblem) -> dict[tuple[int, int], str]:
+    """Why ``check_cell`` rejects each cell it rejects, by (row, column)."""
+    faults = {}
+    for i, row in enumerate(raw.cells):
+        for j, values in enumerate(row):
             try:
-                row.append(make_fnnn(*values))
+                check_cell(*values)
             except FnnError as e:
-                row.append(None)
-                bad.append((raw.alternatives[i], raw.attributes[j], str(e)))
-        rows.append(row)
-    return rows, bad
+                faults[i, j] = str(e)
+    return faults
 
 
 def _build_matrix(
@@ -195,16 +193,15 @@ def _build_matrix(
     weights_override: list[float] | None = None,
     renormalize: bool = False,
 ) -> DecisionMatrix:
-    cells, bad = _build_cells(raw)
-    if bad:
-        alt, attr, reason = bad[0]
-        raise ParseError(f"invalid cell at ({alt}, {attr}): {reason}")
+    faults = _cell_faults(raw)
+    if faults:
+        (i, j), reason = next(iter(faults.items()))
+        raise ParseError(f"invalid cell at ({raw.alternatives[i]}, {raw.attributes[j]}): {reason}")
     weights = weights_override if weights_override is not None else raw.weights
     if weights is None:
         raise ParseError("no weights: embed a 'weights' row or pass --weights")
-    return make_decision_matrix(
-        raw.alternatives, raw.attributes, cells, weights, renormalize=renormalize
-    )
+    rows = tuple(tuple(zip(*row)) for row in raw.cells)
+    return _matrix_of_rows(raw.alternatives, raw.attributes, rows, weights, renormalize)
 
 
 def parse_problem(path: str, fmt: str | None = None) -> DecisionMatrix:
@@ -253,7 +250,10 @@ def report_to_dict(rep: RankingReport) -> dict:
         "alternatives": list(dm.alternatives),
         "attributes": list(dm.attributes),
         "weights": list(dm.weights),
-        "normalized": [[fnnn_to_dict(c) for c in row] for row in dm.cells],
+        "normalized": [
+            [{"eta": eta, "xi": xi, "t": t, "i": i, "f": f} for eta, xi, t, i, f in zip(*row)]
+            for row in dm.rows
+        ],
         "aggregates": [fnnn_to_dict(a) for a in rep.aggregates],
         "positive_ideal": fnnn_to_dict(rep.positive_ideal),
         "negative_ideal": fnnn_to_dict(rep.negative_ideal),
@@ -275,66 +275,58 @@ def _dump_json(obj) -> str:
 
     The standard library encodes indented output in pure Python, one
     generator per container, which made rendering the slowest step of a
-    large ``rank``.  Here a container whose items are all finite plain
-    floats, plain ints or strings is joined in one call, and a dict of
-    finite plain floats fills a format template built once per key set
-    and depth.  Takes dicts with str keys, lists, tuples, str, int,
-    float, bool and None, subclasses included; any other value, and any
-    dict key that is not a str, raises TypeError.
+    large ``rank``.  Here a list whose items are all finite plain floats,
+    plain ints or strings is joined in one call, and a list of dicts that
+    share their str keys and hold only finite plain floats, as a report's
+    cells do, fills one format template per dict.  Takes dicts with str
+    keys, lists, tuples, str, int, float, bool and None, subclasses
+    included; any other value, and any dict key that is not a str,
+    raises TypeError.
     """
     return _encode(obj, "\n")
 
 
 def _encode(o, nl: str) -> str:
     """One value at the depth whose line break and indent is ``nl``."""
-    if isinstance(o, str):
-        return _encode_str(o)
-    if o is None:
-        return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
-    if isinstance(o, int):
-        return int.__repr__(o)
-    if isinstance(o, float):
-        if o != o:
-            return "NaN"
-        if o == math.inf:
-            return "Infinity"
-        if o == -math.inf:
-            return "-Infinity"
-        return float.__repr__(o)
-    if isinstance(o, (list, tuple)):
-        return _encode_list(o, nl)
-    if isinstance(o, dict):
-        return _encode_dict(o, nl)
-    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
-
-
-def _encode_list(lst, nl: str) -> str:
-    if not lst:
-        return "[]"
+    if not isinstance(o, (list, tuple, dict)) or not o:
+        return json.dumps(o)  # a scalar or an empty container takes one line
     inner = nl + "  "
-    kinds = set(map(type, lst))
-    if kinds == {float} and all(map(math.isfinite, lst)):
-        items = map(float.__repr__, lst)
+    if isinstance(o, dict):
+        entries = (f"{_check_key(k)}: {_encode(v, inner)}" for k, v in sorted(o.items()))
+        return f"{{{inner}{(',' + inner).join(entries)}{nl}}}"
+    kinds = set(map(type, o))
+    if kinds == {float} and all(map(math.isfinite, o)):
+        items = map(float.__repr__, o)
     elif kinds == {int}:
-        items = map(int.__repr__, lst)
+        items = map(int.__repr__, o)
     elif kinds == {str}:
-        items = map(_encode_str, lst)
+        items = map(_encode_str, o)
+    elif kinds == {dict} and (same := _float_dicts(o, inner)):
+        template, values = same
+        items = map(template.__mod__, values)
     else:
-        items = [_encode(v, inner) for v in lst]
+        items = [_encode(v, inner) for v in o]
     return f"[{inner}{(',' + inner).join(items)}{nl}]"
 
 
-@functools.lru_cache(maxsize=256)
-def _float_dict_template(keys: tuple[str, ...], nl: str) -> str:
-    """A ``%``-template of a dict with these sorted keys at this depth,
-    one ``%r`` per value."""
+def _float_dicts(dicts, nl: str) -> tuple[str, list[tuple]] | None:
+    """If the dicts share one set of at least two str keys and every value
+    is a finite plain float: a ``%``-template of such a dict at the depth
+    of ``nl``, one ``%r`` per value, and each dict's values in the order
+    of its sorted keys.  Else None."""
+    keys = sorted(dicts[0]) if set(map(type, dicts[0])) == {str} else ()
+    if len(keys) < 2 or set(map(len, dicts)) != {len(keys)}:
+        return None
+    try:
+        values = list(map(itemgetter(*keys), dicts))
+    except KeyError:
+        return None
+    flat = list(chain.from_iterable(values))
+    if set(map(type, flat)) != {float} or not all(map(math.isfinite, flat)):
+        return None
     inner = nl + "  "
-    entries = (f"{_check_key(k).replace('%', '%%')}: %r" for k in keys)
-    return f"{{{inner}{(',' + inner).join(entries)}{nl}}}"
+    entries = (f"{_encode_str(k).replace('%', '%%')}: %r" for k in keys)
+    return f"{{{inner}{(',' + inner).join(entries)}{nl}}}", values
 
 
 def _check_key(key) -> str:
@@ -342,17 +334,6 @@ def _check_key(key) -> str:
     if not isinstance(key, str):
         raise TypeError(f"keys must be str, not {type(key).__name__}")
     return _encode_str(key)
-
-
-def _encode_dict(d, nl: str) -> str:
-    if not d:
-        return "{}"
-    keys, values = zip(*sorted(d.items()))
-    if set(map(type, values)) == {float} and all(map(math.isfinite, values)):
-        return _float_dict_template(keys, nl) % values
-    inner = nl + "  "
-    entries = (f"{_check_key(k)}: {_encode(v, inner)}" for k, v in zip(keys, values))
-    return f"{{{inner}{(',' + inner).join(entries)}{nl}}}"
 
 
 def _render_rank_table(rep: RankingReport, prec: int) -> str:
@@ -564,8 +545,10 @@ def cmd_sweep(args) -> int:
 def cmd_validate(args) -> int:
     raw = _read_raw(args.path, args.input_format)
     _check_nonempty(raw.alternatives, raw.attributes)
-    cells, diagnostics = _build_cells(raw)
-    diagnostics += _nonpositive_locations(raw.alternatives, raw.attributes, cells)
+    faults = _cell_faults(raw)
+    for i, j, reason in _nonpositive_locations([[v[0] for v in row] for row in raw.cells]):
+        faults.setdefault((i, j), reason)  # a cell that check_cell rejects has its reason
+    diagnostics = [(raw.alternatives[i], raw.attributes[j], r) for (i, j), r in faults.items()]
     problems = []
     for kind, labels in (("alternative", raw.alternatives), ("attribute", raw.attributes)):
         try:
@@ -614,7 +597,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--input-format",
             choices=("csv", "json"),
-            default=None,
             help="problem file format (default: by extension)",
         )
         p.add_argument(
@@ -631,7 +613,6 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--weights",
-            default=None,
             metavar="w1,...,wm",
             help="attribute weights; overrides a weights row in the file",
         )
@@ -663,19 +644,16 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_sweep, with_lambda=False)
     p_sweep.add_argument(
         "--lambda-range",
-        default=None,
         metavar="a..b",
         help="integer-stepped grid from a to b, 1 <= a <= b",
     )
     p_sweep.add_argument(
         "--lambdas",
-        default=None,
         metavar="x,y,...",
         help="explicit strictly increasing lambda values",
     )
     p_sweep.add_argument(
         "--plot-out",
-        default=None,
         metavar="PATH",
         help="write closeness-vs-lambda CSV (header: lambda,D1,...,Dn)",
     )
@@ -683,9 +661,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_val = sub.add_parser("validate", help="report every invalid cell")
     p_val.add_argument("path", help="problem file (CSV or JSON)")
-    p_val.add_argument(
-        "--input-format", choices=("csv", "json"), default=None
-    )
+    p_val.add_argument("--input-format", choices=("csv", "json"))
     p_val.set_defaults(func=cmd_validate)
 
     return parser

@@ -128,21 +128,37 @@ def combined(eta: float, xi: float, t: float, i: float, f: float) -> Fnnn:
     return Fnnn(NormalParams(eta, xi), MembershipTriple(clip01(t), clip01(i), clip01(f)))
 
 
-def make_fnnn(eta: float, xi: float, t: float, i: float, f: float) -> Fnnn:
-    """Validate raw components and build a value.
-
-    Raises NotFinite, SpreadNonPositive, MembershipOutOfRange or
-    CubicSumExceeded, in that order; the cubic-sum bound is inclusive
-    (t^3 + i^3 + f^3 == 2 is valid).
-    """
-    normal = NormalParams(float(eta), float(xi))
-    mu = MembershipTriple(float(t), float(i), float(f))
-    cubic = mu.cubic_sum()
+def check_cell(eta: float, xi: float, t: float, i: float, f: float) -> None:
+    """Check a raw value's float components; raises NotFinite,
+    SpreadNonPositive, MembershipOutOfRange or CubicSumExceeded, in that
+    order.  The cubic-sum bound is inclusive: t^3 + i^3 + f^3 == 2 is valid."""
+    check_normal(eta, xi)
+    check_membership(t, i, f)
+    cubic = t ** 3 + i ** 3 + f ** 3
     if cubic > CUBIC_SUM_BOUND:
-        raise CubicSumExceeded(
-            f"t^3 + i^3 + f^3 = {cubic:.6g} exceeds {CUBIC_SUM_BOUND:g}"
-        )
-    return Fnnn(normal, mu)
+        raise CubicSumExceeded(f"t^3 + i^3 + f^3 = {cubic:.6g} exceeds {CUBIC_SUM_BOUND:g}")
+
+
+def checked_fnnn(eta: float, xi: float, t: float, i: float, f: float) -> Fnnn:
+    """The value of float components checked before, by :func:`check_cell`
+    or as a value's components; the types' own checks are not run again."""
+    new, put = object.__new__, object.__setattr__  # put sets a field as a frozen __init__ does
+    normal, mu, value = new(NormalParams), new(MembershipTriple), new(Fnnn)
+    put(normal, "eta", eta)
+    put(normal, "xi", xi)
+    put(mu, "t", t)
+    put(mu, "i", i)
+    put(mu, "f", f)
+    put(value, "normal", normal)
+    put(value, "mu", mu)
+    return value
+
+
+def make_fnnn(eta: float, xi: float, t: float, i: float, f: float) -> Fnnn:
+    """Validate raw components with :func:`check_cell` and build a value."""
+    eta, xi, t, i, f = float(eta), float(xi), float(t), float(i), float(f)
+    check_cell(eta, xi, t, i, f)
+    return checked_fnnn(eta, xi, t, i, f)
 
 
 def check_lambda(lam: float) -> float:

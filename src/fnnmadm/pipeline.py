@@ -1,16 +1,17 @@
 """Seven-step TOPSIS-style ranking over a decision matrix of FNNN cells.
 
-The pipeline normalizes the matrix per attribute, aggregates each
-alternative's row with one of the four weighted operators, synthesizes
-positive/negative ideal values from the aggregates' extrema, measures
-each alternative's distance to both ideals, and ranks by relative
-closeness D- / (D+ + D-), larger is better.  A lambda sweep ranks at
-each value of a grid of operator parameters and reports every ranking
-transition.  Both read the matrix once into one float-list row per
-alternative, normalized on the way, and make one aggregation generator
-per row (see :mod:`fnnmadm.aggregate`).  Each parameter value then takes
-every generator's next aggregate and ranks on plain floats; a ranking
-run wraps the values at its one parameter into a report.
+A matrix holds each alternative's cells as one row of five float tuples
+(eta, xi, t, i, f), checked once when the matrix is made.  The pipeline
+normalizes the matrix per attribute, aggregates each alternative's row
+with one of the four weighted operators, synthesizes positive/negative
+ideal values from the aggregates' extrema, measures each alternative's
+distance to both ideals, and ranks by relative closeness
+D- / (D+ + D-), larger is better.  A lambda sweep ranks at each value of
+a grid of operator parameters and reports every ranking transition.
+Both take the normalized rows and make one aggregation generator per row
+(see :mod:`fnnmadm.aggregate`).  Each parameter value then takes every
+generator's next aggregate and ranks on plain floats; a ranking run
+wraps the values at its one parameter into a report.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
 
 from .aggregate import GENERATORS, OPERATORS, check_weights, read_row, value_at
-from .core import Fnnn, MembershipTriple, NormalParams, check_lambda, check_normal, combined
+from .core import Fnnn, MembershipTriple, NormalParams, check_lambda, check_normal
+from .core import checked_fnnn, combined
 from .distance import FORMULAS, euclidean, hamming, phi, phi_of
 from .errors import (
     DegenerateCloseness,
@@ -36,13 +38,18 @@ from .errors import (
 METRICS = {"hamming": hamming, "euclidean": euclidean}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class DecisionMatrix:
-    """n alternatives x m attributes of FNNN cells plus attribute weights."""
+    """n alternatives x m attributes of FNNN cells plus attribute weights.
+
+    ``rows`` holds one row per alternative: five tuples of m floats, the
+    cells' eta, xi, t, i and f.  ``cells`` and ``row`` build ``Fnnn``
+    values on demand.  :func:`make_decision_matrix` makes a checked one.
+    """
 
     alternatives: tuple[str, ...]
     attributes: tuple[str, ...]
-    cells: tuple[tuple[Fnnn, ...], ...]  # row-major, one row per alternative
+    rows: tuple[tuple[tuple[float, ...], ...], ...]
     weights: tuple[float, ...]
     normalized: bool = False
 
@@ -55,7 +62,17 @@ class DecisionMatrix:
         return len(self.attributes)
 
     def row(self, i: int) -> tuple[Fnnn, ...]:
-        return self.cells[i]
+        return tuple(map(checked_fnnn, *self.rows[i]))
+
+    @property
+    def cells(self) -> tuple[tuple[Fnnn, ...], ...]:
+        return tuple(tuple(map(checked_fnnn, *row)) for row in self.rows)
+
+    def __repr__(self) -> str:  # as a dataclass with a ``cells`` field would show it
+        return (
+            f"DecisionMatrix(alternatives={self.alternatives!r}, attributes={self.attributes!r}, "
+            f"cells={self.cells!r}, weights={self.weights!r}, normalized={self.normalized!r})"
+        )
 
 
 def _check_nonempty(alternatives: Sequence[str], attributes: Sequence[str]) -> None:
@@ -78,95 +95,77 @@ def make_decision_matrix(
     weights: Sequence[float],
     renormalize: bool = False,
 ) -> DecisionMatrix:
-    """Assemble and validate a decision matrix.
+    """Assemble and validate a decision matrix of ``Fnnn`` cells, which
+    are read once into the matrix's float rows.
 
     Raises EmptyInput for a zero-sized matrix, LengthMismatch for ragged
     rows or label/weight arity problems, DuplicateLabel for a repeated
-    label, and WeightInvalid for a bad weight vector (unless renormalize
-    is set).
+    label, ZeroLocation for an attribute without a positive location, and
+    WeightInvalid for a bad weight vector (unless renormalize is set).
     """
+    rows = tuple(tuple(map(tuple, read_row(row))) for row in cells)
+    return _matrix_of_rows(alternatives, attributes, rows, weights, renormalize)
+
+
+def _matrix_of_rows(alternatives, attributes, rows, weights, renormalize=False) -> DecisionMatrix:
+    """:func:`make_decision_matrix` for rows of five float tuples that ``check_cell`` passed."""
     alternatives = tuple(str(a) for a in alternatives)
     attributes = tuple(str(a) for a in attributes)
-    rows = tuple(tuple(row) for row in cells)
     _check_nonempty(alternatives, attributes)
     if len(rows) != len(alternatives):
-        raise LengthMismatch(
-            f"{len(alternatives)} alternatives but {len(rows)} cell rows"
-        )
+        raise LengthMismatch(f"{len(alternatives)} alternatives but {len(rows)} cell rows")
     for i, row in enumerate(rows):
-        if len(row) != len(attributes):
-            raise LengthMismatch(
-                f"row {i} has {len(row)} cells, expected {len(attributes)}"
-            )
+        if len(row[0]) != len(attributes):
+            raise LengthMismatch(f"row {i} has {len(row[0])} cells, expected {len(attributes)}")
     _check_unique("alternative", alternatives)
     _check_unique("attribute", attributes)
-    for j, attr in enumerate(attributes):
-        if max(row[j].eta for row in rows) <= 0.0:
+    for attr, eta_max in zip(attributes, map(max, zip(*(row[0] for row in rows)))):
+        if eta_max <= 0.0:
             raise ZeroLocation(
-                f"attribute {attr!r} has no positive location; normalization "
-                "would be undefined"
+                f"attribute {attr!r} has no positive location; normalization would be undefined"
             )
     ws = check_weights(weights, n=len(attributes), renormalize=renormalize)
     return DecisionMatrix(alternatives, attributes, rows, ws)
 
 
-def _nonpositive_locations(alternatives, attributes, rows) -> list[tuple[str, str, str]]:
-    """(alternative, attribute, reason) for each cell whose location is
-    not > 0, which normalization cannot divide by.  A cell is anything
-    with an ``eta``; one given as None is skipped."""
+def _nonpositive_locations(etas: Sequence[Sequence[float]]) -> list[tuple[int, int, str]]:
+    """(row, column, reason) for each location not > 0, which normalization cannot divide by."""
     return [
-        (alt, attr, f"eta = {cell.eta!r} must be > 0 for normalization")
-        for alt, row in zip(alternatives, rows)
-        for attr, cell in zip(attributes, row)
-        if cell is not None and cell.eta <= 0.0
+        (i, j, f"eta = {eta!r} must be > 0 for normalization")
+        for i, row in enumerate(etas)
+        for j, eta in enumerate(row)
+        if eta <= 0.0
     ]
-
-
-def _normalized(dm: DecisionMatrix) -> list[tuple[list[float], list[float]]]:
-    """Each row's normalized locations and spreads, as float lists."""
-    normals = [[cell.normal for cell in row] for row in dm.cells]
-    faults = _nonpositive_locations(dm.alternatives, dm.attributes, normals)
-    if faults:
-        alt, attr, reason = faults[0]
-        raise ZeroLocation(f"invalid cell at ({alt}, {attr}): {reason}")
-    columns = tuple(zip(*normals))
-    eta_max = [max(n.eta for n in col) for col in columns]
-    xi_max = [max(n.xi for n in col) for col in columns]
-    out = []
-    for row in normals:
-        etas = [n.eta / m for n, m in zip(row, eta_max)]
-        xis = [(n.xi / m) * (n.xi / n.eta) for n, m in zip(row, xi_max)]
-        for eta, xi in zip(etas, xis):
-            check_normal(eta, xi)
-        out.append((etas, xis))
-    return out
 
 
 def normalize(dm: DecisionMatrix) -> DecisionMatrix:
     """Per-attribute normalization; membership triples are untouched.
 
     Locations are rescaled by the column maximum; spreads by the column
-    maximum times the cell's own spread-to-location ratio.  A matrix that
-    is already normalized is returned as it is.  Raises ZeroLocation
+    maximum times the cell's own spread-to-location ratio.  The result
+    holds float rows as ``dm`` does, and builds no ``Fnnn``.  A matrix
+    that is already normalized is returned as it is.  Raises ZeroLocation
     unless every location is strictly positive, and NotFinite or
     SpreadNonPositive for a spread that leaves float64's range.
     """
     if dm.normalized:
         return dm
-    rows = tuple(
-        tuple(Fnnn(NormalParams(eta, xi), cell.mu) for eta, xi, cell in zip(etas, xis, row))
-        for (etas, xis), row in zip(_normalized(dm), dm.cells)
-    )
-    return replace(dm, cells=rows, normalized=True)
-
-
-def _channel_rows(dm: DecisionMatrix) -> list[tuple[list[float], ...]]:
-    """Each row read by :func:`read_row`; a raw matrix is normalized on
-    the way, without building its normalized cells."""
-    rows = [read_row(row) for row in dm.cells]
-    if dm.normalized:
-        return rows
-    return [(etas, xis, *row[2:]) for (etas, xis), row in zip(_normalized(dm), rows)]
+    etas = [row[0] for row in dm.rows]
+    if min(map(min, etas)) <= 0.0:
+        i, j, reason = _nonpositive_locations(etas)[0]
+        raise ZeroLocation(f"invalid cell at ({dm.alternatives[i]}, {dm.attributes[j]}): {reason}")
+    eta_max = list(map(max, zip(*etas)))
+    xi_max = list(map(max, zip(*(row[1] for row in dm.rows))))
+    rows = []
+    for row_etas, row_xis, *memberships in dm.rows:
+        n_etas = tuple([e / m for e, m in zip(row_etas, eta_max)])
+        n_xis = tuple([(x / m) * (x / e) for x, m, e in zip(row_xis, xi_max, row_etas)])
+        # one pass for the common case; check_normal finds the culprit
+        if not (min(n_xis) > 0.0 and math.isfinite(sum(n_xis))):
+            for eta, xi in zip(n_etas, n_xis):
+                check_normal(eta, xi)
+        rows.append((n_etas, n_xis, *memberships))
+    return replace(dm, rows=tuple(rows), normalized=True)
 
 
 def aggregate_rows(dm: DecisionMatrix, operator: str, lam: float = 1.0) -> tuple[Fnnn, ...]:
@@ -179,7 +178,7 @@ def aggregate_rows(dm: DecisionMatrix, operator: str, lam: float = 1.0) -> tuple
     generator = GENERATORS[operator]
     ws = check_weights(dm.weights, n=dm.n_attributes)
     lam = check_lambda(lam)
-    return tuple(value_at(generator, read_row(row), ws, lam) for row in dm.cells)
+    return tuple(value_at(generator, row, ws, lam) for row in dm.rows)
 
 
 _POSITIVE_MU = MembershipTriple(1.0, 1.0, 0.0)
@@ -289,7 +288,7 @@ def _evaluations(dm: DecisionMatrix, operator: str, metric: str, lams: Sequence[
     """
     generator, formula = GENERATORS[operator], FORMULAS[metric]
     phi_positive, phi_negative = phi(_POSITIVE_MU), phi(_NEGATIVE_MU)
-    rows = _channel_rows(dm)
+    rows = normalize(dm).rows
     ws = check_weights(dm.weights, n=dm.n_attributes)
     values = [generator(row, ws, lams) for row in rows]
     try:
@@ -387,8 +386,9 @@ def lambda_sweep(
     """Rank at each parameter value and collect closeness rows, orderings
     and transitions; each row equals :func:`run_pipeline`'s at its value.
 
-    The matrix is read once into float-list rows (normalized locations
-    and spreads, memberships) and the weights are checked once; each row's
+    The matrix's float rows are used as they are, a raw matrix's
+    locations and spreads normalized once, and the weights are checked
+    once; each row's
     generator does its lam-free work once, each value then evaluates only
     what depends on it, on plain floats, and builds no report.
 

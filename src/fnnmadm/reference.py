@@ -66,9 +66,11 @@ class FnnnGenConfig:
     (lower bound excluded, so the defaults give (0, 1]).  Membership
     triples are drawn uniformly from ``membership_range`` and rejected
     until the cubic-sum bound holds.  The default membership band
-    [0.1, 0.95] keeps the generalized operators' large-exponent powers
-    (up to 3*lam^2) inside float64's normal range, so fold and closed
-    forms stay comparable at tight tolerance.
+    [0.1, 0.95] keeps the generalized operators' 3*lam^2 powers inside
+    float64's normal range up to about lam = 10, so fold and closed
+    forms stay comparable at tight tolerance there.  It does not at
+    lam = 34: a row whose memberships are all below about 0.8 then
+    underflows to a channel of 0 in both.
     """
 
     eta_range: tuple[float, float] = (0.0, 1.0)

@@ -2,6 +2,7 @@
 
 import math
 import random
+from decimal import Decimal, localcontext
 
 import pytest
 
@@ -68,6 +69,14 @@ def test_check_weights_length_mismatch():
 def test_check_weights_renormalize():
     ws = check_weights((2, 1, 1), renormalize=True)
     assert ws == pytest.approx((0.5, 0.25, 0.25))
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_check_weights_renormalizes_weights_whose_sum_overflows(n):
+    # the sum of finite weights can overflow to inf; dividing by it gave 0.0
+    assert check_weights([1e308] * n, renormalize=True) == (1.0 / n,) * n
+    ws = check_weights([1.7976931348623157e308, 1e308], renormalize=True)
+    assert min(ws) > 0.0 and sum(ws) == pytest.approx(1.0)
 
 
 def test_operators_reject_empty_and_mismatched_input():
@@ -180,3 +189,38 @@ def test_single_item_weight_one_is_identity():
     for op in (fnnwa, fnnwg, gfnnwa, gfnnwg):
         for lam in LAMBDAS:
             assert max_diff(op([v], (1.0,), lam), v) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# large exponents against an exact decimal evaluation
+
+
+def decimal_prob_channel(vs, ws, p) -> float:
+    """``(1 - prod((1 - v**p) ** w)) ** (1/p)`` in decimal, with enough
+    digits that every ``v**p`` stays apart from 1."""
+    with localcontext() as ctx:
+        ctx.prec = int(p * max(-math.log10(v) for v in vs)) + 60
+        prod = Decimal(1)
+        for v, w in zip(vs, ws):
+            prod *= (1 - Decimal(v) ** p) ** Decimal(w)
+        return float((1 - prod) ** (1 / Decimal(p)))
+
+
+# the 3*lam^2 channel of each: gfnnwa's truth, gfnnwg's falsity
+LARGE_EXPONENT_CASES = {
+    "gfnnwa-t": (gfnnwa, [(1, 0.5, 0.7, 0.3, 0.3), (1, 0.5, 0.75, 0.3, 0.3)], "t"),
+    "gfnnwg-f": (gfnnwg, [(1, 0.5, 0.3, 0.3, 0.7), (1, 0.5, 0.3, 0.3, 0.75)], "f"),
+}
+
+
+# At lam = 34 the power underflows float64 in every term, and the channel
+# comes out as 0.0 instead of 0.74985.
+@pytest.mark.parametrize("lam", [1, 10, 20, pytest.param(34, marks=pytest.mark.xfail(
+    strict=True, reason="the 3*lam^2 channel underflows to 0 at lam = 34"))])
+@pytest.mark.parametrize("case", sorted(LARGE_EXPONENT_CASES))
+def test_large_exponent_channel_matches_decimal(case, lam):
+    op, cells, channel = LARGE_EXPONENT_CASES[case]
+    out = op([make_fnnn(*c) for c in cells], [0.5, 0.5], lam)
+    assert getattr(out, channel) == pytest.approx(
+        decimal_prob_channel((0.7, 0.75), (0.5, 0.5), 3 * lam * lam), rel=1e-12
+    )

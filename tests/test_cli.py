@@ -257,6 +257,14 @@ def test_rank_weights_renormalize(engineers_csv_path, capsys):
     assert report["ordering_labels"][0] == "E5"
 
 
+def test_rank_renormalizes_weights_whose_sum_overflows(engineers_csv_path, capsys):
+    code, huge, err = run_cli(capsys, "rank", engineers_csv_path, "--weights",
+                              "1e308,1e308,1e308,1e308", "--renormalize-weights")
+    assert (code, err) == (EXIT_OK, "")
+    assert huge == run_cli(capsys, "rank", engineers_csv_path, "--weights", "1,1,1,1",
+                           "--renormalize-weights")[1]
+
+
 def test_rank_bad_operator_is_usage_error(engineers_csv_path, capsys):
     code, _, _ = run_cli(capsys, "rank", engineers_csv_path, "--operator", "wavg")
     assert code == EXIT_USAGE

@@ -3,11 +3,13 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fnnmadm import (
     CubicSumExceeded,
+    FnnError,
+    Fnnn,
     FnnnGenConfig,
     LambdaInvalid,
     MembershipOutOfRange,
@@ -28,6 +30,7 @@ from fnnmadm import (
     scale,
     score_ffn,
 )
+from fnnmadm.core import check_cell
 
 LAMBDAS = (1.0, 2.0, 3.0, 5.0, 10.0)
 
@@ -100,6 +103,50 @@ def test_value_types_enforce_the_construction_rules():
         NormalParams(1.0, 0.0)
     with pytest.raises(MembershipOutOfRange):
         MembershipTriple(0.5, 1.5, 0.5)
+
+
+EDGE_FLOATS = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+               1.0, 1.0000000000000002, 0.9999999999999999, -1e-300, 1e308]
+COMPONENT = st.floats() | st.sampled_from(EDGE_FLOATS) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def cubic_sum_near_two(draw):
+    """t, i and f in [0, 1] with f chosen so that t^3 + i^3 + f^3 is 2 up to
+    rounding, on either side."""
+    t, i = draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0))
+    rest = 2.0 - t ** 3 - i ** 3
+    f = rest ** (1.0 / 3.0) if rest >= 0.0 else draw(st.floats(0.0, 1.0))
+    return t, i, min(f, 1.0)
+
+
+def outcome(check, values):
+    try:
+        check(*values)
+    except FnnError as e:
+        return type(e), str(e)
+    return None
+
+
+@settings(max_examples=400, deadline=None)
+@example(values=(1.0, 1.0, 1.0, 1.0, 0.0))  # cubic sum exactly 2
+@example(values=(math.nan, 0.0, 2.0, math.nan, 0.95))  # every rule broken: location first
+@example(values=(1.0, -5e-324, 1.5, 0.5, 0.5))
+@example(values=(1.0, 1.0, 0.95, 0.95, 0.95))
+@given(values=st.tuples(COMPONENT, COMPONENT, COMPONENT, COMPONENT, COMPONENT)
+       | st.tuples(COMPONENT, COMPONENT).flatmap(
+           lambda normal: cubic_sum_near_two().map(lambda mu: normal + mu)))
+def test_float_cell_check_agrees_with_make_fnnn(values):
+    expected = outcome(make_fnnn, values)
+    assert outcome(check_cell, values) == expected
+    eta, xi, t, i, f = values
+    built = outcome(lambda: Fnnn(NormalParams(eta, xi), MembershipTriple(t, i, f)), ())
+    if expected is None:
+        # the component types accept it too, and make the same value
+        assert built is None
+        assert make_fnnn(*values) == Fnnn(NormalParams(eta, xi), MembershipTriple(t, i, f))
+    elif expected[0] is not CubicSumExceeded:
+        assert built == expected
 
 
 @pytest.mark.parametrize("lam", [math.inf, math.nan, 0.5])

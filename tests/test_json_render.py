@@ -35,26 +35,24 @@ def containers(children):
     )
 
 
+def same_keyed_dicts(values):
+    """Lists of dicts that share one key set, as a report's cells do."""
+    return st.lists(TEXT, min_size=1, max_size=5, unique=True).flatmap(
+        lambda keys: st.lists(st.fixed_dictionaries({k: values for k in keys}), max_size=5)
+    )
+
+
 TREES = st.recursive(
     SCALARS
     | st.lists(FLOATS, max_size=6)
     | st.lists(INTS, max_size=6)
     | st.lists(TEXT, max_size=6)
-    | st.dictionaries(TEXT, FLOATS, max_size=6),
+    | st.dictionaries(TEXT, FLOATS, max_size=6)
+    | same_keyed_dicts(FLOATS)
+    | same_keyed_dicts(st.floats(allow_nan=False, allow_infinity=False)),
     containers,
     max_leaves=40,
 )
-
-
-@settings(max_examples=200, deadline=None)
-@example(doc={"eta": 0.85, "xi": 0.5, "t": 0.88, "i": 0.8, "f": 0.8})
-@example(doc=[3, 0, -7, 2**70])
-@example(doc=[1, 1.5, "a", None, True, False, [], {}, (), -0.0, math.nan])
-@example(doc={"%": 1.0, '"%r"': 2.0, "\\": math.inf, "é": -0.0})
-@example(doc={"rows": [{"a": 1.0, "b": 2.0}, {"b": 3.0, "a": 4.0}], "x": {"a": 1.0, "b": 2.0}})
-@given(doc=TREES)
-def test_renders_as_the_standard_library(doc):
-    assert _dump_json(doc) == stdlib(doc)
 
 
 class Level(enum.IntEnum):
@@ -76,6 +74,26 @@ class Record(dict):
 
 class Label(str):
     pass
+
+
+@settings(max_examples=200, deadline=None)
+@example(doc={"eta": 0.85, "xi": 0.5, "t": 0.88, "i": 0.8, "f": 0.8})
+@example(doc=[3, 0, -7, 2**70])
+@example(doc=[1, 1.5, "a", None, True, False, [], {}, (), -0.0, math.nan])
+@example(doc={"%": 1.0, '"%r"': 2.0, "\\": math.inf, "é": -0.0})
+@example(doc={"rows": [{"a": 1.0, "b": 2.0}, {"b": 3.0, "a": 4.0}], "x": {"a": 1.0, "b": 2.0}})
+@example(doc=[[{"%": 1.0, "e": 2.0}, {"e": 3.0, "%": -0.0}], [{"k": 5e-324}, {"k": 1e16}]])
+@example(doc=[{"a": 1.0, "b": 2.0}, {"a": 3.0, "b": 4.0, "c": 5.0}])
+@example(doc=[{"a": 1.0, "b": 2.0, "c": 5.0}, {"a": 3.0, "b": 4.0}])
+@example(doc=[{"a": 1.0, "b": 2.0}, {"a": 3.0, "c": 4.0}])
+@example(doc=[{"a": 1.0, "b": 2.0}, {"a": 3.0, "b": 4}])
+@example(doc=[{"a": 1.0, "b": 2.0}, {"a": 3.0, "b": math.nan}])
+@example(doc=[{"a": 1.0, "b": Loud(2.0)}, {"a": 3.0, "b": 4.0}])
+@example(doc=[{"a": 1.0, "b": 2.0}, Record(a=3.0, b=4.0)])
+@example(doc=[{"a": 1.0, Label("b"): 2.0}, {"a": 3.0, "b": 4.0}])
+@given(doc=TREES)
+def test_renders_as_the_standard_library(doc):
+    assert _dump_json(doc) == stdlib(doc)
 
 
 def test_renders_subclasses_as_the_standard_library():
