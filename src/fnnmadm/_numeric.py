@@ -7,16 +7,35 @@ large-exponent regimes (p up to 3*lam**2) v**p underflows out of
 1 - v**p entirely.  Everything is therefore composed in log space from
 ``log(1 - exp(z))``, which keeps full relative accuracy on whichever
 side of the complement is small.
+
+At large exponents the log-space accumulator itself can leave float64's
+normal range: at lam = 34 the ``3*lam**2`` power of a membership below
+about 0.8 does, and so does the ``3*lam`` power of one below about 1e-3
+in the nested channel.  A kernel then takes a second, exact path.  For
+z < -37, -log(1 - e**z) equals e**z to double precision, so the log of
+the small quantity is a log-sum-exp of ``log w_i + p * log v_i`` (in the
+nested channel, ``log lam + p * log v_i`` for each d_i), and the channel
+is its p-th root (Mächler 2012, "Accurately computing
+log(1 - exp(-|a|))"; Blanchard, Higham & Higham 2021, "Accurately
+computing the log-sum-exp and softmax functions").  One comparison
+after the loop selects that path (the nested channel adds one per cell,
+inside a branch it already takes), so every result whose accumulator
+stays in the normal range is computed exactly as without it.  The hot
+loops inline ``log_one_minus_exp`` in the same order of operations, so
+they call no Python function per cell.
 """
 
 from __future__ import annotations
 
 import math
+from math import exp, expm1, log, log1p  # bare names for the per-cell loops
 
 from .errors import NormalDomainError
 
 _LOG_HALF = -0.6931471805599453
 _NEG_INF = -math.inf
+_TINY = 2.2250738585072014e-308  # the smallest normal float64
+_NEGLIGIBLE = -37.0  # for z below it, -log(1 - e**z) == e**z in float64
 
 
 def clip01(x: float) -> float:
@@ -46,13 +65,28 @@ def log_one_minus_exp(z: float) -> float:
     return math.log1p(-math.exp(z))  # e^z is small: log1p keeps it
 
 
-def root(x: float, p: float) -> float:
-    """x**(1/p) on [0, 1], exact at the endpoints."""
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
+def log_neg_log_one_minus_exp(z: float) -> float:
+    """log(-log(1 - exp(z))) for z < 0, also where exp(z) underflows."""
+    return z if z < _NEGLIGIBLE else math.log(-log_one_minus_exp(z))
+
+
+def log_sum_exp(xs: list[float]) -> float:
+    """log(sum(exp(x) for x in xs)) without underflow; -inf for no mass."""
+    top = max(xs)
+    if top == _NEG_INF:
+        return top
+    return top + math.log(sum(math.exp(x - top) for x in xs))
+
+
+def prob_sum_root(a: float, b: float, p: float) -> float:
+    """(a**p + b**p - a**p * b**p)**(1/p) for a, b in [0, 1]: the
+    probabilistic sum of two p-th powers under the p-th root."""
+    s = prob_sum(a ** p, b ** p)
+    if s >= 1.0:
         return 1.0
-    return math.exp(xlog(x) / p)
+    if s < _TINY:  # both powers below the normal range: s is their sum
+        return math.exp(log_sum_exp([p * lv for lv in xlogs((a, b))]) / p)
+    return math.exp(xlog(s) / p)
 
 
 def q_channel(v: float, w: float, p: float) -> float:
@@ -61,7 +95,11 @@ def q_channel(v: float, w: float, p: float) -> float:
         return 1.0
     if v <= 0.0:
         return 0.0
-    return math.exp(log_one_minus_exp(w * log_one_minus_exp(p * xlog(v))) / p)
+    z = p * xlog(v)
+    acc = w * log_one_minus_exp(z)  # log (1 - v**p)**w
+    if acc > -_TINY:  # below the normal range: 1 - (1 - v**p)**w is -acc
+        return math.exp((math.log(w) + log_neg_log_one_minus_exp(z)) / p)
+    return math.exp(log_one_minus_exp(acc) / p)
 
 
 def xlogs(values) -> list[float]:
@@ -78,8 +116,12 @@ def weighted_prob_sum(logs, weights, p: float) -> float:
         if lv == 0.0:  # v == 1; xlog(v) < 0 for every v < 1
             return 1.0
         if lv != _NEG_INF:  # v == 0 contributes a neutral factor
-            acc += w * log_one_minus_exp(p * lv)
-    return math.exp(log_one_minus_exp(acc) / p)
+            z = p * lv  # log_one_minus_exp(z) inline, as z < 0
+            acc += w * (log(-expm1(z)) if z > _LOG_HALF else log1p(-exp(z)))
+    if acc > -_TINY:  # below the normal range: 1 - prod is -acc
+        terms = [log(w) + log_neg_log_one_minus_exp(p * lv) for lv, w in zip(logs, weights)]
+        return exp(log_sum_exp(terms) / p)
+    return exp(log_one_minus_exp(acc) / p)
 
 
 def nested_prob_channel(logs, weights, lam: float) -> float:
@@ -88,15 +130,25 @@ def nested_prob_channel(logs, weights, lam: float) -> float:
     :func:`xlogs` gives them; the nested channel of the generalized
     operators."""
     p = 3.0 * lam
+    log_lam = log(lam)
     log_prod = 0.0  # log prod d_i^w
     for lv, w in zip(logs, weights):
         if lv == _NEG_INF:  # v == 0
             log_prod = _NEG_INF
             continue
-        log_eps = lam * log_one_minus_exp(p * lv)  # log (1 - v^p)^lam
-        log_prod += w * log_one_minus_exp(log_eps)
-    log_u = log_one_minus_exp(log_prod) / lam
-    return math.exp(log_one_minus_exp(log_u) / p)
+        if lv == 0.0:  # v == 1: d == 1
+            continue
+        z = p * lv  # log_one_minus_exp inline, here and below, as z < 0 and log_eps <= 0
+        log_eps = lam * (log(-expm1(z)) if z > _LOG_HALF else log1p(-exp(z)))  # log (1-v^p)^lam
+        if log_eps > _LOG_HALF:  # log d; below the normal range, d is lam * v^p
+            log_d = log(-expm1(log_eps)) if log_eps < -_TINY else log_lam + z
+        else:
+            log_d = log1p(-exp(log_eps))
+        log_prod += w * log_d
+    log_u = log_one_minus_exp(log_prod) / lam  # log (1 - prod)^(1/lam)
+    if log_u > -_TINY:  # below the normal range: 1 - u is -log_u
+        return exp((log_neg_log_one_minus_exp(log_prod) - log_lam) / p)
+    return exp(log_one_minus_exp(log_u) / p)
 
 
 def real_pow(base: float, exp: float) -> float:

@@ -27,6 +27,8 @@ sweep.
 from __future__ import annotations
 
 import math
+from itertools import repeat
+from operator import mul
 from typing import Sequence
 
 from ._numeric import clip01, nested_prob_channel, real_pow, weighted_prob_sum, xlogs
@@ -117,9 +119,13 @@ def _fnnwg(row, ws, lams):
 def _gfnnwa(row, ws, lams):
     etas, xis, ts, i_s, fs = row
     log_t, log_i, log_f = xlogs(ts), xlogs(i_s), xlogs(fs)
+    signed = min(etas) < 0.0
     for lam in lams:
-        eta = real_pow(sum(w * real_pow(e, lam) for w, e in zip(ws, etas)), 1.0 / lam)
-        xi = sum(w * x ** lam for w, x in zip(ws, xis)) ** (1.0 / lam)
+        if signed:  # a fractional power of a negative location raises
+            eta = real_pow(sum(w * real_pow(e, lam) for w, e in zip(ws, etas)), 1.0 / lam)
+        else:
+            eta = math.pow(sum(map(mul, ws, map(math.pow, etas, repeat(lam)))), 1.0 / lam)
+        xi = math.pow(sum(map(mul, ws, map(math.pow, xis, repeat(lam)))), 1.0 / lam)
         t = weighted_prob_sum(log_t, ws, 3.0 * lam * lam)
         i = weighted_prob_sum(log_i, ws, lam)
         f = nested_prob_channel(log_f, ws, lam)
@@ -129,9 +135,13 @@ def _gfnnwa(row, ws, lams):
 def _gfnnwg(row, ws, lams):
     etas, xis, ts, i_s, fs = row
     log_t, log_i, log_f = xlogs(ts), xlogs(i_s), xlogs(fs)
+    signed = min(etas) < 0.0
     for lam in lams:
-        eta = math.prod(real_pow(lam * e, w) for w, e in zip(ws, etas)) / lam
-        xi = math.prod((lam * x) ** w for w, x in zip(ws, xis)) / lam
+        if signed:  # a fractional power of a negative location raises
+            eta = math.prod(real_pow(lam * e, w) for w, e in zip(ws, etas)) / lam
+        else:
+            eta = math.prod(map(math.pow, map(mul, repeat(lam), etas), ws)) / lam
+        xi = math.prod(map(math.pow, map(mul, repeat(lam), xis), ws)) / lam
         t = nested_prob_channel(log_t, ws, lam)
         i = weighted_prob_sum(log_i, ws, lam)
         f = weighted_prob_sum(log_f, ws, 3.0 * lam * lam)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._numeric import clip01, prob_sum, q_channel, real_pow, root
+from ._numeric import clip01, prob_sum_root, q_channel, real_pow
 from .errors import (
     CubicSumExceeded,
     LambdaInvalid,
@@ -182,8 +182,8 @@ def boxplus(a: Fnnn, b: Fnnn, lam: float = 1.0) -> Fnnn:
     domains; falsity multiplies."""
     lam = check_lambda(lam)
     p = 3.0 * lam
-    t = root(prob_sum(a.t ** p, b.t ** p), p)
-    i = root(prob_sum(a.i ** lam, b.i ** lam), lam)
+    t = prob_sum_root(a.t, b.t, p)
+    i = prob_sum_root(a.i, b.i, lam)
     f = a.f * b.f
     return combined(a.eta + b.eta, a.xi + b.xi, t, i, f)
 
@@ -194,8 +194,8 @@ def boxtimes(a: Fnnn, b: Fnnn, lam: float = 1.0) -> Fnnn:
     lam = check_lambda(lam)
     p = 3.0 * lam
     t = a.t * b.t
-    i = root(prob_sum(a.i ** lam, b.i ** lam), lam)
-    f = root(prob_sum(a.f ** p, b.f ** p), p)
+    i = prob_sum_root(a.i, b.i, lam)
+    f = prob_sum_root(a.f, b.f, p)
     return combined(a.eta * b.eta, a.xi * b.xi, t, i, f)
 
 

@@ -65,12 +65,12 @@ class FnnnGenConfig:
     Locations and spreads are drawn uniformly from half-open intervals
     (lower bound excluded, so the defaults give (0, 1]).  Membership
     triples are drawn uniformly from ``membership_range`` and rejected
-    until the cubic-sum bound holds.  The default membership band
-    [0.1, 0.95] keeps the generalized operators' 3*lam^2 powers inside
-    float64's normal range up to about lam = 10, so fold and closed
-    forms stay comparable at tight tolerance there.  It does not at
-    lam = 34: a row whose memberships are all below about 0.8 then
-    underflows to a channel of 0 in both.
+    until the cubic-sum bound holds.  In the default membership band
+    [0.1, 0.95] the generalized operators' 3*lam^2 powers leave
+    float64's normal range above about lam = 10; the channels then take
+    their exact path (see :mod:`fnnmadm._numeric`), in the folds as in
+    the closed forms, and the two stay comparable at tight tolerance up
+    to lam = 34.
     """
 
     eta_range: tuple[float, float] = (0.0, 1.0)

@@ -5,9 +5,12 @@ import random
 from decimal import Decimal, localcontext
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import engineers_case as case
 from fnnmadm import (
+    OPERATORS,
     EmptyInput,
     FnnnGenConfig,
     LengthMismatch,
@@ -194,16 +197,167 @@ def test_single_item_weight_one_is_identity():
 # ---------------------------------------------------------------------------
 # large exponents against an exact decimal evaluation
 
+DECIMAL_DIGITS = 100  # far beyond float64, and fast at every power
+SERIES_BELOW = Decimal("1e-30")  # where 1 - x would need more digits than that
+
+
+def decimal_complement_pow(x, w):
+    """``1 - (1 - x) ** w`` in decimal for x in [0, 1], to about 70
+    significant digits: directly where ``1 - x`` keeps x, and where it
+    does not, by three terms of the binomial series, which leave out a
+    part of relative size about x**3."""
+    if x < SERIES_BELOW:
+        return w * x - w * (w - 1) / 2 * x * x + w * (w - 1) * (w - 2) / 6 * x ** 3
+    return 1 - (1 - x) ** w
+
 
 def decimal_prob_channel(vs, ws, p) -> float:
-    """``(1 - prod((1 - v**p) ** w)) ** (1/p)`` in decimal, with enough
-    digits that every ``v**p`` stays apart from 1."""
+    """``(1 - prod((1 - v**p) ** w)) ** (1/p)`` in decimal."""
+    with localcontext() as ctx:
+        ctx.prec = DECIMAL_DIGITS
+        p = Decimal(p)
+        total = Decimal(0)  # 1 - the product so far, which the sum a + b - ab extends
+        for v, w in zip(vs, ws):
+            y = decimal_complement_pow(Decimal(v) ** p, Decimal(w))
+            total += y - total * y
+        return float(total ** (1 / p))
+
+
+def decimal_nested_channel(vs, ws, lam) -> float:
+    """``(1 - (1 - prod(d ** w)) ** (1/lam)) ** (1/(3 lam))`` with
+    ``d = 1 - (1 - v**(3 lam)) ** lam``, in decimal."""
+    with localcontext() as ctx:
+        ctx.prec = DECIMAL_DIGITS
+        lam = Decimal(lam)
+        prod = Decimal(1)
+        for v, w in zip(vs, ws):
+            prod *= decimal_complement_pow(Decimal(v) ** (3 * lam), lam) ** Decimal(w)
+        return float(decimal_complement_pow(prod, 1 / lam) ** (1 / (3 * lam)))
+
+
+def decimal_power_mean(xs, ws, lam) -> float:
+    """``(sum(w * x**lam)) ** (1/lam)`` in decimal."""
+    with localcontext() as ctx:
+        ctx.prec = DECIMAL_DIGITS
+        lam = Decimal(lam)
+        return float(sum(Decimal(w) * Decimal(x) ** lam for x, w in zip(xs, ws)) ** (1 / lam))
+
+
+def decimal_geometric(xs, ws, lam=1) -> float:
+    """``prod((lam * x) ** w) / lam`` in decimal."""
+    with localcontext() as ctx:
+        ctx.prec = DECIMAL_DIGITS
+        lam, prod = Decimal(lam), Decimal(1)
+        for x, w in zip(xs, ws):
+            prod *= (lam * Decimal(x)) ** Decimal(w)
+        return float(prod / lam)
+
+
+# each operator's (eta, xi, t, i, f) as written in its definition, over the
+# five component lists of a row
+DECIMAL_FORMS = {
+    "fnnwa": lambda c, ws, lam: (
+        decimal_power_mean(c[0], ws, 1), decimal_power_mean(c[1], ws, 1),
+        decimal_prob_channel(c[2], ws, 3 * lam), decimal_prob_channel(c[3], ws, lam),
+        decimal_geometric(c[4], ws)),
+    "fnnwg": lambda c, ws, lam: (
+        decimal_geometric(c[0], ws), decimal_geometric(c[1], ws), decimal_geometric(c[2], ws),
+        decimal_prob_channel(c[3], ws, lam), decimal_prob_channel(c[4], ws, 3 * lam)),
+    "gfnnwa": lambda c, ws, lam: (
+        decimal_power_mean(c[0], ws, lam), decimal_power_mean(c[1], ws, lam),
+        decimal_prob_channel(c[2], ws, 3 * lam * lam), decimal_prob_channel(c[3], ws, lam),
+        decimal_nested_channel(c[4], ws, lam)),
+    "gfnnwg": lambda c, ws, lam: (
+        decimal_geometric(c[0], ws, lam), decimal_geometric(c[1], ws, lam),
+        decimal_nested_channel(c[2], ws, lam), decimal_prob_channel(c[3], ws, lam),
+        decimal_prob_channel(c[4], ws, 3 * lam * lam)),
+}
+DECIMAL_REL = 1e-12
+
+
+def assert_matches_decimal(name, cells, ws, lam):
+    out = OPERATORS[name]([make_fnnn(*c) for c in cells], ws, lam)
+    exact = DECIMAL_FORMS[name](list(zip(*cells)), ws, lam)
+    for channel, got, want in zip(("eta", "xi", "t", "i", "f"), components(out), exact):
+        assert got == pytest.approx(want, rel=DECIMAL_REL), channel
+
+
+@pytest.mark.parametrize("vs, ws, p", [
+    ((0.7, 0.75), (0.5, 0.5), 3 * 34 * 34),
+    ((0.05, 0.3, 0.9), (0.2, 0.3, 0.5), 250),
+    ((0.01, 0.02), (0.6, 0.4), 160),
+    ((0.99999, 0.5), (0.25, 0.75), 3),
+])
+def test_decimal_oracle_matches_direct_evaluation(vs, ws, p):
+    # the direct formula needs about p * max(-log10 v) digits to keep each
+    # v**p apart from 1, which is affordable only for these cases
     with localcontext() as ctx:
         ctx.prec = int(p * max(-math.log10(v) for v in vs)) + 60
         prod = Decimal(1)
         for v, w in zip(vs, ws):
             prod *= (1 - Decimal(v) ** p) ** Decimal(w)
-        return float((1 - prod) ** (1 / Decimal(p)))
+        direct = float((1 - prod) ** (1 / Decimal(p)))
+    assert decimal_prob_channel(vs, ws, p) == pytest.approx(direct, rel=1e-15)
+
+
+# memberships across [1e-3, 0.99999]; at lam = 34 every membership below
+# about 0.8 underflows a 3*lam^2 power, and one of 1e-3 a 3*lam power
+DECIMAL_ROWS = {
+    "mixed": [
+        (0.35, 0.8, 1e-3, 0.5, 0.99999),
+        (0.9, 0.2, 0.99999, 1e-3, 0.02),
+        (0.55, 0.45, 0.3, 0.99999, 1e-3),
+        (0.1, 0.6, 0.05, 0.7, 0.4),
+    ],
+    "small": [
+        (0.35, 0.8, 1e-3, 0.004, 0.02),
+        (0.9, 0.2, 0.06, 1e-3, 0.001),
+        (0.55, 0.45, 0.003, 0.1, 0.01),
+    ],
+    "large": [
+        (0.35, 0.8, 0.99999, 1e-3, 0.99),
+        (0.9, 0.2, 0.95, 0.5, 0.99999),
+        (0.55, 0.45, 0.999, 0.3, 0.9),
+    ],
+}
+
+
+@pytest.mark.parametrize("lam", [1, 10, 34])
+@pytest.mark.parametrize("row", sorted(DECIMAL_ROWS))
+@pytest.mark.parametrize("name", sorted(DECIMAL_FORMS))
+def test_operators_match_decimal(name, row, lam):
+    cells = DECIMAL_ROWS[row]
+    ws = (0.4, 0.3, 0.2, 0.1)[: len(cells)]
+    ws = [w / sum(ws) for w in ws]
+    assert_matches_decimal(name, cells, ws, lam)
+
+
+def test_nested_channel_keeps_small_falsities_at_lambda_34():
+    # f**(3 lam) underflows float64 for both falsities; the geometric mean is 1.414e-4
+    cells = [(1, 0.5, 0.3, 0.3, 1e-4), (1, 0.5, 0.3, 0.3, 2e-4)]
+    out = gfnnwa([make_fnnn(*c) for c in cells], [0.5, 0.5], 34)
+    assert out.f == pytest.approx(decimal_nested_channel((1e-4, 2e-4), (0.5, 0.5), 34), rel=1e-12)
+    assert out.f == pytest.approx(1.414e-4, rel=1e-3)
+
+
+@pytest.mark.slow
+@settings(max_examples=3000, deadline=None)
+@given(
+    name=st.sampled_from(sorted(DECIMAL_FORMS)),
+    lam=st.floats(1.0, 34.0),
+    cells=st.lists(
+        st.tuples(
+            st.floats(0.01, 10.0), st.floats(0.01, 10.0),
+            *[st.floats(-3.0, math.log10(0.99999)).map(lambda e: 10.0 ** e)] * 3,
+        ).filter(lambda c: c[2] ** 3 + c[3] ** 3 + c[4] ** 3 <= 2.0),
+        min_size=1, max_size=6,
+    ),
+    raw_weights=st.lists(st.floats(0.05, 1.0), min_size=6, max_size=6),
+)
+def test_operators_match_decimal_property(name, lam, cells, raw_weights):
+    ws = raw_weights[: len(cells)]
+    ws = [w / sum(ws) for w in ws]
+    assert_matches_decimal(name, cells, ws, lam)
 
 
 # the 3*lam^2 channel of each: gfnnwa's truth, gfnnwg's falsity
@@ -213,10 +367,8 @@ LARGE_EXPONENT_CASES = {
 }
 
 
-# At lam = 34 the power underflows float64 in every term, and the channel
-# comes out as 0.0 instead of 0.74985.
-@pytest.mark.parametrize("lam", [1, 10, 20, pytest.param(34, marks=pytest.mark.xfail(
-    strict=True, reason="the 3*lam^2 channel underflows to 0 at lam = 34"))])
+# At lam = 34 the power underflows float64 in every term
+@pytest.mark.parametrize("lam", [1, 10, 20, 34])
 @pytest.mark.parametrize("case", sorted(LARGE_EXPONENT_CASES))
 def test_large_exponent_channel_matches_decimal(case, lam):
     op, cells, channel = LARGE_EXPONENT_CASES[case]

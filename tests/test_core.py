@@ -332,6 +332,18 @@ def test_scale_composition():
         assert_close(power(u, power(w, v, lam), lam), power(u * w, v, lam), 1e-12)
 
 
+@pytest.mark.parametrize("lam", [34.0, 60.0])
+def test_primitives_keep_channels_whose_powers_underflow(lam):
+    # 1e-4 ** (3 lam) is below float64's range; when v**p is that small,
+    # (1 - (1 - v**p) ** w) ** (1/p) is v * w ** (1/p) and
+    # (v**p + v**p - v**(2p)) ** (1/p) is v * 2 ** (1/p) to double precision
+    v, p = make_fnnn(0.5, 0.5, 1e-4, 0.5, 1e-4), 3 * lam
+    assert scale(0.3, v, lam).t == pytest.approx(1e-4 * 0.3 ** (1 / p), rel=1e-13)
+    assert power(0.3, v, lam).f == pytest.approx(1e-4 * 0.3 ** (1 / p), rel=1e-13)
+    assert boxplus(v, v, lam).t == pytest.approx(1e-4 * 2 ** (1 / p), rel=1e-13)
+    assert boxtimes(v, v, lam).f == pytest.approx(1e-4 * 2 ** (1 / p), rel=1e-13)
+
+
 def test_scale_rejects_nonpositive_weight():
     v = make_fnnn(1, 1, 0.5, 0.5, 0.5)
     with pytest.raises(WeightNonPositive):

@@ -115,3 +115,19 @@ def test_closed_forms_match_folds():
         lam = LAMBDAS[k % len(LAMBDAS)]
         for name in OPERATORS:
             assert max_diff(OPERATORS[name](vals, ws, lam), FOLDS[name](vals, ws, lam)) <= 1e-10
+
+
+@pytest.mark.parametrize("band", [(1e-4, 1e-2), (1e-3, 0.8), (0.1, 0.95)])
+def test_closed_forms_match_folds_at_lambda_34(band):
+    # at lam = 34 the 3*lam^2 powers below about 0.8, and the 3*lam powers
+    # below about 1e-3, underflow float64.  Near 1 the folds cannot serve:
+    # power(34, v) of an indeterminacy above about 0.99 rounds to 1.0, which
+    # then absorbs the fold, and tests/test_aggregate.py checks that band
+    # against decimal instead.
+    rng = random.Random(73)
+    for k in range(20):
+        n = 1 + k % 6
+        vals = gen_fnnn(FnnnGenConfig(membership_range=band, seed=1500 + k), n)
+        ws = gen_weights(rng, n)
+        for name in OPERATORS:
+            assert max_diff(OPERATORS[name](vals, ws, 34.0), FOLDS[name](vals, ws, 34.0)) <= 1e-10
