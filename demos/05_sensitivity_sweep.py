@@ -11,8 +11,6 @@ plotting.  Equivalent CLI run:
 
 import pathlib
 
-import numpy as np
-
 from fnnmadm import PipelineConfig, lambda_sweep
 from fnnmadm.cli import closeness_csv, parse_problem
 
@@ -23,8 +21,8 @@ labels = dm.alternatives
 sweep = lambda_sweep(dm, PipelineConfig(operator="fnnwa", metric="hamming"),
                      list(range(1, 35)))
 
-closeness = np.array([row.closeness for row in sweep.rows])
-lams = np.array([row.lam for row in sweep.rows])
+closeness = [row.closeness for row in sweep.rows]
+lams = [row.lam for row in sweep.rows]
 
 print("closeness vs lambda (every 3rd row):")
 print("  lam  " + "  ".join(f"{a:>7}" for a in labels))
@@ -34,8 +32,9 @@ for k in range(0, len(lams), 3):
 
 print("\nper-alternative closeness growth over the sweep:")
 for j, label in enumerate(labels):
-    print(f"  {label}: {closeness[0, j]:.4f} -> {closeness[-1, j]:.4f} "
-          f"(spread {np.ptp(closeness[:, j]):.4f})")
+    column = [row[j] for row in closeness]
+    print(f"  {label}: {column[0]:.4f} -> {column[-1]:.4f} "
+          f"(spread {max(column) - min(column):.4f})")
 
 print("\nranking transitions:")
 for tr in sweep.transitions:

@@ -18,10 +18,10 @@ Each closed form is written once, as a generator over one row of values
 read into five float lists (eta, xi, t, i, f) by :func:`read_row`.  It
 first computes what does not depend on lam: the xlog of each membership
 it uses, and for fnnwa and fnnwg the location, the spread and one
-membership.  It then yields the checked aggregate at each lam it is
-given.  The operators below take its one value at their lam; the
-pipeline asks each row's generator for the next value at every lam of a
-sweep.
+membership.  It then yields the aggregate at each lam it is given,
+clipped and checked by :func:`fnnmadm.core.checked_result`, the one rule
+for every operation's result.  The operators below take its one value at
+their lam; the pipeline asks each row's generator for the next value.
 """
 
 from __future__ import annotations
@@ -31,9 +31,9 @@ from itertools import repeat
 from operator import mul
 from typing import Sequence
 
-from ._numeric import clip01, nested_prob_channel, real_pow, weighted_prob_sum, xlogs
-from .core import Fnnn, check_lambda, check_membership, check_normal, combined
-from .errors import EmptyInput, LengthMismatch, WeightInvalid
+from ._numeric import _TINY, nested_prob_channel, real_pow, weighted_prob_sum, xlogs
+from .core import Fnnn, check_lambda, checked_fnnn, checked_result
+from .errors import EmptyInput, LengthMismatch, NormalDomainError, NotFinite, WeightInvalid
 
 WEIGHT_SUM_TOLERANCE = 1e-6
 
@@ -83,15 +83,6 @@ def read_row(cells: Sequence[Fnnn]) -> tuple[list[float], ...]:
     return etas, xis, [m.t for m in mus], [m.i for m in mus], [m.f for m in mus]
 
 
-def _checked(eta, xi, t, i, f) -> tuple[float, float, float, float, float]:
-    """An aggregate as plain floats, checked and clipped as
-    :func:`combined` does."""
-    t, i, f = clip01(t), clip01(i), clip01(f)
-    check_normal(eta, xi)
-    check_membership(t, i, f)  # clip01 passes a NaN through
-    return eta, xi, t, i, f
-
-
 def _fnnwa(row, ws, lams):
     etas, xis, ts, i_s, fs = row
     eta = sum(w * e for w, e in zip(ws, etas))
@@ -101,7 +92,7 @@ def _fnnwa(row, ws, lams):
     for lam in lams:
         t = weighted_prob_sum(log_t, ws, 3.0 * lam)
         i = weighted_prob_sum(log_i, ws, lam)
-        yield _checked(eta, xi, t, i, f)
+        yield checked_result(eta, xi, t, i, f)
 
 
 def _fnnwg(row, ws, lams):
@@ -113,39 +104,45 @@ def _fnnwg(row, ws, lams):
     for lam in lams:
         i = weighted_prob_sum(log_i, ws, lam)
         f = weighted_prob_sum(log_f, ws, 3.0 * lam)
-        yield _checked(eta, xi, t, i, f)
+        yield checked_result(eta, xi, t, i, f)
+
+
+def _power_mean(xs, ws, lam: float) -> float:
+    """(sum_i w_i * x_i**lam)**(1/lam), gfnnwa's location and spread.
+
+    Where the sum leaves float64's normal range, as it does when every
+    power underflows, it is taken of x_i / max|x_i| and the mean scaled
+    back by max|x_i|; a sum in the normal range is used as it is.
+    """
+    total = sum(map(mul, ws, map(math.pow, xs, repeat(lam))))
+    if abs(total) < _TINY and (top := max(map(abs, xs))) > 0.0:
+        scaled = [x / top for x in xs]
+        return top * math.pow(sum(map(mul, ws, map(math.pow, scaled, repeat(lam)))), 1.0 / lam)
+    return math.pow(total, 1.0 / lam)
 
 
 def _gfnnwa(row, ws, lams):
     etas, xis, ts, i_s, fs = row
     log_t, log_i, log_f = xlogs(ts), xlogs(i_s), xlogs(fs)
-    signed = min(etas) < 0.0
     for lam in lams:
-        if signed:  # a fractional power of a negative location raises
-            eta = real_pow(sum(w * real_pow(e, lam) for w, e in zip(ws, etas)), 1.0 / lam)
-        else:
-            eta = math.pow(sum(map(mul, ws, map(math.pow, etas, repeat(lam)))), 1.0 / lam)
-        xi = math.pow(sum(map(mul, ws, map(math.pow, xis, repeat(lam)))), 1.0 / lam)
+        eta = _power_mean(etas, ws, lam)
+        xi = _power_mean(xis, ws, lam)
         t = weighted_prob_sum(log_t, ws, 3.0 * lam * lam)
         i = weighted_prob_sum(log_i, ws, lam)
         f = nested_prob_channel(log_f, ws, lam)
-        yield _checked(eta, xi, t, i, f)
+        yield checked_result(eta, xi, t, i, f)
 
 
 def _gfnnwg(row, ws, lams):
     etas, xis, ts, i_s, fs = row
     log_t, log_i, log_f = xlogs(ts), xlogs(i_s), xlogs(fs)
-    signed = min(etas) < 0.0
     for lam in lams:
-        if signed:  # a fractional power of a negative location raises
-            eta = math.prod(real_pow(lam * e, w) for w, e in zip(ws, etas)) / lam
-        else:
-            eta = math.prod(map(math.pow, map(mul, repeat(lam), etas), ws)) / lam
+        eta = math.prod(map(math.pow, map(mul, repeat(lam), etas), ws)) / lam
         xi = math.prod(map(math.pow, map(mul, repeat(lam), xis), ws)) / lam
         t = nested_prob_channel(log_t, ws, lam)
         i = weighted_prob_sum(log_i, ws, lam)
         f = weighted_prob_sum(log_f, ws, 3.0 * lam * lam)
-        yield _checked(eta, xi, t, i, f)
+        yield checked_result(eta, xi, t, i, f)
 
 
 # each operator's closed form over one row, by name
@@ -153,8 +150,15 @@ GENERATORS = {"fnnwa": _fnnwa, "fnnwg": _fnnwg, "gfnnwa": _gfnnwa, "gfnnwg": _gf
 
 
 def value_at(generator, row, ws, lam: float) -> Fnnn:
-    """The aggregate of one row, read by :func:`read_row`, at one lam."""
-    return combined(*next(generator(row, ws, (lam,))))
+    """The aggregate of one row, read by :func:`read_row`, at one lam.
+    Raises NotFinite when a power overflows float64, and NormalDomainError
+    for a fractional power of a negative location (ValueError in math.pow)."""
+    try:
+        return checked_fnnn(*next(generator(row, ws, (lam,))))
+    except ValueError:
+        raise NormalDomainError("cannot raise a negative location to a fractional power") from None
+    except OverflowError:
+        raise NotFinite(f"a value overflowed float64 at lambda = {lam:g}") from None
 
 
 def _aggregate(generator, items, weights, lam) -> Fnnn:

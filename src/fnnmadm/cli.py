@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import os
@@ -373,15 +374,22 @@ def _render_rank_table(rep: RankingReport, prec: int) -> str:
     return "\n".join(lines)
 
 
+def _csv_text(rows) -> str:
+    """Rows of str fields as CSV, quoted as RFC 4180 asks (only a field
+    that holds a comma, a quote or a line break), without the last line
+    break."""
+    out = io.StringIO()
+    csv.writer(out, quoting=csv.QUOTE_MINIMAL, lineterminator="\n").writerows(rows)
+    return out.getvalue()[:-1]
+
+
 def _render_rank_csv(rep: RankingReport) -> str:
     position = {k: r + 1 for r, k in enumerate(rep.ordering)}
-    lines = ["alternative,d_plus,d_minus,closeness,rank"]
+    rows = [["alternative", "d_plus", "d_minus", "closeness", "rank"]]
     for k, label in enumerate(rep.matrix.alternatives):
-        lines.append(
-            f"{label},{rep.d_plus[k]!r},{rep.d_minus[k]!r},"
-            f"{rep.closeness[k]!r},{position[k]}"
-        )
-    return "\n".join(lines)
+        values = (rep.d_plus[k], rep.d_minus[k], rep.closeness[k])
+        rows.append([label, *map(repr, values), str(position[k])])
+    return _csv_text(rows)
 
 
 def sweep_to_dict(result: SweepResult, dm: DecisionMatrix, config: PipelineConfig) -> dict:
@@ -435,14 +443,14 @@ def _render_sweep_table(result: SweepResult, dm: DecisionMatrix, prec: int) -> s
 def closeness_csv(result: SweepResult, labels, ordering: bool = False) -> str:
     """The ``lambda,D1,...,Dn`` closeness table, one row per lambda, at
     full precision; ``ordering`` appends each row's ordering by label."""
-    head = "lambda," + ",".join(f"D{k + 1}" for k in range(len(labels)))
-    lines = [head + ",ordering" if ordering else head]
+    head = ["lambda"] + [f"D{k + 1}" for k in range(len(labels))]
+    rows = [head + ["ordering"] if ordering else head]
     for row in result.rows:
-        line = f"{row.lam!r}," + ",".join(repr(v) for v in row.closeness)
+        fields = [repr(row.lam)] + [repr(v) for v in row.closeness]
         if ordering:
-            line += "," + _ordering_str([labels[k] for k in row.ordering])
-        lines.append(line)
-    return "\n".join(lines)
+            fields.append(_ordering_str([labels[k] for k in row.ordering]))
+        rows.append(fields)
+    return _csv_text(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -452,21 +460,15 @@ def closeness_csv(result: SweepResult, labels, ordering: bool = False) -> str:
 def _load_matrix(args) -> DecisionMatrix:
     """Read the problem file; apply the --weights override if given.
 
-    File/data problems raise FnnError subclasses (exit 2); a --weights
-    flag that does not parse or that make_decision_matrix rejects is a
-    usage problem and raises _UsageError (exit 1).
+    File/data problems raise FnnError subclasses (exit 2); --weights that
+    make_decision_matrix rejects are a usage problem and raise _UsageError
+    (exit 1), as --weights that do not parse are to argparse.
     """
     raw = _read_raw(args.path, args.input_format)
-    override = None
-    if args.weights is not None:
-        try:
-            override = [float(w) for w in args.weights.split(",")]
-        except ValueError as e:
-            raise _UsageError(f"--weights: {e}") from None
     try:
-        return _build_matrix(raw, override, renormalize=args.renormalize_weights)
+        return _build_matrix(raw, args.weights, renormalize=args.renormalize_weights)
     except (LengthMismatch, WeightInvalid) as e:
-        if override is None:
+        if args.weights is None:
             raise
         raise _UsageError(f"--weights: {e}") from None
 
@@ -492,41 +494,11 @@ def cmd_rank(args) -> int:
     return EXIT_OK
 
 
-def _sweep_lambdas(args) -> list[float]:
-    """The grid the flags ask for; ``lambda_sweep`` checks its values."""
-    if args.lambdas:
-        try:
-            return [float(v) for v in args.lambdas.split(",")]
-        except ValueError as e:
-            raise _UsageError(f"--lambdas: {e}") from None
-    if not args.lambda_range:
-        raise _UsageError("sweep needs --lambda-range a..b or --lambdas x,y,...")
-    text = args.lambda_range
-    if ".." not in text:
-        raise _UsageError(f"--lambda-range must look like 'a..b', got {text!r}")
-    lo_s, hi_s = text.split("..", 1)
-    try:
-        lo, hi = float(lo_s), float(hi_s)
-    except ValueError as e:
-        raise _UsageError(f"--lambda-range: {e}") from None
-    span = hi - lo
-    if not (math.isfinite(span) and span <= LAMBDA_GRID_CAP - 1):
-        raise _UsageError(
-            f"--lambda-range must be finite and hold at most {LAMBDA_GRID_CAP} "
-            f"values, got {text!r}"
-        )
-    lams, v = [], lo
-    for _ in range(math.floor(span + 1e-9) + 1):
-        lams.append(v)
-        v += 1.0
-    return lams
-
-
 def cmd_sweep(args) -> int:
     dm = _load_matrix(args)
     config = PipelineConfig(operator=args.operator, metric=args.metric)
     try:
-        result = lambda_sweep(dm, config, _sweep_lambdas(args))
+        result = lambda_sweep(dm, config, args.lams)
     except (LambdaInvalid, EmptyInput) as e:
         raise _UsageError(str(e)) from None
     prec = _precision()
@@ -576,6 +548,34 @@ def cmd_validate(args) -> int:
 # entry point
 
 
+def _floats(text: str) -> list[float]:
+    """``x,y,...`` as floats: the values of --weights and --lambdas."""
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
+
+
+def _lambda_range(text: str) -> list[float]:
+    """``a..b`` as the grid a, a + 1, ... up to b, sized before it is built;
+    ``lambda_sweep`` checks its values."""
+    lo, _, hi = text.partition("..")
+    try:
+        lo, hi = float(lo), float(hi)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must look like 'a..b', got {text!r}") from None
+    span = hi - lo
+    if not (math.isfinite(span) and span <= LAMBDA_GRID_CAP - 1):
+        raise argparse.ArgumentTypeError(
+            f"must be finite and hold at most {LAMBDA_GRID_CAP} values, got {text!r}"
+        )
+    lams, v = [], lo
+    for _ in range(math.floor(span + 1e-9) + 1):
+        lams.append(v)
+        v += 1.0
+    return lams
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage problems exit 1, not argparse's 2
         self.print_usage(sys.stderr)
@@ -613,6 +613,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--weights",
+            type=_floats,
             metavar="w1,...,wm",
             help="attribute weights; overrides a weights row in the file",
         )
@@ -642,13 +643,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="rank repeatedly over a lambda grid")
     add_common(p_sweep, with_lambda=False)
-    p_sweep.add_argument(
+    grid = p_sweep.add_mutually_exclusive_group(required=True)
+    grid.add_argument(
         "--lambda-range",
+        dest="lams",
+        type=_lambda_range,
         metavar="a..b",
         help="integer-stepped grid from a to b, 1 <= a <= b",
     )
-    p_sweep.add_argument(
+    grid.add_argument(
         "--lambdas",
+        dest="lams",
+        type=_floats,
         metavar="x,y,...",
         help="explicit strictly increasing lambda values",
     )

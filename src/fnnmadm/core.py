@@ -122,10 +122,19 @@ class Fnnn:
         )
 
 
+def checked_result(eta: float, xi: float, t: float, i: float, f: float) -> tuple[float, ...]:
+    """The rule for what an operation computed: memberships are clipped to
+    [0, 1] against round-off, then all is checked as a value's components
+    are (a NaN passes clipping); no cubic-sum bound is applied."""
+    t, i, f = clip01(t), clip01(i), clip01(f)
+    check_normal(eta, xi)
+    check_membership(t, i, f)
+    return eta, xi, t, i, f
+
+
 def combined(eta: float, xi: float, t: float, i: float, f: float) -> Fnnn:
-    """The value an operation computed; memberships are clipped to [0, 1]
-    against round-off, and no cubic-sum bound is applied."""
-    return Fnnn(NormalParams(eta, xi), MembershipTriple(clip01(t), clip01(i), clip01(f)))
+    """The value an operation computed, by :func:`checked_result`."""
+    return checked_fnnn(*checked_result(eta, xi, t, i, f))
 
 
 def check_cell(eta: float, xi: float, t: float, i: float, f: float) -> None:
@@ -214,16 +223,21 @@ def scale(w: float, a: Fnnn, lam: float = 1.0) -> Fnnn:
 def power(w: float, a: Fnnn, lam: float = 1.0) -> Fnnn:
     """Weighted power ``a ** w`` for any real weight w > 0.
 
-    Raises NormalDomainError when eta is negative and w fractional.
+    Raises NormalDomainError when eta is negative and w fractional, and
+    NotFinite when eta or xi overflows float64.
     """
     w = _check_weight(w)
     lam = check_lambda(lam)
     if w == 1.0:
         return a
+    try:
+        eta, xi = real_pow(a.eta, w), a.xi ** w
+    except OverflowError:
+        raise NotFinite(f"the power {w!r} of a value overflowed float64") from None
     t = a.t ** w
     i = q_channel(a.i, w, lam)
     f = q_channel(a.f, w, 3.0 * lam)
-    return combined(real_pow(a.eta, w), a.xi ** w, t, i, f)
+    return combined(eta, xi, t, i, f)
 
 
 def membership_at(a: Fnnn, x: float) -> MembershipTriple:

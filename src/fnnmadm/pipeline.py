@@ -22,7 +22,7 @@ from typing import NamedTuple, Sequence
 
 from .aggregate import GENERATORS, OPERATORS, check_weights, read_row, value_at
 from .core import Fnnn, MembershipTriple, NormalParams, check_lambda, check_normal
-from .core import checked_fnnn, combined
+from .core import checked_fnnn
 from .distance import FORMULAS, euclidean, hamming, phi, phi_of
 from .errors import (
     DegenerateCloseness,
@@ -321,7 +321,7 @@ def run_pipeline(dm: DecisionMatrix, config: PipelineConfig = PipelineConfig()) 
     """
     nm = normalize(dm)
     (ev,) = _evaluations(nm, config.operator, config.metric, [check_lambda(config.lam)])
-    aggs = tuple(combined(*a) for a in ev.aggregates)
+    aggs = tuple(checked_fnnn(*a) for a in ev.aggregates)
     positive, negative = _ideal_values(ev.positive, ev.negative)
     notes = []
     if float(config.lam) != int(config.lam):

@@ -19,6 +19,7 @@ from fnnmadm import (
     check_weights,
     fnnwa,
     fnnwg,
+    fold_gfnnwa,
     gen_fnnn,
     gen_weights,
     gfnnwa,
@@ -123,6 +124,29 @@ def test_fnnwg_rejects_negative_location_with_fractional_weight():
         fnnwg([a, b], (0.5, 0.5), 1)
     with pytest.raises(NormalDomainError):
         gfnnwg([a, b], (0.5, 0.5), 1)
+
+
+def test_gfnnwa_over_negative_locations():
+    # an integer power of a negative location is defined, a fractional one is not
+    vals = [make_fnnn(-1.5, 0.5, 0.5, 0.5, 0.5), make_fnnn(0.8, 1.0, 0.6, 0.4, 0.3),
+            make_fnnn(-0.3, 0.2, 0.7, 0.2, 0.4)]
+    ws = (0.5, 0.3, 0.2)
+    for lam in (1, 2, 4):
+        assert max_diff(gfnnwa(vals, ws, lam), fold_gfnnwa(vals, ws, lam)) <= 1e-10
+    for lam in (2.5, 3):  # at lam = 3 the weighted sum is negative, and its cube root fractional
+        with pytest.raises(NormalDomainError):
+            gfnnwa(vals, ws, lam)
+
+
+@pytest.mark.parametrize("lam", [1, 3, 34])
+@pytest.mark.parametrize("op, channel, cells", [
+    (gfnnwa, "f", [(0.5, 0.4, 0.3, 0.5, 1.0), (0.8, 0.6, 0.6, 0.2, 1.0)]),
+    (gfnnwg, "t", [(0.5, 0.4, 1.0, 0.5, 0.3), (0.8, 0.6, 1.0, 0.2, 0.6)]),
+], ids=["gfnnwa-f", "gfnnwg-t"])
+def test_nested_channel_of_memberships_all_one(op, channel, cells, lam):
+    # the product of the nested channel is 1, and the log of 1 - 1 is -inf
+    out = op([make_fnnn(*c) for c in cells], (0.6, 0.4), lam)
+    assert getattr(out, channel) == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +382,21 @@ def test_operators_match_decimal_property(name, lam, cells, raw_weights):
     ws = raw_weights[: len(cells)]
     ws = [w / sum(ws) for w in ws]
     assert_matches_decimal(name, cells, ws, lam)
+
+
+# every x**lam of these underflows float64, so sum(w * x**lam) is 0
+POWER_MEAN_ROWS = {300: (0.02, 0.05, 0.08), 1e4: (0.5, 0.8, 0.9)}
+
+
+@pytest.mark.parametrize("lam", sorted(POWER_MEAN_ROWS))
+def test_power_mean_keeps_locations_whose_powers_underflow(lam):
+    # the sum is taken again of x / max x: each quotient is rounded once and
+    # the root undoes the power, so the mean keeps to a few ulps
+    xs, ws = POWER_MEAN_ROWS[lam], (0.5, 0.3, 0.2)
+    out = gfnnwa([make_fnnn(x, x, 0.5, 0.5, 0.5) for x in xs], ws, lam)
+    exact = decimal_power_mean(xs, ws, lam)
+    assert out.eta == pytest.approx(exact, rel=DECIMAL_REL)
+    assert out.xi == pytest.approx(exact, rel=DECIMAL_REL)
 
 
 # the 3*lam^2 channel of each: gfnnwa's truth, gfnnwg's falsity

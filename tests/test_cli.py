@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import engineers_case as case
-from fnnmadm import ParseError, rank
+from fnnmadm import DegenerateCloseness, ParseError, cli, rank
 from fnnmadm.cli import (
     EXIT_DATA,
     EXIT_DEGENERATE,
@@ -25,7 +25,8 @@ from fnnmadm.cli import (
     parse_problem,
 )
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 E5_FIRST = "E5 >= E2 >= E4 >= E3 >= E1"
 
@@ -198,6 +199,32 @@ def test_missing_file(capsys):
     assert code == EXIT_DATA
 
 
+ONE_CELL = "1;1;0.5;0.5;0.5"
+
+
+@pytest.mark.parametrize(
+    "name, text, place",
+    [
+        ("header.csv", f"alt\nA,{ONE_CELL}\n", "(row 1)"),
+        ("weights.csv", f"alt,x\nA,{ONE_CELL}\nweights,0.5,0.5\n", "(row 3)"),
+        ("no-rows.csv", "alt,x\nweights,1\n", "no alternative rows found"),
+        ("ragged.csv", f"alt,x,y\nA,{ONE_CELL}\nweights,0.5,0.5\n", "(row 2)"),
+        ("cells.json", '{"alternatives": ["A"], "attributes": ["x", "y"], "cells": []}',
+         "expected 2 cells (row-major), got 0"),
+        ("fields.json", '{"alternatives": ["A"], "attributes": ["x", "y"], "cells": '
+         '[{"eta": 1, "xi": 1, "t": 0.5, "i": 0.5, "f": 0.5}, {"eta": 1}]}',
+         "'xi' (row 0, column 1)"),
+    ],
+)
+def test_reader_errors_name_their_place(tmp_path, capsys, name, text, place):
+    path = tmp_path / name
+    path.write_text(text)
+    for command in ("rank", "validate"):
+        code, out, err = run_cli(capsys, command, str(path))
+        assert code == EXIT_DATA and out == "", command
+        assert err.startswith("error: ") and place in err, command
+
+
 # ---------------------------------------------------------------------------
 # rank
 
@@ -263,6 +290,16 @@ def test_rank_renormalizes_weights_whose_sum_overflows(engineers_csv_path, capsy
     assert (code, err) == (EXIT_OK, "")
     assert huge == run_cli(capsys, "rank", engineers_csv_path, "--weights", "1,1,1,1",
                            "--renormalize-weights")[1]
+
+
+@pytest.mark.parametrize("path, lam", [(ROOT / "demos" / "engineers.csv", "10000"),
+                                       (ROOT / "tests" / "golden" / "seeded_12x6.csv", "300")])
+def test_rank_gfnnwa_where_every_power_of_the_spreads_underflows(capsys, path, lam):
+    # sum(w * xi**lam) underflows to 0 in float64 for some alternatives' normalized spreads
+    code, out, err = run_cli(capsys, "rank", str(path), "--operator", "gfnnwa",
+                             "--lambda", lam, "--format", "json")
+    assert (code, err) == (EXIT_OK, "")
+    assert all(a["xi"] > 0.0 for a in json.loads(out)["aggregates"])
 
 
 def test_rank_bad_operator_is_usage_error(engineers_csv_path, capsys):
@@ -402,6 +439,9 @@ def test_sweep_requires_lambda_grid(engineers_csv_path, capsys):
     code, _, _ = run_cli(capsys, "sweep", engineers_csv_path,
                          "--lambda-range", "7..3")
     assert code == EXIT_USAGE
+    code, out, err = run_cli(capsys, "sweep", engineers_csv_path,
+                             "--lambdas", "1,2", "--lambda-range", "1..34")
+    assert (code, out) == (EXIT_USAGE, "") and "not allowed with" in err
 
 
 @pytest.mark.parametrize("flag, value", [("--lambdas", "1,inf"), ("--lambdas", "2,1"),
@@ -498,6 +538,29 @@ def test_sweep_csv_is_plot_csv_plus_ordering(engineers_csv_path, capsys, tmp_pat
     assert code == EXIT_OK
     rows = out.strip().splitlines()
     assert [r.rsplit(",", 1)[0] for r in rows] == plot.read_text().strip().splitlines()
+
+
+def test_csv_output_is_csv_whatever_the_labels(tmp_path, capsys):
+    labels = ["Smith, J.", 'B"q', "plain", "Ä%r"]
+    path = tmp_path / "labels.csv"
+    rng = random.Random(5)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["alt", "x", "y"])
+        for label in labels:
+            writer.writerow([label] + [f"{rng.uniform(0.2, 1)};{rng.uniform(0.1, 1)};0.5;0.4;0.3"
+                                       for _ in range(2)])
+        writer.writerow(["weights", 0.6, 0.4])
+    code, out, _ = run_cli(capsys, "rank", str(path), "--format", "csv")
+    assert code == EXIT_OK
+    rows = list(csv.reader(io.StringIO(out)))
+    assert {len(row) for row in rows} == {5}
+    assert [row[0] for row in rows[1:]] == labels
+    code, out, _ = run_cli(capsys, "sweep", str(path), "--lambdas", "1,2,3", "--format", "csv")
+    assert code == EXIT_OK
+    rows = list(csv.reader(io.StringIO(out)))
+    assert {len(row) for row in rows} == {len(labels) + 2}
+    assert all(sorted(row[-1].split(" >= ")) == sorted(labels) for row in rows[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -619,6 +682,17 @@ def test_exit_code_contract_on_arbitrary_cells(tmp_path, capsys, cells, weight,
         code, out, _ = run_cli(capsys, *argv)  # an escaping exception fails the test
         assert code in (EXIT_OK, EXIT_DATA, EXIT_DEGENERATE), argv
         assert "nan" not in out.lower() and "np.float64" not in out
+
+
+def test_degenerate_closeness_exits_3(engineers_csv_path, capsys, monkeypatch):
+    # no known problem file makes D+ + D- vanish, so the mapping is pinned directly
+    def degenerate(dm, config):
+        raise DegenerateCloseness("D+ + D- is zero for alternative index 0")
+
+    monkeypatch.setattr(cli, "run_pipeline", degenerate)
+    code, out, err = run_cli(capsys, "rank", engineers_csv_path)
+    assert (code, out) == (EXIT_DEGENERATE, "")
+    assert err == "error: degenerate computation: D+ + D- is zero for alternative index 0\n"
 
 
 JSON_FIELD = st.one_of(

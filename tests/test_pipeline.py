@@ -7,7 +7,7 @@ import re
 import pytest
 
 import engineers_case as case
-from fnnmadm import aggregate
+from fnnmadm import aggregate, core
 from fnnmadm import (
     DegenerateCloseness,
     DuplicateLabel,
@@ -23,13 +23,16 @@ from fnnmadm import (
     aggregate_rows,
     closeness,
     fold_fnnwa,
+    fold_gfnnwa,
     gen_fnnn,
     gen_weights,
+    gfnnwa,
     ideal_values,
     lambda_sweep,
     make_decision_matrix,
     make_fnnn,
     normalize,
+    power,
     rank,
     run_pipeline,
 )
@@ -97,6 +100,13 @@ def test_normalize_rejects_nonpositive_location():
     ok = make_fnnn(0.8, 1, 0.5, 0.5, 0.5)
     dm = make_decision_matrix(["A", "B"], ["x"], [[zero], [ok]], (1.0,))
     with pytest.raises(ZeroLocation):
+        normalize(dm)
+
+
+def test_normalize_rejects_a_spread_that_overflows():
+    # the location normalizes to 1, the spread to (xi / max xi) * (xi / eta) = 1e600
+    dm = make_decision_matrix(["A"], ["x"], [[make_fnnn(1e-300, 1e300, 0.5, 0.5, 0.5)]], (1.0,))
+    with pytest.raises(NotFinite, match="xi must be a finite number"):
         normalize(dm)
 
 
@@ -199,10 +209,30 @@ def test_overflow_is_a_typed_error(tmp_path, capsys):
         lambda_sweep(dm, PipelineConfig(operator="gfnnwa"), [1, 3])  # xi' ** 3 again
     with pytest.raises(NotFinite):
         closeness([float("inf")], [1.0])
+    with pytest.raises(NotFinite):
+        power(2.0, make_fnnn(1e200, 1, 0.5, 0.5, 0.5))  # eta ** 2 overflows
+    for operator in (gfnnwa, fold_gfnnwa):
+        with pytest.raises(NotFinite):
+            operator([big], [1.0], 3)  # xi ** 3
+    with pytest.raises(NotFinite):
+        aggregate_rows(normalize(dm), "gfnnwa", 3)
     path = tmp_path / "big.csv"
     path.write_text("alt,x\nA,1.0;1e300;0.5;0.5;0.5\nweights,1\n")
     assert cli_main(["sweep", str(path), "--metric", "euclidean", "--lambdas", "1,2"]) == EXIT_DATA
     assert "overflowed" in capsys.readouterr().err
+
+
+def test_each_aggregate_is_checked_once(engineers_matrix, monkeypatch):
+    # every aggregate passes the result rule of core once, not once more as a value
+    calls = []
+    check = core.check_membership
+    counting = lambda t, i, f: calls.append(1) or check(t, i, f)  # noqa: E731
+    monkeypatch.setattr(core, "check_membership", counting)
+    monkeypatch.setattr(aggregate, "check_membership", counting, raising=False)
+    for operator in ("fnnwa", "fnnwg", "gfnnwa", "gfnnwg"):
+        calls.clear()
+        run_pipeline(engineers_matrix, PipelineConfig(operator=operator, lam=3))
+        assert len(calls) == engineers_matrix.n_alternatives, operator
 
 
 def test_rank_ordering_and_ties():
@@ -328,7 +358,7 @@ def test_sweep_takes_membership_logs_once_per_row(monkeypatch, operator, logs_pe
 
 @pytest.mark.parametrize("operator", ["gfnnwa", "gfnnwg"])
 def test_float_path_rejects_what_building_the_aggregates_rejects(engineers_matrix, operator):
-    # at lambda = 1e200 gfnnwa's spread underflows to 0 and gfnnwg's f is NaN;
+    # at lambda = 1e200 gfnnwa's t and gfnnwg's f are NaN, as 3 * lambda**2 is inf;
     # ranking on plain floats must fail as building the aggregate values does
     with pytest.raises(FnnError) as built:
         aggregate_rows(normalize(engineers_matrix), operator, 1e200)
