@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
 
-from .aggregate import OPERATORS, check_weights
+from .aggregate import OPERATORS
 from .core import Fnnn, check_cell
 from .errors import (
     DegenerateCloseness,
@@ -38,10 +38,8 @@ from .pipeline import (
     PipelineConfig,
     RankingReport,
     SweepResult,
-    _check_nonempty,
-    _check_unique,
     _matrix_of_rows,
-    _nonpositive_locations,
+    _problems,
     lambda_sweep,
     run_pipeline,
 )
@@ -177,15 +175,16 @@ def _read_raw(path: str, fmt: str | None = None) -> RawProblem:
         raise ParseError(f"{path}: {e}") from None
 
 
-def _cell_faults(raw: RawProblem) -> dict[tuple[int, int], str]:
-    """Why ``check_cell`` rejects each cell it rejects, by (row, column)."""
+def _cell_faults(raw: RawProblem) -> dict[tuple[int, int], ParseError]:
+    """The error ``rank`` gives for each cell ``check_cell`` rejects, by (row, column)."""
     faults = {}
     for i, row in enumerate(raw.cells):
         for j, values in enumerate(row):
             try:
                 check_cell(*values)
             except FnnError as e:
-                faults[i, j] = str(e)
+                where = f"({raw.alternatives[i]}, {raw.attributes[j]})"
+                faults[i, j] = ParseError(f"invalid cell at {where}: {e}")
     return faults
 
 
@@ -194,10 +193,8 @@ def _build_matrix(
     weights_override: list[float] | None = None,
     renormalize: bool = False,
 ) -> DecisionMatrix:
-    faults = _cell_faults(raw)
-    if faults:
-        (i, j), reason = next(iter(faults.items()))
-        raise ParseError(f"invalid cell at ({raw.alternatives[i]}, {raw.attributes[j]}): {reason}")
+    for fault in _cell_faults(raw).values():
+        raise fault
     weights = weights_override if weights_override is not None else raw.weights
     if weights is None:
         raise ParseError("no weights: embed a 'weights' row or pass --weights")
@@ -515,32 +512,22 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    """Print every reason ``rank`` would reject the file for; ``rank`` reports the first."""
     raw = _read_raw(args.path, args.input_format)
-    _check_nonempty(raw.alternatives, raw.attributes)
     faults = _cell_faults(raw)
-    for i, j, reason in _nonpositive_locations([[v[0] for v in row] for row in raw.cells]):
-        faults.setdefault((i, j), reason)  # a cell that check_cell rejects has its reason
-    diagnostics = [(raw.alternatives[i], raw.attributes[j], r) for (i, j), r in faults.items()]
-    problems = []
-    for kind, labels in (("alternative", raw.alternatives), ("attribute", raw.attributes)):
-        try:
-            _check_unique(kind, tuple(labels))
-        except DuplicateLabel as e:
-            problems.append(f"invalid labels: {e}")
-    if raw.weights is not None:
-        try:
-            check_weights(raw.weights, n=len(raw.attributes))
-        except (LengthMismatch, WeightInvalid) as e:
-            problems.append(f"invalid weights: {e}")
-    for alt, attr, reason in diagnostics:
-        print(f"invalid cell ({alt}, {attr}): {reason}")
-    for problem in problems:
-        print(problem)
-    if diagnostics or problems:
-        total = len(raw.alternatives) * len(raw.attributes)
-        print(f"{total - len(diagnostics)} of {total} cells valid")
+    rows = tuple(tuple(zip(*row)) for row in raw.cells)
+    problems = [*faults.items(), *_problems(raw.alternatives, raw.attributes, rows, raw.weights,
+                                            skip=faults)]
+    for cell, e in problems:
+        if cell is not None:
+            print(f"invalid cell {str(e).removeprefix('invalid cell at ')}")
+        else:
+            print(f"invalid {'labels' if isinstance(e, DuplicateLabel) else 'weights'}: {e}")
+    total = len(raw.alternatives) * len(raw.attributes)
+    if problems:
+        print(f"{total - sum(cell is not None for cell, _ in problems)} of {total} cells valid")
         return EXIT_DATA
-    print(f"{len(raw.alternatives) * len(raw.attributes)} cells valid")
+    print(f"{total} cells valid")
     return EXIT_OK
 
 
@@ -665,7 +652,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sweep.set_defaults(func=cmd_sweep)
 
-    p_val = sub.add_parser("validate", help="report every invalid cell")
+    p_val = sub.add_parser("validate", help="report every reason rank would reject the file for")
     p_val.add_argument("path", help="problem file (CSV or JSON)")
     p_val.add_argument("--input-format", choices=("csv", "json"))
     p_val.set_defaults(func=cmd_validate)

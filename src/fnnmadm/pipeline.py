@@ -32,6 +32,8 @@ from .errors import (
     LengthMismatch,
     NotFinite,
     NotNormalized,
+    SpreadNonPositive,
+    WeightInvalid,
     ZeroLocation,
 )
 
@@ -44,7 +46,8 @@ class DecisionMatrix:
 
     ``rows`` holds one row per alternative: five tuples of m floats, the
     cells' eta, xi, t, i and f.  ``cells`` and ``row`` build ``Fnnn``
-    values on demand.  :func:`make_decision_matrix` makes a checked one.
+    values on demand.  :func:`make_decision_matrix` makes a checked one,
+    which always normalizes.
     """
 
     alternatives: tuple[str, ...]
@@ -75,19 +78,6 @@ class DecisionMatrix:
         )
 
 
-def _check_nonempty(alternatives: Sequence[str], attributes: Sequence[str]) -> None:
-    if not alternatives or not attributes:
-        raise EmptyInput("need at least one alternative and one attribute")
-
-
-def _check_unique(kind: str, labels: tuple[str, ...]) -> None:
-    seen = set()
-    for label in labels:
-        if label in seen:
-            raise DuplicateLabel(f"{kind} label {label!r} appears twice")
-        seen.add(label)
-
-
 def make_decision_matrix(
     alternatives: Sequence[str],
     attributes: Sequence[str],
@@ -96,12 +86,8 @@ def make_decision_matrix(
     renormalize: bool = False,
 ) -> DecisionMatrix:
     """Assemble and validate a decision matrix of ``Fnnn`` cells, which
-    are read once into the matrix's float rows.
-
-    Raises EmptyInput for a zero-sized matrix, LengthMismatch for ragged
-    rows or label/weight arity problems, DuplicateLabel for a repeated
-    label, ZeroLocation for an attribute without a positive location, and
-    WeightInvalid for a bad weight vector (unless renormalize is set).
+    are read once into the matrix's float rows.  Raises the first problem
+    :func:`_problems` finds, so a matrix made here always normalizes.
     """
     rows = tuple(tuple(map(tuple, read_row(row))) for row in cells)
     return _matrix_of_rows(alternatives, attributes, rows, weights, renormalize)
@@ -111,61 +97,84 @@ def _matrix_of_rows(alternatives, attributes, rows, weights, renormalize=False) 
     """:func:`make_decision_matrix` for rows of five float tuples that ``check_cell`` passed."""
     alternatives = tuple(str(a) for a in alternatives)
     attributes = tuple(str(a) for a in attributes)
-    _check_nonempty(alternatives, attributes)
+    for _, problem in _problems(alternatives, attributes, rows, weights, renormalize):
+        raise problem
+    ws = check_weights(weights, n=len(attributes), renormalize=renormalize)
+    return DecisionMatrix(alternatives, attributes, rows, ws)
+
+
+def _problems(alternatives, attributes, rows, weights, renormalize=False, skip=()):
+    """Yield ``(cell, error)`` for each reason the matrix cannot be ranked;
+    ``cell`` is the (row, column) the error names, or None.
+
+    In this order: ZeroLocation for each location of 0 or less; if there
+    is none, check_normal's error for each spread that normalizes out of
+    float64's range; DuplicateLabel for each repeated label; the error of
+    ``check_weights`` unless ``weights`` is None.  The cells at positions
+    in ``skip`` failed ``check_cell``: they are not read, and no spread is
+    normalized.  A zero-sized or ragged matrix raises at once.
+    """
+    if not alternatives or not attributes:
+        raise EmptyInput("need at least one alternative and one attribute")
     if len(rows) != len(alternatives):
         raise LengthMismatch(f"{len(alternatives)} alternatives but {len(rows)} cell rows")
     for i, row in enumerate(rows):
         if len(row[0]) != len(attributes):
             raise LengthMismatch(f"row {i} has {len(row[0])} cells, expected {len(attributes)}")
-    _check_unique("alternative", alternatives)
-    _check_unique("attribute", attributes)
-    for attr, eta_max in zip(attributes, map(max, zip(*(row[0] for row in rows)))):
-        if eta_max <= 0.0:
-            raise ZeroLocation(
-                f"attribute {attr!r} has no positive location; normalization would be undefined"
-            )
-    ws = check_weights(weights, n=len(attributes), renormalize=renormalize)
-    return DecisionMatrix(alternatives, attributes, rows, ws)
+
+    def at(cls, i, j, reason):
+        return (i, j), cls(f"invalid cell at ({alternatives[i]}, {attributes[j]}): {reason}")
+
+    # "> 0", not "<= 0": min() keeps a NaN that comes first
+    located = not skip and (eta_lo := min(min(row[0]) for row in rows)) > 0.0
+    for i, row in enumerate(() if located else rows):
+        for j, eta in enumerate(row[0]):
+            if (i, j) not in skip and not eta > 0.0:
+                yield at(ZeroLocation, i, j, f"eta = {eta!r} must be > 0 for normalization")
+    if located:
+        eta_hi = max(max(row[0]) for row in rows)
+        xi_lo, xi_hi = min(min(row[1]) for row in rows), max(max(row[1]) for row in rows)
+        # a spread normalizes to (xi / max xi) * (xi / eta); when the extrema keep
+        # both factors in [1e-150, 1e150], every product is in range, else check each
+        in_range = xi_lo / xi_hi > 1e-150 and xi_lo / eta_hi > 1e-150 and xi_hi / eta_lo < 1e150
+        for i, (etas, xis) in enumerate(() if in_range else _normal_rows(rows)):
+            for j, cell in enumerate(zip(etas, xis)):
+                try:
+                    check_normal(*cell)
+                except (NotFinite, SpreadNonPositive) as e:
+                    yield at(type(e), i, j, f"normalized {e}")
+    for kind, labels in (("alternative", alternatives), ("attribute", attributes)):
+        counts = {}
+        for label in labels:
+            counts[label] = counts.get(label, 0) + 1
+            if counts[label] == 2:
+                yield None, DuplicateLabel(f"{kind} label {label!r} appears twice")
+    if weights is not None:
+        try:
+            check_weights(weights, n=len(attributes), renormalize=renormalize)
+        except (LengthMismatch, WeightInvalid) as e:
+            yield None, e
 
 
-def _nonpositive_locations(etas: Sequence[Sequence[float]]) -> list[tuple[int, int, str]]:
-    """(row, column, reason) for each location not > 0, which normalization cannot divide by."""
-    return [
-        (i, j, f"eta = {eta!r} must be > 0 for normalization")
-        for i, row in enumerate(etas)
-        for j, eta in enumerate(row)
-        if eta <= 0.0
-    ]
+def _normal_rows(rows):
+    """Each row's locations over the column maximum, and spreads over the
+    column maximum times the cell's own spread-to-location ratio."""
+    eta_max = list(map(max, zip(*(row[0] for row in rows))))
+    xi_max = list(map(max, zip(*(row[1] for row in rows))))
+    for etas, xis, *_ in rows:
+        normal_etas = tuple([e / m for e, m in zip(etas, eta_max)])
+        yield normal_etas, tuple([(x / m) * (x / e) for x, m, e in zip(xis, xi_max, etas)])
 
 
 def normalize(dm: DecisionMatrix) -> DecisionMatrix:
-    """Per-attribute normalization; membership triples are untouched.
-
-    Locations are rescaled by the column maximum; spreads by the column
-    maximum times the cell's own spread-to-location ratio.  The result
-    holds float rows as ``dm`` does, and builds no ``Fnnn``.  A matrix
-    that is already normalized is returned as it is.  Raises ZeroLocation
-    unless every location is strictly positive, and NotFinite or
-    SpreadNonPositive for a spread that leaves float64's range.
-    """
+    """Per-attribute normalization (see :func:`_normal_rows`) into float
+    rows; membership triples are untouched and no ``Fnnn`` is built.  A
+    normalized matrix is returned as it is.  Checks nothing: a matrix
+    made by :func:`make_decision_matrix` always normalizes."""
     if dm.normalized:
         return dm
-    etas = [row[0] for row in dm.rows]
-    if min(map(min, etas)) <= 0.0:
-        i, j, reason = _nonpositive_locations(etas)[0]
-        raise ZeroLocation(f"invalid cell at ({dm.alternatives[i]}, {dm.attributes[j]}): {reason}")
-    eta_max = list(map(max, zip(*etas)))
-    xi_max = list(map(max, zip(*(row[1] for row in dm.rows))))
-    rows = []
-    for row_etas, row_xis, *memberships in dm.rows:
-        n_etas = tuple([e / m for e, m in zip(row_etas, eta_max)])
-        n_xis = tuple([(x / m) * (x / e) for x, m, e in zip(row_xis, xi_max, row_etas)])
-        # one pass for the common case; check_normal finds the culprit
-        if not (min(n_xis) > 0.0 and math.isfinite(sum(n_xis))):
-            for eta, xi in zip(n_etas, n_xis):
-                check_normal(eta, xi)
-        rows.append((n_etas, n_xis, *memberships))
-    return replace(dm, rows=tuple(rows), normalized=True)
+    rows = tuple((*normal, *row[2:]) for normal, row in zip(_normal_rows(dm.rows), dm.rows))
+    return replace(dm, rows=rows, normalized=True)
 
 
 def aggregate_rows(dm: DecisionMatrix, operator: str, lam: float = 1.0) -> tuple[Fnnn, ...]:

@@ -17,7 +17,7 @@ from typing import Sequence
 
 from .aggregate import _prepare
 from .core import CUBIC_SUM_BOUND, Fnnn, boxplus, boxtimes, make_fnnn, power, scale
-from .errors import EmptyInput
+from .errors import EmptyInput, ValidationError
 
 
 def fold_fnnwa(items: Sequence[Fnnn], weights: Sequence[float], lam: float = 1.0) -> Fnnn:
@@ -87,12 +87,23 @@ def _open_uniform(rng: random.Random, lo: float, hi: float) -> float:
 
 
 def gen_fnnn(cfg: FnnnGenConfig, count: int) -> list[Fnnn]:
-    """Generate ``count`` valid values, reproducibly under ``cfg.seed``."""
+    """Generate ``count`` valid values, reproducibly under ``cfg.seed``.
+    Raises EmptyInput for a count below 1, and ValidationError, before
+    any value is drawn, for ranges that no value can be drawn from."""
     if count < 1:
         raise EmptyInput("count must be >= 1")
+    # a draw is repeated until it fits, so a range that nothing fits would never return
+    for name in ("eta_range", "xi_range"):
+        lo, hi = getattr(cfg, name)
+        if not lo < hi:
+            raise ValidationError(f"{name} = {(lo, hi)!r} needs lo < hi")
+    mlo, mhi = cfg.membership_range
+    if not (mlo <= mhi and 3.0 * mlo ** 3 <= CUBIC_SUM_BOUND):
+        raise ValidationError(
+            f"membership_range = {(mlo, mhi)!r} needs lo <= hi, 3 * lo^3 <= {CUBIC_SUM_BOUND:g}"
+        )
     rng = random.Random(cfg.seed)
     out = []
-    mlo, mhi = cfg.membership_range
     for _ in range(count):
         eta = _open_uniform(rng, *cfg.eta_range)
         xi = _open_uniform(rng, *cfg.xi_range)
@@ -107,7 +118,10 @@ def gen_fnnn(cfg: FnnnGenConfig, count: int) -> list[Fnnn]:
 
 
 def gen_weights(rng: random.Random, n: int) -> tuple[float, ...]:
-    """A random strictly positive weight vector normalized to sum 1."""
+    """A random strictly positive weight vector normalized to sum 1;
+    raises EmptyInput for n < 1."""
+    if n < 1:
+        raise EmptyInput("n must be >= 1")
     raw = [rng.uniform(0.05, 1.0) for _ in range(n)]
     total = sum(raw)
     ws = [w / total for w in raw]

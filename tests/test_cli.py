@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import engineers_case as case
-from fnnmadm import DegenerateCloseness, ParseError, cli, rank
+from fnnmadm import DegenerateCloseness, ParseError, cli, normalize, rank
 from fnnmadm.cli import (
     EXIT_DATA,
     EXIT_DEGENERATE,
@@ -626,6 +626,20 @@ def test_validate_names_each_location_rank_cannot_normalize(tmp_path, capsys, et
     assert "2 of 4 cells valid" in out
 
 
+def test_validate_names_each_repeated_label(tmp_path, capsys):
+    cell = "1;1;0.5;0.5;0.5"
+    rows = "".join(f"{alt},{cell},{cell}\n" for alt in ("A", "B", "A", "B", "A"))
+    path = tmp_path / "labels.csv"
+    path.write_text(f"alt,x,x\n{rows}weights,0.5,0.5\n")
+    code, out, _ = run_cli(capsys, "validate", str(path))
+    assert (code, out) == (EXIT_DATA, "invalid labels: alternative label 'A' appears twice\n"
+                                      "invalid labels: alternative label 'B' appears twice\n"
+                                      "invalid labels: attribute label 'x' appears twice\n"
+                                      "10 of 10 cells valid\n")
+    code, _, err = run_cli(capsys, "rank", str(path))
+    assert (code, err) == (EXIT_DATA, "error: alternative label 'A' appears twice\n")
+
+
 def test_validate_has_no_weights_option(tmp_path, capsys):
     path = tmp_path / "badweights.csv"
     path.write_text("alt,x,y\nE1,1;1;0.5;0.5;0.5,1;1;0.5;0.5;0.5\nweights,0.9,0.7\n")
@@ -682,6 +696,63 @@ def test_exit_code_contract_on_arbitrary_cells(tmp_path, capsys, cells, weight,
         code, out, _ = run_cli(capsys, *argv)  # an escaping exception fails the test
         assert code in (EXIT_OK, EXIT_DATA, EXIT_DEGENERATE), argv
         assert "nan" not in out.lower() and "np.float64" not in out
+
+
+SCALE = st.sampled_from([-1.0, 1e-200, 1e200]) | NUMBER
+AGREE_CELL = st.one_of(
+    st.tuples(SCALE, SCALE).map(lambda normal: (*normal, 0.5, 0.5, 0.5)),
+    st.tuples(SCALE, SCALE, UNIT, UNIT, UNIT),
+)
+
+
+@st.composite
+def problems(draw):
+    """Labels, cells and embedded weights of a 1-3 x 1-3 problem; the last
+    alternative sometimes repeats the first one's label."""
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    row = st.lists(AGREE_CELL, min_size=m, max_size=m)
+    cells = draw(st.lists(row, min_size=n, max_size=n))
+    weights = draw(st.just([1.0 / m] * m) | st.lists(SCALE, min_size=m, max_size=m))
+    labels = [f"A{k}" for k in range(n)]
+    if n > 1 and draw(st.booleans()):
+        labels[-1] = labels[0]
+    return labels, cells, weights
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+# the spread normalizes to 1e600, to 1e-400, and locations.csv's shape
+@example(problem=(["A"], [[(1e-300, 1e300, 0.5, 0.5, 0.5), (1.0, 1.0, 0.5, 0.5, 0.5)]],
+                  [0.5, 0.5]))
+@example(problem=(["A", "B"], [[(1.0, 1e-200, 0.5, 0.5, 0.5)], [(1.0, 1e200, 0.5, 0.5, 0.5)]],
+                  [1.0]))
+@example(problem=(["A1", "A2"], [[(0.0, 0.5, 0.5, 0.5, 0.5), (-0.5, 0.5, 0.5, 0.5, 0.5)],
+                                 [(0.8, 0.5, 0.5, 0.5, 0.5), (0.0, 0.4, 0.5, 0.5, 0.5)]],
+                  [0.5, 0.5]))
+@given(problem=problems())
+def test_validate_reports_what_rank_rejects(tmp_path, capsys, problem):
+    labels, cells, weights = problem
+    lines = ["alt," + ",".join(f"C{j}" for j in range(len(weights)))]
+    for label, row in zip(labels, cells):
+        lines.append(",".join([label] + [";".join(map(repr, cell)) for cell in row]))
+    lines.append(",".join(["weights"] + [repr(w) for w in weights]))
+    path = tmp_path / "problem.csv"
+    path.write_text("\n".join(lines) + "\n")
+    code, out, _ = run_cli(capsys, "validate", str(path))
+    rank_code, _, err = run_cli(capsys, "rank", str(path), "--lambda", "1")
+    if code == EXIT_DATA:
+        first = out.splitlines()[0]
+        if first.startswith("invalid cell ("):
+            reason = "invalid cell at (" + first.removeprefix("invalid cell (")
+        else:
+            reason = first.removeprefix("invalid labels: ").removeprefix("invalid weights: ")
+        assert (rank_code, err) == (EXIT_DATA, f"error: {reason}\n")
+    else:
+        # no cell, label or weights reason: the file loads, and every spread
+        # normalizes to a positive float
+        assert code == EXIT_OK
+        for _, xis, *_ in normalize(parse_problem(str(path))).rows:
+            assert all(0.0 < xi < math.inf for xi in xis)
 
 
 def test_degenerate_closeness_exits_3(engineers_csv_path, capsys, monkeypatch):

@@ -6,6 +6,10 @@ regenerate it (only when a change of output is intended), run from the
 repository root:
 
     PYTHONPATH=src python tests/test_golden_cli.py
+
+It rewrites every entry, then prints to stderr the argv of each entry
+that was added, removed or changed against the fixture it replaced, so
+that only those need to be checked by hand.
 """
 
 import contextlib
@@ -46,7 +50,8 @@ def _commands() -> list[list[str]]:
         ["sweep", "tests/golden/seeded_12x6.csv", "--operator", "gfnnwg", "--lambda-range", "1..34",
          "--format", "json"],
     ]
-    for name in ("invalid_cells", "invalid_values", "locations", "zero_location"):
+    for name in ("invalid_cells", "invalid_values", "locations", "zero_location",
+                 "normalized_inf", "normalized_zero", "several_problems"):
         path = f"tests/golden/{name}.csv"
         out += [["validate", path], ["rank", path, "--format", "json"]]
     return out
@@ -94,5 +99,16 @@ if __name__ == "__main__":
         records = [run(argv, plot) for argv in COMMANDS]
     finally:
         plot.unlink(missing_ok=True)
+    before = {}
+    if FIXTURE.exists():
+        before = {tuple(r["argv"]): r for r in json.loads(FIXTURE.read_text(encoding="utf-8"))}
     FIXTURE.write_text(json.dumps(records, indent=1, ensure_ascii=False) + "\n", encoding="utf-8")
     print(f"wrote {len(records)} commands to {FIXTURE.relative_to(ROOT)}", file=sys.stderr)
+    after = {tuple(r["argv"]): r for r in records}
+    for argv in sorted(before.keys() | after.keys()):
+        if argv not in before:
+            print("added:", *argv, file=sys.stderr)
+        elif argv not in after:
+            print("removed:", *argv, file=sys.stderr)
+        elif before[argv] != after[argv]:
+            print("changed:", *argv, file=sys.stderr)

@@ -1,13 +1,14 @@
 """Seven-step ranking pipeline and the lambda sweep."""
 
 import dataclasses
+import math
 import random
 import re
 
 import pytest
 
 import engineers_case as case
-from fnnmadm import aggregate, core
+from fnnmadm import aggregate, core, pipeline
 from fnnmadm import (
     DegenerateCloseness,
     DuplicateLabel,
@@ -19,6 +20,7 @@ from fnnmadm import (
     NotFinite,
     NotNormalized,
     PipelineConfig,
+    SpreadNonPositive,
     ZeroLocation,
     aggregate_rows,
     closeness,
@@ -95,19 +97,53 @@ def test_normalize_single_alternative():
 
 
 def test_normalize_rejects_nonpositive_location():
-    # column max is positive, so construction passes; normalization cannot
+    # the column max is positive, but normalization cannot divide by 0,
+    # so construction rejects the matrix
     zero = make_fnnn(0.0, 1, 0.5, 0.5, 0.5)
     ok = make_fnnn(0.8, 1, 0.5, 0.5, 0.5)
-    dm = make_decision_matrix(["A", "B"], ["x"], [[zero], [ok]], (1.0,))
     with pytest.raises(ZeroLocation):
-        normalize(dm)
+        normalize(make_decision_matrix(["A", "B"], ["x"], [[zero], [ok]], (1.0,)))
 
 
 def test_normalize_rejects_a_spread_that_overflows():
-    # the location normalizes to 1, the spread to (xi / max xi) * (xi / eta) = 1e600
-    dm = make_decision_matrix(["A"], ["x"], [[make_fnnn(1e-300, 1e300, 0.5, 0.5, 0.5)]], (1.0,))
+    # the location normalizes to 1, the spread to (xi / max xi) * (xi / eta) = 1e600,
+    # so construction rejects the matrix
     with pytest.raises(NotFinite, match="xi must be a finite number"):
-        normalize(dm)
+        normalize(make_decision_matrix(["A"], ["x"], [[make_fnnn(1e-300, 1e300, 0.5, 0.5, 0.5)]],
+                                       (1.0,)))
+
+
+def one_column(normals):
+    """A matrix of one attribute whose cells have the (eta, xi) ``normals``."""
+    cells = [[make_fnnn(eta, xi, 0.5, 0.5, 0.5)] for eta, xi in normals]
+    return make_decision_matrix([f"A{k}" for k in range(len(cells))], ["x"], cells, (1.0,))
+
+
+# a spread normalizes to (xi / max xi) * (xi / eta); each case leaves float64's
+# range through a different factor, while the other bounds hold
+@pytest.mark.parametrize("normals", [
+    [(1.0, 2e-150), (1.0, 9e149)],  # xi / max xi = 2.2e-300, times 2e-150
+    [(1e300, 1e-30)],  # xi / eta = 1e-330
+])
+def test_matrix_rejects_a_spread_that_normalizes_to_zero(normals):
+    with pytest.raises(SpreadNonPositive, match=r"at \(A0, x\): normalized xi = 0.0 must be > 0"):
+        one_column(normals)
+
+
+def test_matrix_takes_spreads_that_span_a_wide_range():
+    # (1e-100 / 1e100) * 1e-100 = 1e-300 is still a positive float
+    nm = normalize(one_column([(1.0, 1e-100), (1.0, 1e100)]))
+    assert [xis for _, xis, *_ in nm.rows] == [((1e-100 / 1e100) * 1e-100,), (1e100,)]
+
+
+def test_a_nan_location_does_not_hide_a_nonpositive_one():
+    # min() keeps a NaN that comes first, so a "min <= 0" test would pass this row
+    rows = (((math.nan, -1.0), (1.0, 1.0), (0.5, 0.5), (0.5, 0.5), (0.5, 0.5)),)
+    problems = pipeline._problems(("A",), ("x", "y"), rows, (0.5, 0.5))
+    assert [(cell, str(e)) for cell, e in problems] == [
+        ((0, 0), "invalid cell at (A, x): eta = nan must be > 0 for normalization"),
+        ((0, 1), "invalid cell at (A, y): eta = -1.0 must be > 0 for normalization"),
+    ]
 
 
 def test_normalize_returns_a_normalized_matrix_unchanged(engineers_matrix):

@@ -1,6 +1,10 @@
 """Fold-of-primitives references and the seeded generator."""
 
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -55,6 +59,31 @@ def test_generator_outputs_are_valid():
 def test_generator_rejects_zero_count():
     with pytest.raises(EmptyInput):
         gen_fnnn(FnnnGenConfig(), 0)
+
+
+def test_weights_generator_rejects_zero_length():
+    with pytest.raises(EmptyInput):
+        gen_weights(random.Random(1), 0)
+
+
+def error_in_child(call: str) -> str:
+    """The name of the error ``call`` raises, run in a child interpreter
+    whose run time is capped at 30 s, so a call that never returns fails
+    the test instead of hanging it."""
+    code = f"from fnnmadm import *\ntry:\n {call}\nexcept Exception as e:\n print(type(e).__name__)"
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=30, env={**os.environ, "PYTHONPATH": str(src)})
+    return done.stdout.strip()
+
+
+# unchecked, each of these draws forever: an empty location range, a reversed
+# spread range, and a membership band where 3 * lo^3 exceeds the cubic-sum bound
+@pytest.mark.parametrize(
+    "cfg", ["eta_range=(1.0, 1.0)", "xi_range=(2.0, 1.0)", "membership_range=(0.95, 1.0)"]
+)
+def test_generator_rejects_a_config_it_cannot_draw_from(cfg):
+    assert error_in_child(f"gen_fnnn(FnnnGenConfig({cfg}), 1)") == "ValidationError"
 
 
 # ---------------------------------------------------------------------------
