@@ -119,6 +119,9 @@ def weighted_prob_sum(logs, weights, p: float) -> float:
             z = p * lv  # log_one_minus_exp(z) inline, as z < 0
             acc += w * (log(-expm1(z)) if z > _LOG_HALF else log1p(-exp(z)))
     if acc > -_TINY:  # below the normal range: 1 - prod is -acc
+        top = max(logs)
+        if p * top == _NEG_INF:  # p * log(max v) overflows, so does every term; p may be inf
+            return exp(top)  # the channel's limit, max v: the root moves it by under 1e-300
         terms = [log(w) + log_neg_log_one_minus_exp(p * lv) for lv, w in zip(logs, weights)]
         return exp(log_sum_exp(terms) / p)
     return exp(log_one_minus_exp(acc) / p)

@@ -110,12 +110,15 @@ def _fnnwg(row, ws, lams):
 def _power_mean(xs, ws, lam: float) -> float:
     """(sum_i w_i * x_i**lam)**(1/lam), gfnnwa's location and spread.
 
-    Where the sum leaves float64's normal range, as it does when every
-    power underflows, it is taken of x_i / max|x_i| and the mean scaled
+    Where the sum leaves float64's normal range (every power underflows,
+    or one overflows), it is taken of x_i / max|x_i| and the mean scaled
     back by max|x_i|; a sum in the normal range is used as it is.
     """
-    total = sum(map(mul, ws, map(math.pow, xs, repeat(lam))))
-    if abs(total) < _TINY and (top := max(map(abs, xs))) > 0.0:
+    try:
+        total = sum(map(mul, ws, map(math.pow, xs, repeat(lam))))
+    except OverflowError:
+        total = math.inf
+    if not _TINY <= abs(total) < math.inf and (top := max(map(abs, xs))) > 0.0:
         scaled = [x / top for x in xs]
         return top * math.pow(sum(map(mul, ws, map(math.pow, scaled, repeat(lam)))), 1.0 / lam)
     return math.pow(total, 1.0 / lam)

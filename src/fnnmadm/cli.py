@@ -16,11 +16,12 @@ import json
 import math
 import os
 import sys
+from contextlib import suppress
 from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
 
-from .aggregate import OPERATORS
+from .aggregate import OPERATORS, check_weights
 from .core import Fnnn, check_cell
 from .errors import (
     DegenerateCloseness,
@@ -38,7 +39,6 @@ from .pipeline import (
     PipelineConfig,
     RankingReport,
     SweepResult,
-    _matrix_of_rows,
     _problems,
     lambda_sweep,
     run_pipeline,
@@ -198,8 +198,11 @@ def _build_matrix(
     weights = weights_override if weights_override is not None else raw.weights
     if weights is None:
         raise ParseError("no weights: embed a 'weights' row or pass --weights")
+    if renormalize:  # weights this rejects, the matrix rejects too, after its other problems
+        with suppress(LengthMismatch, WeightInvalid):
+            weights = check_weights(weights, n=len(raw.attributes), renormalize=True)
     rows = tuple(tuple(zip(*row)) for row in raw.cells)
-    return _matrix_of_rows(raw.alternatives, raw.attributes, rows, weights, renormalize)
+    return DecisionMatrix(tuple(raw.alternatives), tuple(raw.attributes), rows, weights)
 
 
 def parse_problem(path: str, fmt: str | None = None) -> DecisionMatrix:
@@ -458,7 +461,7 @@ def _load_matrix(args) -> DecisionMatrix:
     """Read the problem file; apply the --weights override if given.
 
     File/data problems raise FnnError subclasses (exit 2); --weights that
-    make_decision_matrix rejects are a usage problem and raise _UsageError
+    the matrix rejects are a usage problem and raise _UsageError
     (exit 1), as --weights that do not parse are to argparse.
     """
     raw = _read_raw(args.path, args.input_format)
@@ -478,7 +481,7 @@ def cmd_rank(args) -> int:
     dm = _load_matrix(args)
     try:
         config = PipelineConfig(operator=args.operator, metric=args.metric, lam=args.lam)
-    except (KeyError, LambdaInvalid) as e:
+    except LambdaInvalid as e:
         raise _UsageError(str(e)) from None
     rep = run_pipeline(dm, config)
     prec = _precision()

@@ -45,9 +45,11 @@ class DecisionMatrix:
     """n alternatives x m attributes of FNNN cells plus attribute weights.
 
     ``rows`` holds one row per alternative: five tuples of m floats, the
-    cells' eta, xi, t, i and f.  ``cells`` and ``row`` build ``Fnnn``
-    values on demand.  :func:`make_decision_matrix` makes a checked one,
-    which always normalizes.
+    eta, xi, t, i and f of cells that passed ``core.check_cell``.  ``cells``
+    and ``row`` build ``Fnnn`` values on demand.  A raw matrix raises the
+    first of :func:`_problems` when made, so it always normalizes, and
+    holds its weights as floats.  A normalized one, which only
+    :func:`normalize` makes from a raw one, is not checked again.
     """
 
     alternatives: tuple[str, ...]
@@ -55,6 +57,13 @@ class DecisionMatrix:
     rows: tuple[tuple[tuple[float, ...], ...], ...]
     weights: tuple[float, ...]
     normalized: bool = False
+
+    def __post_init__(self):
+        if not self.normalized:
+            problems = _problems(self.alternatives, self.attributes, self.rows, self.weights)
+            for _, problem in problems:
+                raise problem
+            object.__setattr__(self, "weights", tuple(map(float, self.weights)))
 
     @property
     def n_alternatives(self) -> int:
@@ -83,27 +92,17 @@ def make_decision_matrix(
     attributes: Sequence[str],
     cells: Sequence[Sequence[Fnnn]],
     weights: Sequence[float],
-    renormalize: bool = False,
 ) -> DecisionMatrix:
-    """Assemble and validate a decision matrix of ``Fnnn`` cells, which
-    are read once into the matrix's float rows.  Raises the first problem
-    :func:`_problems` finds, so a matrix made here always normalizes.
+    """A raw matrix of ``Fnnn`` cells, read once into its float rows; it
+    checks itself (see :class:`DecisionMatrix`).  To rescale weights that
+    do not sum to 1, pass ``check_weights(weights, renormalize=True)``.
     """
     rows = tuple(tuple(map(tuple, read_row(row))) for row in cells)
-    return _matrix_of_rows(alternatives, attributes, rows, weights, renormalize)
+    alternatives, attributes = tuple(map(str, alternatives)), tuple(map(str, attributes))
+    return DecisionMatrix(alternatives, attributes, rows, weights)
 
 
-def _matrix_of_rows(alternatives, attributes, rows, weights, renormalize=False) -> DecisionMatrix:
-    """:func:`make_decision_matrix` for rows of five float tuples that ``check_cell`` passed."""
-    alternatives = tuple(str(a) for a in alternatives)
-    attributes = tuple(str(a) for a in attributes)
-    for _, problem in _problems(alternatives, attributes, rows, weights, renormalize):
-        raise problem
-    ws = check_weights(weights, n=len(attributes), renormalize=renormalize)
-    return DecisionMatrix(alternatives, attributes, rows, ws)
-
-
-def _problems(alternatives, attributes, rows, weights, renormalize=False, skip=()):
+def _problems(alternatives, attributes, rows, weights, skip=()):
     """Yield ``(cell, error)`` for each reason the matrix cannot be ranked;
     ``cell`` is the (row, column) the error names, or None.
 
@@ -151,7 +150,7 @@ def _problems(alternatives, attributes, rows, weights, renormalize=False, skip=(
                 yield None, DuplicateLabel(f"{kind} label {label!r} appears twice")
     if weights is not None:
         try:
-            check_weights(weights, n=len(attributes), renormalize=renormalize)
+            check_weights(weights, n=len(attributes))
         except (LengthMismatch, WeightInvalid) as e:
             yield None, e
 
@@ -169,8 +168,8 @@ def _normal_rows(rows):
 def normalize(dm: DecisionMatrix) -> DecisionMatrix:
     """Per-attribute normalization (see :func:`_normal_rows`) into float
     rows; membership triples are untouched and no ``Fnnn`` is built.  A
-    normalized matrix is returned as it is.  Checks nothing: a matrix
-    made by :func:`make_decision_matrix` always normalizes."""
+    normalized matrix is returned as it is.  Checks nothing: a raw
+    :class:`DecisionMatrix` checked when it was made that it normalizes."""
     if dm.normalized:
         return dm
     rows = tuple((*normal, *row[2:]) for normal, row in zip(_normal_rows(dm.rows), dm.rows))
@@ -179,15 +178,11 @@ def normalize(dm: DecisionMatrix) -> DecisionMatrix:
 
 def aggregate_rows(dm: DecisionMatrix, operator: str, lam: float = 1.0) -> tuple[Fnnn, ...]:
     """Reduce each alternative's row to a single value with the attribute
-    weights; requires a normalized matrix."""
+    weights; requires a normalized matrix, and takes PipelineConfig's rules."""
     if not dm.normalized:
         raise NotNormalized("normalize the decision matrix before aggregating")
-    if operator not in OPERATORS:
-        raise KeyError(f"unknown operator {operator!r}; choose from {sorted(OPERATORS)}")
-    generator = GENERATORS[operator]
-    ws = check_weights(dm.weights, n=dm.n_attributes)
-    lam = check_lambda(lam)
-    return tuple(value_at(generator, row, ws, lam) for row in dm.rows)
+    PipelineConfig(operator, lam=lam)
+    return tuple(value_at(GENERATORS[operator], row, dm.weights, float(lam)) for row in dm.rows)
 
 
 _POSITIVE_MU = MembershipTriple(1.0, 1.0, 0.0)
@@ -245,14 +240,10 @@ class PipelineConfig:
     lam: float = 1.0
 
     def __post_init__(self):
-        if self.operator not in OPERATORS:
-            raise KeyError(
-                f"unknown operator {self.operator!r}; choose from {sorted(OPERATORS)}"
-            )
-        if self.metric not in METRICS:
-            raise KeyError(
-                f"unknown metric {self.metric!r}; choose from {sorted(METRICS)}"
-            )
+        for kind, name, names in (("operator", self.operator, OPERATORS),
+                                  ("metric", self.metric, METRICS)):
+            if name not in names:
+                raise KeyError(f"unknown {kind} {name!r}; choose from {sorted(names)}")
         check_lambda(self.lam)
 
 
@@ -291,15 +282,13 @@ class _Evaluation(NamedTuple):
 def _evaluations(dm: DecisionMatrix, operator: str, metric: str, lams: Sequence[float]):
     """Yield the ranking at each of the checked values ``lams``.
 
-    The matrix is read and the weights are checked once, and each row
-    gets one generator over ``lams``, which does its lam-free work once.
-    Raises NotFinite when a value overflows float64.
+    The matrix is read once, and each row gets one generator over
+    ``lams``, which does its lam-free work once.  Raises NotFinite when a
+    value overflows float64.
     """
     generator, formula = GENERATORS[operator], FORMULAS[metric]
     phi_positive, phi_negative = phi(_POSITIVE_MU), phi(_NEGATIVE_MU)
-    rows = normalize(dm).rows
-    ws = check_weights(dm.weights, n=dm.n_attributes)
-    values = [generator(row, ws, lams) for row in rows]
+    values = [generator(row, dm.weights, lams) for row in normalize(dm).rows]
     try:
         for lam in lams:
             aggs = [next(v) for v in values]
@@ -395,11 +384,11 @@ def lambda_sweep(
     """Rank at each parameter value and collect closeness rows, orderings
     and transitions; each row equals :func:`run_pipeline`'s at its value.
 
-    The matrix's float rows are used as they are, a raw matrix's
-    locations and spreads normalized once, and the weights are checked
-    once; each row's
-    generator does its lam-free work once, each value then evaluates only
-    what depends on it, on plain floats, and builds no report.
+    The matrix's float rows and weights are used as they are, as the
+    matrix checked them when it was made, and a raw matrix's locations
+    and spreads are normalized once; each row's generator does its
+    lam-free work once, each value then evaluates only what depends on
+    it, on plain floats, and builds no report.
 
     This is where a grid is checked: EmptyInput for no values,
     LambdaInvalid unless every value passes ``check_lambda`` and the

@@ -221,12 +221,14 @@ def test_single_item_weight_one_is_identity():
 # ---------------------------------------------------------------------------
 # large exponents against an exact decimal evaluation
 
-DECIMAL_DIGITS = 100  # far beyond float64, and fast at every power
+# the nested channel near 1 needs (1 - v**(3 lam))**lam, about 1e-97 at v = 0.99999 and
+# lam = 32, kept apart from 1; at 100 digits the oracle read 0.99999000004 there
+DECIMAL_DIGITS = 250
 SERIES_BELOW = Decimal("1e-30")  # where 1 - x would need more digits than that
 
 
 def decimal_complement_pow(x, w):
-    """``1 - (1 - x) ** w`` in decimal for x in [0, 1], to about 70
+    """``1 - (1 - x) ** w`` in decimal for x in [0, 1], to about 90
     significant digits: directly where ``1 - x`` keeps x, and where it
     does not, by three terms of the binomial series, which leave out a
     part of relative size about x**3."""
@@ -343,11 +345,12 @@ DECIMAL_ROWS = {
         (0.9, 0.2, 0.95, 0.5, 0.99999),
         (0.55, 0.45, 0.999, 0.3, 0.9),
     ],
+    "near-one": [(1.0, 1.0, 0.1, 0.1, 0.99999)],  # gfnnwa's nested channel is 1 - 1e-97
 }
+DECIMAL_CASES = [(row, lam) for row in sorted(DECIMAL_ROWS) for lam in (1, 10, 34)]
 
 
-@pytest.mark.parametrize("lam", [1, 10, 34])
-@pytest.mark.parametrize("row", sorted(DECIMAL_ROWS))
+@pytest.mark.parametrize("row, lam", DECIMAL_CASES + [("near-one", 32)])
 @pytest.mark.parametrize("name", sorted(DECIMAL_FORMS))
 def test_operators_match_decimal(name, row, lam):
     cells = DECIMAL_ROWS[row]
@@ -384,8 +387,9 @@ def test_operators_match_decimal_property(name, lam, cells, raw_weights):
     assert_matches_decimal(name, cells, ws, lam)
 
 
-# every x**lam of these underflows float64, so sum(w * x**lam) is 0
-POWER_MEAN_ROWS = {300: (0.02, 0.05, 0.08), 1e4: (0.5, 0.8, 0.9)}
+# every x**lam of the first two underflows float64, so sum(w * x**lam) is 0;
+# 5**1000 of the third overflows
+POWER_MEAN_ROWS = {300: (0.02, 0.05, 0.08), 1e3: (2.0, 3.0, 5.0), 1e4: (0.5, 0.8, 0.9)}
 
 
 @pytest.mark.parametrize("lam", sorted(POWER_MEAN_ROWS))
@@ -415,3 +419,19 @@ def test_large_exponent_channel_matches_decimal(case, lam):
     assert getattr(out, channel) == pytest.approx(
         decimal_prob_channel((0.7, 0.75), (0.5, 0.5), 3 * lam * lam), rel=1e-12
     )
+
+
+# p * log v overflows float64 for these memberships by lam = 5e153, and p = 3 * lam**2
+# itself from about 7.7e153; the channel's limit is the largest membership
+HUGE_LAMBDA_CASES = {
+    "gfnnwa-t": (gfnnwa, [(1, 1, 0.01, 0.5, 0.5), (1, 1, 0.02, 0.5, 0.5)], "t"),
+    "gfnnwg-f": (gfnnwg, [(1, 1, 0.5, 0.5, 0.01), (1, 1, 0.5, 0.5, 0.02)], "f"),
+}
+
+
+@pytest.mark.parametrize("lam", [1e150, 5e153, 1e160, 1e300])
+@pytest.mark.parametrize("case", sorted(HUGE_LAMBDA_CASES))
+def test_large_exponent_channel_tends_to_the_largest_membership(case, lam):
+    op, cells, channel = HUGE_LAMBDA_CASES[case]
+    out = op([make_fnnn(*c) for c in cells], [0.5, 0.5], lam)
+    assert getattr(out, channel) == pytest.approx(0.02, rel=1e-12)

@@ -302,6 +302,16 @@ def test_rank_gfnnwa_where_every_power_of_the_spreads_underflows(capsys, path, l
     assert all(a["xi"] > 0.0 for a in json.loads(out)["aggregates"])
 
 
+@pytest.mark.parametrize("path, operator, lam", [
+    (ROOT / "demos" / "engineers.csv", "gfnnwa", "1e160"),  # 3 * lam**2 is inf
+    (ROOT / "demos" / "engineers.csv", "gfnnwg", "1e160"),
+    (ROOT / "tests" / "golden" / "seeded_12x6.csv", "gfnnwa", "1000"),  # xi**lam of xi > 1
+])
+def test_rank_where_a_power_overflows(capsys, path, operator, lam):
+    code, _, err = run_cli(capsys, "rank", str(path), "--operator", operator, "--lambda", lam)
+    assert (code, err) == (EXIT_OK, "")
+
+
 def test_rank_bad_operator_is_usage_error(engineers_csv_path, capsys):
     code, _, _ = run_cli(capsys, "rank", engineers_csv_path, "--operator", "wavg")
     assert code == EXIT_USAGE

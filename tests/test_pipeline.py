@@ -3,17 +3,16 @@
 import dataclasses
 import math
 import random
-import re
 
 import pytest
 
 import engineers_case as case
 from fnnmadm import aggregate, core, pipeline
 from fnnmadm import (
+    DecisionMatrix,
     DegenerateCloseness,
     DuplicateLabel,
     EmptyInput,
-    FnnError,
     FnnnGenConfig,
     LambdaInvalid,
     LengthMismatch,
@@ -21,6 +20,7 @@ from fnnmadm import (
     NotNormalized,
     PipelineConfig,
     SpreadNonPositive,
+    WeightInvalid,
     ZeroLocation,
     aggregate_rows,
     closeness,
@@ -54,6 +54,32 @@ def test_matrix_shape_validation():
     neg = make_fnnn(-1, 1, 0.5, 0.5, 0.5)
     with pytest.raises(ZeroLocation):
         make_decision_matrix(["A"], ["x"], [[neg]], (1.0,))
+
+
+def test_a_matrix_built_directly_checks_itself():
+    cell = ((1.0,), (1.0,), (0.5,), (0.5,), (0.5,))
+    zero = ((0.0,), *cell[1:])
+    with pytest.raises(ZeroLocation):
+        DecisionMatrix(("A", "B"), ("x",), (zero, cell), (1.0,))
+    with pytest.raises(DuplicateLabel):
+        DecisionMatrix(("A", "A"), ("x",), (cell, cell), (1.0,))
+    with pytest.raises(WeightInvalid):
+        DecisionMatrix(("A", "B"), ("x",), (cell, cell), (0.5,))
+    weights = DecisionMatrix(("A",), ("x",), (cell,), [1]).weights
+    assert weights == (1.0,) and type(weights[0]) is float
+
+
+def test_weights_are_checked_once_per_matrix(monkeypatch, engineers_matrix):
+    calls = []
+    check_weights = pipeline.check_weights
+    monkeypatch.setattr(pipeline, "check_weights",
+                        lambda *args, **kw: calls.append(1) or check_weights(*args, **kw))
+    dm = dataclasses.replace(engineers_matrix)  # made again through the constructor
+    assert len(calls) == 1
+    aggregate_rows(normalize(dm), "gfnnwa", 2)
+    run_pipeline(dm)
+    lambda_sweep(dm, PipelineConfig(), [1, 2])
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize(
@@ -242,16 +268,14 @@ def test_overflow_is_a_typed_error(tmp_path, capsys):
     with pytest.raises(NotFinite):
         lambda_sweep(dm, PipelineConfig(metric="euclidean"), [1, 2])
     with pytest.raises(NotFinite):
-        lambda_sweep(dm, PipelineConfig(operator="gfnnwa"), [1, 3])  # xi' ** 3 again
-    with pytest.raises(NotFinite):
         closeness([float("inf")], [1.0])
     with pytest.raises(NotFinite):
         power(2.0, make_fnnn(1e200, 1, 0.5, 0.5, 0.5))  # eta ** 2 overflows
-    for operator in (gfnnwa, fold_gfnnwa):
-        with pytest.raises(NotFinite):
-            operator([big], [1.0], 3)  # xi ** 3
     with pytest.raises(NotFinite):
-        aggregate_rows(normalize(dm), "gfnnwa", 3)
+        fold_gfnnwa([big], [1.0], 3)  # xi ** 3
+    # gfnnwa's power mean rescales a power that overflows; one spread's mean is itself
+    assert gfnnwa([big], [1.0], 3).xi == 1e300
+    assert aggregate_rows(normalize(dm), "gfnnwa", 3)[0].xi == 1e300
     path = tmp_path / "big.csv"
     path.write_text("alt,x\nA,1.0;1e300;0.5;0.5;0.5\nweights,1\n")
     assert cli_main(["sweep", str(path), "--metric", "euclidean", "--lambdas", "1,2"]) == EXIT_DATA
@@ -393,16 +417,14 @@ def test_sweep_takes_membership_logs_once_per_row(monkeypatch, operator, logs_pe
 
 
 @pytest.mark.parametrize("operator", ["gfnnwa", "gfnnwg"])
-def test_float_path_rejects_what_building_the_aggregates_rejects(engineers_matrix, operator):
-    # at lambda = 1e200 gfnnwa's t and gfnnwg's f are NaN, as 3 * lambda**2 is inf;
-    # ranking on plain floats must fail as building the aggregate values does
-    with pytest.raises(FnnError) as built:
-        aggregate_rows(normalize(engineers_matrix), operator, 1e200)
+def test_float_path_agrees_with_building_the_aggregates(engineers_matrix, operator):
+    # at lambda = 1e200, 3 * lambda**2 (gfnnwa's t, gfnnwg's f) is inf; ranking on
+    # plain floats gives the aggregate values that building them gives
+    aggs = aggregate_rows(normalize(engineers_matrix), operator, 1e200)
     config = PipelineConfig(operator=operator, lam=1e200)
-    with pytest.raises(type(built.value), match=re.escape(str(built.value))):
-        run_pipeline(engineers_matrix, config)
-    with pytest.raises(type(built.value), match=re.escape(str(built.value))):
-        lambda_sweep(engineers_matrix, config, [1e200])
+    report = run_pipeline(engineers_matrix, config)
+    assert report.aggregates == aggs
+    assert lambda_sweep(engineers_matrix, config, [1e200]).rows[0].closeness == report.closeness
 
 
 def test_sweep_requires_increasing_lambdas(engineers_matrix):
