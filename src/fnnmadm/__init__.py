@@ -49,6 +49,7 @@ from .errors import (
     NotNormalized,
     ParseError,
     SpreadNonPositive,
+    UnknownName,
     ValidationError,
     WeightInvalid,
     WeightNonPositive,

@@ -148,6 +148,8 @@ def nested_prob_channel(logs, weights, lam: float) -> float:
         else:
             log_d = log1p(-exp(log_eps))
         log_prod += w * log_d
+    if log_prod == _NEG_INF:  # a v == 0, or p * log v overflowed: the channel's limit
+        return exp(sum([w * lv for lv, w in zip(logs, weights)]))
     log_u = log_one_minus_exp(log_prod) / lam  # log (1 - prod)^(1/lam)
     if log_u > -_TINY:  # below the normal range: 1 - u is -log_u
         return exp((log_neg_log_one_minus_exp(log_prod) - log_lam) / p)

@@ -136,12 +136,21 @@ def _gfnnwa(row, ws, lams):
         yield checked_result(eta, xi, t, i, f)
 
 
+def _scaled_geometric(xs, ws, lam: float) -> float:
+    """prod_i (lam * x_i)**w_i / lam, gfnnwg's location and spread; where
+    that overflows, as its equal lam**(sum w - 1) * prod_i x_i**w_i."""
+    value = math.prod(map(math.pow, map(mul, repeat(lam), xs), ws)) / lam
+    if value < math.inf:
+        return value
+    return math.pow(lam, math.fsum(ws) - 1.0) * math.prod(map(math.pow, xs, ws))
+
+
 def _gfnnwg(row, ws, lams):
     etas, xis, ts, i_s, fs = row
     log_t, log_i, log_f = xlogs(ts), xlogs(i_s), xlogs(fs)
     for lam in lams:
-        eta = math.prod(map(math.pow, map(mul, repeat(lam), etas), ws)) / lam
-        xi = math.prod(map(math.pow, map(mul, repeat(lam), xis), ws)) / lam
+        eta = _scaled_geometric(etas, ws, lam)
+        xi = _scaled_geometric(xis, ws, lam)
         t = nested_prob_channel(log_t, ws, lam)
         i = weighted_prob_sum(log_i, ws, lam)
         f = weighted_prob_sum(log_f, ws, 3.0 * lam * lam)

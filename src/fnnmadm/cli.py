@@ -17,12 +17,12 @@ import math
 import os
 import sys
 from contextlib import suppress
-from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
+from typing import NamedTuple
 
 from .aggregate import OPERATORS, check_weights
-from .core import Fnnn, check_cell
+from .core import Fnnn
 from .errors import (
     DegenerateCloseness,
     DuplicateLabel,
@@ -61,13 +61,13 @@ LAMBDA_GRID_CAP = 10_000
 # problem-file loading
 
 
-@dataclass
-class RawProblem:
-    """Parsed but not yet validated problem content."""
+class RawProblem(NamedTuple):
+    """Parsed but not yet validated problem content, as :func:`_problems`
+    and :class:`DecisionMatrix` take it; weights None if the file has none."""
 
-    alternatives: list[str]
-    attributes: list[str]
-    cells: list[list[tuple[float, float, float, float, float]]]
+    alternatives: tuple[str, ...]
+    attributes: tuple[str, ...]
+    rows: tuple[tuple[tuple[float, ...], ...], ...]
     weights: list[float] | None
 
 
@@ -115,17 +115,16 @@ def _read_csv_problem(path: str) -> RawProblem:
         weights = _numbers(wrow[1:], "weights row", len(rows))
     if not data_rows:
         raise ParseError("no alternative rows found")
-    alternatives, cells = [], []
+    alternatives, rows = [], []
     for r, row in enumerate(data_rows, start=2):
         if len(row) != len(attributes) + 1:
             raise ParseError(
                 f"row has {len(row) - 1} cells, expected {len(attributes)}", row=r
             )
         alternatives.append(row[0].strip())
-        cells.append(
-            [_parse_cell(cell, r, c) for c, cell in enumerate(row[1:], start=2)]
-        )
-    return RawProblem(alternatives, attributes, cells, weights)
+        cells = [_parse_cell(cell, r, c) for c, cell in enumerate(row[1:], start=2)]
+        rows.append(tuple(zip(*cells)))
+    return RawProblem(tuple(alternatives), tuple(attributes), tuple(rows), weights)
 
 
 def _read_json_problem(path: str) -> RawProblem:
@@ -150,7 +149,7 @@ def _read_json_problem(path: str) -> RawProblem:
     n, m = len(alternatives), len(attributes)
     if len(raw_cells) != n * m:
         raise ParseError(f"expected {n * m} cells (row-major), got {len(raw_cells)}")
-    cells = []
+    rows = []
     for i in range(n):
         row = []
         for j in range(m):
@@ -160,11 +159,11 @@ def _read_json_problem(path: str) -> RawProblem:
                 fields = [d[k] for k in ("eta", "xi", "t", "i", "f")]
             except (KeyError, TypeError) as e:
                 raise ParseError(f"{where}: {e}", row=i, col=j) from None
-            row.append(tuple(_numbers(fields, where, i, j)))
-        cells.append(row)
+            row.append(_numbers(fields, where, i, j))
+        rows.append(tuple(zip(*row)))
     if weights is not None:
         weights = _numbers(weights, f"{path}: weights must be numbers")
-    return RawProblem(alternatives, attributes, cells, weights)
+    return RawProblem(tuple(alternatives), tuple(attributes), tuple(rows), weights)
 
 
 def _read_raw(path: str, fmt: str | None = None) -> RawProblem:
@@ -175,34 +174,20 @@ def _read_raw(path: str, fmt: str | None = None) -> RawProblem:
         raise ParseError(f"{path}: {e}") from None
 
 
-def _cell_faults(raw: RawProblem) -> dict[tuple[int, int], ParseError]:
-    """The error ``rank`` gives for each cell ``check_cell`` rejects, by (row, column)."""
-    faults = {}
-    for i, row in enumerate(raw.cells):
-        for j, values in enumerate(row):
-            try:
-                check_cell(*values)
-            except FnnError as e:
-                where = f"({raw.alternatives[i]}, {raw.attributes[j]})"
-                faults[i, j] = ParseError(f"invalid cell at {where}: {e}")
-    return faults
-
-
 def _build_matrix(
     raw: RawProblem,
     weights_override: list[float] | None = None,
     renormalize: bool = False,
 ) -> DecisionMatrix:
-    for fault in _cell_faults(raw).values():
-        raise fault
     weights = weights_override if weights_override is not None else raw.weights
     if weights is None:
+        for _, problem in _problems(*raw):
+            raise problem
         raise ParseError("no weights: embed a 'weights' row or pass --weights")
     if renormalize:  # weights this rejects, the matrix rejects too, after its other problems
         with suppress(LengthMismatch, WeightInvalid):
             weights = check_weights(weights, n=len(raw.attributes), renormalize=True)
-    rows = tuple(tuple(zip(*row)) for row in raw.cells)
-    return DecisionMatrix(tuple(raw.alternatives), tuple(raw.attributes), rows, weights)
+    return DecisionMatrix(raw.alternatives, raw.attributes, raw.rows, weights)
 
 
 def parse_problem(path: str, fmt: str | None = None) -> DecisionMatrix:
@@ -517,10 +502,7 @@ def cmd_sweep(args) -> int:
 def cmd_validate(args) -> int:
     """Print every reason ``rank`` would reject the file for; ``rank`` reports the first."""
     raw = _read_raw(args.path, args.input_format)
-    faults = _cell_faults(raw)
-    rows = tuple(tuple(zip(*row)) for row in raw.cells)
-    problems = [*faults.items(), *_problems(raw.alternatives, raw.attributes, rows, raw.weights,
-                                            skip=faults)]
+    problems = list(_problems(*raw))
     for cell, e in problems:
         if cell is not None:
             print(f"invalid cell {str(e).removeprefix('invalid cell at ')}")
@@ -670,7 +652,7 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         return args.func(args)
-    except (_UsageError, ValueError) as e:
+    except (_UsageError, ValueError) as e:  # ValueError: open() of a path with a NUL byte
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except DegenerateCloseness as e:

@@ -138,13 +138,17 @@ def combined(eta: float, xi: float, t: float, i: float, f: float) -> Fnnn:
 
 
 def check_cell(eta: float, xi: float, t: float, i: float, f: float) -> None:
-    """Check a raw value's float components; raises NotFinite,
+    """Check a raw value's float components, as :func:`make_fnnn` and a
+    :class:`~fnnmadm.pipeline.DecisionMatrix` do; raises NotFinite,
     SpreadNonPositive, MembershipOutOfRange or CubicSumExceeded, in that
     order.  The cubic-sum bound is inclusive: t^3 + i^3 + f^3 == 2 is valid."""
-    check_normal(eta, xi)
-    check_membership(t, i, f)
-    cubic = t ** 3 + i ** 3 + f ** 3
-    if cubic > CUBIC_SUM_BOUND:
+    if not (-math.inf < eta < math.inf and 0.0 < xi < math.inf and 0.0 <= t <= 1.0
+            and 0.0 <= i <= 1.0 and 0.0 <= f <= 1.0
+            and t ** 3 + i ** 3 + f ** 3 <= CUBIC_SUM_BOUND):
+        # one test for the common case; the named checks find the culprit
+        check_normal(eta, xi)
+        check_membership(t, i, f)
+        cubic = t ** 3 + i ** 3 + f ** 3
         raise CubicSumExceeded(f"t^3 + i^3 + f^3 = {cubic:.6g} exceeds {CUBIC_SUM_BOUND:g}")
 
 

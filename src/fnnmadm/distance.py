@@ -9,6 +9,8 @@ nonnegative and preserves the metric properties.
 
 from __future__ import annotations
 
+import math
+
 from .core import Fnnn, MembershipTriple, NormalParams
 
 
@@ -39,9 +41,7 @@ def euclidean(a: Fnnn, b: Fnnn) -> float:
 
 def euclidean_of(pa: float, ea: float, xa: float, pb: float, eb: float, xb: float) -> float:
     """:func:`euclidean` of (ea, xa) and (eb, xb) with phi values pa and pb."""
-    de = abs(pa * ea - pb * eb)
-    dx = abs(pa * xa - pb * xb)
-    return (de ** 3 + dx ** 3 / 3.0) ** (1.0 / 3.0) / 3.0
+    return _cubic_mean(abs(pa * ea - pb * eb), abs(pa * xa - pb * xb)) / 3.0
 
 
 # the distances on plain floats, by metric name
@@ -50,6 +50,17 @@ FORMULAS = {"hamming": hamming_of, "euclidean": euclidean_of}
 
 def normal_distance(p: NormalParams, q: NormalParams) -> float:
     """Plain cubic-mean distance between two normal parameter pairs."""
-    de = abs(p.eta - q.eta)
-    dx = abs(p.xi - q.xi)
-    return (de ** 3 + dx ** 3 / 3.0) ** (1.0 / 3.0)
+    return _cubic_mean(abs(p.eta - q.eta), abs(p.xi - q.xi))
+
+
+def _cubic_mean(de: float, dx: float) -> float:
+    """(de^3 + dx^3 / 3)^(1/3) for de, dx >= 0.  Where a cube or the sum
+    overflows float64, it is taken of de / s and dx / s and scaled back by
+    s = max(de, dx); a finite sum keeps its bits."""
+    try:
+        r = (de ** 3 + dx ** 3 / 3.0) ** (1.0 / 3.0)
+    except OverflowError:
+        r = math.inf
+    if r == math.inf and (s := max(de, dx)) < math.inf:
+        r = s * ((de / s) ** 3 + (dx / s) ** 3 / 3.0) ** (1.0 / 3.0)
+    return r

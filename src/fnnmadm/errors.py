@@ -58,6 +58,12 @@ class EmptyInput(FnnError):
     """An aggregate or extremum of zero values is undefined."""
 
 
+class UnknownName(FnnError, KeyError):
+    """An operator or metric name that is not one of the choices."""
+
+    __str__ = FnnError.__str__  # the message as given, not KeyError's repr of it
+
+
 class DegenerateCloseness(FnnError):
     """Both ideal distances vanished, leaving closeness undefined."""
 

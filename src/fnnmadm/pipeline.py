@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
 
 from .aggregate import GENERATORS, OPERATORS, check_weights, read_row, value_at
-from .core import Fnnn, MembershipTriple, NormalParams, check_lambda, check_normal
+from .core import Fnnn, MembershipTriple, NormalParams, check_cell, check_lambda, check_normal
 from .core import checked_fnnn
 from .distance import FORMULAS, euclidean, hamming, phi, phi_of
 from .errors import (
@@ -33,6 +33,8 @@ from .errors import (
     NotFinite,
     NotNormalized,
     SpreadNonPositive,
+    UnknownName,
+    ValidationError,
     WeightInvalid,
     ZeroLocation,
 )
@@ -45,11 +47,12 @@ class DecisionMatrix:
     """n alternatives x m attributes of FNNN cells plus attribute weights.
 
     ``rows`` holds one row per alternative: five tuples of m floats, the
-    eta, xi, t, i and f of cells that passed ``core.check_cell``.  ``cells``
-    and ``row`` build ``Fnnn`` values on demand.  A raw matrix raises the
-    first of :func:`_problems` when made, so it always normalizes, and
-    holds its weights as floats.  A normalized one, which only
-    :func:`normalize` makes from a raw one, is not checked again.
+    eta, xi, t, i and f of its cells.  ``cells`` and ``row`` build ``Fnnn``
+    values on demand.  A raw matrix raises the first of :func:`_problems`
+    when made, so each of its cells passes ``core.check_cell``, it always
+    normalizes, and it holds its weights as floats.  A normalized one,
+    which only :func:`normalize` makes from a raw one, is not checked
+    again.
     """
 
     alternatives: tuple[str, ...]
@@ -94,7 +97,8 @@ def make_decision_matrix(
     weights: Sequence[float],
 ) -> DecisionMatrix:
     """A raw matrix of ``Fnnn`` cells, read once into its float rows; it
-    checks itself (see :class:`DecisionMatrix`).  To rescale weights that
+    checks itself (see :class:`DecisionMatrix`), so it rejects a cell above
+    the cubic-sum bound, as an aggregate may be.  To rescale weights that
     do not sum to 1, pass ``check_weights(weights, renormalize=True)``.
     """
     rows = tuple(tuple(map(tuple, read_row(row))) for row in cells)
@@ -102,33 +106,42 @@ def make_decision_matrix(
     return DecisionMatrix(alternatives, attributes, rows, weights)
 
 
-def _problems(alternatives, attributes, rows, weights, skip=()):
+def _problems(alternatives, attributes, rows, weights):
     """Yield ``(cell, error)`` for each reason the matrix cannot be ranked;
     ``cell`` is the (row, column) the error names, or None.
 
-    In this order: ZeroLocation for each location of 0 or less; if there
-    is none, check_normal's error for each spread that normalizes out of
+    In this order: ``check_cell``'s error for each cell it rejects, row by
+    row; ZeroLocation for each other location of 0 or less; if there is
+    neither, check_normal's error for each spread that normalizes out of
     float64's range; DuplicateLabel for each repeated label; the error of
-    ``check_weights`` unless ``weights`` is None.  The cells at positions
-    in ``skip`` failed ``check_cell``: they are not read, and no spread is
-    normalized.  A zero-sized or ragged matrix raises at once.
+    ``check_weights`` unless ``weights`` is None.  A zero-sized matrix, or
+    one whose rows do not each hold five tuples of one value per
+    attribute, raises at once.
     """
     if not alternatives or not attributes:
         raise EmptyInput("need at least one alternative and one attribute")
     if len(rows) != len(alternatives):
         raise LengthMismatch(f"{len(alternatives)} alternatives but {len(rows)} cell rows")
+    m = len(attributes)
     for i, row in enumerate(rows):
-        if len(row[0]) != len(attributes):
-            raise LengthMismatch(f"row {i} has {len(row[0])} cells, expected {len(attributes)}")
+        if (widths := [*map(len, row)]) != [m] * 5:
+            raise LengthMismatch(f"row {i} has tuples of {widths} values, expected 5 of {m}")
 
     def at(cls, i, j, reason):
         return (i, j), cls(f"invalid cell at ({alternatives[i]}, {attributes[j]}): {reason}")
 
-    # "> 0", not "<= 0": min() keeps a NaN that comes first
-    located = not skip and (eta_lo := min(min(row[0]) for row in rows)) > 0.0
+    faulty = set()
+    for i, row in enumerate(rows):
+        for j, cell in enumerate(zip(*row)):
+            try:
+                check_cell(*cell)
+            except ValidationError as e:
+                faulty.add((i, j))
+                yield at(type(e), i, j, str(e))
+    located = not faulty and (eta_lo := min(min(row[0]) for row in rows)) > 0.0
     for i, row in enumerate(() if located else rows):
         for j, eta in enumerate(row[0]):
-            if (i, j) not in skip and not eta > 0.0:
+            if (i, j) not in faulty and not eta > 0.0:
                 yield at(ZeroLocation, i, j, f"eta = {eta!r} must be > 0 for normalization")
     if located:
         eta_hi = max(max(row[0]) for row in rows)
@@ -216,7 +229,7 @@ def closeness(dplus: Sequence[float], dminus: Sequence[float]) -> list[float]:
     if not all(map(math.isfinite, dp + dn)):
         raise NotFinite("distances must be finite; a value overflowed float64")
     if any(v < 0 for v in dp) or any(v < 0 for v in dn):
-        raise ValueError("distances must be nonnegative")
+        raise ValidationError("distances must be nonnegative")
     totals = [p + n for p, n in zip(dp, dn)]
     if 0.0 in totals:
         raise DegenerateCloseness(f"D+ + D- is zero for alternative index {totals.index(0.0)}")
@@ -243,7 +256,7 @@ class PipelineConfig:
         for kind, name, names in (("operator", self.operator, OPERATORS),
                                   ("metric", self.metric, METRICS)):
             if name not in names:
-                raise KeyError(f"unknown {kind} {name!r}; choose from {sorted(names)}")
+                raise UnknownName(f"unknown {kind} {name!r}; choose from {sorted(names)}")
         check_lambda(self.lam)
 
 

@@ -27,6 +27,7 @@ from fnnmadm import (
     make_fnnn,
     normalize,
 )
+from fnnmadm._numeric import nested_prob_channel, xlogs
 
 LAMBDAS = (1.0, 2.0, 3.0, 5.0, 10.0)
 
@@ -435,3 +436,40 @@ def test_large_exponent_channel_tends_to_the_largest_membership(case, lam):
     op, cells, channel = HUGE_LAMBDA_CASES[case]
     out = op([make_fnnn(*c) for c in cells], [0.5, 0.5], lam)
     assert getattr(out, channel) == pytest.approx(0.02, rel=1e-12)
+
+
+# the nested channel's p * log v overflows float64 by lam = 5e307, and p = 3 * lam itself
+# from about 6e307; the channel's limit is the weighted geometric mean of the memberships
+NESTED_CASES = {
+    "gfnnwa-f": (gfnnwa, [(1, 1, 0.5, 0.5, 0.3), (1, 1, 0.5, 0.5, 0.6)], "f"),
+    "gfnnwg-t": (gfnnwg, [(1, 1, 0.3, 0.5, 0.5), (1, 1, 0.6, 0.5, 0.5)], "t"),
+}
+
+
+@pytest.mark.parametrize("lam", [1e300, 5e307, 1e308, 1.7e308])
+@pytest.mark.parametrize("case", sorted(NESTED_CASES))
+def test_nested_channel_tends_to_the_weighted_geometric_mean(case, lam):
+    op, cells, channel = NESTED_CASES[case]
+    out = op([make_fnnn(*c) for c in cells], [0.5, 0.5], lam)
+    assert getattr(out, channel) == pytest.approx(math.sqrt(0.3 * 0.6), rel=1e-12)
+
+
+@pytest.mark.parametrize("lam", [1e3, 1e300, 5e307, 1e308, 1.7e308])
+def test_nested_channel_keeps_its_value_at_huge_lambda(lam):
+    assert nested_prob_channel(xlogs([0.3, 0.6, 0.8]), [0.2, 0.3, 0.5], lam) == pytest.approx(
+        0.6031351224746371, rel=1e-15)
+
+
+@pytest.mark.parametrize("cells, lam", [
+    ([(1, 1e300, 0.5, 0.5, 0.5)], 1e10),  # lam * xi overflows
+    ([(1e300, 1e300, 0.5, 0.5, 0.5), (1e200, 1e250, 0.5, 0.5, 0.5)], 1e10),
+    ([(1e300, 1e-300, 0.5, 0.5, 0.5), (1e-300, 1e300, 0.5, 0.5, 0.5)], 1e100),
+])
+def test_gfnnwg_location_and_spread_where_lam_times_a_value_overflows(cells, lam):
+    ws = [1.0 / len(cells)] * len(cells)
+    out = gfnnwg([make_fnnn(*c) for c in cells], ws, lam)
+    etas, xis = [c[0] for c in cells], [c[1] for c in cells]
+    assert out.eta == pytest.approx(decimal_geometric(etas, ws, lam), rel=1e-12)
+    assert out.xi == pytest.approx(decimal_geometric(xis, ws, lam), rel=1e-12)
+    if len(cells) == 1:
+        assert (out.eta, out.xi) == (1.0, 1e300)

@@ -15,7 +15,14 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import engineers_case as case
-from fnnmadm import DegenerateCloseness, ParseError, cli, normalize, rank
+from fnnmadm import (
+    DegenerateCloseness,
+    MembershipOutOfRange,
+    ParseError,
+    cli,
+    normalize,
+    rank,
+)
 from fnnmadm.cli import (
     EXIT_DATA,
     EXIT_DEGENERATE,
@@ -306,10 +313,54 @@ def test_rank_gfnnwa_where_every_power_of_the_spreads_underflows(capsys, path, l
     (ROOT / "demos" / "engineers.csv", "gfnnwa", "1e160"),  # 3 * lam**2 is inf
     (ROOT / "demos" / "engineers.csv", "gfnnwg", "1e160"),
     (ROOT / "tests" / "golden" / "seeded_12x6.csv", "gfnnwa", "1000"),  # xi**lam of xi > 1
+    # the nested channel's 3 * lam * log v overflows, and from about 6e307 so does 3 * lam
+    *[(ROOT / "demos" / "engineers.csv", operator, lam)
+      for operator in ("gfnnwa", "gfnnwg") for lam in ("5e307", "1e308", "1.7e308")],
 ])
 def test_rank_where_a_power_overflows(capsys, path, operator, lam):
     code, _, err = run_cli(capsys, "rank", str(path), "--operator", operator, "--lambda", lam)
     assert (code, err) == (EXIT_OK, "")
+
+
+def test_rank_euclidean_where_a_cube_overflows(tmp_path, capsys):
+    path = tmp_path / "big.csv"
+    path.write_text("alt,x,y\nA,1;1e104;.5;.5;.5,1;1;.5;.5;.5\n"
+                    "B,1;1;.5;.5;.5,1;1;.5;.5;.5\nweights,.5,.5\n")
+    for metric in ("hamming", "euclidean"):
+        code, out, err = run_cli(capsys, "rank", str(path), "--metric", metric, "--format", "csv")
+        assert (code, err) == (EXIT_OK, ""), metric
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert all(0.0 <= float(r["closeness"]) <= 1.0 for r in rows), metric
+
+
+def test_parse_problem_raises_the_cells_own_error(tmp_path):
+    path = tmp_path / "problem.csv"
+    path.write_text("alt,x\nA,1;1;1.5;0.5;0.5\nweights,1\n")
+    with pytest.raises(MembershipOutOfRange) as raised:
+        parse_problem(str(path))
+    assert str(raised.value) == "invalid cell at (A, x): t = 1.5 is outside [0, 1]"
+
+
+@pytest.mark.parametrize("rows", [
+    ["A,0;1;.5;.5;.5", "B,1;1;.5;.5;.5"],  # a location of 0
+    ["A,1;1;.5;.5;.5", "A,1;1;.5;.5;.5"],  # a repeated label
+    ["A,1;1;nan;.5;.5", "B,1;1;.5;.5;.5"],
+])
+def test_rank_reports_what_validate_reports_first_before_missing_weights(tmp_path, capsys, rows):
+    path = tmp_path / "problem.csv"
+    path.write_text("\n".join(["alt,x", *rows]) + "\n")
+    code, out, _ = run_cli(capsys, "validate", str(path))
+    first = out.splitlines()[0].replace("invalid cell (", "invalid cell at (")
+    code, _, err = run_cli(capsys, "rank", str(path))
+    assert code == EXIT_DATA
+    assert err == f"error: {first.removeprefix('invalid labels: ')}\n"
+
+
+def test_a_path_holding_a_nul_byte_is_a_usage_error(capsys):
+    # open() raises ValueError for it, which main maps to exit 1
+    code, out, err = run_cli(capsys, "rank", "problem\0.csv")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "error: embedded null byte\n"
 
 
 def test_rank_bad_operator_is_usage_error(engineers_csv_path, capsys):

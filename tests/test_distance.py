@@ -1,5 +1,7 @@
 """Phi weighting and the two ideal-distance measures."""
 
+from decimal import Decimal, localcontext
+
 import pytest
 
 from fnnmadm import (
@@ -129,3 +131,25 @@ def test_normal_distance_values():
     assert normal_distance(NormalParams(3, 5), NormalParams(1, 2)) == pytest.approx(
         17 ** (1 / 3), abs=1e-12
     )
+
+
+def decimal_cubic_mean(de, dx) -> float:
+    """``(de**3 + dx**3 / 3) ** (1/3)`` in decimal."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        return float((Decimal(de) ** 3 + Decimal(dx) ** 3 / 3) ** (Decimal(1) / 3))
+
+
+@pytest.mark.parametrize("a, b", [
+    ((1, 1e104, 0.5, 0.5, 0.5), (1, 1, 0.5, 0.5, 0.5)),  # one cube overflows
+    ((1e200, 1, 0.9, 0.5, 0.1), (1, 1e150, 0.2, 0.3, 0.8)),  # both do
+    ((5.5e102, 1, 1, 1, 0), (1, 4e102, 1, 1, 0)),  # the cubes do not, their sum does
+    ((1e300, 1e-300, 0.5, 0.5, 0.5), (-1e300, 1e300, 0.5, 0.5, 0.5)),
+])
+def test_cubic_distances_where_a_cube_overflows(a, b):
+    a, b = make_fnnn(*a), make_fnnn(*b)
+    pa, pb = phi(a.mu), phi(b.mu)
+    expected = decimal_cubic_mean(abs(pa * a.eta - pb * b.eta), abs(pa * a.xi - pb * b.xi)) / 3
+    assert euclidean(a, b) == pytest.approx(expected, rel=1e-12)
+    expected = decimal_cubic_mean(abs(a.eta - b.eta), abs(a.xi - b.xi))
+    assert normal_distance(a.normal, b.normal) == pytest.approx(expected, rel=1e-12)

@@ -5,25 +5,34 @@ import math
 import random
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import engineers_case as case
 from fnnmadm import aggregate, core, pipeline
 from fnnmadm import (
+    OPERATORS,
+    CubicSumExceeded,
     DecisionMatrix,
     DegenerateCloseness,
     DuplicateLabel,
     EmptyInput,
+    FnnError,
     FnnnGenConfig,
     LambdaInvalid,
     LengthMismatch,
+    MembershipOutOfRange,
     NotFinite,
     NotNormalized,
     PipelineConfig,
     SpreadNonPositive,
+    UnknownName,
+    ValidationError,
     WeightInvalid,
     ZeroLocation,
     aggregate_rows,
     closeness,
+    fnnwa,
     fold_fnnwa,
     fold_gfnnwa,
     gen_fnnn,
@@ -38,7 +47,6 @@ from fnnmadm import (
     rank,
     run_pipeline,
 )
-from fnnmadm.cli import EXIT_DATA
 from fnnmadm.cli import main as cli_main
 from fnnmadm.cli import report_to_dict, _dump_json
 
@@ -67,6 +75,84 @@ def test_a_matrix_built_directly_checks_itself():
         DecisionMatrix(("A", "B"), ("x",), (cell, cell), (0.5,))
     weights = DecisionMatrix(("A",), ("x",), (cell,), [1]).weights
     assert weights == (1.0,) and type(weights[0]) is float
+
+
+@pytest.mark.parametrize("cell, error, reason", [
+    ((1.0, 1.0, 1.5, 0.5, 0.5), MembershipOutOfRange, "t = 1.5 is outside [0, 1]"),
+    ((1.0, 1.0, math.nan, 0.5, 0.5), MembershipOutOfRange, "t is not a number"),
+    ((1.0, 1.0, -0.2, 0.5, 0.5), MembershipOutOfRange, "t = -0.2 is outside [0, 1]"),
+    ((1.0, 1.0, 1.0, 1.0, 1.0), CubicSumExceeded, "t^3 + i^3 + f^3 = 3 exceeds 2"),
+    ((1.0, 0.0, 0.5, 0.5, 0.5), SpreadNonPositive, "xi = 0.0 must be > 0"),
+    ((math.inf, 1.0, 0.5, 0.5, 0.5), NotFinite, "eta must be a finite number"),
+])
+def test_a_matrix_built_directly_checks_its_cells(cell, error, reason):
+    # each cell is checked as make_fnnn checks it, next to a valid cell
+    row = tuple(zip((1.0, 1.0, 0.5, 0.5, 0.5), cell))
+    with pytest.raises(error) as raised:
+        DecisionMatrix(("A",), ("x", "y"), (row,), (0.5, 0.5))
+    assert str(raised.value) == f"invalid cell at (A, y): {reason}"
+
+
+@pytest.mark.parametrize("row", [
+    ((1.0, 1.0), (1.0,), (0.5, 0.5), (0.5, 0.5), (0.5, 0.5)),  # one spread short
+    ((1.0, 1.0), (1.0, 1.0), (0.5, 0.5), (0.5, 0.5)),  # no falsities
+    ((1.0, 1.0), (1.0, 1.0), (0.5, 0.5), (0.5, 0.5), (0.5, 0.5), (0.5, 0.5)),
+])
+def test_a_matrix_checks_the_shape_of_each_row(row):
+    with pytest.raises(LengthMismatch):
+        DecisionMatrix(("A",), ("x", "y"), (row,), (0.5, 0.5))
+
+
+def test_make_decision_matrix_rejects_a_cell_above_the_cubic_sum_bound():
+    agg = fnnwa([make_fnnn(1, 1, 1, 0, 1), make_fnnn(1, 1, 0, 1, 1)], [0.5, 0.5])
+    assert not agg.is_valid()
+    with pytest.raises(CubicSumExceeded, match=r"^invalid cell at \(A, x\): "):
+        make_decision_matrix(["A"], ["x"], [[agg]], (1.0,))
+
+
+ANY_FLOAT = st.floats() | st.floats(0.0, 1.0) | st.sampled_from([0.0, 1.0, 1e-300, 1e300])
+ANY_CELL = st.tuples(ANY_FLOAT, ANY_FLOAT, ANY_FLOAT, ANY_FLOAT, ANY_FLOAT)
+UNIT_CELL = st.tuples(
+    st.floats(1e-3, 1e3), st.floats(1e-3, 1e3), *[st.floats(0.0, 0.8)] * 3
+)
+
+
+@st.composite
+def direct_matrices(draw):
+    """Cells and weights of a 1-3 x 1-3 matrix; half the matrices mix cells
+    of arbitrary floats into cells in range, the other half are in range."""
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    cell = ANY_CELL | UNIT_CELL if draw(st.booleans()) else UNIT_CELL
+    row = st.lists(cell, min_size=m, max_size=m)
+    cells = draw(st.lists(row, min_size=n, max_size=n))
+    weights = draw(st.just([1.0 / m] * m) | st.lists(ANY_FLOAT, min_size=m, max_size=m))
+    return cells, weights
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@example(matrix=([[(1.0, 1.0, math.nan, 0.5, 0.5), (1.0, 1.0, 0.5, 0.5, 0.5)]], [0.5, 0.5]))
+@example(matrix=([[(1.0, 1.0, 1.5, 0.5, 0.5), (1.0, 1.0, 0.5, 0.5, 0.5)]], [0.5, 0.5]))
+@example(matrix=([[(1.0, 1e104, 0.5, 0.5, 0.5)], [(1.0, 1.0, 0.5, 0.5, 0.5)]], [1.0]))
+@given(matrix=direct_matrices())
+def test_a_directly_built_matrix_ranks_or_raises_a_typed_error(matrix):
+    cells, weights = matrix
+    rows = tuple(tuple(zip(*row)) for row in cells)
+    labels = [f"A{k}" for k in range(len(cells))], [f"C{j}" for j in range(len(weights))]
+    try:
+        dm = DecisionMatrix(*labels, rows, weights)
+    except FnnError:
+        return
+    for row in cells:
+        for cell in row:
+            make_fnnn(*cell)  # the matrix took only cells that make a value
+    for operator in OPERATORS:
+        for metric in ("hamming", "euclidean"):
+            for lam in (1.0, 3.0):
+                try:
+                    rep = run_pipeline(dm, PipelineConfig(operator, metric, lam))
+                except FnnError:
+                    continue
+                assert all(0.0 <= c <= 1.0 for c in rep.closeness), (operator, metric, lam)
 
 
 def test_weights_are_checked_once_per_matrix(monkeypatch, engineers_matrix):
@@ -163,11 +249,10 @@ def test_matrix_takes_spreads_that_span_a_wide_range():
 
 
 def test_a_nan_location_does_not_hide_a_nonpositive_one():
-    # min() keeps a NaN that comes first, so a "min <= 0" test would pass this row
     rows = (((math.nan, -1.0), (1.0, 1.0), (0.5, 0.5), (0.5, 0.5), (0.5, 0.5)),)
     problems = pipeline._problems(("A",), ("x", "y"), rows, (0.5, 0.5))
     assert [(cell, str(e)) for cell, e in problems] == [
-        ((0, 0), "invalid cell at (A, x): eta = nan must be > 0 for normalization"),
+        ((0, 0), "invalid cell at (A, x): eta must be a finite number"),
         ((0, 1), "invalid cell at (A, y): eta = -1.0 must be > 0 for normalization"),
     ]
 
@@ -258,15 +343,16 @@ def test_closeness_values():
         closeness([0.0, 0.1], [0.0, 0.2])
     with pytest.raises(LengthMismatch):
         closeness([0.1], [0.1, 0.2])
+    with pytest.raises(ValidationError, match="^distances must be nonnegative$"):
+        closeness([-1.0], [1.0])
 
 
 def test_overflow_is_a_typed_error(tmp_path, capsys):
     big = make_fnnn(1.0, 1e300, 0.5, 0.5, 0.5)
     dm = make_decision_matrix(["A"], ["x"], [[big]], (1.0,))
-    with pytest.raises(NotFinite):
-        run_pipeline(dm, PipelineConfig(metric="euclidean"))  # xi' ** 3 overflows
-    with pytest.raises(NotFinite):
-        lambda_sweep(dm, PipelineConfig(metric="euclidean"), [1, 2])
+    # the Euclidean distance rescales a cube that overflows (xi' ** 3 here)
+    config = PipelineConfig(metric="euclidean")
+    assert run_pipeline(dm, config).closeness == lambda_sweep(dm, config, [1, 2]).rows[0].closeness
     with pytest.raises(NotFinite):
         closeness([float("inf")], [1.0])
     with pytest.raises(NotFinite):
@@ -278,8 +364,8 @@ def test_overflow_is_a_typed_error(tmp_path, capsys):
     assert aggregate_rows(normalize(dm), "gfnnwa", 3)[0].xi == 1e300
     path = tmp_path / "big.csv"
     path.write_text("alt,x\nA,1.0;1e300;0.5;0.5;0.5\nweights,1\n")
-    assert cli_main(["sweep", str(path), "--metric", "euclidean", "--lambdas", "1,2"]) == EXIT_DATA
-    assert "overflowed" in capsys.readouterr().err
+    assert cli_main(["sweep", str(path), "--metric", "euclidean", "--lambdas", "1,2"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_each_aggregate_is_checked_once(engineers_matrix, monkeypatch):
@@ -357,9 +443,9 @@ def test_run_pipeline_deterministic_bytes(engineers_matrix):
 
 
 def test_pipeline_config_validation():
-    with pytest.raises(KeyError):
+    with pytest.raises(UnknownName, match=r"^unknown operator 'nope'; choose from \["):
         PipelineConfig(operator="nope")
-    with pytest.raises(KeyError):
+    with pytest.raises(KeyError):  # an UnknownName is a KeyError too
         PipelineConfig(metric="nope")
     with pytest.raises(LambdaInvalid):
         PipelineConfig(lam=0.5)
