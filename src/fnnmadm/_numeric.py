@@ -17,12 +17,17 @@ the small quantity is a log-sum-exp of ``log w_i + p * log v_i`` (in the
 nested channel, ``log lam + p * log v_i`` for each d_i), and the channel
 is its p-th root (Mächler 2012, "Accurately computing
 log(1 - exp(-|a|))"; Blanchard, Higham & Higham 2021, "Accurately
-computing the log-sum-exp and softmax functions").  One comparison
-after the loop selects that path (the nested channel adds one per cell,
-inside a branch it already takes), so every result whose accumulator
-stays in the normal range is computed exactly as without it.  The hot
-loops inline ``log_one_minus_exp`` in the same order of operations, so
-they call no Python function per cell.
+computing the log-sum-exp and softmax functions"); where p * log v
+overflows, it returns the channel's limit.  One comparison after the
+loop selects that path (the nested channel adds one per cell, inside a
+branch it already takes), so every result whose accumulator stays in
+the normal range is computed exactly as without it.  The hot loops
+inline ``log_one_minus_exp`` in the same order of operations, so they
+call no Python function per cell.
+
+:func:`weighted_prob_sum` is the one weighted channel: the closed forms
+call it over a row, ``scale`` and ``power`` with one term, and
+:func:`prob_sum_root` with two where its linear sum leaves the normal range.
 """
 
 from __future__ import annotations
@@ -41,11 +46,6 @@ _NEGLIGIBLE = -37.0  # for z below it, -log(1 - e**z) == e**z in float64
 def clip01(x: float) -> float:
     # round-off guard; exact arithmetic keeps the algebra inside [0, 1]
     return 0.0 if x <= 0.0 else (1.0 if x >= 1.0 else x)
-
-
-def prob_sum(a: float, b: float) -> float:
-    """a + b - a*b, the probabilistic sum on [0, 1]."""
-    return a + b - a * b
 
 
 def xlog(x: float) -> float:
@@ -78,30 +78,6 @@ def log_sum_exp(xs: list[float]) -> float:
     return top + math.log(sum(math.exp(x - top) for x in xs))
 
 
-def prob_sum_root(a: float, b: float, p: float) -> float:
-    """(a**p + b**p - a**p * b**p)**(1/p) for a, b in [0, 1]: the
-    probabilistic sum of two p-th powers under the p-th root."""
-    s = prob_sum(a ** p, b ** p)
-    if s >= 1.0:
-        return 1.0
-    if s < _TINY:  # both powers below the normal range: s is their sum
-        return math.exp(log_sum_exp([p * lv for lv in xlogs((a, b))]) / p)
-    return math.exp(xlog(s) / p)
-
-
-def q_channel(v: float, w: float, p: float) -> float:
-    """(1 - (1 - v**p)**w)**(1/p): one weighted probabilistic channel."""
-    if v >= 1.0:
-        return 1.0
-    if v <= 0.0:
-        return 0.0
-    z = p * xlog(v)
-    acc = w * log_one_minus_exp(z)  # log (1 - v**p)**w
-    if acc > -_TINY:  # below the normal range: 1 - (1 - v**p)**w is -acc
-        return math.exp((math.log(w) + log_neg_log_one_minus_exp(z)) / p)
-    return math.exp(log_one_minus_exp(acc) / p)
-
-
 def xlogs(values) -> list[float]:
     """xlog of each value in [0, 1], and -inf for a value of 0, whose
     log is undefined (math.log(0) raises)."""
@@ -125,6 +101,17 @@ def weighted_prob_sum(logs, weights, p: float) -> float:
         terms = [log(w) + log_neg_log_one_minus_exp(p * lv) for lv, w in zip(logs, weights)]
         return exp(log_sum_exp(terms) / p)
     return exp(log_one_minus_exp(acc) / p)
+
+
+def prob_sum_root(a: float, b: float, p: float) -> float:
+    """(a**p + b**p - a**p * b**p)**(1/p) for a, b in [0, 1]: the
+    probabilistic sum of two p-th powers under the p-th root."""
+    s = a ** p + b ** p - a ** p * b ** p
+    if s >= 1.0:
+        return 1.0
+    if s < _TINY:  # below the normal range: the channel kernel, by its exact path or limit
+        return weighted_prob_sum(xlogs((a, b)), (1.0, 1.0), p)
+    return math.exp(xlog(s) / p)
 
 
 def nested_prob_channel(logs, weights, lam: float) -> float:

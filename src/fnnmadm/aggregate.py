@@ -138,8 +138,12 @@ def _gfnnwa(row, ws, lams):
 
 def _scaled_geometric(xs, ws, lam: float) -> float:
     """prod_i (lam * x_i)**w_i / lam, gfnnwg's location and spread; where
-    that overflows, as its equal lam**(sum w - 1) * prod_i x_i**w_i."""
-    value = math.prod(map(math.pow, map(mul, repeat(lam), xs), ws)) / lam
+    that overflows (a weight above 1 may overflow one power), as its equal
+    lam**(sum w - 1) * prod_i x_i**w_i."""
+    try:
+        value = math.prod(map(math.pow, map(mul, repeat(lam), xs), ws)) / lam
+    except OverflowError:
+        value = math.inf
     if value < math.inf:
         return value
     return math.pow(lam, math.fsum(ws) - 1.0) * math.prod(map(math.pow, xs, ws))

@@ -146,6 +146,12 @@ def _read_json_problem(path: str) -> RawProblem:
         raise ParseError(f"{path}: alternatives, attributes, cells and weights must be lists")
     alternatives = [str(a) for a in alternatives]
     attributes = [str(a) for a in attributes]
+    for kind, labels in (("alternative", alternatives), ("attribute", attributes)):
+        for label in labels:  # a lone surrogate, from a \ud800 escape, is no UTF-8 text
+            try:
+                label.encode("utf-8")
+            except UnicodeEncodeError:
+                raise ParseError(f"{path}: {kind} label {label!r} holds a lone surrogate") from None
     n, m = len(alternatives), len(attributes)
     if len(raw_cells) != n * m:
         raise ParseError(f"expected {n * m} cells (row-major), got {len(raw_cells)}")
@@ -652,7 +658,7 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         return args.func(args)
-    except (_UsageError, ValueError) as e:  # ValueError: open() of a path with a NUL byte
+    except (_UsageError, ValueError) as e:  # a path with a NUL byte, a label stdout cannot encode
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except DegenerateCloseness as e:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._numeric import clip01, prob_sum_root, q_channel, real_pow
+from ._numeric import clip01, prob_sum_root, real_pow, weighted_prob_sum, xlogs
 from .errors import (
     CubicSumExceeded,
     LambdaInvalid,
@@ -218,8 +218,8 @@ def scale(w: float, a: Fnnn, lam: float = 1.0) -> Fnnn:
     lam = check_lambda(lam)
     if w == 1.0:
         return a
-    t = q_channel(a.t, w, 3.0 * lam)
-    i = q_channel(a.i, w, lam)
+    t = weighted_prob_sum(xlogs((a.t,)), (w,), 3.0 * lam)
+    i = weighted_prob_sum(xlogs((a.i,)), (w,), lam)
     f = a.f ** w
     return combined(w * a.eta, w * a.xi, t, i, f)
 
@@ -239,8 +239,8 @@ def power(w: float, a: Fnnn, lam: float = 1.0) -> Fnnn:
     except OverflowError:
         raise NotFinite(f"the power {w!r} of a value overflowed float64") from None
     t = a.t ** w
-    i = q_channel(a.i, w, lam)
-    f = q_channel(a.f, w, 3.0 * lam)
+    i = weighted_prob_sum(xlogs((a.i,)), (w,), lam)
+    f = weighted_prob_sum(xlogs((a.f,)), (w,), 3.0 * lam)
     return combined(eta, xi, t, i, f)
 
 

@@ -17,7 +17,7 @@ wraps the values at its one parameter into a report.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 from .aggregate import GENERATORS, OPERATORS, check_weights, read_row, value_at
@@ -48,25 +48,23 @@ class DecisionMatrix:
 
     ``rows`` holds one row per alternative: five tuples of m floats, the
     eta, xi, t, i and f of its cells.  ``cells`` and ``row`` build ``Fnnn``
-    values on demand.  A raw matrix raises the first of :func:`_problems`
+    values on demand.  A matrix raises the first of :func:`_problems`
     when made, so each of its cells passes ``core.check_cell``, it always
-    normalizes, and it holds its weights as floats.  A normalized one,
-    which only :func:`normalize` makes from a raw one, is not checked
-    again.
+    normalizes, and it holds its weights as floats.  ``normalized`` is not
+    a constructor argument: only :func:`normalize` sets it, on a copy of a
+    checked matrix.
     """
 
     alternatives: tuple[str, ...]
     attributes: tuple[str, ...]
     rows: tuple[tuple[tuple[float, ...], ...], ...]
     weights: tuple[float, ...]
-    normalized: bool = False
+    normalized: bool = field(default=False, init=False)
 
     def __post_init__(self):
-        if not self.normalized:
-            problems = _problems(self.alternatives, self.attributes, self.rows, self.weights)
-            for _, problem in problems:
-                raise problem
-            object.__setattr__(self, "weights", tuple(map(float, self.weights)))
+        for _, problem in _problems(self.alternatives, self.attributes, self.rows, self.weights):
+            raise problem
+        object.__setattr__(self, "weights", tuple(map(float, self.weights)))
 
     @property
     def n_alternatives(self) -> int:
@@ -186,7 +184,9 @@ def normalize(dm: DecisionMatrix) -> DecisionMatrix:
     if dm.normalized:
         return dm
     rows = tuple((*normal, *row[2:]) for normal, row in zip(_normal_rows(dm.rows), dm.rows))
-    return replace(dm, rows=rows, normalized=True)
+    normal = object.__new__(DecisionMatrix)  # not made by __init__, so not checked again
+    vars(normal).update(vars(dm), rows=rows, normalized=True)
+    return normal
 
 
 def aggregate_rows(dm: DecisionMatrix, operator: str, lam: float = 1.0) -> tuple[Fnnn, ...]:

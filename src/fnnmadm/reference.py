@@ -4,8 +4,10 @@ The folds build each aggregate literally from its defining expression
 using only :mod:`fnnmadm.core` primitives (left association; the algebra
 is associative, so the order is immaterial up to round-off).  They exist
 to cross-check the closed forms in :mod:`fnnmadm.aggregate` and the
-algebraic identities, so they deliberately share no arithmetic with
-them: only the primitives and the input checks of ``_prepare``.
+algebraic identities.  They share with them the input checks of
+``_prepare`` and the channel kernel ``_numeric.weighted_prob_sum``; not
+the composition, step by step here, nor the linear two-term sum of
+``boxplus`` and ``boxtimes``, a**p + b**p - a**p * b**p.
 """
 
 from __future__ import annotations

@@ -11,10 +11,12 @@ from hypothesis import strategies as st
 import engineers_case as case
 from fnnmadm import (
     OPERATORS,
+    DecisionMatrix,
     EmptyInput,
     FnnnGenConfig,
     LengthMismatch,
     NormalDomainError,
+    PipelineConfig,
     WeightInvalid,
     check_weights,
     fnnwa,
@@ -26,6 +28,7 @@ from fnnmadm import (
     gfnnwg,
     make_fnnn,
     normalize,
+    run_pipeline,
 )
 from fnnmadm._numeric import nested_prob_channel, xlogs
 
@@ -473,3 +476,16 @@ def test_gfnnwg_location_and_spread_where_lam_times_a_value_overflows(cells, lam
     assert out.xi == pytest.approx(decimal_geometric(xis, ws, lam), rel=1e-12)
     if len(cells) == 1:
         assert (out.eta, out.xi) == (1.0, 1e300)
+
+
+@pytest.mark.parametrize("lam", [1e308, 1.7e308])
+def test_gfnnwg_where_a_weight_above_1_overflows_a_power(lam):
+    # check_weights takes 1.000001 within its tolerance, and math.pow of
+    # lam * 1.797 to that weight raises OverflowError rather than giving inf
+    ws = [1.000001]
+    out = gfnnwg([make_fnnn(1, 1.797, 0.5, 0.5, 0.5)], ws, lam)
+    assert out.eta == pytest.approx(decimal_geometric([1.0], ws, lam), rel=1e-12)
+    assert out.xi == pytest.approx(decimal_geometric([1.797], ws, lam), rel=1e-12)
+    rows = (((1.0,), (1.797,), (0.5,), (0.5,), (0.5,)), ((1.0,), (1.0,), (0.4,), (0.5,), (0.5,)))
+    dm = DecisionMatrix(("A", "B"), ("x",), rows, ws)
+    assert run_pipeline(dm, PipelineConfig("gfnnwg", lam=lam)).ordering == (0, 1)

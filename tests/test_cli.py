@@ -363,6 +363,27 @@ def test_a_path_holding_a_nul_byte_is_a_usage_error(capsys):
     assert err == "error: embedded null byte\n"
 
 
+@pytest.mark.parametrize("kind", ["alternative", "attribute"])
+@pytest.mark.parametrize("argv", [
+    ("rank", "--format", "table"),
+    ("rank", "--format", "csv"),
+    ("rank", "--format", "json"),
+    ("sweep", "--lambda-range", "1..3"),
+    ("validate",),
+], ids=["rank-table", "rank-csv", "rank-json", "sweep", "validate"])
+def test_a_label_holding_a_lone_surrogate_is_a_data_error(tmp_path, capsys, argv, kind):
+    # only a JSON escape gives one; UTF-8 cannot encode it, so it is rejected
+    # when the file is read, before any ranking
+    labels = {"alternatives": ["A", "B"], "attributes": ["x"]}
+    labels[f"{kind}s"][0] = "\ud800"
+    cells = [{"eta": 1, "xi": 1, "t": t, "i": 0.5, "f": 0.5} for t in (0.5, 0.4)]
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps({**labels, "cells": cells, "weights": [1]}))
+    code, out, err = run_cli(capsys, argv[0], str(path), *argv[1:])
+    assert (code, out) == (EXIT_DATA, "")
+    assert err == f"error: {path}: {kind} label '\\ud800' holds a lone surrogate\n"
+
+
 def test_rank_bad_operator_is_usage_error(engineers_csv_path, capsys):
     code, _, _ = run_cli(capsys, "rank", engineers_csv_path, "--operator", "wavg")
     assert code == EXIT_USAGE

@@ -332,16 +332,28 @@ def test_scale_composition():
         assert_close(power(u, power(w, v, lam), lam), power(u * w, v, lam), 1e-12)
 
 
-@pytest.mark.parametrize("lam", [34.0, 60.0])
+@pytest.mark.parametrize("lam", [34.0, 60.0, 1e308, 1.7e308])
 def test_primitives_keep_channels_whose_powers_underflow(lam):
     # 1e-4 ** (3 lam) is below float64's range; when v**p is that small,
     # (1 - (1 - v**p) ** w) ** (1/p) is v * w ** (1/p) and
-    # (v**p + v**p - v**(2p)) ** (1/p) is v * 2 ** (1/p) to double precision
+    # (v**p + v**p - v**(2p)) ** (1/p) is v * 2 ** (1/p) to double precision.
+    # From lam = 1e308, 3 * lam is inf and the channels take their limit, v
     v, p = make_fnnn(0.5, 0.5, 1e-4, 0.5, 1e-4), 3 * lam
     assert scale(0.3, v, lam).t == pytest.approx(1e-4 * 0.3 ** (1 / p), rel=1e-13)
     assert power(0.3, v, lam).f == pytest.approx(1e-4 * 0.3 ** (1 / p), rel=1e-13)
     assert boxplus(v, v, lam).t == pytest.approx(1e-4 * 2 ** (1 / p), rel=1e-13)
     assert boxtimes(v, v, lam).f == pytest.approx(1e-4 * 2 ** (1 / p), rel=1e-13)
+
+
+def test_primitives_keep_a_tiny_membership_where_its_log_power_overflows():
+    # at lam = 1e306, p * log(1e-300) is below -1.8e308 in both channels, so
+    # each takes the channel's limit, the membership itself, and not 0.0
+    v, lam = make_fnnn(0.5, 0.5, 1e-300, 1e-300, 1e-300), 1e306
+    tiny = pytest.approx(1e-300, rel=1e-12, abs=0.0)  # approx's default abs would take 0.0
+    for out in (scale(0.5, v, lam), power(0.5, v, lam), boxplus(v, v, lam), boxtimes(v, v, lam)):
+        assert out.i == tiny
+    assert (scale(0.5, v, lam).t, power(0.5, v, lam).f) == (tiny, tiny)
+    assert (boxplus(v, v, lam).t, boxtimes(v, v, lam).f) == (tiny, tiny)
 
 
 def test_scale_rejects_nonpositive_weight():

@@ -103,6 +103,20 @@ def test_a_matrix_checks_the_shape_of_each_row(row):
         DecisionMatrix(("A",), ("x", "y"), (row,), (0.5, 0.5))
 
 
+@pytest.mark.parametrize("t", [1.5, math.nan])
+def test_a_matrix_cannot_be_made_normalized(t, engineers_matrix):
+    # as a constructor argument, normalized=True skipped every check: with
+    # t = 1.5 run_pipeline raised a bare ValueError, with t = nan it ranked
+    rows = (((1.0,), (1.0,), (t,), (0.5,), (0.5,)), ((1.0,), (1.0,), (0.5,), (0.5,), (0.5,)))
+    with pytest.raises(TypeError):
+        DecisionMatrix(("A", "B"), ("x",), rows, (1.0,), normalized=True)
+    with pytest.raises(ValueError):
+        dataclasses.replace(engineers_matrix, normalized=True)
+    nm = normalize(engineers_matrix)
+    assert nm.normalized and not engineers_matrix.normalized
+    assert normalize(nm) is nm
+
+
 def test_make_decision_matrix_rejects_a_cell_above_the_cubic_sum_bound():
     agg = fnnwa([make_fnnn(1, 1, 1, 0, 1), make_fnnn(1, 1, 0, 1, 1)], [0.5, 0.5])
     assert not agg.is_valid()

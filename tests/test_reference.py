@@ -160,3 +160,20 @@ def test_closed_forms_match_folds_at_lambda_34(band):
         ws = gen_weights(rng, n)
         for name in OPERATORS:
             assert max_diff(OPERATORS[name](vals, ws, 34.0), FOLDS[name](vals, ws, 34.0)) <= 1e-10
+
+
+@pytest.mark.parametrize("lam", [1e308, 1.7e308])
+def test_closed_forms_match_folds_at_huge_lambda(lam):
+    # here p * log v overflows for most memberships (3 * lam itself is inf),
+    # and the primitives take the channel's limit as the closed forms do.
+    # gfnnwa and gfnnwg are left out: their folds cannot follow at this lam,
+    # as power(lam, L) underflows a spread to 0 and scale(lam, L) underflows
+    # a falsity to 0; tests/test_aggregate.py holds them to decimal instead.
+    rng = random.Random(79)
+    for k in range(20):
+        n = 1 + k % 6
+        band = ((1e-4, 1e-2), (0.1, 0.95))[k % 2]
+        vals = gen_fnnn(FnnnGenConfig(membership_range=band, seed=1700 + k), n)
+        ws = gen_weights(rng, n)
+        for name in ("fnnwa", "fnnwg"):
+            assert max_diff(OPERATORS[name](vals, ws, lam), FOLDS[name](vals, ws, lam)) <= 1e-10
