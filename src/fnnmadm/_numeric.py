@@ -33,7 +33,9 @@ call it over a row, ``scale`` and ``power`` with one term, and
 from __future__ import annotations
 
 import math
+from functools import reduce
 from math import exp, expm1, log, log1p  # bare names for the per-cell loops
+from operator import add
 
 from .errors import NormalDomainError
 
@@ -52,6 +54,14 @@ def xlog(x: float) -> float:
     """log(x) for x in (0, 1], accurate when x sits just below 1."""
     # 1 - x is exact for x in [0.5, 1], so log1p(x - 1) loses nothing
     return math.log1p(x - 1.0) if x > 0.5 else math.log(x)
+
+
+def left_sum(xs) -> float:
+    """The floats ``xs`` added left to right, rounding after each step.
+    Python 3.12's ``sum`` compensates its rounding, so with it results
+    would depend on the interpreter's version; this gives the same bits
+    as ``sum`` on 3.10 and 3.11."""
+    return reduce(add, xs, 0.0)
 
 
 def log_one_minus_exp(z: float) -> float:
@@ -75,7 +85,7 @@ def log_sum_exp(xs: list[float]) -> float:
     top = max(xs)
     if top == _NEG_INF:
         return top
-    return top + math.log(sum(math.exp(x - top) for x in xs))
+    return top + math.log(left_sum(math.exp(x - top) for x in xs))
 
 
 def xlogs(values) -> list[float]:
@@ -136,7 +146,7 @@ def nested_prob_channel(logs, weights, lam: float) -> float:
             log_d = log1p(-exp(log_eps))
         log_prod += w * log_d
     if log_prod == _NEG_INF:  # a v == 0, or p * log v overflowed: the channel's limit
-        return exp(sum([w * lv for lv, w in zip(logs, weights)]))
+        return exp(left_sum(w * lv for lv, w in zip(logs, weights)))
     log_u = log_one_minus_exp(log_prod) / lam  # log (1 - prod)^(1/lam)
     if log_u > -_TINY:  # below the normal range: 1 - u is -log_u
         return exp((log_neg_log_one_minus_exp(log_prod) - log_lam) / p)

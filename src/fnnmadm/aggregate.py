@@ -31,7 +31,7 @@ from itertools import repeat
 from operator import mul
 from typing import Sequence
 
-from ._numeric import _TINY, nested_prob_channel, real_pow, weighted_prob_sum, xlogs
+from ._numeric import _TINY, left_sum, nested_prob_channel, real_pow, weighted_prob_sum, xlogs
 from .core import Fnnn, check_lambda, checked_fnnn, checked_result
 from .errors import EmptyInput, LengthMismatch, NormalDomainError, NotFinite, WeightInvalid
 
@@ -55,12 +55,12 @@ def check_weights(
     for k, w in enumerate(ws, start=1):
         if not 0.0 < w < math.inf:
             raise WeightInvalid(f"weight {k} of {len(ws)} must be a finite number > 0")
-    total = sum(ws)
+    total = left_sum(ws)
     if renormalize:
         if total == math.inf:  # finite weights whose sum overflows
             top = max(ws)
             ws = tuple(w / top for w in ws)
-            total = sum(ws)
+            total = left_sum(ws)
         return tuple(w / total for w in ws)
     if abs(total - 1.0) > WEIGHT_SUM_TOLERANCE:
         raise WeightInvalid(f"weights sum to {total!r}, expected 1")
@@ -85,8 +85,8 @@ def read_row(cells: Sequence[Fnnn]) -> tuple[list[float], ...]:
 
 def _fnnwa(row, ws, lams):
     etas, xis, ts, i_s, fs = row
-    eta = sum(w * e for w, e in zip(ws, etas))
-    xi = sum(w * x for w, x in zip(ws, xis))
+    eta = left_sum(map(mul, ws, etas))
+    xi = left_sum(map(mul, ws, xis))
     f = math.prod(v ** w for w, v in zip(ws, fs))
     log_t, log_i = xlogs(ts), xlogs(i_s)
     for lam in lams:
@@ -115,12 +115,12 @@ def _power_mean(xs, ws, lam: float) -> float:
     back by max|x_i|; a sum in the normal range is used as it is.
     """
     try:
-        total = sum(map(mul, ws, map(math.pow, xs, repeat(lam))))
+        total = left_sum(map(mul, ws, map(math.pow, xs, repeat(lam))))
     except OverflowError:
         total = math.inf
     if not _TINY <= abs(total) < math.inf and (top := max(map(abs, xs))) > 0.0:
         scaled = [x / top for x in xs]
-        return top * math.pow(sum(map(mul, ws, map(math.pow, scaled, repeat(lam)))), 1.0 / lam)
+        return top * math.pow(left_sum(map(mul, ws, map(math.pow, scaled, repeat(lam)))), 1.0 / lam)
     return math.pow(total, 1.0 / lam)
 
 

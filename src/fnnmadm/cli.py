@@ -263,29 +263,41 @@ _encode_str = json.encoder.encode_basestring_ascii
 
 def _dump_json(obj) -> str:
     """``obj`` as ``json.dumps(obj, indent=2, sort_keys=True)`` renders
-    it, byte for byte.
+    it, byte for byte: the pieces of :func:`_json_chunks`, joined.
 
-    The standard library encodes indented output in pure Python, one
-    generator per container, which made rendering the slowest step of a
-    large ``rank``.  Here a list whose items are all finite plain floats,
-    plain ints or strings is joined in one call, and a list of dicts that
-    share their str keys and hold only finite plain floats, as a report's
-    cells do, fills one format template per dict.  Takes dicts with str
-    keys, lists, tuples, str, int, float, bool and None, subclasses
-    included; any other value, and any dict key that is not a str,
-    raises TypeError.
+    Takes dicts with str keys, lists, tuples, str, int, float, bool and
+    None, subclasses included; any other value, and any dict key that is
+    not a str, raises TypeError.
     """
-    return _encode(obj, "\n")
+    return "".join(_json_chunks(obj, "\n"))
 
 
-def _encode(o, nl: str) -> str:
-    """One value at the depth whose line break and indent is ``nl``."""
+def _json_chunks(o, nl: str):
+    """Yield the text of one value, at the depth whose line break and
+    indent is ``nl``, in pieces that join to :func:`_dump_json`'s.
+
+    A writer can send each piece on as it comes, so no copy of the whole
+    text is built.  The standard library encodes indented output in pure
+    Python, one generator per container, which made rendering the slowest
+    step of a large ``rank``.  Here a list whose items are all finite
+    plain floats, plain ints or strings is one piece, joined in one call,
+    and so is a list of dicts that share their str keys and hold only
+    finite plain floats, as a row of a report's cells does: it fills one
+    format template per dict.  Other containers yield their items' pieces
+    in turn.
+    """
     if not isinstance(o, (list, tuple, dict)) or not o:
-        return json.dumps(o)  # a scalar or an empty container takes one line
+        yield json.dumps(o)  # a scalar or an empty container takes one line
+        return
     inner = nl + "  "
     if isinstance(o, dict):
-        entries = (f"{_check_key(k)}: {_encode(v, inner)}" for k, v in sorted(o.items()))
-        return f"{{{inner}{(',' + inner).join(entries)}{nl}}}"
+        sep = "{" + inner
+        for k, v in sorted(o.items()):
+            yield f"{sep}{_check_key(k)}: "
+            yield from _json_chunks(v, inner)
+            sep = "," + inner
+        yield nl + "}"
+        return
     kinds = set(map(type, o))
     if kinds == {float} and all(map(math.isfinite, o)):
         items = map(float.__repr__, o)
@@ -297,8 +309,14 @@ def _encode(o, nl: str) -> str:
         template, values = same
         items = map(template.__mod__, values)
     else:
-        items = [_encode(v, inner) for v in o]
-    return f"[{inner}{(',' + inner).join(items)}{nl}]"
+        sep = "[" + inner
+        for v in o:
+            yield sep
+            yield from _json_chunks(v, inner)
+            sep = "," + inner
+        yield nl + "]"
+        return
+    yield f"[{inner}{(',' + inner).join(items)}{nl}]"
 
 
 def _float_dicts(dicts, nl: str) -> tuple[str, list[tuple]] | None:
@@ -319,6 +337,13 @@ def _float_dicts(dicts, nl: str) -> tuple[str, list[tuple]] | None:
     inner = nl + "  "
     entries = (f"{_encode_str(k).replace('%', '%%')}: %r" for k in keys)
     return f"{{{inner}{(',' + inner).join(entries)}{nl}}}", values
+
+
+def _print_json(obj) -> None:
+    """Print ``obj`` to stdout as :func:`_dump_json` renders it, piece by
+    piece as it is rendered."""
+    sys.stdout.writelines(_json_chunks(obj, "\n"))
+    sys.stdout.write("\n")
 
 
 def _check_key(key) -> str:
@@ -475,9 +500,10 @@ def cmd_rank(args) -> int:
     except LambdaInvalid as e:
         raise _UsageError(str(e)) from None
     rep = run_pipeline(dm, config)
+    del dm  # the report holds the normalized rows; the raw ones would only take memory
     prec = _precision()
     if args.format == "json":
-        print(_dump_json(report_to_dict(rep)))
+        _print_json(report_to_dict(rep))
     elif args.format == "csv":
         print(_render_rank_csv(rep))
     else:
@@ -497,7 +523,7 @@ def cmd_sweep(args) -> int:
         with open(args.plot_out, "w", encoding="utf-8") as fh:
             fh.write(closeness_csv(result, dm.alternatives) + "\n")
     if args.format == "json":
-        print(_dump_json(sweep_to_dict(result, dm, config)))
+        _print_json(sweep_to_dict(result, dm, config))
     elif args.format == "csv":
         print(closeness_csv(result, dm.alternatives, ordering=True))
     else:

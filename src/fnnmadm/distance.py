@@ -5,6 +5,11 @@ Both measures see a value only through the scalar weight
 so triples with equal phi are indistinguishable to them.  Absolute
 differences are taken before cubing, which keeps the Euclidean radicand
 nonnegative and preserves the metric properties.
+
+Where a difference or the mean overflows float64 but the distance does
+not, as for locations of opposite sign near the largest float, the two
+measures divide before they subtract; every result in range keeps the
+bits of the plain formula.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ from __future__ import annotations
 import math
 
 from .core import Fnnn, MembershipTriple, NormalParams
+from .errors import NotFinite
 
 
 def phi(mu: MembershipTriple) -> float:
@@ -31,7 +37,10 @@ def hamming(a: Fnnn, b: Fnnn) -> float:
 
 def hamming_of(pa: float, ea: float, xa: float, pb: float, eb: float, xb: float) -> float:
     """:func:`hamming` of (ea, xa) and (eb, xb) with phi values pa and pb."""
-    return (abs(pa * ea - pb * eb) + abs(pa * xa - pb * xb) / 3.0) / 3.0
+    d = (abs(pa * ea - pb * eb) + abs(pa * xa - pb * xb) / 3.0) / 3.0
+    if d == math.inf:  # a step overflowed; with phi <= 1 the distance is below 1.6e308
+        d = abs(pa * ea / 3.0 - pb * eb / 3.0) + abs(pa * xa / 9.0 - pb * xb / 9.0)
+    return d
 
 
 def euclidean(a: Fnnn, b: Fnnn) -> float:
@@ -41,7 +50,10 @@ def euclidean(a: Fnnn, b: Fnnn) -> float:
 
 def euclidean_of(pa: float, ea: float, xa: float, pb: float, eb: float, xb: float) -> float:
     """:func:`euclidean` of (ea, xa) and (eb, xb) with phi values pa and pb."""
-    return _cubic_mean(abs(pa * ea - pb * eb), abs(pa * xa - pb * xb)) / 3.0
+    d = _cubic_mean(abs(pa * ea - pb * eb), abs(pa * xa - pb * xb)) / 3.0
+    if d == math.inf:  # a step overflowed; the mean scales, so take it of thirds
+        d = _cubic_mean(abs(pa * ea / 3.0 - pb * eb / 3.0), abs(pa * xa / 3.0 - pb * xb / 3.0))
+    return d
 
 
 # the distances on plain floats, by metric name
@@ -49,8 +61,12 @@ FORMULAS = {"hamming": hamming_of, "euclidean": euclidean_of}
 
 
 def normal_distance(p: NormalParams, q: NormalParams) -> float:
-    """Plain cubic-mean distance between two normal parameter pairs."""
-    return _cubic_mean(abs(p.eta - q.eta), abs(p.xi - q.xi))
+    """Plain cubic-mean distance between two normal parameter pairs.
+    Raises NotFinite where it exceeds the largest float64."""
+    d = _cubic_mean(abs(p.eta - q.eta), abs(p.xi - q.xi))
+    if d == math.inf:  # no scaling helps: the mean is at least its larger difference
+        raise NotFinite(f"the distance between {p} and {q} overflows float64")
+    return d
 
 
 def _cubic_mean(de: float, dx: float) -> float:

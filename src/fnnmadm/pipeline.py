@@ -52,7 +52,8 @@ class DecisionMatrix:
     when made, so each of its cells passes ``core.check_cell``, it always
     normalizes, and it holds its weights as floats.  ``normalized`` is not
     a constructor argument: only :func:`normalize` sets it, on a copy of a
-    checked matrix.
+    checked matrix, whose type raises ValidationError if the constructor
+    makes one, as ``dataclasses.replace`` would.
     """
 
     alternatives: tuple[str, ...]
@@ -85,6 +86,18 @@ class DecisionMatrix:
         return (
             f"DecisionMatrix(alternatives={self.alternatives!r}, attributes={self.attributes!r}, "
             f"cells={self.cells!r}, weights={self.weights!r}, normalized={self.normalized!r})"
+        )
+
+
+class _NormalizedMatrix(DecisionMatrix):
+    """The type of :func:`normalize`'s copies, which it makes without the
+    constructor.  A copy made through it would hold normalized rows but
+    not the flag, and be normalized a second time; so it raises."""
+
+    def __post_init__(self):
+        raise ValidationError(
+            "a normalized matrix is made only by normalize: "
+            "replace fields of the raw matrix and normalize that"
         )
 
 
@@ -184,7 +197,7 @@ def normalize(dm: DecisionMatrix) -> DecisionMatrix:
     if dm.normalized:
         return dm
     rows = tuple((*normal, *row[2:]) for normal, row in zip(_normal_rows(dm.rows), dm.rows))
-    normal = object.__new__(DecisionMatrix)  # not made by __init__, so not checked again
+    normal = object.__new__(_NormalizedMatrix)  # not made by __init__, so not checked again
     vars(normal).update(vars(dm), rows=rows, normalized=True)
     return normal
 

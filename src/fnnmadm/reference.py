@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from functools import reduce
 from typing import Sequence
 
+from ._numeric import left_sum
 from .aggregate import _prepare
 from .core import CUBIC_SUM_BOUND, Fnnn, boxplus, boxtimes, make_fnnn, power, scale
 from .errors import EmptyInput, ValidationError
@@ -125,9 +126,9 @@ def gen_weights(rng: random.Random, n: int) -> tuple[float, ...]:
     if n < 1:
         raise EmptyInput("n must be >= 1")
     raw = [rng.uniform(0.05, 1.0) for _ in range(n)]
-    total = sum(raw)
+    total = left_sum(raw)
     ws = [w / total for w in raw]
     # push rounding residue into the largest entry so the sum is exact
     k = max(range(n), key=lambda j: ws[j])
-    ws[k] += 1.0 - sum(ws)
+    ws[k] += 1.0 - left_sum(ws)
     return tuple(ws)

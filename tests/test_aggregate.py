@@ -87,6 +87,15 @@ def test_check_weights_renormalizes_weights_whose_sum_overflows(n):
     assert min(ws) > 0.0 and sum(ws) == pytest.approx(1.0)
 
 
+def test_sums_add_left_to_right_on_every_python():
+    # sum() compensates its rounding from Python 3.12, where these read
+    # 0.9999999999999998 and 0.5000000000000001, and CLI output differed
+    assert check_weights([1.0, 2.0 ** -53, 2.0 ** -53], renormalize=True)[0] == 1.0
+    cells = [make_fnnn(eta, 0.5, 0.5, 0.5, 0.5) for eta in (1.0, 2.0 ** -52, 2.0 ** -52)]
+    assert fnnwa(cells, (0.5, 0.25, 0.25)).eta == 0.5
+    assert gfnnwa(cells, (0.5, 0.25, 0.25), 1.0).eta == 0.5
+
+
 def test_operators_reject_empty_and_mismatched_input():
     v = make_fnnn(1, 1, 0.5, 0.5, 0.5)
     for op in (fnnwa, fnnwg, gfnnwa, gfnnwg):

@@ -1,5 +1,6 @@
 """Command-line interface: parsing, commands, formats, exit codes."""
 
+import contextlib
 import csv
 import io
 import json
@@ -19,9 +20,12 @@ from fnnmadm import (
     DegenerateCloseness,
     MembershipOutOfRange,
     ParseError,
+    PipelineConfig,
     cli,
+    lambda_sweep,
     normalize,
     rank,
+    run_pipeline,
 )
 from fnnmadm.cli import (
     EXIT_DATA,
@@ -485,6 +489,38 @@ def test_json_output_is_the_standard_library_rendering(problem, capsys, request)
         code, out, _ = run_cli(capsys, *argv)
         assert code == EXIT_OK, argv
         assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n", argv
+
+
+class Pieces(io.StringIO):
+    """A stdout that keeps the length of each piece written to it."""
+
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def write(self, text):
+        self.sizes.append(len(text))
+        return super().write(text)
+
+
+def test_json_commands_write_the_rendered_document_piece_by_piece(engineers_csv_path):
+    dm = parse_problem(engineers_csv_path)
+    config = PipelineConfig("gfnnwa", "euclidean", 3.0)
+    rank_argv = ["rank", engineers_csv_path, "--operator", "gfnnwa", "--metric", "euclidean",
+                 "--lambda", "3", "--format", "json"]
+    sweep_argv = ["sweep", engineers_csv_path, "--operator", "gfnnwa", "--metric", "euclidean",
+                  "--lambdas", "1,3,34", "--format", "json"]
+    expected = [
+        (rank_argv, cli.report_to_dict(run_pipeline(dm, config))),
+        (sweep_argv, cli.sweep_to_dict(lambda_sweep(dm, config, [1.0, 3.0, 34.0]), dm, config)),
+    ]
+    for argv, doc in expected:
+        out = Pieces()
+        with contextlib.redirect_stdout(out):
+            assert main(argv) == EXIT_OK
+        text = out.getvalue()
+        assert text == cli._dump_json(doc) + "\n", argv
+        assert max(out.sizes) < len(text) / 4, argv  # no piece holds the whole document
 
 
 # ---------------------------------------------------------------------------

@@ -339,10 +339,11 @@ def test_primitives_keep_channels_whose_powers_underflow(lam):
     # (v**p + v**p - v**(2p)) ** (1/p) is v * 2 ** (1/p) to double precision.
     # From lam = 1e308, 3 * lam is inf and the channels take their limit, v
     v, p = make_fnnn(0.5, 0.5, 1e-4, 0.5, 1e-4), 3 * lam
-    assert scale(0.3, v, lam).t == pytest.approx(1e-4 * 0.3 ** (1 / p), rel=1e-13)
-    assert power(0.3, v, lam).f == pytest.approx(1e-4 * 0.3 ** (1 / p), rel=1e-13)
-    assert boxplus(v, v, lam).t == pytest.approx(1e-4 * 2 ** (1 / p), rel=1e-13)
-    assert boxtimes(v, v, lam).f == pytest.approx(1e-4 * 2 ** (1 / p), rel=1e-13)
+    # abs=0.0: approx's default abs of 1e-12 is 1e-8 relative at 1e-4
+    assert scale(0.3, v, lam).t == pytest.approx(1e-4 * 0.3 ** (1 / p), rel=1e-13, abs=0.0)
+    assert power(0.3, v, lam).f == pytest.approx(1e-4 * 0.3 ** (1 / p), rel=1e-13, abs=0.0)
+    assert boxplus(v, v, lam).t == pytest.approx(1e-4 * 2 ** (1 / p), rel=1e-13, abs=0.0)
+    assert boxtimes(v, v, lam).f == pytest.approx(1e-4 * 2 ** (1 / p), rel=1e-13, abs=0.0)
 
 
 def test_primitives_keep_a_tiny_membership_where_its_log_power_overflows():

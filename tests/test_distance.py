@@ -9,6 +9,7 @@ from fnnmadm import (
     FnnnGenConfig,
     MembershipTriple,
     NormalParams,
+    NotFinite,
     euclidean,
     gen_fnnn,
     hamming,
@@ -153,3 +154,36 @@ def test_cubic_distances_where_a_cube_overflows(a, b):
     assert euclidean(a, b) == pytest.approx(expected, rel=1e-12)
     expected = decimal_cubic_mean(abs(a.eta - b.eta), abs(a.xi - b.xi))
     assert normal_distance(a.normal, b.normal) == pytest.approx(expected, rel=1e-12)
+
+
+def decimal_distances(a, b) -> tuple[float, float]:
+    """:func:`hamming` and :func:`euclidean` of ``a`` and ``b`` in decimal,
+    from their phi values, with no step rounded to float64."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        pa, pb = Decimal(phi(a.mu)), Decimal(phi(b.mu))
+        de = abs(pa * Decimal(a.eta) - pb * Decimal(b.eta))
+        dx = abs(pa * Decimal(a.xi) - pb * Decimal(b.xi))
+        return float((de + dx / 3) / 3), float((de ** 3 + dx ** 3 / 3) ** (Decimal(1) / 3) / 3)
+
+
+@pytest.mark.parametrize("a, b", [
+    ((1.7e308, 1, 1, 1, 0), (-1.7e308, 1, 1, 1, 0)),  # the location difference overflows
+    ((1.7e308, 1.7e308, 1, 1, 0), (0.0, 1, 1, 1, 0)),  # the differences do not, the sums do
+    ((1.7e308, 1, 1, 1, 0), (-1.7e308, 1.7e308, 0.9, 0.5, 0.1)),  # phi below 1 on one side
+])
+def test_distances_where_a_difference_overflows(a, b):
+    a, b = make_fnnn(*a), make_fnnn(*b)
+    expected_hamming, expected_euclidean = decimal_distances(a, b)
+    assert hamming(a, b) == pytest.approx(expected_hamming, rel=1e-12, abs=0.0)
+    assert euclidean(a, b) == pytest.approx(expected_euclidean, rel=1e-12, abs=0.0)
+    assert hamming(b, a) == hamming(a, b) and euclidean(b, a) == euclidean(a, b)
+
+
+@pytest.mark.parametrize("p, q", [
+    (NormalParams(1.7e308, 1), NormalParams(-1.7e308, 1)),  # the difference overflows
+    (NormalParams(1.7e308, 1.7e308), NormalParams(0.0, 1)),  # the mean does
+])
+def test_normal_distance_above_float64_raises(p, q):
+    with pytest.raises(NotFinite):
+        normal_distance(p, q)

@@ -1,15 +1,19 @@
 """The CLI's JSON renderer against ``json.dumps(..., indent=2, sort_keys=True)``."""
 
 import enum
+import gc
 import json
 import math
-from collections import OrderedDict
+import random
+import tracemalloc
+from collections import OrderedDict, deque
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fnnmadm.cli import _dump_json
+from fnnmadm import FnnnGenConfig, gen_fnnn, gen_weights, make_decision_matrix, run_pipeline
+from fnnmadm.cli import _dump_json, _json_chunks, report_to_dict
 
 
 def stdlib(obj) -> str:
@@ -120,3 +124,22 @@ def test_renders_subclasses_as_the_standard_library():
 def test_rejects_what_it_does_not_render(doc):
     with pytest.raises(TypeError):
         _dump_json(doc)
+
+
+def test_chunks_reach_a_writer_without_a_copy_of_the_text():
+    # joining the text before writing it, as _dump_json does, peaks at about twice its length
+    n, m = 200, 20
+    values = gen_fnnn(FnnnGenConfig(seed=5), n * m)
+    dm = make_decision_matrix([f"A{k}" for k in range(n)], [f"C{j}" for j in range(m)],
+                              [values[k * m:(k + 1) * m] for k in range(n)],
+                              gen_weights(random.Random(5), m))
+    doc = report_to_dict(run_pipeline(dm))
+    length = len(_dump_json(doc))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        deque(_json_chunks(doc, "\n"), maxlen=0)  # a writer that discards what it gets
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < length / 4, (peak, length)
