@@ -37,8 +37,6 @@ from functools import reduce
 from math import exp, expm1, log, log1p  # bare names for the per-cell loops
 from operator import add
 
-from .errors import NormalDomainError
-
 _LOG_HALF = -0.6931471805599453
 _NEG_INF = -math.inf
 _TINY = 2.2250738585072014e-308  # the smallest normal float64
@@ -152,11 +150,3 @@ def nested_prob_channel(logs, weights, lam: float) -> float:
         return exp((log_neg_log_one_minus_exp(log_prod) - log_lam) / p)
     return exp(log_one_minus_exp(log_u) / p)
 
-
-def real_pow(base: float, exp: float) -> float:
-    """base**exp, rejecting fractional powers of negative bases."""
-    if base < 0.0 and exp != math.floor(exp):
-        raise NormalDomainError(
-            f"cannot raise negative location {base!r} to fractional power {exp!r}"
-        )
-    return math.pow(base, exp)

@@ -20,8 +20,10 @@ first computes what does not depend on lam: the xlog of each membership
 it uses, and for fnnwa and fnnwg the location, the spread and one
 membership.  It then yields the aggregate at each lam it is given,
 clipped and checked by :func:`fnnmadm.core.checked_result`, the one rule
-for every operation's result.  The operators below take its one value at
-their lam; the pipeline asks each row's generator for the next value.
+for every operation's result.  :func:`aggregates` is their one driver:
+it advances every row's generator at each lam and alone types their float
+faults.  The operators below take it over one row at one lam, and the
+pipeline over every row at one lam or at each lam of a sweep.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from itertools import repeat
 from operator import mul
 from typing import Sequence
 
-from ._numeric import _TINY, left_sum, nested_prob_channel, real_pow, weighted_prob_sum, xlogs
+from ._numeric import _TINY, left_sum, nested_prob_channel, weighted_prob_sum, xlogs
 from .core import Fnnn, check_lambda, checked_fnnn, checked_result
 from .errors import EmptyInput, LengthMismatch, NormalDomainError, NotFinite, WeightInvalid
 
@@ -44,8 +46,9 @@ def check_weights(
     """Validate a weight vector; optionally rescale it to sum to 1.
 
     Raises LengthMismatch when n is given and disagrees, WeightInvalid for
-    nonpositive or non-finite entries or (without renormalize) a sum off
-    by more than WEIGHT_SUM_TOLERANCE.
+    nonpositive or non-finite entries, (without renormalize) a sum off by
+    more than WEIGHT_SUM_TOLERANCE, or (with it) a weight that underflows
+    to 0 when rescaled.
     """
     ws = tuple(float(w) for w in weights)
     if n is not None and len(ws) != n:
@@ -61,7 +64,11 @@ def check_weights(
             top = max(ws)
             ws = tuple(w / top for w in ws)
             total = left_sum(ws)
-        return tuple(w / total for w in ws)
+        rescaled = tuple(w / total for w in ws)
+        if 0.0 in rescaled:
+            k = rescaled.index(0.0) + 1
+            raise WeightInvalid(f"weight {k} of {len(ws)} underflows to 0 when rescaled")
+        return rescaled
     if abs(total - 1.0) > WEIGHT_SUM_TOLERANCE:
         raise WeightInvalid(f"weights sum to {total!r}, expected 1")
     return ws
@@ -97,7 +104,7 @@ def _fnnwa(row, ws, lams):
 
 def _fnnwg(row, ws, lams):
     etas, xis, ts, i_s, fs = row
-    eta = math.prod(real_pow(e, w) for w, e in zip(ws, etas))
+    eta = math.prod(map(math.pow, etas, ws))
     xi = math.prod(x ** w for w, x in zip(ws, xis))
     t = math.prod(v ** w for w, v in zip(ws, ts))
     log_i, log_f = xlogs(i_s), xlogs(fs)
@@ -165,21 +172,27 @@ def _gfnnwg(row, ws, lams):
 GENERATORS = {"fnnwa": _fnnwa, "fnnwg": _fnnwg, "gfnnwa": _gfnnwa, "gfnnwg": _gfnnwg}
 
 
-def value_at(generator, row, ws, lam: float) -> Fnnn:
-    """The aggregate of one row, read by :func:`read_row`, at one lam.
+def aggregates(generator, rows, ws, lams):
+    """Yield, at each of the checked values ``lams``, the list of every
+    row's aggregate (eta, xi, t, i, f), from one generator per row.
     Raises NotFinite when a power overflows float64, and NormalDomainError
     for a fractional power of a negative location (ValueError in math.pow)."""
-    try:
-        return checked_fnnn(*next(generator(row, ws, (lam,))))
-    except ValueError:
-        raise NormalDomainError("cannot raise a negative location to a fractional power") from None
-    except OverflowError:
-        raise NotFinite(f"a value overflowed float64 at lambda = {lam:g}") from None
+    values = [generator(row, ws, lams) for row in rows]
+    for lam in lams:
+        try:
+            aggs = [next(v) for v in values]
+        except ValueError:
+            raise NormalDomainError(
+                "cannot raise a negative location to a fractional power") from None
+        except OverflowError:
+            raise NotFinite(f"a value overflowed float64 at lambda = {lam:g}") from None
+        yield aggs
 
 
 def _aggregate(generator, items, weights, lam) -> Fnnn:
     items, ws, lam = _prepare(items, weights, lam)
-    return value_at(generator, read_row(items), ws, lam)
+    [[agg]] = aggregates(generator, [read_row(items)], ws, [lam])
+    return checked_fnnn(*agg)
 
 
 def fnnwa(items: Sequence[Fnnn], weights: Sequence[float], lam: float = 1.0) -> Fnnn:

@@ -16,7 +16,6 @@ import json
 import math
 import os
 import sys
-from contextlib import suppress
 from itertools import chain
 from operator import itemgetter
 from typing import NamedTuple
@@ -190,9 +189,13 @@ def _build_matrix(
         for _, problem in _problems(*raw):
             raise problem
         raise ParseError("no weights: embed a 'weights' row or pass --weights")
-    if renormalize:  # weights this rejects, the matrix rejects too, after its other problems
-        with suppress(LengthMismatch, WeightInvalid):
+    if renormalize:
+        try:
             weights = check_weights(weights, n=len(raw.attributes), renormalize=True)
+        except (LengthMismatch, WeightInvalid):  # raised after the matrix's other problems
+            for _, problem in _problems(*raw._replace(weights=None)):
+                raise problem from None
+            raise
     return DecisionMatrix(raw.alternatives, raw.attributes, raw.rows, weights)
 
 

@@ -13,11 +13,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._numeric import clip01, prob_sum_root, real_pow, weighted_prob_sum, xlogs
+from ._numeric import clip01, prob_sum_root, weighted_prob_sum, xlogs
 from .errors import (
     CubicSumExceeded,
     LambdaInvalid,
     MembershipOutOfRange,
+    NormalDomainError,
     NotFinite,
     SpreadNonPositive,
     WeightNonPositive,
@@ -235,7 +236,11 @@ def power(w: float, a: Fnnn, lam: float = 1.0) -> Fnnn:
     if w == 1.0:
         return a
     try:
-        eta, xi = real_pow(a.eta, w), a.xi ** w
+        eta, xi = math.pow(a.eta, w), a.xi ** w
+    except ValueError:  # math.pow's fractional power of a negative base
+        raise NormalDomainError(
+            f"cannot raise negative location {a.eta!r} to fractional power {w!r}"
+        ) from None
     except OverflowError:
         raise NotFinite(f"the power {w!r} of a value overflowed float64") from None
     t = a.t ** w

@@ -8,10 +8,10 @@ ideal values from the aggregates' extrema, measures each alternative's
 distance to both ideals, and ranks by relative closeness
 D- / (D+ + D-), larger is better.  A lambda sweep ranks at each value of
 a grid of operator parameters and reports every ranking transition.
-Both take the normalized rows and make one aggregation generator per row
-(see :mod:`fnnmadm.aggregate`).  Each parameter value then takes every
-generator's next aggregate and ranks on plain floats; a ranking run
-wraps the values at its one parameter into a report.
+Both read the normalized rows into :func:`fnnmadm.aggregate.aggregates`,
+which gives every row's aggregate at each parameter value and types the
+float faults of aggregation; each value is then ranked on plain floats,
+and a ranking run wraps the values at its one parameter into a report.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
-from .aggregate import GENERATORS, OPERATORS, check_weights, read_row, value_at
+from .aggregate import GENERATORS, OPERATORS, aggregates, check_weights, read_row
 from .core import Fnnn, MembershipTriple, NormalParams, check_cell, check_lambda, check_normal
 from .core import checked_fnnn
 from .distance import FORMULAS, euclidean, hamming, phi, phi_of
@@ -208,7 +208,8 @@ def aggregate_rows(dm: DecisionMatrix, operator: str, lam: float = 1.0) -> tuple
     if not dm.normalized:
         raise NotNormalized("normalize the decision matrix before aggregating")
     PipelineConfig(operator, lam=lam)
-    return tuple(value_at(GENERATORS[operator], row, dm.weights, float(lam)) for row in dm.rows)
+    (aggs,) = aggregates(GENERATORS[operator], dm.rows, dm.weights, [float(lam)])
+    return tuple(checked_fnnn(*a) for a in aggs)
 
 
 _POSITIVE_MU = MembershipTriple(1.0, 1.0, 0.0)
@@ -250,10 +251,13 @@ def closeness(dplus: Sequence[float], dminus: Sequence[float]) -> list[float]:
 
 
 def rank(values: Sequence[float]) -> list[int]:
-    """Indices sorted by descending closeness; ties break on lower index."""
+    """Indices sorted by descending closeness; ties break on lower index.
+    Raises NotFinite for a NaN, which has no place in the order."""
     vals = list(values)
     if not vals:
         raise EmptyInput("cannot rank zero alternatives")
+    if any(map(math.isnan, vals)):
+        raise NotFinite("values to rank must be numbers; a value is NaN")
     return sorted(range(len(vals)), key=lambda k: (-vals[k], k))
 
 
@@ -308,30 +312,25 @@ class _Evaluation(NamedTuple):
 def _evaluations(dm: DecisionMatrix, operator: str, metric: str, lams: Sequence[float]):
     """Yield the ranking at each of the checked values ``lams``.
 
-    The matrix is read once, and each row gets one generator over
-    ``lams``, which does its lam-free work once.  Raises NotFinite when a
-    value overflows float64.
+    The matrix is read once, and :func:`~fnnmadm.aggregate.aggregates`
+    gives every row's aggregate at each value, doing each row's lam-free
+    work once.  Raises NotFinite when a value overflows float64.
     """
     generator, formula = GENERATORS[operator], FORMULAS[metric]
     phi_positive, phi_negative = phi(_POSITIVE_MU), phi(_NEGATIVE_MU)
-    values = [generator(row, dm.weights, lams) for row in normalize(dm).rows]
-    try:
-        for lam in lams:
-            aggs = [next(v) for v in values]
-            etas = [a[0] for a in aggs]
-            xis = [a[1] for a in aggs]
-            phis = [phi_of(t, i, f) for _, _, t, i, f in aggs]
-            positive, negative = _ideals(etas, xis)
-            dplus = tuple(
-                formula(p, eta, xi, phi_positive, *positive) for p, eta, xi in zip(phis, etas, xis)
-            )
-            dminus = tuple(
-                formula(p, eta, xi, phi_negative, *negative) for p, eta, xi in zip(phis, etas, xis)
-            )
-            close = tuple(closeness(dplus, dminus))
-            yield _Evaluation(lam, aggs, positive, negative, dplus, dminus, close, tuple(rank(close)))
-    except OverflowError:
-        raise NotFinite(f"a value overflowed float64 at lambda = {lam:g}") from None
+    for lam, aggs in zip(lams, aggregates(generator, normalize(dm).rows, dm.weights, lams)):
+        etas = [a[0] for a in aggs]
+        xis = [a[1] for a in aggs]
+        phis = [phi_of(t, i, f) for _, _, t, i, f in aggs]
+        positive, negative = _ideals(etas, xis)
+        dplus = tuple(
+            formula(p, eta, xi, phi_positive, *positive) for p, eta, xi in zip(phis, etas, xis)
+        )
+        dminus = tuple(
+            formula(p, eta, xi, phi_negative, *negative) for p, eta, xi in zip(phis, etas, xis)
+        )
+        close = tuple(closeness(dplus, dminus))
+        yield _Evaluation(lam, aggs, positive, negative, dplus, dminus, close, tuple(rank(close)))
 
 
 def run_pipeline(dm: DecisionMatrix, config: PipelineConfig = PipelineConfig()) -> RankingReport:
@@ -344,7 +343,7 @@ def run_pipeline(dm: DecisionMatrix, config: PipelineConfig = PipelineConfig()) 
     overflows float64.
     """
     nm = normalize(dm)
-    (ev,) = _evaluations(nm, config.operator, config.metric, [check_lambda(config.lam)])
+    (ev,) = _evaluations(nm, config.operator, config.metric, [float(config.lam)])
     aggs = tuple(checked_fnnn(*a) for a in ev.aggregates)
     positive, negative = _ideal_values(ev.positive, ev.negative)
     notes = []

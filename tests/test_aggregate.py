@@ -87,6 +87,14 @@ def test_check_weights_renormalizes_weights_whose_sum_overflows(n):
     assert min(ws) > 0.0 and sum(ws) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("weights, n", [([1e-300, 1e300], 2), ([1e-200, 1e200, 1e200], 3)])
+def test_check_weights_rejects_a_weight_that_underflows_when_rescaled(weights, n):
+    # rescaled, the first weight is below the smallest subnormal: it read 0.0,
+    # a weight that check_weights itself rejects
+    with pytest.raises(WeightInvalid, match=f"^weight 1 of {n} underflows to 0 when rescaled$"):
+        check_weights(weights, renormalize=True)
+
+
 def test_sums_add_left_to_right_on_every_python():
     # sum() compensates its rounding from Python 3.12, where these read
     # 0.9999999999999998 and 0.5000000000000001, and CLI output differed

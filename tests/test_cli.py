@@ -303,6 +303,18 @@ def test_rank_renormalizes_weights_whose_sum_overflows(engineers_csv_path, capsy
                            "--renormalize-weights")[1]
 
 
+def test_renormalized_weights_that_underflow_keep_their_exit_codes(tmp_path, capsys):
+    # a rescaled weight of 0 is a data error in the file and a usage error in --weights
+    path = tmp_path / "tiny_weight.csv"
+    path.write_text("alt,x,y\nA,1;1;0.5;0.5;0.5,2;1;0.5;0.5;0.5\n"
+                    "B,2;1;0.5;0.5;0.5,1;1;0.5;0.5;0.5\nweights,1e-300,1e300\n")
+    assert run_cli(capsys, "rank", str(path), "--renormalize-weights") == (
+        EXIT_DATA, "", "error: weight 1 of 2 underflows to 0 when rescaled\n")
+    assert run_cli(capsys, "rank", str(path), "--weights", "1e-300,1e300",
+                   "--renormalize-weights") == (
+        EXIT_USAGE, "", "error: --weights: weight 1 of 2 underflows to 0 when rescaled\n")
+
+
 @pytest.mark.parametrize("path, lam", [(ROOT / "demos" / "engineers.csv", "10000"),
                                        (ROOT / "tests" / "golden" / "seeded_12x6.csv", "300")])
 def test_rank_gfnnwa_where_every_power_of_the_spreads_underflows(capsys, path, lam):

@@ -1,0 +1,182 @@
+"""The scalar API's contract: every call returns finite values or raises an
+FnnError, whatever floats it is given.
+
+The inputs mix float64's special values (signed zeros, subnormals, 1e154,
+near the square root of the largest float, 1.7e308, infinities and NaN)
+with values drawn log-uniformly up to 1.7e308; lambda reaches 1.7e308 too.
+"""
+
+import math
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from fnnmadm import (
+    METRICS,
+    OPERATORS,
+    FnnError,
+    Fnnn,
+    MembershipTriple,
+    PipelineConfig,
+    boxplus,
+    boxtimes,
+    check_weights,
+    closeness,
+    euclidean,
+    hamming,
+    make_fnnn,
+    membership_at,
+    normal_distance,
+    power,
+    rank,
+    scale,
+    score_ffn,
+)
+
+TOP = 1.7e308
+SPECIALS = [0.0, -0.0, 5e-324, 1e-310, 1e154, -1e154, TOP, -TOP, math.inf, -math.inf, math.nan]
+
+
+def log_uniform(lo: float = -324.0, hi: float = math.log10(TOP)):
+    """10**e for e uniform in [lo, hi]: every binade is as likely as any other."""
+    return st.floats(lo, hi).map(lambda e: 10.0 ** e)
+
+
+positives = st.one_of(st.sampled_from([5e-324, 1e-310, 1e154, TOP]), log_uniform())
+reals = st.one_of(st.sampled_from(SPECIALS), log_uniform(), log_uniform().map(lambda x: -x))
+units = st.one_of(st.sampled_from([0.0, 5e-324, 1e-300, 0.5, 1.0 - 2.0 ** -53, 1.0]),
+                  st.floats(0.0, 1.0), log_uniform(hi=0.0))
+lams = st.one_of(st.sampled_from(SPECIALS + [1.0, 2.5, 34.0]), log_uniform(lo=0.0))
+locations = reals.filter(math.isfinite)
+raw_weights = st.lists(st.one_of(positives, reals), min_size=4, max_size=4)
+edges = st.sampled_from([1.0, 1.0 + 9e-7, 1.0 - 9e-7])  # inside the weight-sum tolerance
+
+
+@st.composite
+def values(draw):
+    """A value that make_fnnn accepts, of finite components drawn as above."""
+    try:
+        return make_fnnn(draw(locations), draw(positives),
+                         draw(units), draw(units), draw(units))
+    except FnnError:  # the cubic sum of the memberships exceeds its bound
+        assume(False)
+
+
+@st.composite
+def weight_vectors(draw, n: int):
+    """Mostly weights that check_weights accepts, some scaled to the edge of
+    its sum tolerance, and some of arbitrary floats."""
+    raw = draw(raw_weights)[:n]
+    try:
+        ws = check_weights(raw, renormalize=True)
+    except FnnError:
+        return raw
+    top = ws.index(max(ws))
+    edge = draw(edges)
+    return [w * edge if k == top else w for k, w in enumerate(ws)]
+
+
+def finite(out) -> bool:
+    """Whether every float in a result (a float, a value, a triple or a
+    sequence of them) is finite."""
+    if isinstance(out, Fnnn):
+        out = (out.eta, out.xi, out.t, out.i, out.f)
+    elif isinstance(out, MembershipTriple):
+        out = (out.t, out.i, out.f)
+    if isinstance(out, (list, tuple)):
+        return all(map(finite, out))
+    return math.isfinite(out)
+
+
+def holds(call, *args):
+    """The result of ``call(*args)``, asserted finite, or None for an FnnError."""
+    try:
+        out = call(*args)
+    except FnnError:
+        return None
+    assert finite(out), (call.__name__, args, out)
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.tuples(*[st.one_of(units, reals)] * 5))
+def test_make_fnnn(components):
+    holds(make_fnnn, *components)
+
+
+@pytest.mark.parametrize("operation", [boxplus, boxtimes])
+@settings(max_examples=40, deadline=None)
+@given(a=values(), b=values(), lam=lams)
+def test_binary_operations(operation, a, b, lam):
+    holds(operation, a, b, lam)
+
+
+@pytest.mark.parametrize("operation", [scale, power])
+@settings(max_examples=40, deadline=None)
+@given(w=reals, a=values(), lam=lams)
+def test_scale_and_power(operation, w, a, lam):
+    holds(operation, w, a, lam)
+
+
+@settings(max_examples=40, deadline=None)
+@given(a=values(), x=reals)
+def test_membership_at(a, x):
+    holds(membership_at, a, x)
+
+
+@settings(max_examples=40, deadline=None)
+@given(t=st.one_of(units, reals), f=st.one_of(units, reals))
+def test_score_ffn(t, f):
+    holds(score_ffn, t, f)
+
+
+@settings(max_examples=40, deadline=None)
+@given(a=values(), b=values())
+def test_distances(a, b):
+    holds(hamming, a, b)
+    holds(euclidean, a, b)
+    holds(normal_distance, a.normal, b.normal)
+
+
+@pytest.mark.parametrize("name", sorted(OPERATORS))
+@settings(max_examples=40, deadline=None)
+@given(cells=st.lists(values(), min_size=1, max_size=4), lam=lams, data=st.data())
+def test_operators(name, cells, lam, data):
+    holds(OPERATORS[name], cells, data.draw(weight_vectors(len(cells))), lam)
+
+
+@settings(max_examples=80, deadline=None)
+@given(weights=st.lists(st.one_of(positives, reals), max_size=5), renormalize=st.booleans())
+def test_check_weights(weights, renormalize):
+    ws = holds(check_weights, weights, None, renormalize)
+    if ws is not None:  # what it returns, it accepts
+        assert check_weights(ws) == ws
+
+
+@settings(max_examples=40, deadline=None)
+@given(operator=st.sampled_from([*OPERATORS, "owa"]), metric=st.sampled_from([*METRICS, "l2"]),
+       lam=st.one_of(lams, reals))
+def test_pipeline_config(operator, metric, lam):
+    try:
+        config = PipelineConfig(operator, metric, lam)
+    except FnnError:
+        return
+    assert math.isfinite(config.lam)
+
+
+@settings(max_examples=40, deadline=None)
+@given(dplus=st.lists(st.one_of(positives, reals), max_size=4),
+       dminus=st.lists(st.one_of(positives, reals), max_size=4))
+def test_closeness(dplus, dminus):
+    close = holds(closeness, dplus, dminus)
+    assert close is None or all(0.0 <= c <= 1.0 for c in close)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(reals, max_size=6))
+def test_rank(vals):
+    order = holds(rank, vals)
+    if order is not None:  # a permutation, best first
+        assert sorted(order) == list(range(len(vals)))
+        assert all(vals[a] >= vals[b] for a, b in zip(order, order[1:]))

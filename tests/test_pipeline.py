@@ -23,6 +23,7 @@ from fnnmadm import (
     LambdaInvalid,
     LengthMismatch,
     MembershipOutOfRange,
+    NormalDomainError,
     NotFinite,
     NotNormalized,
     PipelineConfig,
@@ -414,6 +415,43 @@ def test_rank_ordering_and_ties():
     assert rank([0.2, 0.9, 0.9]) == [1, 2, 0]
     with pytest.raises(EmptyInput):
         rank([])
+
+
+@pytest.mark.parametrize("values", [[0.5, math.nan, 0.7], [math.nan, 0.5, 0.7], [math.nan]])
+def test_rank_rejects_nan(values):
+    # a NaN compares false both ways, so sorting around one misordered the finite
+    # values: [0.5, nan, 0.7] ranked 0.5 above 0.7
+    with pytest.raises(NotFinite, match="^values to rank must be numbers; a value is NaN$"):
+        rank(values)
+    assert rank([0.5, math.inf, -math.inf]) == [1, 0, 2]
+
+
+def test_every_entry_point_types_a_fault_the_same_way(tmp_path, capsys):
+    # a weight inside the sum tolerance but above 1 overflows fnnwg's spread
+    dm = make_decision_matrix(["A"], ["x"], [[make_fnnn(1, 1.797e308, 0.5, 0.5, 0.5)]],
+                              (1.000001,))
+    for op in ("fnnwg", "gfnnwg"):
+        calls = [
+            lambda: OPERATORS[op](dm.row(0), dm.weights, 1),
+            lambda: aggregate_rows(normalize(dm), op, 1),
+            lambda: run_pipeline(dm, PipelineConfig(op)),
+            lambda: lambda_sweep(dm, PipelineConfig(op), [1]),
+        ]
+        for call in calls:
+            with pytest.raises(NotFinite, match=r"^a value overflowed float64 at lambda = 1$"):
+                call()
+    path = tmp_path / "overflow.csv"
+    path.write_text("alt,x\nA,1;1.797e308;0.5;0.5;0.5\nweights,1.000001\n")
+    assert cli_main(["rank", str(path), "--operator", "fnnwg"]) == 2
+    assert capsys.readouterr().err == "error: a value overflowed float64 at lambda = 1\n"
+    # a fractional power of a negative location, in three operators' own ways
+    cells = [make_fnnn(-1, 1, 0.5, 0.5, 0.5), make_fnnn(2, 1, 0.5, 0.5, 0.5)]
+    messages = set()
+    for op in ("fnnwg", "gfnnwa", "gfnnwg"):
+        with pytest.raises(NormalDomainError) as raised:
+            OPERATORS[op](cells, (0.5, 0.5), 2.5)
+        messages.add(str(raised.value))
+    assert messages == {"cannot raise a negative location to a fractional power"}
 
 
 def test_run_pipeline_full_golden(engineers_matrix):
