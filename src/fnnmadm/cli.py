@@ -5,12 +5,18 @@ optional trailing ``weights,...`` row) or JSON (object with
 ``alternatives``, ``attributes``, ``weights`` and a row-major ``cells``
 array of 5-field objects).  Exit codes: 0 success, 1 usage error,
 2 data/validation error, 3 degenerate computation.
+
+:func:`main` may be called repeatedly in one process: it builds its
+parser on the first call, not at import, and reuses it.  A value that
+starts with ``-`` and then a digit or ``.``, given after an option that
+takes a value, is that option's value (``--weights -0.5,1.5``).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -583,13 +589,39 @@ def _lambda_range(text: str) -> list[float]:
     return lams
 
 
+_NEGATIVE_STARTS = frozenset(f"-{c}" for c in "0123456789.")
+
+
+def _join_negative_values(args, takes_value) -> list[str]:
+    """``args`` with each value that starts with ``-`` and then a digit or
+    ``.`` joined, as ``option=value``, to an option in ``takes_value`` right
+    before it.  argparse would read ``-0.5,1.5`` after ``--weights`` as an
+    unknown option and report ``--weights`` as missing its value."""
+    out = []
+    for arg in args:
+        if out and out[-1] in takes_value and arg[:2] in _NEGATIVE_STARTS and "--" not in out:
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 class _Parser(argparse.ArgumentParser):
+    # build_parser gives the top-level parser every subcommand's options that
+    # take a value; a subparser keeps the empty set, so only the top level joins
+    takes_value: frozenset[str] = frozenset()
+
     def error(self, message):  # usage problems exit 1, not argparse's 2
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
+    def parse_known_args(self, args=None, namespace=None):
+        args = sys.argv[1:] if args is None else args
+        return super().parse_known_args(_join_negative_values(args, self.takes_value), namespace)
+
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser for the ``rank``, ``sweep`` and ``validate`` commands."""
     parser = _Parser(
         prog="fnn-madm",
         description=(
@@ -598,47 +630,51 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    options = []
+
+    def add(p, *names, **kwargs):
+        options.append(p.add_argument(*names, **kwargs))
 
     def add_common(p, with_lambda=True):
-        p.add_argument("path", help="problem file (CSV or JSON)")
-        p.add_argument(
-            "--input-format",
+        add(p, "path", help="problem file (CSV or JSON)")
+        add(
+            p, "--input-format",
             choices=("csv", "json"),
             help="problem file format (default: by extension)",
         )
-        p.add_argument(
-            "--operator",
+        add(
+            p, "--operator",
             choices=sorted(OPERATORS),
             default="fnnwa",
             help="aggregation operator (default: fnnwa)",
         )
-        p.add_argument(
-            "--metric",
+        add(
+            p, "--metric",
             choices=sorted(METRICS),
             default="hamming",
             help="ideal-distance measure (default: hamming)",
         )
-        p.add_argument(
-            "--weights",
+        add(
+            p, "--weights",
             type=_floats,
             metavar="w1,...,wm",
             help="attribute weights; overrides a weights row in the file",
         )
-        p.add_argument(
-            "--renormalize-weights",
+        add(
+            p, "--renormalize-weights",
             action="store_true",
             help="rescale weights to sum 1 instead of rejecting them",
         )
         if with_lambda:
-            p.add_argument(
-                "--lambda",
+            add(
+                p, "--lambda",
                 dest="lam",
                 type=float,
                 default=1.0,
                 help="operation parameter, real >= 1 (default: 1)",
             )
-        p.add_argument(
-            "--format",
+        add(
+            p, "--format",
             choices=("table", "json", "csv"),
             default="table",
             help="report format (default: table)",
@@ -651,38 +687,49 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="rank repeatedly over a lambda grid")
     add_common(p_sweep, with_lambda=False)
     grid = p_sweep.add_mutually_exclusive_group(required=True)
-    grid.add_argument(
-        "--lambda-range",
+    add(
+        grid, "--lambda-range",
         dest="lams",
         type=_lambda_range,
         metavar="a..b",
         help="integer-stepped grid from a to b, 1 <= a <= b",
     )
-    grid.add_argument(
-        "--lambdas",
+    add(
+        grid, "--lambdas",
         dest="lams",
         type=_floats,
         metavar="x,y,...",
         help="explicit strictly increasing lambda values",
     )
-    p_sweep.add_argument(
-        "--plot-out",
+    add(
+        p_sweep, "--plot-out",
         metavar="PATH",
         help="write closeness-vs-lambda CSV (header: lambda,D1,...,Dn)",
     )
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_val = sub.add_parser("validate", help="report every reason rank would reject the file for")
-    p_val.add_argument("path", help="problem file (CSV or JSON)")
-    p_val.add_argument("--input-format", choices=("csv", "json"))
+    add(p_val, "path", help="problem file (CSV or JSON)")
+    add(p_val, "--input-format", choices=("csv", "json"))
     p_val.set_defaults(func=cmd_validate)
 
+    parser.takes_value = frozenset(
+        name for action in options if action.nargs != 0 for name in action.option_strings
+    )
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser :func:`main` uses: built on the first call, then shared
+    by every later call in the process.  Nothing changes it once built;
+    each parse keeps its state in its own Namespace."""
+    return build_parser()
 
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
     try:

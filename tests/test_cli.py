@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import gc
 import io
 import json
 import math
@@ -10,6 +11,7 @@ import pathlib
 import random
 import subprocess
 import sys
+import threading
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -447,6 +449,21 @@ def test_rank_non_finite_weights_flag_is_usage_error(engineers_csv_path, capsys)
     code, _, _ = run_cli(capsys, "rank", engineers_csv_path,
                          "--weights", "inf,1,1,1", "--renormalize-weights")
     assert code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["rank", "--weights", "-0.5,1.5"], "--weights: weight 1 of 2 must be a finite number > 0"),
+    (["sweep", "--lambdas", "-1,2"], "lam = -1.0 must be a finite real >= 1"),
+    (["sweep", "--lambda-range", "-1..2"], "lam = -1.0 must be a finite real >= 1"),
+], ids=["rank-weights", "sweep-lambdas", "sweep-lambda-range"])
+def test_a_negative_value_after_its_option_is_that_options_value(tmp_path, capsys,
+                                                                  argv, message):
+    path = tmp_path / "two.csv"
+    path.write_text(f"alt,x,y\nA,{ONE_CELL},{ONE_CELL}\nweights,0.5,0.5\n")
+    command, option, value = argv
+    joined = run_cli(capsys, command, str(path), f"{option}={value}")
+    assert run_cli(capsys, command, str(path), option, value) == joined
+    assert joined == (EXIT_USAGE, "", f"error: {message}\n")
 
 
 def test_rank_csv_prints_plain_floats(engineers_csv_path, capsys):
@@ -941,3 +958,83 @@ def test_exit_code_contract_on_arbitrary_json(tmp_path, capsys, text):
         code, out, _ = run_cli(capsys, *argv)  # an escaping exception fails the test
         assert code in (EXIT_OK, EXIT_DATA, EXIT_DEGENERATE), argv
         assert "nan" not in out.lower() and "np.float64" not in out
+
+
+# ---------------------------------------------------------------------------
+# the shared parser
+
+
+def _golden_argvs() -> list[list[str]]:
+    fixture = ROOT / "tests" / "golden" / "cli_bytes.json"
+    return [entry["argv"] for entry in json.loads(fixture.read_text(encoding="utf-8"))]
+
+
+def _same_namespace(shared, fresh) -> bool:
+    shared, fresh = vars(shared), vars(fresh)
+    return shared["func"] is fresh["func"] and shared == fresh
+
+
+def test_the_shared_parser_keeps_no_state_between_parses():
+    argvs = _golden_argvs()
+    assert cli.build_parser() is not cli.build_parser()
+    for argv in argvs + argvs[::-1]:
+        assert _same_namespace(cli._parser().parse_args(argv), cli.build_parser().parse_args(argv))
+
+
+def test_threads_share_the_parser():
+    argvs = [
+        ["rank", "p.csv", "--operator", "gfnnwa", "--lambda", "3", "--weights", "-1,2"],
+        ["sweep", "p.json", "--lambdas", "-1,2", "--metric", "euclidean", "--format", "csv"],
+        ["sweep", "p.csv", "--lambda-range", "1..34", "--plot-out", "plot.csv"],
+        ["validate", "p.json", "--input-format", "csv"],
+    ]
+    expected = [cli.build_parser().parse_args(argv) for argv in argvs]
+    results = [[] for _ in argvs]
+
+    def parse(argv, out):
+        for _ in range(200):
+            out.append(cli._parser().parse_args(argv))
+
+    threads = [threading.Thread(target=parse, args=pair) for pair in zip(argvs, results)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for want, got in zip(expected, results):
+        assert len(got) == 200 and all(_same_namespace(ns, want) for ns in got)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["rank", "{engineers}", "--format", "json"], EXIT_OK),
+    (["sweep", "{engineers}", "--lambda-range", "1..34", "--format", "json"], EXIT_OK),
+    (["validate", "{engineers}"], EXIT_OK),
+    (["rank", "/nonexistent/problem.csv"], EXIT_DATA),
+], ids=["rank", "sweep", "validate", "missing-file"])
+def test_a_warm_call_leaves_no_cyclic_garbage(engineers_csv_path, argv, code):
+    argv = [a.format(engineers=engineers_csv_path) for a in argv]
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        assert main(argv) == code
+        enabled = gc.isenabled()
+        gc.disable()  # only the collection below may free what the call left
+        try:
+            gc.collect()
+            assert main(argv) == code
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
+
+
+def test_import_builds_no_parser():
+    code = "import fnnmadm.cli as cli; print(cli._parser.cache_info().currsize)"
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env=env, check=True)
+    assert done.stdout == "0\n"
