@@ -7,9 +7,11 @@ array of 5-field objects).  Exit codes: 0 success, 1 usage error,
 2 data/validation error, 3 degenerate computation.
 
 :func:`main` may be called repeatedly in one process: it builds its
-parser on the first call, not at import, and reuses it.  A value that
-starts with ``-`` and then a digit or ``.``, given after an option that
-takes a value, is that option's value (``--weights -0.5,1.5``).
+parser on the first call, not at import, and reuses it.  An argument
+that starts with ``-`` and then a digit or ``.`` is a value, never an
+option: after an option that takes a value, abbreviated or not, it is
+that option's value (``--weig -0.5,1.5``); elsewhere it is a positional
+(``validate -1.csv``).
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 from itertools import chain
 from operator import itemgetter
@@ -191,17 +194,15 @@ def _build_matrix(
     renormalize: bool = False,
 ) -> DecisionMatrix:
     weights = weights_override if weights_override is not None else raw.weights
-    if weights is None:
-        for _, problem in _problems(*raw):
-            raise problem
-        raise ParseError("no weights: embed a 'weights' row or pass --weights")
-    if renormalize:
-        try:
+    try:
+        if weights is None:
+            raise ParseError("no weights: embed a 'weights' row or pass --weights")
+        if renormalize:
             weights = check_weights(weights, n=len(raw.attributes), renormalize=True)
-        except (LengthMismatch, WeightInvalid):  # raised after the matrix's other problems
-            for _, problem in _problems(*raw._replace(weights=None)):
-                raise problem from None
-            raise
+    except (ParseError, LengthMismatch, WeightInvalid):  # raised after the matrix's other problems
+        for _, problem in _problems(*raw._replace(weights=None)):
+            raise problem from None
+        raise
     return DecisionMatrix(raw.alternatives, raw.attributes, raw.rows, weights)
 
 
@@ -504,11 +505,7 @@ class _UsageError(Exception):
 
 def cmd_rank(args) -> int:
     dm = _load_matrix(args)
-    try:
-        config = PipelineConfig(operator=args.operator, metric=args.metric, lam=args.lam)
-    except LambdaInvalid as e:
-        raise _UsageError(str(e)) from None
-    rep = run_pipeline(dm, config)
+    rep = run_pipeline(dm, PipelineConfig(operator=args.operator, metric=args.metric, lam=args.lam))
     del dm  # the report holds the normalized rows; the raw ones would only take memory
     prec = _precision()
     if args.format == "json":
@@ -525,7 +522,7 @@ def cmd_sweep(args) -> int:
     config = PipelineConfig(operator=args.operator, metric=args.metric)
     try:
         result = lambda_sweep(dm, config, args.lams)
-    except (LambdaInvalid, EmptyInput) as e:
+    except EmptyInput as e:  # an empty --lambda-range such as 3..1
         raise _UsageError(str(e)) from None
     prec = _precision()
     if args.plot_out:
@@ -589,35 +586,17 @@ def _lambda_range(text: str) -> list[float]:
     return lams
 
 
-_NEGATIVE_STARTS = frozenset(f"-{c}" for c in "0123456789.")
-
-
-def _join_negative_values(args, takes_value) -> list[str]:
-    """``args`` with each value that starts with ``-`` and then a digit or
-    ``.`` joined, as ``option=value``, to an option in ``takes_value`` right
-    before it.  argparse would read ``-0.5,1.5`` after ``--weights`` as an
-    unknown option and report ``--weights`` as missing its value."""
-    out = []
-    for arg in args:
-        if out and out[-1] in takes_value and arg[:2] in _NEGATIVE_STARTS and "--" not in out:
-            out[-1] += "=" + arg
-        else:
-            out.append(arg)
-    return out
-
-
 class _Parser(argparse.ArgumentParser):
-    # build_parser gives the top-level parser every subcommand's options that
-    # take a value; a subparser keeps the empty set, so only the top level joins
-    takes_value: frozenset[str] = frozenset()
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads an argument that this matches, and that names no
+        # option, as a value: widened from plain negative numbers to any
+        # value that starts with "-" and then a digit or "."
+        self._negative_number_matcher = re.compile(r"-[0-9.]")
 
     def error(self, message):  # usage problems exit 1, not argparse's 2
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-    def parse_known_args(self, args=None, namespace=None):
-        args = sys.argv[1:] if args is None else args
-        return super().parse_known_args(_join_negative_values(args, self.takes_value), namespace)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -630,51 +609,47 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    options = []
-
-    def add(p, *names, **kwargs):
-        options.append(p.add_argument(*names, **kwargs))
 
     def add_common(p, with_lambda=True):
-        add(p, "path", help="problem file (CSV or JSON)")
-        add(
-            p, "--input-format",
+        p.add_argument("path", help="problem file (CSV or JSON)")
+        p.add_argument(
+            "--input-format",
             choices=("csv", "json"),
             help="problem file format (default: by extension)",
         )
-        add(
-            p, "--operator",
+        p.add_argument(
+            "--operator",
             choices=sorted(OPERATORS),
             default="fnnwa",
             help="aggregation operator (default: fnnwa)",
         )
-        add(
-            p, "--metric",
+        p.add_argument(
+            "--metric",
             choices=sorted(METRICS),
             default="hamming",
             help="ideal-distance measure (default: hamming)",
         )
-        add(
-            p, "--weights",
+        p.add_argument(
+            "--weights",
             type=_floats,
             metavar="w1,...,wm",
             help="attribute weights; overrides a weights row in the file",
         )
-        add(
-            p, "--renormalize-weights",
+        p.add_argument(
+            "--renormalize-weights",
             action="store_true",
             help="rescale weights to sum 1 instead of rejecting them",
         )
         if with_lambda:
-            add(
-                p, "--lambda",
+            p.add_argument(
+                "--lambda",
                 dest="lam",
                 type=float,
                 default=1.0,
                 help="operation parameter, real >= 1 (default: 1)",
             )
-        add(
-            p, "--format",
+        p.add_argument(
+            "--format",
             choices=("table", "json", "csv"),
             default="table",
             help="report format (default: table)",
@@ -687,35 +662,31 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="rank repeatedly over a lambda grid")
     add_common(p_sweep, with_lambda=False)
     grid = p_sweep.add_mutually_exclusive_group(required=True)
-    add(
-        grid, "--lambda-range",
+    grid.add_argument(
+        "--lambda-range",
         dest="lams",
         type=_lambda_range,
         metavar="a..b",
         help="integer-stepped grid from a to b, 1 <= a <= b",
     )
-    add(
-        grid, "--lambdas",
+    grid.add_argument(
+        "--lambdas",
         dest="lams",
         type=_floats,
         metavar="x,y,...",
         help="explicit strictly increasing lambda values",
     )
-    add(
-        p_sweep, "--plot-out",
+    p_sweep.add_argument(
+        "--plot-out",
         metavar="PATH",
         help="write closeness-vs-lambda CSV (header: lambda,D1,...,Dn)",
     )
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_val = sub.add_parser("validate", help="report every reason rank would reject the file for")
-    add(p_val, "path", help="problem file (CSV or JSON)")
-    add(p_val, "--input-format", choices=("csv", "json"))
+    p_val.add_argument("path", help="problem file (CSV or JSON)")
+    p_val.add_argument("--input-format", choices=("csv", "json"))
     p_val.set_defaults(func=cmd_validate)
-
-    parser.takes_value = frozenset(
-        name for action in options if action.nargs != 0 for name in action.option_strings
-    )
     return parser
 
 
@@ -734,7 +705,9 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         return args.func(args)
-    except (_UsageError, ValueError) as e:  # a path with a NUL byte, a label stdout cannot encode
+    # ValueError: a path with a NUL byte, a label stdout cannot encode; a
+    # LambdaInvalid only ever comes from a flag
+    except (_UsageError, ValueError, LambdaInvalid) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except DegenerateCloseness as e:

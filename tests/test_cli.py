@@ -9,6 +9,7 @@ import math
 import os
 import pathlib
 import random
+import shutil
 import subprocess
 import sys
 import threading
@@ -451,19 +452,43 @@ def test_rank_non_finite_weights_flag_is_usage_error(engineers_csv_path, capsys)
     assert code == EXIT_USAGE
 
 
-@pytest.mark.parametrize("argv, message", [
-    (["rank", "--weights", "-0.5,1.5"], "--weights: weight 1 of 2 must be a finite number > 0"),
-    (["sweep", "--lambdas", "-1,2"], "lam = -1.0 must be a finite real >= 1"),
-    (["sweep", "--lambda-range", "-1..2"], "lam = -1.0 must be a finite real >= 1"),
-], ids=["rank-weights", "sweep-lambdas", "sweep-lambda-range"])
+WEIGHT_MESSAGE = "--weights: weight 1 of 2 must be a finite number > 0"
+LAMBDA_MESSAGE = "lam = -1.0 must be a finite real >= 1"
+
+
+@pytest.mark.parametrize("argv, full, message", [
+    (["rank", "--weights", "-0.5,1.5"], "--weights", WEIGHT_MESSAGE),
+    (["rank", "--weig", "-0.5,1.5"], "--weights", WEIGHT_MESSAGE),
+    (["sweep", "--lambdas", "-1,2"], "--lambdas", LAMBDA_MESSAGE),
+    (["sweep", "--lambda-range", "-1..2"], "--lambda-range", LAMBDA_MESSAGE),
+    (["sweep", "--lambda-r", "-1..2"], "--lambda-range", LAMBDA_MESSAGE),
+], ids=["rank-weights", "rank-weights-abbreviated", "sweep-lambdas", "sweep-lambda-range",
+        "sweep-lambda-range-abbreviated"])
 def test_a_negative_value_after_its_option_is_that_options_value(tmp_path, capsys,
-                                                                  argv, message):
+                                                                  argv, full, message):
     path = tmp_path / "two.csv"
     path.write_text(f"alt,x,y\nA,{ONE_CELL},{ONE_CELL}\nweights,0.5,0.5\n")
     command, option, value = argv
-    joined = run_cli(capsys, command, str(path), f"{option}={value}")
+    joined = run_cli(capsys, command, str(path), f"{full}={value}")
     assert run_cli(capsys, command, str(path), option, value) == joined
     assert joined == (EXIT_USAGE, "", f"error: {message}\n")
+
+
+def test_a_positional_that_starts_with_a_negative_number_is_a_path(engineers_csv_path,
+                                                                   tmp_path, monkeypatch,
+                                                                   capsys):
+    shutil.copy(engineers_csv_path, tmp_path / "-1.csv")
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, "validate", "-1.csv")
+    assert (code, err) == (EXIT_OK, "")
+    assert out == "20 cells valid\n"
+
+
+def test_an_option_after_an_option_that_takes_a_value_stays_an_option(engineers_csv_path,
+                                                                       capsys):
+    code, out, err = run_cli(capsys, "rank", engineers_csv_path, "--weights", "--format", "json")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.endswith("error: argument --weights: expected one argument\n")
 
 
 def test_rank_csv_prints_plain_floats(engineers_csv_path, capsys):
