@@ -78,14 +78,6 @@ def log_neg_log_one_minus_exp(z: float) -> float:
     return z if z < _NEGLIGIBLE else math.log(-log_one_minus_exp(z))
 
 
-def log_sum_exp(xs: list[float]) -> float:
-    """log(sum(exp(x) for x in xs)) without underflow; -inf for no mass."""
-    top = max(xs)
-    if top == _NEG_INF:
-        return top
-    return top + math.log(left_sum(math.exp(x - top) for x in xs))
-
-
 def xlogs(values) -> list[float]:
     """xlog of each value in [0, 1], and -inf for a value of 0, whose
     log is undefined (math.log(0) raises)."""
@@ -106,8 +98,10 @@ def weighted_prob_sum(logs, weights, p: float) -> float:
         top = max(logs)
         if p * top == _NEG_INF:  # p * log(max v) overflows, so does every term; p may be inf
             return exp(top)  # the channel's limit, max v: the root moves it by under 1e-300
+        # log(-acc) is the log-sum-exp of the terms; their maximum is finite, as p * log(max v) is
         terms = [log(w) + log_neg_log_one_minus_exp(p * lv) for lv, w in zip(logs, weights)]
-        return exp(log_sum_exp(terms) / p)
+        peak = max(terms)
+        return exp((peak + log(left_sum(exp(x - peak) for x in terms))) / p)
     return exp(log_one_minus_exp(acc) / p)
 
 

@@ -91,15 +91,12 @@ def _numbers(values, where: str, row: int | None = None, col: int | None = None)
 
 def _parse_cell(text: str, row: int, col: int) -> tuple[float, ...]:
     parts = text.split(";")
-    if len(parts) == 5:
-        try:
-            return tuple(map(float, parts))  # float strips whitespace itself
-        except ValueError:
-            pass  # name the fault as below, from the stripped fields
-    parts = [p.strip() for p in parts]
     if len(parts) != 5:
         raise ParseError(f"cell {text!r} must have 5 ';'-separated fields eta;xi;t;i;f", row, col)
-    return tuple(_numbers(parts, f"cell {text!r}", row, col))
+    try:
+        return tuple(map(float, parts))  # float strips whitespace itself
+    except ValueError:  # name the fault from the stripped fields
+        return tuple(_numbers([p.strip() for p in parts], f"cell {text!r}", row, col))
 
 
 def _read_csv_problem(path: str) -> RawProblem:
@@ -193,17 +190,22 @@ def _build_matrix(
     weights_override: list[float] | None = None,
     renormalize: bool = False,
 ) -> DecisionMatrix:
+    """The matrix of ``raw``, with ``weights_override`` as its weights if given.  A fault of
+    the weights comes after the matrix's other problems; one of ``weights_override`` is
+    a usage problem, _UsageError (exit 1), as --weights that do not parse are."""
     weights = weights_override if weights_override is not None else raw.weights
     try:
         if weights is None:
             raise ParseError("no weights: embed a 'weights' row or pass --weights")
         if renormalize:
             weights = check_weights(weights, n=len(raw.attributes), renormalize=True)
-    except (ParseError, LengthMismatch, WeightInvalid):  # raised after the matrix's other problems
+        return DecisionMatrix(raw.alternatives, raw.attributes, raw.rows, weights)
+    except (ParseError, LengthMismatch, WeightInvalid) as e:
         for _, problem in _problems(*raw._replace(weights=None)):
             raise problem from None
-        raise
-    return DecisionMatrix(raw.alternatives, raw.attributes, raw.rows, weights)
+        if weights_override is None:
+            raise
+        raise _UsageError(f"--weights: {e}") from None
 
 
 def parse_problem(path: str, fmt: str | None = None) -> DecisionMatrix:
@@ -484,19 +486,9 @@ def closeness_csv(result: SweepResult, labels, ordering: bool = False) -> str:
 
 
 def _load_matrix(args) -> DecisionMatrix:
-    """Read the problem file; apply the --weights override if given.
-
-    File/data problems raise FnnError subclasses (exit 2); --weights that
-    the matrix rejects are a usage problem and raise _UsageError
-    (exit 1), as --weights that do not parse are to argparse.
-    """
+    """Read the problem file and build its matrix, with the --weights override if given."""
     raw = _read_raw(args.path, args.input_format)
-    try:
-        return _build_matrix(raw, args.weights, renormalize=args.renormalize_weights)
-    except (LengthMismatch, WeightInvalid) as e:
-        if args.weights is None:
-            raise
-        raise _UsageError(f"--weights: {e}") from None
+    return _build_matrix(raw, args.weights, renormalize=args.renormalize_weights)
 
 
 class _UsageError(Exception):
@@ -583,6 +575,10 @@ def _lambda_range(text: str) -> list[float]:
     for _ in range(math.floor(span + 1e-9) + 1):
         lams.append(v)
         v += 1.0
+    if len(lams) > 1 and lams[-1] == lams[-2]:  # from 2**53 on, v + 1.0 may round back to v
+        raise argparse.ArgumentTypeError(
+            f"must step by 1, which float64 cannot from 2**53 on, got {text!r}"
+        )
     return lams
 
 

@@ -50,7 +50,9 @@ class DecisionMatrix:
     eta, xi, t, i and f of its cells.  ``cells`` and ``row`` build ``Fnnn``
     values on demand.  A matrix raises the first of :func:`_problems`
     when made, so each of its cells passes ``core.check_cell``, it always
-    normalizes, and it holds its weights as floats.  ``normalized`` is not
+    normalizes, and it holds its labels, rows and weights as tuples (of str,
+    of tuples, of floats), whatever iterables it was given, so two matrices
+    of the same cells are equal and hash.  ``normalized`` is not
     a constructor argument: only :func:`normalize` sets it, on a copy of a
     checked matrix, whose type raises ValidationError if the constructor
     makes one, as ``dataclasses.replace`` would.
@@ -63,9 +65,15 @@ class DecisionMatrix:
     normalized: bool = field(default=False, init=False)
 
     def __post_init__(self):
-        for _, problem in _problems(self.alternatives, self.attributes, self.rows, self.weights):
+        alternatives = tuple(map(str, self.alternatives or ()))  # None: EmptyInput, as () is
+        attributes = tuple(map(str, self.attributes or ()))
+        rows = tuple(tuple(map(tuple, row)) for row in self.rows)
+        weights = () if self.weights is None else tuple(self.weights)
+        for _, problem in _problems(alternatives, attributes, rows, weights):
             raise problem
-        object.__setattr__(self, "weights", tuple(map(float, self.weights)))
+        weights = tuple(map(float, weights))
+        vars(self).update(alternatives=alternatives, attributes=attributes, rows=rows,
+                          weights=weights)
 
     @property
     def n_alternatives(self) -> int:
@@ -112,9 +120,8 @@ def make_decision_matrix(
     the cubic-sum bound, as an aggregate may be.  To rescale weights that
     do not sum to 1, pass ``check_weights(weights, renormalize=True)``.
     """
-    rows = tuple(tuple(map(tuple, read_row(row))) for row in cells)
-    alternatives, attributes = tuple(map(str, alternatives)), tuple(map(str, attributes))
-    return DecisionMatrix(alternatives, attributes, rows, weights)
+    # a generator, so that the matrix holds each row as tuples before it reads the next
+    return DecisionMatrix(alternatives, attributes, (read_row(row) for row in cells), weights)
 
 
 def _problems(alternatives, attributes, rows, weights):
@@ -207,8 +214,8 @@ def aggregate_rows(dm: DecisionMatrix, operator: str, lam: float = 1.0) -> tuple
     weights; requires a normalized matrix, and takes PipelineConfig's rules."""
     if not dm.normalized:
         raise NotNormalized("normalize the decision matrix before aggregating")
-    PipelineConfig(operator, lam=lam)
-    (aggs,) = aggregates(GENERATORS[operator], dm.rows, dm.weights, [float(lam)])
+    lam = PipelineConfig(operator, lam=lam).lam
+    (aggs,) = aggregates(GENERATORS[operator], dm.rows, dm.weights, [lam])
     return tuple(checked_fnnn(*a) for a in aggs)
 
 
@@ -263,7 +270,7 @@ def rank(values: Sequence[float]) -> list[int]:
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Operator/metric/parameter choice for one ranking run."""
+    """Operator/metric/parameter choice for one ranking run; ``lam`` is held as a checked float."""
 
     operator: str = "fnnwa"
     metric: str = "hamming"
@@ -274,7 +281,7 @@ class PipelineConfig:
                                   ("metric", self.metric, METRICS)):
             if name not in names:
                 raise UnknownName(f"unknown {kind} {name!r}; choose from {sorted(names)}")
-        check_lambda(self.lam)
+        object.__setattr__(self, "lam", check_lambda(self.lam))
 
 
 @dataclass(frozen=True)
@@ -343,11 +350,11 @@ def run_pipeline(dm: DecisionMatrix, config: PipelineConfig = PipelineConfig()) 
     overflows float64.
     """
     nm = normalize(dm)
-    (ev,) = _evaluations(nm, config.operator, config.metric, [float(config.lam)])
+    (ev,) = _evaluations(nm, config.operator, config.metric, [config.lam])
     aggs = tuple(checked_fnnn(*a) for a in ev.aggregates)
     positive, negative = _ideal_values(ev.positive, ev.negative)
     notes = []
-    if float(config.lam) != int(config.lam):
+    if not config.lam.is_integer():
         notes.append(
             f"lambda = {config.lam:g} is fractional; integer parameters are the typical domain"
         )

@@ -624,6 +624,33 @@ def test_sweep_bad_grid_is_usage_error(engineers_csv_path, capsys, flag, value):
     assert out == ""
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["rank", "--weights", "1,x"], "--weights: could not convert string to float: 'x'"),
+    (["sweep", "--lambdas", "1,x"], "--lambdas: could not convert string to float: 'x'"),
+    (["sweep", "--lambda-range", "1..x"], "--lambda-range: must look like 'a..b', got '1..x'"),
+    (["sweep", "--lambda-range", "1"], "--lambda-range: must look like 'a..b', got '1'"),
+])
+def test_a_flag_value_that_does_not_parse_is_named_by_argparse(engineers_csv_path, capsys,
+                                                               argv, message):
+    command, *flag = argv
+    code, out, err = run_cli(capsys, command, engineers_csv_path, *flag)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.endswith(f": error: argument {message}\n")
+
+
+def test_a_range_float64_cannot_step_by_1_is_a_usage_error(engineers_csv_path, capsys):
+    # from 2**53 on, v + 1.0 rounds back to v: the grid held 2**53 three times, and a
+    # range typed in increasing order was rejected as not strictly increasing
+    grid = "9007199254740992..9007199254740994"
+    code, out, err = run_cli(capsys, "sweep", engineers_csv_path, "--lambda-range", grid)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.endswith(
+        f"argument --lambda-range: must step by 1, which float64 cannot from 2**53 on, "
+        f"got {grid!r}\n"
+    )
+    assert cli._lambda_range("9007199254740991..9007199254740992") == [2.0**53 - 1, 2.0**53]
+
+
 def run_capped(*argv):
     """Run the CLI in a child whose address space is capped at 256 MiB and
     whose run time is capped at 60 s, so a grid that was built before it

@@ -4,6 +4,7 @@ import dataclasses
 import math
 import pickle
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -77,6 +78,42 @@ def test_a_matrix_built_directly_checks_itself():
         DecisionMatrix(("A", "B"), ("x",), (cell, cell), (0.5,))
     weights = DecisionMatrix(("A",), ("x",), (cell,), [1]).weights
     assert weights == (1.0,) and type(weights[0]) is float
+
+
+def test_a_matrix_given_none_raises_a_typed_error():
+    # None weights skipped the weights check, and storing them raised a bare TypeError
+    cell = ((1.0,), (1.0,), (0.5,), (0.5,), (0.5,))
+    with pytest.raises(LengthMismatch, match=r"^expected 1 weights, got 0$"):
+        DecisionMatrix(("A",), ("x",), (cell,), None)
+    with pytest.raises(EmptyInput):
+        DecisionMatrix(None, ("x",), (cell,), (1.0,))
+
+
+def test_a_matrix_holds_its_labels_and_rows_as_tuples():
+    # a matrix made from lists kept them: it could not be hashed, and it was not
+    # equal to the same matrix made from tuples; weights given as an iterator were
+    # used up by the check, and the matrix held no weights
+    cell = ((1.0,), (1.0,), (0.5,), (0.5,), (0.5,))
+    listed = DecisionMatrix([1], ["x"], [[list(v) for v in cell]], [1])
+    tupled = DecisionMatrix(("1",), ("x",), (cell,), (1.0,))
+    assert listed == tupled and hash(listed) == hash(tupled)
+    assert listed.alternatives == ("1",) and listed.rows == (cell,)
+    assert DecisionMatrix(iter("1"), iter("x"), iter([cell]), iter([1.0])) == tupled
+
+
+def test_the_repr_of_a_matrix_shows_its_cells():
+    dm = DecisionMatrix(["A"], ["x"], [[[2.0], [1.0], [0.5], [0.25], [0.5]]], [1])
+    mu = "mu=MembershipTriple(t=0.5, i=0.25, f=0.5)"
+    assert repr(dm) == (
+        "DecisionMatrix(alternatives=('A',), attributes=('x',), "
+        f"cells=((Fnnn(normal=NormalParams(eta=2.0, xi=1.0), {mu}),),), "
+        "weights=(1.0,), normalized=False)"
+    )
+    assert repr(normalize(dm)) == (
+        "DecisionMatrix(alternatives=('A',), attributes=('x',), "
+        f"cells=((Fnnn(normal=NormalParams(eta=1.0, xi=0.5), {mu}),),), "
+        "weights=(1.0,), normalized=True)"
+    )
 
 
 @pytest.mark.parametrize("cell, error, reason", [
@@ -505,6 +542,20 @@ def test_run_pipeline_deterministic_bytes(engineers_matrix):
     rep1 = run_pipeline(engineers_matrix, PipelineConfig())
     rep2 = run_pipeline(engineers_matrix, PipelineConfig())
     assert _dump_json(report_to_dict(rep1)) == _dump_json(report_to_dict(rep2))
+
+
+@pytest.mark.parametrize("lam, held", [("2.5", 2.5), (Fraction(5, 2), 2.5), (True, 1.0)])
+def test_a_config_holds_its_lambda_as_a_float(engineers_matrix, lam, held):
+    # the config checked lam but kept it as given: run_pipeline raised a bare
+    # ValueError for "2.5" and a bare TypeError for Fraction(5, 2), and
+    # report_to_dict wrote True as JSON true
+    config = PipelineConfig(lam=lam)
+    assert config == PipelineConfig(lam=held) and type(config.lam) is float
+    rep = run_pipeline(engineers_matrix, config)
+    assert rep == run_pipeline(engineers_matrix, PipelineConfig(lam=held))
+    assert any("fractional" in n for n in rep.notes) == (held == 2.5)
+    written = report_to_dict(rep)["config"]["lambda"]
+    assert written == held and type(written) is float
 
 
 def test_pipeline_config_validation():
