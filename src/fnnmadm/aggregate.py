@@ -15,15 +15,17 @@ Each closed form agrees with its definitional fold of the primitive
 operations (see :mod:`fnnmadm.reference`) to within float accumulation.
 
 Each closed form is written once, as a generator over one row of values
-read into five float lists (eta, xi, t, i, f) by :func:`read_row`.  It
-first computes what does not depend on lam: the xlog of each membership
-it uses, and for fnnwa and fnnwg the location, the spread and one
-membership.  It then yields the aggregate at each lam it is given,
-clipped and checked by :func:`fnnmadm.core.checked_result`, the one rule
-for every operation's result.  :func:`aggregates` is their one driver:
-it advances every row's generator at each lam and alone types their float
-faults.  The operators below take it over one row at one lam, and the
-pipeline over every row at one lam or at each lam of a sweep.
+read into five float lists (eta, xi, t, i, f) by :func:`read_row`, and
+the xlogs of the memberships it reads, which :func:`aggregates` takes
+once per row and channel and keeps in a memo.  The generator first computes
+what else does not depend on lam: for fnnwa and fnnwg the location, the
+spread and one membership.  It then yields the aggregate at each lam it
+is given, clipped and checked by :func:`fnnmadm.core.checked_result`, the
+one rule for every operation's result.  :func:`aggregates` alone runs
+them: it advances every row's generator at each lam and alone types
+their float faults.  The operators below take it over one row at one lam
+with a memo of their own, and the pipeline over every row at one lam or
+at each lam of a sweep, with the memo its matrix keeps.
 """
 
 from __future__ import annotations
@@ -46,11 +48,15 @@ def check_weights(
     """Validate a weight vector; optionally rescale it to sum to 1.
 
     Raises LengthMismatch when n is given and disagrees, WeightInvalid for
-    nonpositive or non-finite entries, (without renormalize) a sum off by
-    more than WEIGHT_SUM_TOLERANCE, or (with it) a weight that underflows
-    to 0 when rescaled.
+    entries that are not real numbers (as ``float`` reads them), nonpositive
+    or non-finite, (without renormalize) a sum off by more than
+    WEIGHT_SUM_TOLERANCE, or (with it) a weight that underflows to 0 when
+    rescaled.
     """
-    ws = tuple(float(w) for w in weights)
+    try:
+        ws = tuple(map(float, weights))
+    except (TypeError, ValueError, OverflowError):  # OverflowError: an int beyond float64
+        raise WeightInvalid("weights must be real numbers in float64's range") from None
     if n is not None and len(ws) != n:
         raise LengthMismatch(f"expected {n} weights, got {len(ws)}")
     if not ws:
@@ -90,24 +96,22 @@ def read_row(cells: Sequence[Fnnn]) -> tuple[list[float], ...]:
     return etas, xis, [m.t for m in mus], [m.i for m in mus], [m.f for m in mus]
 
 
-def _fnnwa(row, ws, lams):
-    etas, xis, ts, i_s, fs = row
+def _fnnwa(row, log_t, log_i, _, ws, lams):
+    etas, xis, _, _, fs = row
     eta = left_sum(map(mul, ws, etas))
     xi = left_sum(map(mul, ws, xis))
     f = math.prod(v ** w for w, v in zip(ws, fs))
-    log_t, log_i = xlogs(ts), xlogs(i_s)
     for lam in lams:
         t = weighted_prob_sum(log_t, ws, 3.0 * lam)
         i = weighted_prob_sum(log_i, ws, lam)
         yield checked_result(eta, xi, t, i, f)
 
 
-def _fnnwg(row, ws, lams):
-    etas, xis, ts, i_s, fs = row
+def _fnnwg(row, _, log_i, log_f, ws, lams):
+    etas, xis, ts, _, _ = row
     eta = math.prod(map(math.pow, etas, ws))
     xi = math.prod(x ** w for w, x in zip(ws, xis))
     t = math.prod(v ** w for w, v in zip(ws, ts))
-    log_i, log_f = xlogs(i_s), xlogs(fs)
     for lam in lams:
         i = weighted_prob_sum(log_i, ws, lam)
         f = weighted_prob_sum(log_f, ws, 3.0 * lam)
@@ -131,9 +135,8 @@ def _power_mean(xs, ws, lam: float) -> float:
     return math.pow(total, 1.0 / lam)
 
 
-def _gfnnwa(row, ws, lams):
-    etas, xis, ts, i_s, fs = row
-    log_t, log_i, log_f = xlogs(ts), xlogs(i_s), xlogs(fs)
+def _gfnnwa(row, log_t, log_i, log_f, ws, lams):
+    etas, xis = row[0], row[1]
     for lam in lams:
         eta = _power_mean(etas, ws, lam)
         xi = _power_mean(xis, ws, lam)
@@ -156,9 +159,8 @@ def _scaled_geometric(xs, ws, lam: float) -> float:
     return math.pow(lam, math.fsum(ws) - 1.0) * math.prod(map(math.pow, xs, ws))
 
 
-def _gfnnwg(row, ws, lams):
-    etas, xis, ts, i_s, fs = row
-    log_t, log_i, log_f = xlogs(ts), xlogs(i_s), xlogs(fs)
+def _gfnnwg(row, log_t, log_i, log_f, ws, lams):
+    etas, xis = row[0], row[1]
     for lam in lams:
         eta = _scaled_geometric(etas, ws, lam)
         xi = _scaled_geometric(xis, ws, lam)
@@ -168,16 +170,34 @@ def _gfnnwg(row, ws, lams):
         yield checked_result(eta, xi, t, i, f)
 
 
-# each operator's closed form over one row, by name
-GENERATORS = {"fnnwa": _fnnwa, "fnnwg": _fnnwg, "gfnnwa": _gfnnwa, "gfnnwg": _gfnnwg}
+# each operator's closed form over one row, by name, and the membership
+# channels whose logs it reads, by index in a row (2 is t, 3 is i, 4 is f)
+_CLOSED_FORMS = {"fnnwa": (_fnnwa, (2, 3)), "fnnwg": (_fnnwg, (3, 4)),
+                 "gfnnwa": (_gfnnwa, (2, 3, 4)), "gfnnwg": (_gfnnwg, (2, 3, 4))}
 
 
-def aggregates(generator, rows, ws, lams):
+def _row_logs(channels, rows, memo: dict):
+    """Each row's logs of t, i and f, as :func:`xlogs` gives them, or None
+    for a channel not in ``channels``.  ``memo`` maps a channel to its logs
+    in every row of ``rows``: the logs of a channel it lacks are taken
+    once per row and added to it."""
+    for k in channels:
+        if k not in memo:
+            memo[k] = [xlogs(row[k]) for row in rows]
+    return zip(*(memo.get(k, repeat(None)) for k in (2, 3, 4)))
+
+
+def aggregates(operator: str, rows, memo: dict, ws, lams):
     """Yield, at each of the checked values ``lams``, the list of every
-    row's aggregate (eta, xi, t, i, f), from one generator per row.
+    row's aggregate (eta, xi, t, i, f) under ``operator``, from one
+    generator per row, given the row and its membership logs.  The logs
+    are those ``memo`` keeps for ``rows`` (see :func:`_row_logs`), so
+    aggregations of the same rows with the same memo take each log once.
     Raises NotFinite when a power overflows float64, and NormalDomainError
     for a fractional power of a negative location (ValueError in math.pow)."""
-    values = [generator(row, ws, lams) for row in rows]
+    generator, channels = _CLOSED_FORMS[operator]
+    values = [generator(row, *logs, ws, lams)
+              for row, logs in zip(rows, _row_logs(channels, rows, memo))]
     for lam in lams:
         try:
             aggs = [next(v) for v in values]
@@ -189,32 +209,32 @@ def aggregates(generator, rows, ws, lams):
         yield aggs
 
 
-def _aggregate(generator, items, weights, lam) -> Fnnn:
+def _aggregate(operator, items, weights, lam) -> Fnnn:
     items, ws, lam = _prepare(items, weights, lam)
-    [[agg]] = aggregates(generator, [read_row(items)], ws, [lam])
+    [[agg]] = aggregates(operator, [read_row(items)], {}, ws, [lam])
     return checked_fnnn(*agg)
 
 
 def fnnwa(items: Sequence[Fnnn], weights: Sequence[float], lam: float = 1.0) -> Fnnn:
     """Weighted averaging aggregation."""
-    return _aggregate(_fnnwa, items, weights, lam)
+    return _aggregate("fnnwa", items, weights, lam)
 
 
 def fnnwg(items: Sequence[Fnnn], weights: Sequence[float], lam: float = 1.0) -> Fnnn:
     """Weighted geometric aggregation."""
-    return _aggregate(_fnnwg, items, weights, lam)
+    return _aggregate("fnnwg", items, weights, lam)
 
 
 def gfnnwa(items: Sequence[Fnnn], weights: Sequence[float], lam: float = 1.0) -> Fnnn:
     """Generalized weighted averaging: lam-th root of the weighted
     average of lam-th powers."""
-    return _aggregate(_gfnnwa, items, weights, lam)
+    return _aggregate("gfnnwa", items, weights, lam)
 
 
 def gfnnwg(items: Sequence[Fnnn], weights: Sequence[float], lam: float = 1.0) -> Fnnn:
     """Generalized weighted geometric: 1/lam times the weighted geometric
     of lam-multiples."""
-    return _aggregate(_gfnnwg, items, weights, lam)
+    return _aggregate("gfnnwg", items, weights, lam)
 
 
 OPERATORS = {"fnnwa": fnnwa, "fnnwg": fnnwg, "gfnnwa": gfnnwa, "gfnnwg": gfnnwg}

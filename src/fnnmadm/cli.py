@@ -49,6 +49,7 @@ from .pipeline import (
     SweepResult,
     _problems,
     lambda_sweep,
+    normalize,
     run_pipeline,
 )
 
@@ -498,7 +499,7 @@ class _UsageError(Exception):
 def cmd_rank(args) -> int:
     dm = _load_matrix(args)
     rep = run_pipeline(dm, PipelineConfig(operator=args.operator, metric=args.metric, lam=args.lam))
-    del dm  # the report holds the normalized rows; the raw ones would only take memory
+    del dm  # the report holds the normalized rows; the raw ones and their logs would take memory
     prec = _precision()
     if args.format == "json":
         _print_json(report_to_dict(rep))
@@ -516,6 +517,7 @@ def cmd_sweep(args) -> int:
         result = lambda_sweep(dm, config, args.lams)
     except EmptyInput as e:  # an empty --lambda-range such as 3..1
         raise _UsageError(str(e)) from None
+    dm = normalize(dm)  # the renderers read its labels; the raw matrix's logs would take memory
     prec = _precision()
     if args.plot_out:
         with open(args.plot_out, "w", encoding="utf-8") as fh:

@@ -21,6 +21,7 @@ from .errors import (
     NormalDomainError,
     NotFinite,
     SpreadNonPositive,
+    WeightInvalid,
     WeightNonPositive,
 )
 
@@ -176,15 +177,24 @@ def make_fnnn(eta: float, xi: float, t: float, i: float, f: float) -> Fnnn:
 
 
 def check_lambda(lam: float) -> float:
-    """Validate the operation parameter; any finite real >= 1 is accepted."""
-    lam = float(lam)
+    """Validate the operation parameter; any finite real >= 1, or a value
+    ``float`` reads as one, is accepted."""
+    try:
+        lam = float(lam)
+    except (TypeError, ValueError, OverflowError):  # OverflowError: an int beyond float64
+        raise LambdaInvalid(f"lam must be a real number in float64's range, not this "
+                            f"{type(lam).__name__}") from None
     if not 1.0 <= lam < math.inf:
         raise LambdaInvalid(f"lam = {lam!r} must be a finite real >= 1")
     return lam
 
 
 def _check_weight(w: float) -> float:
-    w = float(w)
+    try:
+        w = float(w)
+    except (TypeError, ValueError, OverflowError):
+        raise WeightInvalid(f"a weight must be a real number in float64's range, not this "
+                            f"{type(w).__name__}") from None
     if not w > 0.0:
         raise WeightNonPositive(f"weight {w!r} must be > 0")
     return w

@@ -12,15 +12,23 @@ Both read the normalized rows into :func:`fnnmadm.aggregate.aggregates`,
 which gives every row's aggregate at each parameter value and types the
 float faults of aggregation; each value is then ranked on plain floats,
 and a ranking run wraps the values at its one parameter into a report.
+
+A raw matrix reads itself once: its normalized copy and the logs of its
+memberships are made by the first ranking that needs them and kept on
+the matrix for every later one, whatever its operator, metric or lambda
+(see :class:`DecisionMatrix`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain
+from operator import mul, truediv
 from typing import NamedTuple, Sequence
 
-from .aggregate import GENERATORS, OPERATORS, aggregates, check_weights, read_row
+from .aggregate import OPERATORS, aggregates, check_weights, read_row
 from .core import Fnnn, MembershipTriple, NormalParams, check_cell, check_lambda, check_normal
 from .core import checked_fnnn
 from .distance import FORMULAS, euclidean, hamming, phi, phi_of
@@ -56,6 +64,19 @@ class DecisionMatrix:
     a constructor argument: only :func:`normalize` sets it, on a copy of a
     checked matrix, whose type raises ValidationError if the constructor
     makes one, as ``dataclasses.replace`` would.
+
+    A raw matrix reads itself once.  Outside its fields, so that equality,
+    hashing, ``repr``, ``dataclasses.replace``, copies and pickles do not
+    see them, it keeps what every ranking of it reads alike, made on first
+    use: its normalized copy, which holds plain floats (a new location and
+    spread per cell, about 64 bytes; the membership tuples are shared where
+    they hold plain floats), and the xlogs of each membership channel an
+    operator reads, one list per row and channel (up to three floats per
+    cell, about 96 bytes: some 1 MiB for 500 x 20 cells).  Nothing that
+    depends on the operator, metric, lambda or weights is kept, and the
+    matrix is immutable, so what it keeps stays valid.  A normalized
+    matrix keeps nothing: a report holds it, so a ranking of it takes its
+    logs anew, and the raw matrix's logs go when the raw matrix goes.
     """
 
     alternatives: tuple[str, ...]
@@ -67,7 +88,7 @@ class DecisionMatrix:
     def __post_init__(self):
         alternatives = tuple(map(str, self.alternatives or ()))  # None: EmptyInput, as () is
         attributes = tuple(map(str, self.attributes or ()))
-        rows = tuple(tuple(map(tuple, row)) for row in self.rows)
+        rows = () if self.rows is None else tuple(tuple(map(tuple, row)) for row in self.rows)
         weights = () if self.weights is None else tuple(self.weights)
         for _, problem in _problems(alternatives, attributes, rows, weights):
             raise problem
@@ -95,6 +116,29 @@ class DecisionMatrix:
             f"DecisionMatrix(alternatives={self.alternatives!r}, attributes={self.attributes!r}, "
             f"cells={self.cells!r}, weights={self.weights!r}, normalized={self.normalized!r})"
         )
+
+    @cached_property
+    def _normal_copy(self) -> DecisionMatrix:
+        """This raw matrix normalized, as :func:`normalize` returns it."""
+        values = chain.from_iterable(chain.from_iterable(row[2:] for row in self.rows))
+        plain = {*map(type, values)} == {float}  # then the memberships' tuples are shared
+        rows = tuple((*normal, *(row[2:] if plain else map(_floats, row[2:])))
+                     for normal, row in zip(_normal_rows(self.rows), self.rows))
+        normal = object.__new__(_NormalizedMatrix)  # not made by __init__, so not checked again
+        # the fields alone: this matrix's memo would keep its logs alive with the copy
+        vars(normal).update(alternatives=self.alternatives, attributes=self.attributes,
+                            rows=rows, weights=self.weights, normalized=True)
+        return normal
+
+    @cached_property
+    def _logs(self) -> dict[int, list[list[float]]]:
+        """The memo of :func:`~fnnmadm.aggregate.aggregates` for this raw
+        matrix: a membership channel's logs in every row, for each channel
+        read so far."""
+        return {}
+
+    def __getstate__(self):  # the fields alone: what the matrix keeps is made again on use
+        return {k: v for k, v in vars(self).items() if k in self.__dataclass_fields__}
 
 
 class _NormalizedMatrix(DecisionMatrix):
@@ -186,27 +230,31 @@ def _problems(alternatives, attributes, rows, weights):
             yield None, e
 
 
+def _floats(values) -> tuple[float, ...]:
+    """Real numbers as plain floats: a ``float`` subclass such as numpy's
+    would carry its own type through every result computed from it."""
+    return tuple(map(float, values))
+
+
 def _normal_rows(rows):
     """Each row's locations over the column maximum, and spreads over the
-    column maximum times the cell's own spread-to-location ratio."""
+    column maximum times the cell's own spread-to-location ratio, as
+    plain floats."""
     eta_max = list(map(max, zip(*(row[0] for row in rows))))
     xi_max = list(map(max, zip(*(row[1] for row in rows))))
     for etas, xis, *_ in rows:
-        normal_etas = tuple([e / m for e, m in zip(etas, eta_max)])
-        yield normal_etas, tuple([(x / m) * (x / e) for x, m, e in zip(xis, xi_max, etas)])
+        yield (_floats(map(truediv, etas, eta_max)),
+               _floats(map(mul, map(truediv, xis, xi_max), map(truediv, xis, etas))))
 
 
 def normalize(dm: DecisionMatrix) -> DecisionMatrix:
-    """Per-attribute normalization (see :func:`_normal_rows`) into float
-    rows; membership triples are untouched and no ``Fnnn`` is built.  A
-    normalized matrix is returned as it is.  Checks nothing: a raw
-    :class:`DecisionMatrix` checked when it was made that it normalizes."""
-    if dm.normalized:
-        return dm
-    rows = tuple((*normal, *row[2:]) for normal, row in zip(_normal_rows(dm.rows), dm.rows))
-    normal = object.__new__(_NormalizedMatrix)  # not made by __init__, so not checked again
-    vars(normal).update(vars(dm), rows=rows, normalized=True)
-    return normal
+    """Per-attribute normalization (see :func:`_normal_rows`) into rows of
+    plain floats; memberships keep their values and no ``Fnnn`` is built.
+    A raw matrix makes its normalized copy once and keeps it, so each call
+    returns the same copy; a normalized matrix is returned as it is.
+    Checks nothing: a raw :class:`DecisionMatrix` checked when it was made
+    that it normalizes."""
+    return dm if dm.normalized else dm._normal_copy
 
 
 def aggregate_rows(dm: DecisionMatrix, operator: str, lam: float = 1.0) -> tuple[Fnnn, ...]:
@@ -215,7 +263,7 @@ def aggregate_rows(dm: DecisionMatrix, operator: str, lam: float = 1.0) -> tuple
     if not dm.normalized:
         raise NotNormalized("normalize the decision matrix before aggregating")
     lam = PipelineConfig(operator, lam=lam).lam
-    (aggs,) = aggregates(GENERATORS[operator], dm.rows, dm.weights, [lam])
+    (aggs,) = aggregates(operator, dm.rows, {}, dm.weights, [lam])  # a copy keeps no logs
     return tuple(checked_fnnn(*a) for a in aggs)
 
 
@@ -319,13 +367,17 @@ class _Evaluation(NamedTuple):
 def _evaluations(dm: DecisionMatrix, operator: str, metric: str, lams: Sequence[float]):
     """Yield the ranking at each of the checked values ``lams``.
 
-    The matrix is read once, and :func:`~fnnmadm.aggregate.aggregates`
-    gives every row's aggregate at each value, doing each row's lam-free
-    work once.  Raises NotFinite when a value overflows float64.
+    The normalized rows and the membership logs are those a raw ``dm``
+    keeps (see :class:`DecisionMatrix`); a normalized one takes its logs
+    anew.  :func:`~fnnmadm.aggregate.aggregates` gives every row's
+    aggregate at each value, doing each row's lam-free work once.  Raises
+    NotFinite when a value overflows float64.
     """
-    generator, formula = GENERATORS[operator], FORMULAS[metric]
+    formula = FORMULAS[metric]
     phi_positive, phi_negative = phi(_POSITIVE_MU), phi(_NEGATIVE_MU)
-    for lam, aggs in zip(lams, aggregates(generator, normalize(dm).rows, dm.weights, lams)):
+    logs = {} if dm.normalized else dm._logs
+    aggs_at = aggregates(operator, normalize(dm).rows, logs, dm.weights, lams)
+    for lam, aggs in zip(lams, aggs_at):
         etas = [a[0] for a in aggs]
         xis = [a[1] for a in aggs]
         phis = [phi_of(t, i, f) for _, _, t, i, f in aggs]
@@ -349,8 +401,9 @@ def run_pipeline(dm: DecisionMatrix, config: PipelineConfig = PipelineConfig()) 
     bound (informational, never an error).  Raises NotFinite when a value
     overflows float64.
     """
+    # dm, not the copy the report holds, keeps the logs
+    (ev,) = _evaluations(dm, config.operator, config.metric, [config.lam])
     nm = normalize(dm)
-    (ev,) = _evaluations(nm, config.operator, config.metric, [config.lam])
     aggs = tuple(checked_fnnn(*a) for a in ev.aggregates)
     positive, negative = _ideal_values(ev.positive, ev.negative)
     notes = []
@@ -417,10 +470,11 @@ def lambda_sweep(
     and transitions; each row equals :func:`run_pipeline`'s at its value.
 
     The matrix's float rows and weights are used as they are, as the
-    matrix checked them when it was made, and a raw matrix's locations
-    and spreads are normalized once; each row's generator does its
-    lam-free work once, each value then evaluates only what depends on
-    it, on plain floats, and builds no report.
+    matrix checked them when it was made, with the normalized copy and
+    membership logs the matrix keeps for every ranking of it; each row's
+    generator does its other lam-free work once, each value then
+    evaluates only what depends on it, on plain floats, and builds no
+    report.
 
     This is where a grid is checked: EmptyInput for no values,
     LambdaInvalid unless every value passes ``check_lambda`` and the

@@ -3,6 +3,7 @@
 import math
 import random
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -67,6 +68,19 @@ def test_check_weights_rejects_nonpositive():
 def test_check_weights_rejects_non_finite(weights):
     with pytest.raises(WeightInvalid):
         check_weights(weights, renormalize=True)
+
+
+@pytest.mark.parametrize("weights", [("x", 0.5), (None, 0.5), (10 ** 400, 1.0), 0.5, None])
+@pytest.mark.parametrize("renormalize", [False, True])
+def test_check_weights_types_a_weight_that_is_no_real_number(weights, renormalize):
+    # float() raised a bare ValueError for "x", a TypeError for None and an
+    # OverflowError for an int beyond float64; a bare number is no vector
+    with pytest.raises(WeightInvalid, match=r"^weights must be real numbers in float64's range$"):
+        check_weights(weights, renormalize=renormalize)
+
+
+def test_check_weights_reads_what_float_reads():
+    assert check_weights(("0.25", Fraction(3, 4))) == (0.25, 0.75)
 
 
 def test_check_weights_length_mismatch():

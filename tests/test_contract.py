@@ -4,6 +4,8 @@ FnnError, whatever floats it is given.
 The inputs mix float64's special values (signed zeros, subnormals, 1e154,
 near the square root of the largest float, 1.7e308, infinities and NaN)
 with values drawn log-uniformly up to 1.7e308; lambda reaches 1.7e308 too.
+Lambda and the weights are also drawn from values that ``float`` may
+reject: text, None, ints beyond float64 and other types.
 """
 
 import math
@@ -51,6 +53,9 @@ lams = st.one_of(st.sampled_from(SPECIALS + [1.0, 2.5, 34.0]), log_uniform(lo=0.
 locations = reals.filter(math.isfinite)
 raw_weights = st.lists(st.one_of(positives, reals), min_size=4, max_size=4)
 edges = st.sampled_from([1.0, 1.0 + 9e-7, 1.0 - 9e-7])  # inside the weight-sum tolerance
+# what float() may read or reject: text, None, ints beyond float64 and other types
+not_floats = st.one_of(st.text(max_size=4), st.none(), st.integers(10 ** 300, 10 ** 400),
+                       st.integers(), st.just(1j), st.just([1.0]))
 
 
 @st.composite
@@ -114,7 +119,7 @@ def test_binary_operations(operation, a, b, lam):
 
 @pytest.mark.parametrize("operation", [scale, power])
 @settings(max_examples=40, deadline=None)
-@given(w=reals, a=values(), lam=lams)
+@given(w=st.one_of(reals, not_floats), a=values(), lam=lams)
 def test_scale_and_power(operation, w, a, lam):
     holds(operation, w, a, lam)
 
@@ -147,7 +152,8 @@ def test_operators(name, cells, lam, data):
 
 
 @settings(max_examples=80, deadline=None)
-@given(weights=st.lists(st.one_of(positives, reals), max_size=5), renormalize=st.booleans())
+@given(weights=st.lists(st.one_of(positives, reals, not_floats), max_size=5),
+       renormalize=st.booleans())
 def test_check_weights(weights, renormalize):
     ws = holds(check_weights, weights, None, renormalize)
     if ws is not None:  # what it returns, it accepts
@@ -156,7 +162,7 @@ def test_check_weights(weights, renormalize):
 
 @settings(max_examples=40, deadline=None)
 @given(operator=st.sampled_from([*OPERATORS, "owa"]), metric=st.sampled_from([*METRICS, "l2"]),
-       lam=st.one_of(lams, reals))
+       lam=st.one_of(lams, reals, not_floats))
 def test_pipeline_config(operator, metric, lam):
     try:
         config = PipelineConfig(operator, metric, lam)

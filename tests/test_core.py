@@ -18,6 +18,7 @@ from fnnmadm import (
     NormalParams,
     NotFinite,
     SpreadNonPositive,
+    WeightInvalid,
     WeightNonPositive,
     accuracy_ffn,
     boxplus,
@@ -153,6 +154,21 @@ def test_float_cell_check_agrees_with_make_fnnn(values):
 def test_check_lambda_rejects_non_finite_and_small(lam):
     with pytest.raises(LambdaInvalid):
         check_lambda(lam)
+
+
+@pytest.mark.parametrize("lam", ["x", None, 10 ** 400, [2.0], 1j])
+def test_check_lambda_types_a_value_that_is_no_real_number(lam):
+    # float() raised a bare ValueError for "x", a TypeError for None and an
+    # OverflowError for an int beyond float64
+    with pytest.raises(LambdaInvalid, match=r"^lam must be a real number in float64's range"):
+        check_lambda(lam)
+
+
+@pytest.mark.parametrize("operation", [scale, power])
+@pytest.mark.parametrize("w", ["x", None, 10 ** 400])
+def test_a_weight_that_is_no_real_number_is_typed(operation, w):
+    with pytest.raises(WeightInvalid):
+        operation(w, make_fnnn(1, 1, 0.5, 0.5, 0.5))
 
 
 def test_negative_location_is_allowed():

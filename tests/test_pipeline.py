@@ -4,6 +4,7 @@ import dataclasses
 import math
 import pickle
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ from fnnmadm import (
     DuplicateLabel,
     EmptyInput,
     FnnError,
+    Fnnn,
     FnnnGenConfig,
     LambdaInvalid,
     LengthMismatch,
@@ -50,6 +52,7 @@ from fnnmadm import (
     rank,
     run_pipeline,
 )
+from fnnmadm import cli
 from fnnmadm.cli import main as cli_main
 from fnnmadm.cli import report_to_dict, _dump_json
 
@@ -87,6 +90,66 @@ def test_a_matrix_given_none_raises_a_typed_error():
         DecisionMatrix(("A",), ("x",), (cell,), None)
     with pytest.raises(EmptyInput):
         DecisionMatrix(None, ("x",), (cell,), (1.0,))
+
+
+def test_a_matrix_given_no_rows_raises_a_typed_error():
+    # None rows raised a bare TypeError; they are no rows, as None weights are no weights
+    with pytest.raises(LengthMismatch, match=r"^1 alternatives but 0 cell rows$"):
+        DecisionMatrix(("A",), ("x",), None, (1.0,))
+
+
+@pytest.mark.parametrize("weights", [["x"], [None], [10 ** 400]])
+def test_a_matrix_given_weights_that_are_no_numbers_raises_a_typed_error(weights):
+    cell = ((1.0,), (1.0,), (0.5,), (0.5,), (0.5,))
+    with pytest.raises(WeightInvalid):
+        DecisionMatrix(("A",), ("x",), (cell,), weights)
+
+
+class _Tagged(float):
+    """A float subclass that shows its type, as numpy's float64 does."""
+
+    def __repr__(self):
+        return f"_Tagged({float(self)!r})"
+
+
+def _plain_floats(values) -> bool:
+    """Whether every number in nested tuples, lists and values is a plain float."""
+    if isinstance(values, (tuple, list)):
+        return all(map(_plain_floats, values))
+    if isinstance(values, Fnnn):
+        return _plain_floats((values.eta, values.xi, values.t, values.i, values.f))
+    return type(values) is float
+
+
+@pytest.mark.parametrize("operator", sorted(OPERATORS))
+def test_a_matrix_of_float_subclasses_ranks_in_plain_floats(engineers_matrix, operator):
+    # rows of numpy float64 gave float64 aggregates and distances, which the
+    # rank CSV wrote as np.float64(...)
+    tagged = [tuple(tuple(map(_Tagged, col)) for col in row) for row in engineers_matrix.rows]
+    dm = DecisionMatrix(engineers_matrix.alternatives, engineers_matrix.attributes, tagged,
+                        list(map(_Tagged, engineers_matrix.weights)))
+    assert dm == engineers_matrix and not _plain_floats(dm.rows)
+    config = PipelineConfig(operator, lam=3.0)
+    rep = run_pipeline(dm, config)
+    assert rep == run_pipeline(engineers_matrix, config)
+    assert _plain_floats([rep.matrix.rows, rep.matrix.weights, rep.aggregates, rep.positive_ideal,
+                          rep.negative_ideal, rep.d_plus, rep.d_minus, rep.closeness])
+    assert _plain_floats(aggregate_rows(normalize(dm), operator, 3.0))
+    assert _plain_floats([row.closeness for row in lambda_sweep(dm, config, [1, 2]).rows])
+    assert "_Tagged" not in cli._render_rank_csv(rep) + _dump_json(report_to_dict(rep))
+
+
+@pytest.mark.parametrize("number", [Decimal, Fraction])
+def test_a_matrix_of_other_real_numbers_ranks_in_plain_floats(engineers_matrix, number):
+    # Decimal memberships reached xlog, whose x - 1.0 raised a bare TypeError
+    rows = [tuple(tuple(map(number, col)) for col in row) for row in engineers_matrix.rows]
+    dm = DecisionMatrix(engineers_matrix.alternatives, engineers_matrix.attributes, rows,
+                        engineers_matrix.weights)
+    rep = run_pipeline(dm, PipelineConfig("gfnnwa", lam=3.0))
+    assert _plain_floats([rep.matrix.rows, rep.aggregates, rep.d_plus, rep.closeness])
+    expected = run_pipeline(engineers_matrix, PipelineConfig("gfnnwa", lam=3.0))
+    assert rep.ordering == expected.ordering
+    assert rep.closeness == pytest.approx(expected.closeness, rel=1e-12)
 
 
 def test_a_matrix_holds_its_labels_and_rows_as_tuples():
