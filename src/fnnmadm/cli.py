@@ -11,7 +11,8 @@ parser on the first call, not at import, and reuses it.  An argument
 that starts with ``-`` and then a digit or ``.`` is a value, never an
 option: after an option that takes a value, abbreviated or not, it is
 that option's value (``--weig -0.5,1.5``); elsewhere it is a positional
-(``validate -1.csv``).
+(``validate -1.csv``).  ``rank`` and ``sweep`` rank the normalized copy
+of the matrix they read (no logs kept); only a table reads the precision.
 """
 
 from __future__ import annotations
@@ -219,9 +220,7 @@ def parse_problem(path: str, fmt: str | None = None) -> DecisionMatrix:
 
 
 def _precision() -> int:
-    value = os.environ.get(PRECISION_ENV)
-    if value is None:
-        return DEFAULT_PRECISION
+    value = os.environ.get(PRECISION_ENV, str(DEFAULT_PRECISION))
     if value.strip() not in [str(k) for k in range(MAX_PRECISION + 1)]:
         raise _UsageError(
             f"{PRECISION_ENV} must be an integer from 0 to {MAX_PRECISION}, got {value!r}"
@@ -233,11 +232,10 @@ def fnnn_to_dict(v: Fnnn) -> dict:
     return {"eta": v.eta, "xi": v.xi, "t": v.t, "i": v.i, "f": v.f}
 
 
-def _fmt_fnnn(v: Fnnn, prec: int) -> str:
-    return (
-        f"({v.eta:.{prec}f}, {v.xi:.{prec}f}); "
-        f"{v.t:.{prec}f}, {v.i:.{prec}f}, {v.f:.{prec}f}"
-    )
+def _fmt_fnnn(values, prec: int) -> str:
+    """A value's five floats eta, xi, t, i and f as a table shows them."""
+    eta, xi, t, i, f = (f"{v:.{prec}f}" for v in values)
+    return f"({eta}, {xi}); {t}, {i}, {f}"
 
 
 def _ordering_str(report_labels) -> str:
@@ -375,16 +373,16 @@ def _render_rank_table(rep: RankingReport, prec: int) -> str:
         "Normalized decision matrix:",
     ]
     width = max(len(a) for a in dm.alternatives)
-    for label, row in zip(dm.alternatives, dm.cells):
-        cells = "  ".join(_fmt_fnnn(c, prec) for c in row)
+    for label, row in zip(dm.alternatives, dm.rows):
+        cells = "  ".join(_fmt_fnnn(c, prec) for c in zip(*row))
         lines.append(f"  {label:<{width}}  {cells}")
     lines += ["", "Aggregates:"]
     for label, agg in zip(dm.alternatives, rep.aggregates):
-        lines.append(f"  {label:<{width}}  {_fmt_fnnn(agg, prec)}")
+        lines.append(f"  {label:<{width}}  {_fmt_fnnn(fnnn_to_dict(agg).values(), prec)}")
     lines += [
         "",
-        f"Positive ideal: {_fmt_fnnn(rep.positive_ideal, prec)}",
-        f"Negative ideal: {_fmt_fnnn(rep.negative_ideal, prec)}",
+        f"Positive ideal: {_fmt_fnnn(fnnn_to_dict(rep.positive_ideal).values(), prec)}",
+        f"Negative ideal: {_fmt_fnnn(fnnn_to_dict(rep.negative_ideal).values(), prec)}",
         "",
         "Distances and closeness:",
         f"  {'alt':<{width}}  {'D+':>{prec + 4}}  {'D-':>{prec + 4}}  "
@@ -487,9 +485,9 @@ def closeness_csv(result: SweepResult, labels, ordering: bool = False) -> str:
 
 
 def _load_matrix(args) -> DecisionMatrix:
-    """Read the problem file and build its matrix, with the --weights override if given."""
+    """The normalized matrix of the problem file, with the --weights override if given."""
     raw = _read_raw(args.path, args.input_format)
-    return _build_matrix(raw, args.weights, renormalize=args.renormalize_weights)
+    return normalize(_build_matrix(raw, args.weights, renormalize=args.renormalize_weights))
 
 
 class _UsageError(Exception):
@@ -499,14 +497,12 @@ class _UsageError(Exception):
 def cmd_rank(args) -> int:
     dm = _load_matrix(args)
     rep = run_pipeline(dm, PipelineConfig(operator=args.operator, metric=args.metric, lam=args.lam))
-    del dm  # the report holds the normalized rows; the raw ones and their logs would take memory
-    prec = _precision()
     if args.format == "json":
         _print_json(report_to_dict(rep))
     elif args.format == "csv":
         print(_render_rank_csv(rep))
     else:
-        print(_render_rank_table(rep, prec))
+        print(_render_rank_table(rep, _precision()))
     return EXIT_OK
 
 
@@ -517,8 +513,6 @@ def cmd_sweep(args) -> int:
         result = lambda_sweep(dm, config, args.lams)
     except EmptyInput as e:  # an empty --lambda-range such as 3..1
         raise _UsageError(str(e)) from None
-    dm = normalize(dm)  # the renderers read its labels; the raw matrix's logs would take memory
-    prec = _precision()
     if args.plot_out:
         with open(args.plot_out, "w", encoding="utf-8") as fh:
             fh.write(closeness_csv(result, dm.alternatives) + "\n")
@@ -527,7 +521,7 @@ def cmd_sweep(args) -> int:
     elif args.format == "csv":
         print(closeness_csv(result, dm.alternatives, ordering=True))
     else:
-        print(_render_sweep_table(result, dm, prec))
+        print(_render_sweep_table(result, dm, _precision()))
     return EXIT_OK
 
 

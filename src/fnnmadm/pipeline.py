@@ -16,7 +16,8 @@ and a ranking run wraps the values at its one parameter into a report.
 A raw matrix reads itself once: its normalized copy and the logs of its
 memberships are made by the first ranking that needs them and kept on
 the matrix for every later one, whatever its operator, metric or lambda
-(see :class:`DecisionMatrix`).
+(see :class:`DecisionMatrix`).  A normalized matrix keeps nothing: the CLI
+ranks ``normalize(dm)``, which does one ranking's work and keeps no logs.
 """
 
 from __future__ import annotations
@@ -29,9 +30,8 @@ from operator import mul, truediv
 from typing import NamedTuple, Sequence
 
 from .aggregate import OPERATORS, aggregates, check_weights, read_row
-from .core import Fnnn, MembershipTriple, NormalParams, check_cell, check_lambda, check_normal
-from .core import checked_fnnn
-from .distance import FORMULAS, euclidean, hamming, phi, phi_of
+from .core import Fnnn, check_cell, check_lambda, check_normal, checked_fnnn
+from .distance import FORMULAS, euclidean, hamming, phi_of
 from .errors import (
     DegenerateCloseness,
     DuplicateLabel,
@@ -173,12 +173,13 @@ def _problems(alternatives, attributes, rows, weights):
     ``cell`` is the (row, column) the error names, or None.
 
     In this order: ``check_cell``'s error for each cell it rejects, row by
-    row; ZeroLocation for each other location of 0 or less; if there is
-    neither, check_normal's error for each spread that normalizes out of
-    float64's range; DuplicateLabel for each repeated label; the error of
-    ``check_weights`` unless ``weights`` is None.  A zero-sized matrix, or
-    one whose rows do not each hold five tuples of one value per
-    attribute, raises at once.
+    row, in floats if the cell's components do not add (a Decimal and a
+    float), ValidationError if one is no real number; ZeroLocation for
+    each other location of 0 or less; if there is neither, check_normal's
+    error for each spread that normalizes out of float64's range;
+    DuplicateLabel for each repeated label; the error of ``check_weights``
+    unless ``weights`` is None.  A zero-sized matrix, or one whose rows do
+    not each hold five tuples of one value per attribute, raises at once.
     """
     if not alternatives or not attributes:
         raise EmptyInput("need at least one alternative and one attribute")
@@ -196,7 +197,13 @@ def _problems(alternatives, attributes, rows, weights):
     for i, row in enumerate(rows):
         for j, cell in enumerate(zip(*row)):
             try:
-                check_cell(*cell)
+                try:
+                    check_cell(*cell)
+                except TypeError:  # a str or None; or a Decimal and a float, which do not add
+                    if not all(hasattr(v, "__float__") for v in cell):
+                        kinds = ", ".join(type(v).__name__ for v in cell)
+                        raise ValidationError(f"eta, xi, t, i, f must be real numbers: {kinds}")
+                    check_cell(*_floats(cell))
             except ValidationError as e:
                 faulty.add((i, j))
                 yield at(type(e), i, j, str(e))
@@ -205,9 +212,10 @@ def _problems(alternatives, attributes, rows, weights):
         for j, eta in enumerate(row[0]):
             if (i, j) not in faulty and not eta > 0.0:
                 yield at(ZeroLocation, i, j, f"eta = {eta!r} must be > 0 for normalization")
-    if located:
-        eta_hi = max(max(row[0]) for row in rows)
-        xi_lo, xi_hi = min(min(row[1]) for row in rows), max(max(row[1]) for row in rows)
+    if located:  # the extrema as floats, which divide whatever mix of real types the rows hold
+        eta_lo, eta_hi = float(eta_lo), float(max(max(row[0]) for row in rows))
+        xi_lo = float(min(min(row[1]) for row in rows))
+        xi_hi = float(max(max(row[1]) for row in rows))
         # a spread normalizes to (xi / max xi) * (xi / eta); when the extrema keep
         # both factors in [1e-150, 1e150], every product is in range, else check each
         in_range = xi_lo / xi_hi > 1e-150 and xi_lo / eta_hi > 1e-150 and xi_hi / eta_lo < 1e150
@@ -238,13 +246,14 @@ def _floats(values) -> tuple[float, ...]:
 
 def _normal_rows(rows):
     """Each row's locations over the column maximum, and spreads over the
-    column maximum times the cell's own spread-to-location ratio, as
-    plain floats."""
-    eta_max = list(map(max, zip(*(row[0] for row in rows))))
-    xi_max = list(map(max, zip(*(row[1] for row in rows))))
+    column maximum times the cell's own spread-to-location ratio, in
+    plain floats, whatever mix of real types the rows hold."""
+    eta_max = _floats(map(max, zip(*(row[0] for row in rows))))
+    xi_max = _floats(map(max, zip(*(row[1] for row in rows))))
     for etas, xis, *_ in rows:
-        yield (_floats(map(truediv, etas, eta_max)),
-               _floats(map(mul, map(truediv, xis, xi_max), map(truediv, xis, etas))))
+        etas, xis = _floats(etas), _floats(xis)
+        yield (tuple(map(truediv, etas, eta_max)),
+               tuple(map(mul, map(truediv, xis, xi_max), map(truediv, xis, etas))))
 
 
 def normalize(dm: DecisionMatrix) -> DecisionMatrix:
@@ -267,17 +276,13 @@ def aggregate_rows(dm: DecisionMatrix, operator: str, lam: float = 1.0) -> tuple
     return tuple(checked_fnnn(*a) for a in aggs)
 
 
-_POSITIVE_MU = MembershipTriple(1.0, 1.0, 0.0)
-_NEGATIVE_MU = MembershipTriple(0.0, 0.0, 1.0)
-
-
 def _ideals(etas: Sequence[float], xis: Sequence[float]):
     """(eta, xi) of the positive and of the negative ideal."""
     return (max(etas), min(xis)), (min(etas), max(xis))
 
 
 def _ideal_values(positive, negative) -> tuple[Fnnn, Fnnn]:
-    return Fnnn(NormalParams(*positive), _POSITIVE_MU), Fnnn(NormalParams(*negative), _NEGATIVE_MU)
+    return checked_fnnn(*positive, 1.0, 1.0, 0.0), checked_fnnn(*negative, 0.0, 0.0, 1.0)
 
 
 def ideal_values(aggregates: Sequence[Fnnn]) -> tuple[Fnnn, Fnnn]:
@@ -374,7 +379,7 @@ def _evaluations(dm: DecisionMatrix, operator: str, metric: str, lams: Sequence[
     NotFinite when a value overflows float64.
     """
     formula = FORMULAS[metric]
-    phi_positive, phi_negative = phi(_POSITIVE_MU), phi(_NEGATIVE_MU)
+    phi_positive, phi_negative = phi_of(1.0, 1.0, 0.0), phi_of(0.0, 0.0, 1.0)
     logs = {} if dm.normalized else dm._logs
     aggs_at = aggregates(operator, normalize(dm).rows, logs, dm.weights, lams)
     for lam, aggs in zip(lams, aggs_at):

@@ -439,6 +439,26 @@ def test_rank_precision_out_of_range_names_the_variable(engineers_csv_path, caps
     assert run_cli(capsys, "rank", engineers_csv_path)[0] == EXIT_OK
 
 
+@pytest.mark.parametrize("argv", [
+    ("rank", "--format", "json"),
+    ("rank", "--format", "csv"),
+    ("sweep", "--lambdas", "1,13", "--format", "json"),
+    ("sweep", "--lambdas", "1,13", "--format", "csv"),
+])
+def test_only_a_table_reads_the_precision_variable(engineers_csv_path, capsys, monkeypatch,
+                                                   argv):
+    # a bad value failed JSON and CSV output, which do not round, once the ranking had run
+    command, *flags = argv
+    monkeypatch.delenv("FNN_MADM_PRECISION", raising=False)
+    unset = run_cli(capsys, command, engineers_csv_path, *flags)
+    assert unset[0] == EXIT_OK and unset[1]
+    monkeypatch.setenv("FNN_MADM_PRECISION", "x")
+    assert run_cli(capsys, command, engineers_csv_path, *flags) == unset
+    code, out, err = run_cli(capsys, command, engineers_csv_path, *flags[:-2])  # a table
+    assert code == EXIT_USAGE and out == ""
+    assert "FNN_MADM_PRECISION" in err
+
+
 @pytest.mark.parametrize("lam", ["inf", "nan"])
 def test_rank_non_finite_lambda_is_usage_error(engineers_csv_path, capsys, lam):
     code, out, err = run_cli(capsys, "rank", engineers_csv_path, "--lambda", lam)
@@ -1082,6 +1102,22 @@ def test_a_warm_call_leaves_no_cyclic_garbage(engineers_csv_path, argv, code):
         finally:
             if enabled:
                 gc.enable()
+
+
+@pytest.mark.parametrize("argv", [
+    ("rank", "demos/engineers.csv", "--format", "json"),
+    ("rank", "demos/no-such-file.csv"),
+])
+def test_python_m_fnnmadm_prints_and_exits_as_main(capsys, monkeypatch, argv):
+    # no test ran __main__.py, which passes main's exit code to sys.exit
+    monkeypatch.chdir(ROOT)
+    monkeypatch.delenv("FNN_MADM_PRECISION", raising=False)
+    code, out, err = run_cli(capsys, *argv)
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run([sys.executable, "-m", "fnnmadm", *argv], capture_output=True,
+                          text=True, timeout=60, env=env)
+    assert (done.returncode, done.stdout, done.stderr) == (code, out, err)
+    assert code == (EXIT_OK if len(argv) > 2 else EXIT_DATA)
 
 
 def test_import_builds_no_parser():

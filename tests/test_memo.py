@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from fnnmadm import aggregate
+from fnnmadm import aggregate, cli
 from fnnmadm import (
     METRICS,
     OPERATORS,
@@ -185,3 +185,17 @@ def test_warm_rankings_leave_no_cyclic_garbage(engineers_matrix, normalized):
     finally:
         if enabled:
             gc.enable()
+
+
+def test_the_cli_ranks_the_normalized_copy(monkeypatch, engineers_csv_path, capsys):
+    # rank and sweep ranked the raw matrix, which then kept the logs until the CLI
+    # dropped it by hand
+    ranked = []
+    for name in ("run_pipeline", "lambda_sweep"):
+        real = getattr(cli, name)
+        monkeypatch.setattr(cli, name,
+                            lambda dm, *args, real=real: ranked.append(dm) or real(dm, *args))
+    assert cli.main(["rank", engineers_csv_path, "--format", "csv"]) == 0
+    assert cli.main(["sweep", engineers_csv_path, "--lambdas", "1,2", "--format", "csv"]) == 0
+    assert [dm.normalized for dm in ranked] == [True, True]
+    assert all(set(vars(dm)) == FIELDS | {"normalized"} for dm in ranked)  # no logs kept

@@ -152,6 +152,46 @@ def test_a_matrix_of_other_real_numbers_ranks_in_plain_floats(engineers_matrix, 
     assert rep.closeness == pytest.approx(expected.closeness, rel=1e-12)
 
 
+@pytest.mark.parametrize("value", ["0.5", None], ids=["str", "None"])
+def test_a_matrix_of_cells_that_are_no_numbers_raises_a_typed_error(value):
+    # check_cell compared a str or None with a float, which raised a bare TypeError
+    rows = [((value, value),) * 5] * 2
+    with pytest.raises(ValidationError) as raised:
+        DecisionMatrix(("A", "B"), ("x", "y"), rows, (0.5, 0.5))
+    kind = type(value).__name__
+    assert str(raised.value) == (f"invalid cell at (A, x): eta, xi, t, i, f must be real numbers: "
+                                 f"{kind}, {kind}, {kind}, {kind}, {kind}")
+
+
+def _decimal_mixed(rows):
+    """The rows with every other value a Decimal of it, the rest as they are."""
+    return [tuple(tuple(Decimal(v) if (i + j + k) % 2 else v for k, v in enumerate(col))
+                  for j, col in enumerate(row)) for i, row in enumerate(rows)]
+
+
+@pytest.mark.parametrize("spread", [1.0, 1e-160], ids=["in-range", "wide-spreads"])
+def test_a_matrix_of_decimal_and_float_cells_ranks_as_its_floats(spread):
+    # a Decimal next to a float reached _problems' range shortcut and the divisions
+    # of normalization, which raised a bare TypeError
+    rows = [((0.5,), (1.0,), (0.5,), (0.5,), (0.5,)), ((1.0,), (spread,), (0.5,), (0.5,), (0.5,))]
+    floats = DecisionMatrix(("A", "B"), ("x",), rows, (1.0,))
+    for mixed in (_decimal_mixed(rows), [((Decimal("0.5"),), *rows[0][1:]), rows[1]]):
+        dm = DecisionMatrix(("A", "B"), ("x",), mixed, (1.0,))
+        for operator in OPERATORS:
+            config = PipelineConfig(operator, lam=3.0)
+            assert run_pipeline(dm, config) == run_pipeline(floats, config)
+            assert lambda_sweep(dm, config, [1, 3, 34]) == lambda_sweep(floats, config, [1, 3, 34])
+
+
+def test_the_engineers_problem_with_decimal_and_float_cells_ranks_as_its_floats(
+        engineers_matrix):
+    mixed = DecisionMatrix(engineers_matrix.alternatives, engineers_matrix.attributes,
+                           _decimal_mixed(engineers_matrix.rows), engineers_matrix.weights)
+    for operator in OPERATORS:
+        config = PipelineConfig(operator, lam=3.0)
+        assert run_pipeline(mixed, config) == run_pipeline(engineers_matrix, config)
+
+
 def test_a_matrix_holds_its_labels_and_rows_as_tuples():
     # a matrix made from lists kept them: it could not be hashed, and it was not
     # equal to the same matrix made from tuples; weights given as an iterator were
@@ -186,6 +226,8 @@ def test_the_repr_of_a_matrix_shows_its_cells():
     ((1.0, 1.0, 1.0, 1.0, 1.0), CubicSumExceeded, "t^3 + i^3 + f^3 = 3 exceeds 2"),
     ((1.0, 0.0, 0.5, 0.5, 0.5), SpreadNonPositive, "xi = 0.0 must be > 0"),
     ((math.inf, 1.0, 0.5, 0.5, 0.5), NotFinite, "eta must be a finite number"),
+    ((1.0, 1.0, None, 0.5, 0.5), ValidationError,
+     "eta, xi, t, i, f must be real numbers: float, float, NoneType, float, float"),
 ])
 def test_a_matrix_built_directly_checks_its_cells(cell, error, reason):
     # each cell is checked as make_fnnn checks it, next to a valid cell
