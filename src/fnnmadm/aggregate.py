@@ -36,7 +36,7 @@ from operator import mul
 from typing import Sequence
 
 from ._numeric import _TINY, left_sum, nested_prob_channel, weighted_prob_sum, xlogs
-from .core import Fnnn, check_lambda, checked_fnnn, checked_result
+from .core import Fnnn, check_lambda, checked_fnnn, checked_result, reals
 from .errors import EmptyInput, LengthMismatch, NormalDomainError, NotFinite, WeightInvalid
 
 WEIGHT_SUM_TOLERANCE = 1e-6
@@ -53,10 +53,7 @@ def check_weights(
     WEIGHT_SUM_TOLERANCE, or (with it) a weight that underflows to 0 when
     rescaled.
     """
-    try:
-        ws = tuple(map(float, weights))
-    except (TypeError, ValueError, OverflowError):  # OverflowError: an int beyond float64
-        raise WeightInvalid("weights must be real numbers in float64's range") from None
+    ws = reals(weights, WeightInvalid, "weights must be real numbers")
     if n is not None and len(ws) != n:
         raise LengthMismatch(f"expected {n} weights, got {len(ws)}")
     if not ws:

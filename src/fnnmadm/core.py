@@ -5,7 +5,7 @@ normal-shaped membership curve with truth, indeterminacy and falsity
 degrees whose cubic sum is bounded by 2.  All operations are pure
 functions over immutable values.  The real parameter ``lam >= 1``
 controls the root/power structure of the membership algebra; ``lam = 1``
-gives the base operations.
+gives the base operations.  A caller's numbers are read by :func:`reals`.
 """
 
 from __future__ import annotations
@@ -21,11 +21,22 @@ from .errors import (
     NormalDomainError,
     NotFinite,
     SpreadNonPositive,
+    ValidationError,
     WeightInvalid,
     WeightNonPositive,
 )
 
 CUBIC_SUM_BOUND = 2.0
+CELLS = "eta, xi, t, i, f must be real numbers"  # what reals says of a value's components
+_MAX = 1.7976931348623157e308  # the largest float64: 10**400 < inf, but not <= _MAX
+
+
+def reals(values, error: type[Exception], what: str) -> tuple[float, ...]:
+    """float() of each value, in a tuple; error(f"{what} in float64's range") for one it rejects."""
+    try:
+        return tuple([*map(float, values)])  # sized once: a shrunk guess strands free-list blocks
+    except (TypeError, ValueError, OverflowError):
+        raise error(f"{what} in float64's range") from None
 
 
 def _check_unit(name: str, v: float) -> None:
@@ -140,11 +151,11 @@ def combined(eta: float, xi: float, t: float, i: float, f: float) -> Fnnn:
 
 
 def check_cell(eta: float, xi: float, t: float, i: float, f: float) -> None:
-    """Check a raw value's float components, as :func:`make_fnnn` and a
+    """Check a raw value's real components, as :func:`make_fnnn` and a
     :class:`~fnnmadm.pipeline.DecisionMatrix` do; raises NotFinite,
     SpreadNonPositive, MembershipOutOfRange or CubicSumExceeded, in that
     order.  The cubic-sum bound is inclusive: t^3 + i^3 + f^3 == 2 is valid."""
-    if not (-math.inf < eta < math.inf and 0.0 < xi < math.inf and 0.0 <= t <= 1.0
+    if not (-_MAX <= eta <= _MAX and 0.0 < xi <= _MAX and 0.0 <= t <= 1.0
             and 0.0 <= i <= 1.0 and 0.0 <= f <= 1.0
             and t ** 3 + i ** 3 + f ** 3 <= CUBIC_SUM_BOUND):
         # one test for the common case; the named checks find the culprit
@@ -170,8 +181,11 @@ def checked_fnnn(eta: float, xi: float, t: float, i: float, f: float) -> Fnnn:
 
 
 def make_fnnn(eta: float, xi: float, t: float, i: float, f: float) -> Fnnn:
-    """Validate raw components with :func:`check_cell` and build a value."""
-    eta, xi, t, i, f = float(eta), float(xi), float(t), float(i), float(f)
+    """Read raw components as :func:`reals` does, check them with :func:`check_cell`."""
+    try:
+        eta, xi, t, i, f = float(eta), float(xi), float(t), float(i), float(f)
+    except (TypeError, ValueError, ArithmeticError):  # float()'s faults, typed by reals
+        eta, xi, t, i, f = reals((eta, xi, t, i, f), ValidationError, CELLS)
     check_cell(eta, xi, t, i, f)
     return checked_fnnn(eta, xi, t, i, f)
 
@@ -179,22 +193,14 @@ def make_fnnn(eta: float, xi: float, t: float, i: float, f: float) -> Fnnn:
 def check_lambda(lam: float) -> float:
     """Validate the operation parameter; any finite real >= 1, or a value
     ``float`` reads as one, is accepted."""
-    try:
-        lam = float(lam)
-    except (TypeError, ValueError, OverflowError):  # OverflowError: an int beyond float64
-        raise LambdaInvalid(f"lam must be a real number in float64's range, not this "
-                            f"{type(lam).__name__}") from None
+    (lam,) = reals((lam,), LambdaInvalid, "lam must be a real number")
     if not 1.0 <= lam < math.inf:
         raise LambdaInvalid(f"lam = {lam!r} must be a finite real >= 1")
     return lam
 
 
 def _check_weight(w: float) -> float:
-    try:
-        w = float(w)
-    except (TypeError, ValueError, OverflowError):
-        raise WeightInvalid(f"a weight must be a real number in float64's range, not this "
-                            f"{type(w).__name__}") from None
+    (w,) = reals((w,), WeightInvalid, "a weight must be a real number")
     if not w > 0.0:
         raise WeightNonPositive(f"weight {w!r} must be > 0")
     return w
@@ -265,7 +271,8 @@ def membership_at(a: Fnnn, x: float) -> MembershipTriple:
     The attenuation factor exp(-(|x - eta| / xi)^3) scales truth and
     indeterminacy toward 0 and falsity toward 1 away from the peak.
     """
-    z = abs(float(x) - a.eta) / a.xi
+    (x,) = reals((x,), ValidationError, "x must be a real number")
+    z = abs(x - a.eta) / a.xi
     g = 0.0 if z >= 1e6 else math.exp(-(z * z * z))
     return MembershipTriple(
         clip01(a.t * g), clip01(a.i * g), clip01(1.0 - (1.0 - a.f) * g)
@@ -273,7 +280,7 @@ def membership_at(a: Fnnn, x: float) -> MembershipTriple:
 
 
 def _check_ffn_pair(t: float, f: float) -> tuple[float, float]:
-    t, f = float(t), float(f)
+    t, f = reals((t, f), ValidationError, "t and f must be real numbers")
     _check_unit("t", t)
     _check_unit("f", f)
     cubic = t ** 3 + f ** 3

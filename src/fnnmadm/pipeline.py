@@ -18,6 +18,7 @@ memberships are made by the first ranking that needs them and kept on
 the matrix for every later one, whatever its operator, metric or lambda
 (see :class:`DecisionMatrix`).  A normalized matrix keeps nothing: the CLI
 ranks ``normalize(dm)``, which does one ranking's work and keeps no logs.
+A caller's numbers are read by :func:`fnnmadm.core.reals`; cells may not be text.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from operator import mul, truediv
 from typing import NamedTuple, Sequence
 
 from .aggregate import OPERATORS, aggregates, check_weights, read_row
-from .core import Fnnn, check_cell, check_lambda, check_normal, checked_fnnn
+from .core import CELLS, Fnnn, check_cell, check_lambda, check_normal, checked_fnnn, reals
 from .distance import FORMULAS, euclidean, hamming, phi_of
 from .errors import (
     DegenerateCloseness,
@@ -122,7 +123,8 @@ class DecisionMatrix:
         """This raw matrix normalized, as :func:`normalize` returns it."""
         values = chain.from_iterable(chain.from_iterable(row[2:] for row in self.rows))
         plain = {*map(type, values)} == {float}  # then the memberships' tuples are shared
-        rows = tuple((*normal, *(row[2:] if plain else map(_floats, row[2:])))
+        rows = tuple((*normal, *(row[2:] if plain else (reals(c, NotFinite, CELLS)
+                                                         for c in row[2:])))
                      for normal, row in zip(_normal_rows(self.rows), self.rows))
         normal = object.__new__(_NormalizedMatrix)  # not made by __init__, so not checked again
         # the fields alone: this matrix's memo would keep its logs alive with the copy
@@ -173,9 +175,10 @@ def _problems(alternatives, attributes, rows, weights):
     ``cell`` is the (row, column) the error names, or None.
 
     In this order: ``check_cell``'s error for each cell it rejects, row by
-    row, in floats if the cell's components do not add (a Decimal and a
-    float), ValidationError if one is no real number; ZeroLocation for
-    each other location of 0 or less; if there is neither, check_normal's
+    row, in floats if its components do not compare or add (a Decimal NaN;
+    a Decimal and a float), ValidationError if one is text or None and
+    NotFinite if ``reals`` rejects one; ZeroLocation for each other
+    location of 0 or less; if there is neither, check_normal's
     error for each spread that normalizes out of float64's range;
     DuplicateLabel for each repeated label; the error of ``check_weights``
     unless ``weights`` is None.  A zero-sized matrix, or one whose rows do
@@ -199,11 +202,11 @@ def _problems(alternatives, attributes, rows, weights):
             try:
                 try:
                     check_cell(*cell)
-                except TypeError:  # a str or None; or a Decimal and a float, which do not add
+                except (TypeError, ValueError, ArithmeticError):  # a str, a Decimal NaN, 10**400
                     if not all(hasattr(v, "__float__") for v in cell):
                         kinds = ", ".join(type(v).__name__ for v in cell)
-                        raise ValidationError(f"eta, xi, t, i, f must be real numbers: {kinds}")
-                    check_cell(*_floats(cell))
+                        raise ValidationError(f"{CELLS}: {kinds}")
+                    check_cell(*reals(cell, NotFinite, CELLS))
             except ValidationError as e:
                 faulty.add((i, j))
                 yield at(type(e), i, j, str(e))
@@ -238,20 +241,14 @@ def _problems(alternatives, attributes, rows, weights):
             yield None, e
 
 
-def _floats(values) -> tuple[float, ...]:
-    """Real numbers as plain floats: a ``float`` subclass such as numpy's
-    would carry its own type through every result computed from it."""
-    return tuple(map(float, values))
-
-
 def _normal_rows(rows):
     """Each row's locations over the column maximum, and spreads over the
     column maximum times the cell's own spread-to-location ratio, in
-    plain floats, whatever mix of real types the rows hold."""
-    eta_max = _floats(map(max, zip(*(row[0] for row in rows))))
-    xi_max = _floats(map(max, zip(*(row[1] for row in rows))))
+    plain floats (a numpy float would carry its type through every result)."""
+    eta_max = reals(map(max, zip(*(row[0] for row in rows))), NotFinite, CELLS)
+    xi_max = reals(map(max, zip(*(row[1] for row in rows))), NotFinite, CELLS)
     for etas, xis, *_ in rows:
-        etas, xis = _floats(etas), _floats(xis)
+        etas, xis = reals(etas, NotFinite, CELLS), reals(xis, NotFinite, CELLS)
         yield (tuple(map(truediv, etas, eta_max)),
                tuple(map(mul, map(truediv, xis, xi_max), map(truediv, xis, etas))))
 
@@ -296,8 +293,7 @@ def ideal_values(aggregates: Sequence[Fnnn]) -> tuple[Fnnn, Fnnn]:
 
 def closeness(dplus: Sequence[float], dminus: Sequence[float]) -> list[float]:
     """Relative closeness D- / (D+ + D-) per alternative, each in [0, 1]."""
-    dp = [float(v) for v in dplus]
-    dn = [float(v) for v in dminus]
+    dp, dn = (reals(d, ValidationError, "distances must be real numbers") for d in (dplus, dminus))
     if len(dp) != len(dn):
         raise LengthMismatch(f"distance vectors differ in length: {len(dp)} vs {len(dn)}")
     if not all(map(math.isfinite, dp + dn)):
@@ -312,11 +308,16 @@ def closeness(dplus: Sequence[float], dminus: Sequence[float]) -> list[float]:
 
 def rank(values: Sequence[float]) -> list[int]:
     """Indices sorted by descending closeness; ties break on lower index.
-    Raises NotFinite for a NaN, which has no place in the order."""
+    Raises NotFinite for a NaN, which has no place in the order, and
+    ValidationError for a value :func:`~fnnmadm.core.reals` rejects."""
     vals = list(values)
     if not vals:
         raise EmptyInput("cannot rank zero alternatives")
-    if any(map(math.isnan, vals)):
+    try:
+        nan = any(map(math.isnan, vals))
+    except (TypeError, ValueError, ArithmeticError):  # float()'s faults, typed by reals
+        return rank(reals(vals, ValidationError, "values to rank must be real numbers"))
+    if nan:
         raise NotFinite("values to rank must be numbers; a value is NaN")
     return sorted(range(len(vals)), key=lambda k: (-vals[k], k))
 
@@ -422,18 +423,8 @@ def run_pipeline(dm: DecisionMatrix, config: PipelineConfig = PipelineConfig()) 
                 f"aggregate for {label} has membership cubic sum "
                 f"{agg.mu.cubic_sum():.6f} above the construction bound"
             )
-    return RankingReport(
-        config=config,
-        matrix=nm,
-        aggregates=aggs,
-        positive_ideal=positive,
-        negative_ideal=negative,
-        d_plus=ev.d_plus,
-        d_minus=ev.d_minus,
-        closeness=ev.closeness,
-        ordering=ev.ordering,
-        notes=tuple(notes),
-    )
+    return RankingReport(config, nm, aggs, positive, negative, ev.d_plus, ev.d_minus,
+                         ev.closeness, ev.ordering, tuple(notes))
 
 
 @dataclass(frozen=True)
@@ -461,11 +452,8 @@ class SweepResult:
 def detect_transitions(rows: Sequence[SweepRow]) -> tuple[Transition, ...]:
     """Transitions are exactly the rows whose ordering differs from the
     row before them."""
-    out = []
-    for prev, cur in zip(rows, rows[1:]):
-        if cur.ordering != prev.ordering:
-            out.append(Transition(cur.lam, prev.ordering, cur.ordering))
-    return tuple(out)
+    return tuple(Transition(cur.lam, prev.ordering, cur.ordering)
+                 for prev, cur in zip(rows, rows[1:]) if cur.ordering != prev.ordering)
 
 
 def lambda_sweep(

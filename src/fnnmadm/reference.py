@@ -15,6 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import reduce
+from numbers import Integral
 from typing import Sequence
 
 from ._numeric import left_sum
@@ -89,12 +90,20 @@ def _open_uniform(rng: random.Random, lo: float, hi: float) -> float:
             return u
 
 
+def _check_size(name: str, n: int) -> None:
+    """ValidationError unless n is an int, EmptyInput if it is below 1."""
+    if not isinstance(n, Integral):
+        raise ValidationError(f"{name} must be an int, not {type(n).__name__}")
+    if n < 1:
+        raise EmptyInput(f"{name} must be >= 1")
+
+
 def gen_fnnn(cfg: FnnnGenConfig, count: int) -> list[Fnnn]:
     """Generate ``count`` valid values, reproducibly under ``cfg.seed``.
-    Raises EmptyInput for a count below 1, and ValidationError, before
-    any value is drawn, for ranges that no value can be drawn from."""
-    if count < 1:
-        raise EmptyInput("count must be >= 1")
+    Raises ValidationError for a count that is no int, EmptyInput for one
+    below 1, and ValidationError, before any value is drawn, for ranges
+    that no value can be drawn from."""
+    _check_size("count", count)
     # a draw is repeated until it fits, so a range that nothing fits would never return
     for name in ("eta_range", "xi_range"):
         lo, hi = getattr(cfg, name)
@@ -122,9 +131,8 @@ def gen_fnnn(cfg: FnnnGenConfig, count: int) -> list[Fnnn]:
 
 def gen_weights(rng: random.Random, n: int) -> tuple[float, ...]:
     """A random strictly positive weight vector normalized to sum 1;
-    raises EmptyInput for n < 1."""
-    if n < 1:
-        raise EmptyInput("n must be >= 1")
+    raises ValidationError for an n that is no int, EmptyInput for n < 1."""
+    _check_size("n", n)
     raw = [rng.uniform(0.05, 1.0) for _ in range(n)]
     total = left_sum(raw)
     ws = [w / total for w in raw]

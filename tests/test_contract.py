@@ -1,14 +1,16 @@
 """The scalar API's contract: every call returns finite values or raises an
-FnnError, whatever floats it is given.
+FnnError, whatever numbers it is given.
 
 The inputs mix float64's special values (signed zeros, subnormals, 1e154,
 near the square root of the largest float, 1.7e308, infinities and NaN)
 with values drawn log-uniformly up to 1.7e308; lambda reaches 1.7e308 too.
-Lambda and the weights are also drawn from values that ``float`` may
-reject: text, None, ints beyond float64 and other types.
+Every number a caller passes is also drawn from values that ``float`` may
+reject: text, None, ints beyond float64 and other types; a matrix's cells
+also from Decimal NaNs, which do not compare with floats.
 """
 
 import math
+from decimal import Decimal
 
 import pytest
 from hypothesis import assume, given, settings
@@ -17,10 +19,12 @@ from hypothesis import strategies as st
 from fnnmadm import (
     METRICS,
     OPERATORS,
+    DecisionMatrix,
     FnnError,
     Fnnn,
     MembershipTriple,
     PipelineConfig,
+    accuracy_ffn,
     boxplus,
     boxtimes,
     check_weights,
@@ -32,6 +36,7 @@ from fnnmadm import (
     normal_distance,
     power,
     rank,
+    run_pipeline,
     scale,
     score_ffn,
 )
@@ -105,7 +110,7 @@ def holds(call, *args):
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.tuples(*[st.one_of(units, reals)] * 5))
+@given(st.tuples(*[st.one_of(units, reals, not_floats)] * 5))
 def test_make_fnnn(components):
     holds(make_fnnn, *components)
 
@@ -125,15 +130,16 @@ def test_scale_and_power(operation, w, a, lam):
 
 
 @settings(max_examples=40, deadline=None)
-@given(a=values(), x=reals)
+@given(a=values(), x=st.one_of(reals, not_floats))
 def test_membership_at(a, x):
     holds(membership_at, a, x)
 
 
+@pytest.mark.parametrize("measure", [score_ffn, accuracy_ffn])
 @settings(max_examples=40, deadline=None)
-@given(t=st.one_of(units, reals), f=st.one_of(units, reals))
-def test_score_ffn(t, f):
-    holds(score_ffn, t, f)
+@given(t=st.one_of(units, reals, not_floats), f=st.one_of(units, reals, not_floats))
+def test_score_and_accuracy_ffn(measure, t, f):
+    holds(measure, t, f)
 
 
 @settings(max_examples=40, deadline=None)
@@ -172,17 +178,33 @@ def test_pipeline_config(operator, metric, lam):
 
 
 @settings(max_examples=40, deadline=None)
-@given(dplus=st.lists(st.one_of(positives, reals), max_size=4),
-       dminus=st.lists(st.one_of(positives, reals), max_size=4))
+@given(dplus=st.lists(st.one_of(positives, reals, not_floats), max_size=4),
+       dminus=st.lists(st.one_of(positives, reals, not_floats), max_size=4))
 def test_closeness(dplus, dminus):
     close = holds(closeness, dplus, dminus)
     assert close is None or all(0.0 <= c <= 1.0 for c in close)
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.lists(reals, max_size=6))
+@given(st.lists(st.one_of(reals, not_floats), max_size=6))
 def test_rank(vals):
     order = holds(rank, vals)
     if order is not None:  # a permutation, best first
         assert sorted(order) == list(range(len(vals)))
-        assert all(vals[a] >= vals[b] for a, b in zip(order, order[1:]))
+        assert all(float(vals[a]) >= float(vals[b]) for a, b in zip(order, order[1:]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(value=st.one_of(not_floats, st.sampled_from([Decimal("NaN"), Decimal("sNaN")])),
+       at=st.tuples(st.integers(0, 1), st.integers(0, 4), st.integers(0, 1)))
+def test_decision_matrix(value, at):
+    """One component of a valid 2x2 matrix replaced by ``value``; the matrix,
+    if it is made, ranks to finite closeness."""
+    rows = [[[1.0, 2.0], [0.5, 0.25], [0.5, 0.5], [0.5, 0.5], [0.5, 0.5]] for _ in range(2)]
+    i, k, j = at
+    rows[i][k][j] = value
+
+    def ranked():
+        return run_pipeline(DecisionMatrix(("A", "B"), ("x", "y"), rows, (0.5, 0.5))).closeness
+
+    holds(ranked)

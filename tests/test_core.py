@@ -1,6 +1,7 @@
 """Value construction and the parameterized primitive operations."""
 
 import math
+from decimal import Decimal
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,6 +19,7 @@ from fnnmadm import (
     NormalParams,
     NotFinite,
     SpreadNonPositive,
+    ValidationError,
     WeightInvalid,
     WeightNonPositive,
     accuracy_ffn,
@@ -34,6 +36,9 @@ from fnnmadm import (
 from fnnmadm.core import check_cell
 
 LAMBDAS = (1.0, 2.0, 3.0, 5.0, 10.0)
+# values that float() rejects, with a bare ValueError, TypeError or OverflowError
+NO_REALS = pytest.mark.parametrize("bad", ["x", None, 10 ** 400, Decimal("sNaN")],
+                                   ids=["str", "None", "int-beyond-float64", "sNaN"])
 
 
 def components(v):
@@ -169,6 +174,27 @@ def test_check_lambda_types_a_value_that_is_no_real_number(lam):
 def test_a_weight_that_is_no_real_number_is_typed(operation, w):
     with pytest.raises(WeightInvalid):
         operation(w, make_fnnn(1, 1, 0.5, 0.5, 0.5))
+
+
+@NO_REALS
+def test_make_fnnn_types_a_component_that_float_rejects(bad):
+    for k in range(5):
+        components = [1.0, 1.0, 0.5, 0.5, 0.5]
+        components[k] = bad
+        with pytest.raises(ValidationError, match=(
+                r"^eta, xi, t, i, f must be real numbers in float64's range$")):
+            make_fnnn(*components)
+
+
+@NO_REALS
+@pytest.mark.parametrize("call, what", [
+    (lambda bad: membership_at(make_fnnn(1, 1, 0.5, 0.5, 0.5), bad), "x must be a real number"),
+    (lambda bad: score_ffn(bad, 0.5), "t and f must be real numbers"),
+    (lambda bad: accuracy_ffn(0.5, bad), "t and f must be real numbers"),
+], ids=["membership_at", "score_ffn", "accuracy_ffn"])
+def test_a_scalar_that_float_rejects_is_typed(call, what, bad):
+    with pytest.raises(ValidationError, match=rf"^{what} in float64's range$"):
+        call(bad)
 
 
 def test_negative_location_is_allowed():

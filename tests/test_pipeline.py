@@ -163,6 +163,23 @@ def test_a_matrix_of_cells_that_are_no_numbers_raises_a_typed_error(value):
                                  f"{kind}, {kind}, {kind}, {kind}, {kind}")
 
 
+@pytest.mark.parametrize("at", [0, 1], ids=["location", "spread"])
+@pytest.mark.parametrize("value, error, reason", [
+    (10 ** 400, NotFinite, "eta, xi, t, i, f must be real numbers in float64's range"),
+    (Decimal("sNaN"), NotFinite, "eta, xi, t, i, f must be real numbers in float64's range"),
+    (Decimal("NaN"), NotFinite, "{} must be a finite number"),
+], ids=["int-beyond-float64", "Decimal-sNaN", "Decimal-NaN"])
+def test_a_cell_that_does_not_compare_with_floats_is_named(at, value, error, reason):
+    # an int beyond float64 passed check_cell, whose comparisons are exact, and float()
+    # of the extrema raised a bare OverflowError; a Decimal NaN raised a bare
+    # decimal.InvalidOperation from check_cell's comparisons
+    rows = [[[1.0], [0.5], [0.5], [0.5], [0.5]] for _ in range(2)]
+    rows[0][at] = [value]
+    with pytest.raises(error) as raised:
+        DecisionMatrix(("A", "B"), ("x",), rows, (1.0,))
+    assert str(raised.value) == "invalid cell at (A, x): " + reason.format(("eta", "xi")[at])
+
+
 def _decimal_mixed(rows):
     """The rows with every other value a Decimal of it, the rest as they are."""
     return [tuple(tuple(Decimal(v) if (i + j + k) % 2 else v for k, v in enumerate(col))
@@ -515,6 +532,18 @@ def test_closeness_values():
         closeness([0.1], [0.1, 0.2])
     with pytest.raises(ValidationError, match="^distances must be nonnegative$"):
         closeness([-1.0], [1.0])
+
+
+@pytest.mark.parametrize("bad", ["x", None, 10 ** 400, Decimal("sNaN")],
+                         ids=["str", "None", "int-beyond-float64", "sNaN"])
+def test_closeness_and_rank_type_a_value_that_float_rejects(bad):
+    # float() raised a bare TypeError, ValueError or OverflowError in closeness,
+    # and math.isnan one in rank
+    with pytest.raises(ValidationError, match=r"^distances must be real numbers in float64's range$"):
+        closeness([bad, 0.5], [0.5, 0.5])
+    with pytest.raises(ValidationError, match=r"^values to rank must be real numbers in float64's"):
+        rank([0.5, bad])
+    assert rank(["0.25", 0.5, Decimal("0.75")]) == [2, 1, 0]  # as float() reads them
 
 
 def test_overflow_is_a_typed_error(tmp_path, capsys):

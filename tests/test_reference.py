@@ -1,20 +1,19 @@
 """Fold-of-primitives references and the seeded generator."""
 
-import os
-import pathlib
 import random
-import subprocess
-import sys
+from types import SimpleNamespace
 
 import pytest
 
 import engineers_case as case
+from fnnmadm import reference
 from fnnmadm import (
     CUBIC_SUM_BOUND,
     FOLDS,
     OPERATORS,
     EmptyInput,
     FnnnGenConfig,
+    ValidationError,
     fold_fnnwa,
     fold_fnnwg,
     fold_gfnnwa,
@@ -66,24 +65,33 @@ def test_weights_generator_rejects_zero_length():
         gen_weights(random.Random(1), 0)
 
 
-def error_in_child(call: str) -> str:
-    """The name of the error ``call`` raises, run in a child interpreter
-    whose run time is capped at 30 s, so a call that never returns fails
-    the test instead of hanging it."""
-    code = f"from fnnmadm import *\ntry:\n {call}\nexcept Exception as e:\n print(type(e).__name__)"
-    src = pathlib.Path(__file__).resolve().parent.parent / "src"
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          timeout=30, env={**os.environ, "PYTHONPATH": str(src)})
-    return done.stdout.strip()
+@pytest.mark.parametrize("count", ["x", None, 2.0])
+def test_generator_types_a_count_that_is_no_int(count):
+    # "x" < 1 and range(2.0) raised a bare TypeError
+    kind = type(count).__name__
+    with pytest.raises(ValidationError, match=rf"^count must be an int, not {kind}$"):
+        gen_fnnn(FnnnGenConfig(), count)
+    with pytest.raises(ValidationError, match=rf"^n must be an int, not {kind}$"):
+        gen_weights(random.Random(1), count)
+
+
+def _no_draws(seed):
+    raise AssertionError("the generator drew from a config it must reject")
 
 
 # unchecked, each of these draws forever: an empty location range, a reversed
-# spread range, and a membership band where 3 * lo^3 exceeds the cubic-sum bound
-@pytest.mark.parametrize(
-    "cfg", ["eta_range=(1.0, 1.0)", "xi_range=(2.0, 1.0)", "membership_range=(0.95, 1.0)"]
-)
-def test_generator_rejects_a_config_it_cannot_draw_from(cfg):
-    assert error_in_child(f"gen_fnnn(FnnnGenConfig({cfg}), 1)") == "ValidationError"
+# spread range, and a membership band where 3 * lo^3 exceeds the cubic-sum bound;
+# so the generator's random source fails the test where it is drawn from
+@pytest.mark.parametrize("cfg, message", [
+    ({"eta_range": (1.0, 1.0)}, r"eta_range = \(1.0, 1.0\) needs lo < hi"),
+    ({"xi_range": (2.0, 1.0)}, r"xi_range = \(2.0, 1.0\) needs lo < hi"),
+    ({"membership_range": (0.95, 1.0)},
+     r"membership_range = \(0.95, 1.0\) needs lo <= hi, 3 \* lo\^3 <= 2"),
+], ids=["eta_range=(1.0, 1.0)", "xi_range=(2.0, 1.0)", "membership_range=(0.95, 1.0)"])
+def test_generator_rejects_a_config_it_cannot_draw_from(cfg, message, monkeypatch):
+    monkeypatch.setattr(reference, "random", SimpleNamespace(Random=_no_draws))
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        gen_fnnn(FnnnGenConfig(**cfg), 1)
 
 
 # ---------------------------------------------------------------------------
