@@ -13,6 +13,10 @@ option: after an option that takes a value, abbreviated or not, it is
 that option's value (``--weig -0.5,1.5``); elsewhere it is a positional
 (``validate -1.csv``).  ``rank`` and ``sweep`` rank the normalized copy
 of the matrix they read (no logs kept); only a table reads the precision.
+A CSV data row is read in one split and one ``float`` pass over its
+fields.  ``rank --format json`` renders each cell straight from the
+matrix's float rows and the aggregates' columns, without the per-cell
+dicts of :func:`report_to_dict`, to the same bytes.
 """
 
 from __future__ import annotations
@@ -26,8 +30,8 @@ import math
 import os
 import re
 import sys
-from itertools import chain
-from operator import itemgetter
+from itertools import chain, repeat
+from operator import attrgetter
 from typing import NamedTuple
 
 from .aggregate import OPERATORS, check_weights
@@ -123,14 +127,23 @@ def _read_csv_problem(path: str) -> RawProblem:
     if not data_rows:
         raise ParseError("no alternative rows found")
     alternatives, rows = [], []
+    four_each = [4] * len(attributes)  # the ';' of each cell of a row
     for r, row in enumerate(data_rows, start=2):
         if len(row) != len(attributes) + 1:
             raise ParseError(
                 f"row has {len(row) - 1} cells, expected {len(attributes)}", row=r
             )
         alternatives.append(row[0].strip())
-        cells = [_parse_cell(cell, r, c) for c, cell in enumerate(row[1:], start=2)]
-        rows.append(tuple(zip(*cells)))
+        cells = row[1:]
+        try:  # the row's fields in one split and one float pass, cell after cell
+            if [*map(str.count, cells, repeat(";"))] != four_each:
+                raise ValueError("a cell without five fields")
+            values = tuple(map(float, ";".join(cells).split(";")))
+        except ValueError:  # the per-cell reader names the first cell at fault
+            values = tuple(chain.from_iterable(
+                _parse_cell(cell, r, c) for c, cell in enumerate(cells, start=2)))
+        # the eta, xi, t, i and f of every cell
+        rows.append((values[0::5], values[1::5], values[2::5], values[3::5], values[4::5]))
     return RawProblem(tuple(alternatives), tuple(attributes), tuple(rows), weights)
 
 
@@ -242,7 +255,27 @@ def _ordering_str(report_labels) -> str:
     return " >= ".join(report_labels)
 
 
-def report_to_dict(rep: RankingReport) -> dict:
+class _Cells(NamedTuple):
+    """Values as five columns of floats, as :func:`cmd_rank` renders a report's
+    cells: a normalized row, the matrix's own tuples, or the aggregates."""
+
+    eta: tuple[float, ...]
+    xi: tuple[float, ...]
+    t: tuple[float, ...]
+    i: tuple[float, ...]
+    f: tuple[float, ...]
+
+    def dicts(self) -> list[dict]:
+        """Each value as :func:`fnnn_to_dict` gives it."""
+        return [dict(zip(self._fields, values)) for values in zip(*self)]
+
+
+_by_key = attrgetter(*sorted(_Cells._fields))  # the columns in the order JSON keys sort
+_CELL_ENTRIES = [f'"{k}": %r' for k in sorted(_Cells._fields)]
+
+
+def _report_doc(rep: RankingReport) -> dict:
+    """The document of :func:`report_to_dict` with its cells as _Cells records."""
     dm = rep.matrix
     return {
         "config": {
@@ -253,11 +286,8 @@ def report_to_dict(rep: RankingReport) -> dict:
         "alternatives": list(dm.alternatives),
         "attributes": list(dm.attributes),
         "weights": list(dm.weights),
-        "normalized": [
-            [{"eta": eta, "xi": xi, "t": t, "i": i, "f": f} for eta, xi, t, i, f in zip(*row)]
-            for row in dm.rows
-        ],
-        "aggregates": [fnnn_to_dict(a) for a in rep.aggregates],
+        "normalized": [_Cells(*row) for row in dm.rows],
+        "aggregates": _Cells(*zip(*map(attrgetter(*_Cells._fields), rep.aggregates))),
         "positive_ideal": fnnn_to_dict(rep.positive_ideal),
         "negative_ideal": fnnn_to_dict(rep.negative_ideal),
         "d_plus": list(rep.d_plus),
@@ -267,6 +297,13 @@ def report_to_dict(rep: RankingReport) -> dict:
         "ordering_labels": list(rep.ordered_labels()),
         "notes": list(rep.notes),
     }
+
+
+def report_to_dict(rep: RankingReport) -> dict:
+    doc = _report_doc(rep)
+    doc["normalized"] = [row.dicts() for row in doc["normalized"]]
+    doc["aggregates"] = doc["aggregates"].dicts()
+    return doc
 
 
 _encode_str = json.encoder.encode_basestring_ascii
@@ -292,11 +329,15 @@ def _json_chunks(o, nl: str):
     Python, one generator per container, which made rendering the slowest
     step of a large ``rank``.  Here a list whose items are all finite
     plain floats, plain ints or strings is one piece, joined in one call,
-    and so is a list of dicts that share their str keys and hold only
-    finite plain floats, as a row of a report's cells does: it fills one
-    format template per dict.  Other containers yield their items' pieces
-    in turn.
+    and so is a _Cells record of finite plain floats, rendered as the list
+    of its dicts: it fills one format template per value.  Other
+    containers, and a record that holds anything else, yield their items'
+    pieces in turn.
     """
+    if type(o) is _Cells:
+        values = [*chain.from_iterable(o)]
+        if not ({*map(type, values)} == {float} and all(map(math.isfinite, values))):
+            o = o.dicts()  # rendered as the dicts it stands for
     if not isinstance(o, (list, tuple, dict)) or not o:
         yield json.dumps(o)  # a scalar or an empty container takes one line
         return
@@ -310,15 +351,16 @@ def _json_chunks(o, nl: str):
         yield nl + "}"
         return
     kinds = set(map(type, o))
-    if kinds == {float} and all(map(math.isfinite, o)):
+    if type(o) is _Cells:
+        cell = inner + "  "
+        template = f"{{{cell}{(',' + cell).join(_CELL_ENTRIES)}{inner}}}"
+        items = map(template.__mod__, zip(*_by_key(o)))
+    elif kinds == {float} and all(map(math.isfinite, o)):
         items = map(float.__repr__, o)
     elif kinds == {int}:
         items = map(int.__repr__, o)
     elif kinds == {str}:
         items = map(_encode_str, o)
-    elif kinds == {dict} and (same := _float_dicts(o, inner)):
-        template, values = same
-        items = map(template.__mod__, values)
     else:
         sep = "[" + inner
         for v in o:
@@ -328,26 +370,6 @@ def _json_chunks(o, nl: str):
         yield nl + "]"
         return
     yield f"[{inner}{(',' + inner).join(items)}{nl}]"
-
-
-def _float_dicts(dicts, nl: str) -> tuple[str, list[tuple]] | None:
-    """If the dicts share one set of at least two str keys and every value
-    is a finite plain float: a ``%``-template of such a dict at the depth
-    of ``nl``, one ``%r`` per value, and each dict's values in the order
-    of its sorted keys.  Else None."""
-    keys = sorted(dicts[0]) if set(map(type, dicts[0])) == {str} else ()
-    if len(keys) < 2 or set(map(len, dicts)) != {len(keys)}:
-        return None
-    try:
-        values = list(map(itemgetter(*keys), dicts))
-    except KeyError:
-        return None
-    flat = list(chain.from_iterable(values))
-    if set(map(type, flat)) != {float} or not all(map(math.isfinite, flat)):
-        return None
-    inner = nl + "  "
-    entries = (f"{_encode_str(k).replace('%', '%%')}: %r" for k in keys)
-    return f"{{{inner}{(',' + inner).join(entries)}{nl}}}", values
 
 
 def _print_json(obj) -> None:
@@ -498,7 +520,7 @@ def cmd_rank(args) -> int:
     dm = _load_matrix(args)
     rep = run_pipeline(dm, PipelineConfig(operator=args.operator, metric=args.metric, lam=args.lam))
     if args.format == "json":
-        _print_json(report_to_dict(rep))
+        _print_json(_report_doc(rep))
     elif args.format == "csv":
         print(_render_rank_csv(rep))
     else:

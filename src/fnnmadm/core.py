@@ -64,7 +64,12 @@ class MembershipTriple:
     f: float
 
     def __post_init__(self):
-        check_membership(self.t, self.i, self.f)
+        try:
+            check_membership(self.t, self.i, self.f)
+        except (TypeError, ValueError, ArithmeticError):  # a number to read first, by reals
+            t, i, f = reals((self.t, self.i, self.f), ValidationError, "t, i, f must be real numbers")
+            check_membership(t, i, f)
+            vars(self).update(t=t, i=i, f=f)
 
     def cubic_sum(self) -> float:
         return self.t ** 3 + self.i ** 3 + self.f ** 3
@@ -79,7 +84,12 @@ class NormalParams:
     xi: float
 
     def __post_init__(self):
-        check_normal(self.eta, self.xi)
+        try:
+            check_normal(self.eta, self.xi)
+        except (TypeError, ValueError, ArithmeticError):  # a number to read first, by reals
+            eta, xi = reals((self.eta, self.xi), ValidationError, "eta and xi must be real numbers")
+            check_normal(eta, xi)
+            vars(self).update(eta=eta, xi=xi)
 
 
 def check_normal(eta: float, xi: float) -> None:

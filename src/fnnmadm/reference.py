@@ -20,7 +20,7 @@ from typing import Sequence
 
 from ._numeric import left_sum
 from .aggregate import _prepare
-from .core import CUBIC_SUM_BOUND, Fnnn, boxplus, boxtimes, make_fnnn, power, scale
+from .core import CUBIC_SUM_BOUND, Fnnn, boxplus, boxtimes, make_fnnn, power, reals, scale
 from .errors import EmptyInput, ValidationError
 
 
@@ -98,18 +98,26 @@ def _check_size(name: str, n: int) -> None:
         raise EmptyInput(f"{name} must be >= 1")
 
 
+def _bounds(cfg: FnnnGenConfig, name: str) -> tuple[float, float]:
+    """``cfg``'s range ``name`` as two floats, read by reals; else ValidationError."""
+    bounds = reals(getattr(cfg, name), ValidationError, f"{name} must be two real numbers")
+    if len(bounds) != 2:
+        raise ValidationError(f"{name} must be two real numbers in float64's range")
+    return bounds
+
+
 def gen_fnnn(cfg: FnnnGenConfig, count: int) -> list[Fnnn]:
     """Generate ``count`` valid values, reproducibly under ``cfg.seed``.
     Raises ValidationError for a count that is no int, EmptyInput for one
     below 1, and ValidationError, before any value is drawn, for ranges
     that no value can be drawn from."""
     _check_size("count", count)
+    eta_range, xi_range = _bounds(cfg, "eta_range"), _bounds(cfg, "xi_range")
     # a draw is repeated until it fits, so a range that nothing fits would never return
-    for name in ("eta_range", "xi_range"):
-        lo, hi = getattr(cfg, name)
+    for name, (lo, hi) in (("eta_range", eta_range), ("xi_range", xi_range)):
         if not lo < hi:
             raise ValidationError(f"{name} = {(lo, hi)!r} needs lo < hi")
-    mlo, mhi = cfg.membership_range
+    mlo, mhi = _bounds(cfg, "membership_range")
     if not (mlo <= mhi and 3.0 * mlo ** 3 <= CUBIC_SUM_BOUND):
         raise ValidationError(
             f"membership_range = {(mlo, mhi)!r} needs lo <= hi, 3 * lo^3 <= {CUBIC_SUM_BOUND:g}"
@@ -117,8 +125,8 @@ def gen_fnnn(cfg: FnnnGenConfig, count: int) -> list[Fnnn]:
     rng = random.Random(cfg.seed)
     out = []
     for _ in range(count):
-        eta = _open_uniform(rng, *cfg.eta_range)
-        xi = _open_uniform(rng, *cfg.xi_range)
+        eta = _open_uniform(rng, *eta_range)
+        xi = _open_uniform(rng, *xi_range)
         while True:
             t = rng.uniform(mlo, mhi)
             i = rng.uniform(mlo, mhi)

@@ -240,6 +240,70 @@ def test_reader_errors_name_their_place(tmp_path, capsys, name, text, place):
 
 
 # ---------------------------------------------------------------------------
+# the CSV row reader: one split and one float pass per data row, the
+# per-cell reader for a row that pass cannot take
+
+FIELD = st.one_of(
+    st.floats().map(repr),
+    st.floats(0.0, 1.0).map(lambda v: f"{v:.3e}"),
+    st.sampled_from(["1", "+0.5", "-0", "1E3", "nan", "-inf", "1_000", ".5", "5."]),
+).flatmap(lambda text: st.sampled_from([text, f" {text}", f"{text}\t ", f"  {text}  "]))
+GOOD_CELL = st.lists(FIELD, min_size=5, max_size=5).map(";".join)
+# 4 and 6 fields, an empty field, a literal "|", padded faults and non-numbers
+BAD_CELL = st.sampled_from([
+    "1;1;0.5;0.5", "1;1;0.5;0.5;0.5;0.5", "", "|", "1;;0.5;0.5;0.5", "1;|;0.5;0.5;0.5",
+    "1;1; ;0.5;0.5", " x ;1;0.5;0.5;0.5", "1;1;0.5;0.5; abc ", "1 1;1;0.5;0.5;0.5", "1;1;0.5;0.5;0x1",
+])
+
+
+def write_rows(path, rows):
+    """A problem file of the given rows of cell texts, without weights."""
+    header = "alt," + ",".join(f"C{j}" for j in range(len(rows[0])))
+    path.write_text("\n".join([header] + [f"A{k}," + ",".join(cells) for k, cells in enumerate(rows)]))
+
+
+def hexes(rows):
+    return [[[v.hex() for v in column] for column in row] for row in rows]
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rows=st.integers(1, 4).flatmap(
+    lambda m: st.lists(st.lists(GOOD_CELL, min_size=m, max_size=m), min_size=1, max_size=3)))
+def test_the_row_reader_reads_each_field_as_the_cell_reader_does(tmp_path, rows):
+    write_rows(tmp_path / "rows.csv", rows)
+    raw = cli._read_csv_problem(str(tmp_path / "rows.csv"))
+    cells = [[cli._parse_cell(cell, r, c) for c, cell in enumerate(row, start=2)]
+             for r, row in enumerate(rows, start=2)]
+    assert hexes(raw.rows) == hexes([tuple(zip(*row)) for row in cells])
+
+
+def first_fault(cells, r):
+    for c, cell in enumerate(cells, start=2):
+        try:
+            cli._parse_cell(cell, r, c)
+        except ParseError as e:
+            return e
+    raise AssertionError(f"no faulty cell in {cells!r}")
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+# a cell of 4 fields and one of 6 hold the 10 fields of two cells between them
+@example(cells=["1;1;0.5;0.5", "1;1;0.5;0.5;0.5;0.5"], at=0, bad="1;1;0.5;0.5")
+@example(cells=["1;1;0.5;0.5;0.5", "1;1;0.5;0.5;0.5;0.5"], at=2, bad="1;1;0.5;0.5")
+@given(cells=st.lists(GOOD_CELL | BAD_CELL, max_size=3), at=st.integers(0, 3), bad=BAD_CELL)
+def test_a_faulty_row_raises_the_cell_readers_error(tmp_path, cells, at, bad):
+    cells = cells[:at] + [bad] + cells[at:]
+    write_rows(tmp_path / "rows.csv", [[ONE_CELL] * len(cells), cells])
+    expected = first_fault(cells, 3)
+    with pytest.raises(ParseError) as caught:
+        cli._read_csv_problem(str(tmp_path / "rows.csv"))
+    e = caught.value
+    assert (str(e), e.reason, e.row, e.col) == (str(expected), expected.reason, 3, expected.col)
+
+
+# ---------------------------------------------------------------------------
 # rank
 
 

@@ -111,6 +111,33 @@ def test_value_types_enforce_the_construction_rules():
         MembershipTriple(0.5, 1.5, 0.5)
 
 
+@NO_REALS
+def test_value_types_type_a_number_that_float_rejects(bad):
+    # math.isfinite raised a bare OverflowError for 10**400 and TypeError for
+    # text, and the membership comparisons a bare TypeError
+    for args in ((bad, 1.0), (1.0, bad)):
+        with pytest.raises(ValidationError, match=r"^eta and xi must be real numbers in float64's range$"):
+            NormalParams(*args)
+    for k in range(3):
+        args = [0.5, 0.5, 0.5]
+        args[k] = bad
+        # an int beyond float64 compares, and is out of [0, 1]
+        what = r"[tif] = 1000+ is outside \[0, 1\]" if isinstance(bad, int) else (
+            r"t, i, f must be real numbers in float64's range")
+        with pytest.raises(ValidationError, match=f"^{what}$"):
+            MembershipTriple(*args)
+
+
+def test_value_types_read_their_numbers_as_float_does():
+    assert NormalParams("0.5", " 2 ") == NormalParams(0.5, 2.0)
+    assert type(NormalParams("0.5", 2.0).eta) is float
+    assert MembershipTriple("0.25", 0.5, "1") == MembershipTriple(0.25, 0.5, 1.0)
+    with pytest.raises(SpreadNonPositive):
+        NormalParams(1.0, "0")
+    with pytest.raises(MembershipOutOfRange):
+        MembershipTriple("1.5", 0.5, 0.5)
+
+
 EDGE_FLOATS = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
                1.0, 1.0000000000000002, 0.9999999999999999, -1e-300, 1e308]
 COMPONENT = st.floats() | st.sampled_from(EDGE_FLOATS) | st.floats(0.0, 1.0)

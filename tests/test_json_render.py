@@ -1,19 +1,36 @@
 """The CLI's JSON renderer against ``json.dumps(..., indent=2, sort_keys=True)``."""
 
+import contextlib
 import enum
 import gc
+import io
 import json
 import math
 import random
+import tempfile
 import tracemalloc
 from collections import OrderedDict, deque
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fnnmadm import FnnnGenConfig, gen_fnnn, gen_weights, make_decision_matrix, run_pipeline
-from fnnmadm.cli import _dump_json, _json_chunks, report_to_dict
+from fnnmadm import (
+    METRICS,
+    OPERATORS,
+    FnnnGenConfig,
+    PipelineConfig,
+    cli,
+    gen_fnnn,
+    gen_weights,
+    make_decision_matrix,
+    normalize,
+    run_pipeline,
+)
+from fnnmadm.cli import _Cells, _dump_json, _json_chunks, fnnn_to_dict, parse_problem, report_to_dict
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def stdlib(obj) -> str:
@@ -143,3 +160,85 @@ def test_chunks_reach_a_writer_without_a_copy_of_the_text():
     finally:
         tracemalloc.stop()
     assert peak < length / 4, (peak, length)
+
+
+# ---------------------------------------------------------------------------
+# a rank report, rendered from the matrix's float rows
+
+
+# labels that JSON must escape, non-ASCII and control characters included
+LABELS = st.text(st.characters(codec="utf-8", exclude_categories=()), max_size=5) | st.sampled_from(
+    ['"', "\\", "é", "a,b", "\n", "%r", "\x00", " x ", "\U0001f600"]
+)
+
+
+def problem(alternatives, attributes, seed: int, band) -> dict:
+    """A valid problem file's JSON document; in the band (0.7, 0.999) of
+    memberships an aggregate may pass the cubic-sum bound, which a note names."""
+    n, m = len(alternatives), len(attributes)
+    return {
+        "alternatives": alternatives,
+        "attributes": attributes,
+        "cells": [fnnn_to_dict(v) for v in gen_fnnn(FnnnGenConfig(membership_range=band, seed=seed), n * m)],
+        "weights": list(gen_weights(random.Random(seed), m)),
+    }
+
+
+@st.composite
+def problems(draw):
+    n, m = draw(st.integers(2, 4)), draw(st.integers(1, 4))
+    return problem(draw(st.lists(LABELS, min_size=n, max_size=n, unique=True)),
+                   draw(st.lists(LABELS, min_size=m, max_size=m, unique=True)),
+                   draw(st.integers(0, 2**32)), draw(st.sampled_from([(0.1, 0.95), (0.7, 0.999)])))
+
+
+# at lambda 2.5 with fnnwa, both notes: a fractional lambda, and an aggregate above the bound
+NOTED = problem(['"a"', "b\n%r"], ["x", "é"], 22, (0.7, 0.999))
+
+
+@settings(max_examples=100, deadline=None)
+@example(doc=NOTED, operator="fnnwa", metric="hamming", lam=2.5)
+@given(doc=problems(), operator=st.sampled_from(sorted(OPERATORS)),
+       metric=st.sampled_from(sorted(METRICS)),
+       lam=st.sampled_from([1.0, 2.5, 3.0, 7.25, 34.0]) | st.floats(1.0, 34.0))
+def test_rank_json_prints_what_report_to_dict_holds(doc, operator, metric, lam):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "problem.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(["rank", path, "--operator", operator, "--metric", metric,
+                             "--lambda", repr(lam), "--format", "json"])
+        rep = run_pipeline(normalize(parse_problem(path)), PipelineConfig(operator, metric, lam))
+    assert code == 0
+    assert bool(rep.notes) >= (not lam.is_integer())
+    if doc is NOTED:
+        assert rep.notes[1].startswith("aggregate for b\n%r has membership cubic sum")
+    assert out.getvalue() == json.dumps(report_to_dict(rep), indent=2, sort_keys=True) + "\n"
+
+
+CELL_VALUES = FLOATS | INTS | st.sampled_from([Loud(2.0), 1, True])
+
+
+@settings(max_examples=200, deadline=None)
+@example(columns=[(math.nan,), (1.0,), (0.5,), (0.5,), (0.5,)])
+@example(columns=[(0.5, 1.0), (math.inf, 1.0), (0.5, 0.5), (0.5, 0.5), (0.5, -math.inf)])
+@example(columns=[(), (), (), (), ()])
+@given(columns=st.integers(0, 4).flatmap(
+    lambda k: st.lists(st.lists(CELL_VALUES, min_size=k, max_size=k).map(tuple),
+                       min_size=5, max_size=5)))
+def test_a_record_renders_as_the_dicts_it_stands_for(columns):
+    record = _Cells(*columns)
+    doc = {"normalized": [record, record], "aggregates": record}
+    assert _dump_json(doc) == stdlib(
+        {"normalized": [record.dicts()] * 2, "aggregates": record.dicts()})
+
+
+@pytest.mark.parametrize("path", ["demos/engineers.csv", "tests/golden/seeded_12x6.csv"])
+def test_report_to_dict_holds_each_value_as_a_dict(path):
+    rep = run_pipeline(parse_problem(str(ROOT / path)), PipelineConfig("gfnnwg", "euclidean", 3.0))
+    doc = report_to_dict(rep)
+    assert doc["normalized"] == [[fnnn_to_dict(c) for c in row] for row in rep.matrix.cells]
+    assert doc["aggregates"] == [fnnn_to_dict(a) for a in rep.aggregates]
+    assert [list(d) for d in doc["aggregates"]] == [["eta", "xi", "t", "i", "f"]] * len(rep.aggregates)

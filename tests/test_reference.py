@@ -94,6 +94,20 @@ def test_generator_rejects_a_config_it_cannot_draw_from(cfg, message, monkeypatc
         gen_fnnn(FnnnGenConfig(**cfg), 1)
 
 
+@pytest.mark.parametrize("name, bounds", [
+    ("eta_range", (0, 10 ** 400)),
+    ("xi_range", ("a", "b")),
+    ("membership_range", ("a", "b")),
+    ("eta_range", 5),
+    ("xi_range", (0.0, 0.5, 1.0)),
+], ids=["int-beyond-float64", "xi-text", "membership-text", "not-a-pair", "three-bounds"])
+def test_generator_types_a_range_that_float_rejects(name, bounds, monkeypatch):
+    # a bare OverflowError from random.uniform, or a bare TypeError or ValueError
+    monkeypatch.setattr(reference, "random", SimpleNamespace(Random=_no_draws))
+    with pytest.raises(ValidationError, match=rf"^{name} must be two real numbers in float64's range$"):
+        gen_fnnn(FnnnGenConfig(**{name: bounds}), 1)
+
+
 # ---------------------------------------------------------------------------
 # folds
 
