@@ -46,7 +46,6 @@ from .errors import (
     MembershipOutOfRange,
     NormalDomainError,
     NotFinite,
-    NotNormalized,
     ParseError,
     SpreadNonPositive,
     UnknownName,

@@ -16,16 +16,16 @@ operations (see :mod:`fnnmadm.reference`) to within float accumulation.
 
 Each closed form is written once, as a generator over one row of values
 read into five float lists (eta, xi, t, i, f) by :func:`read_row`, and
-the xlogs of the memberships it reads, which :func:`aggregates` takes
-once per row and channel and keeps in a memo.  The generator first computes
-what else does not depend on lam: for fnnwa and fnnwg the location, the
-spread and one membership.  It then yields the aggregate at each lam it
-is given, clipped and checked by :func:`fnnmadm.core.checked_result`, the
-one rule for every operation's result.  :func:`aggregates` alone runs
-them: it advances every row's generator at each lam and alone types
-their float faults.  The operators below take it over one row at one lam
-with a memo of their own, and the pipeline over every row at one lam or
-at each lam of a sweep, with the memo its matrix keeps.
+the xlogs of its t, i and f, which :func:`membership_logs` takes of every
+row at once.  The generator first computes what else does not depend on
+lam: for fnnwa and fnnwg the location, the spread and one membership.  It
+then yields the aggregate at each lam it is given, clipped and checked by
+:func:`fnnmadm.core.checked_result`, the one rule for every operation's
+result.  :func:`aggregates` alone runs them: it advances every row's
+generator at each lam and alone types their float faults.  The operators
+below take it over one row at one lam, with that row's logs, and the
+pipeline over every row at one lam or at each lam of a sweep, with the
+logs a raw matrix keeps.
 """
 
 from __future__ import annotations
@@ -167,34 +167,25 @@ def _gfnnwg(row, log_t, log_i, log_f, ws, lams):
         yield checked_result(eta, xi, t, i, f)
 
 
-# each operator's closed form over one row, by name, and the membership
-# channels whose logs it reads, by index in a row (2 is t, 3 is i, 4 is f)
-_CLOSED_FORMS = {"fnnwa": (_fnnwa, (2, 3)), "fnnwg": (_fnnwg, (3, 4)),
-                 "gfnnwa": (_gfnnwa, (2, 3, 4)), "gfnnwg": (_gfnnwg, (2, 3, 4))}
+# each operator's closed form over one row, by name
+_CLOSED_FORMS = {"fnnwa": _fnnwa, "fnnwg": _fnnwg, "gfnnwa": _gfnnwa, "gfnnwg": _gfnnwg}
 
 
-def _row_logs(channels, rows, memo: dict):
-    """Each row's logs of t, i and f, as :func:`xlogs` gives them, or None
-    for a channel not in ``channels``.  ``memo`` maps a channel to its logs
-    in every row of ``rows``: the logs of a channel it lacks are taken
-    once per row and added to it."""
-    for k in channels:
-        if k not in memo:
-            memo[k] = [xlogs(row[k]) for row in rows]
-    return zip(*(memo.get(k, repeat(None)) for k in (2, 3, 4)))
+def membership_logs(rows) -> list[list[list[float]]]:
+    """The :func:`xlogs` of t, of i and of f in every row of ``rows``: one
+    list per channel, of one list of logs per row."""
+    return [[xlogs(row[k]) for row in rows] for k in (2, 3, 4)]
 
 
-def aggregates(operator: str, rows, memo: dict, ws, lams):
+def aggregates(operator: str, rows, logs, ws, lams):
     """Yield, at each of the checked values ``lams``, the list of every
     row's aggregate (eta, xi, t, i, f) under ``operator``, from one
-    generator per row, given the row and its membership logs.  The logs
-    are those ``memo`` keeps for ``rows`` (see :func:`_row_logs`), so
-    aggregations of the same rows with the same memo take each log once.
+    generator per row, given the row and its membership logs; ``logs`` are
+    :func:`membership_logs` of ``rows``, read and not written.
     Raises NotFinite when a power overflows float64, and NormalDomainError
     for a fractional power of a negative location (ValueError in math.pow)."""
-    generator, channels = _CLOSED_FORMS[operator]
-    values = [generator(row, *logs, ws, lams)
-              for row, logs in zip(rows, _row_logs(channels, rows, memo))]
+    generator = _CLOSED_FORMS[operator]
+    values = [generator(row, t, i, f, ws, lams) for row, t, i, f in zip(rows, *logs)]
     for lam in lams:
         try:
             aggs = [next(v) for v in values]
@@ -208,7 +199,8 @@ def aggregates(operator: str, rows, memo: dict, ws, lams):
 
 def _aggregate(operator, items, weights, lam) -> Fnnn:
     items, ws, lam = _prepare(items, weights, lam)
-    [[agg]] = aggregates(operator, [read_row(items)], {}, ws, [lam])
+    rows = [read_row(items)]
+    [[agg]] = aggregates(operator, rows, membership_logs(rows), ws, [lam])
     return checked_fnnn(*agg)
 
 

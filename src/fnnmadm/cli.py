@@ -345,7 +345,7 @@ def _json_chunks(o, nl: str):
     if isinstance(o, dict):
         sep = "{" + inner
         for k, v in sorted(o.items()):
-            yield f"{sep}{_check_key(k)}: "
+            yield f"{sep}{_encode_str(k)}: "  # TypeError for a key that is no str
             yield from _json_chunks(v, inner)
             sep = "," + inner
         yield nl + "}"
@@ -377,13 +377,6 @@ def _print_json(obj) -> None:
     piece as it is rendered."""
     sys.stdout.writelines(_json_chunks(obj, "\n"))
     sys.stdout.write("\n")
-
-
-def _check_key(key) -> str:
-    """A dict key, encoded; only str keys are taken."""
-    if not isinstance(key, str):
-        raise TypeError(f"keys must be str, not {type(key).__name__}")
-    return _encode_str(key)
 
 
 def _render_rank_table(rep: RankingReport, prec: int) -> str:

@@ -68,10 +68,6 @@ class DegenerateCloseness(FnnError):
     """Both ideal distances vanished, leaving closeness undefined."""
 
 
-class NotNormalized(FnnError):
-    """The decision matrix must be normalized before this step."""
-
-
 class ParseError(FnnError):
     """A problem file could not be parsed; carries the offending location."""
 

@@ -18,6 +18,8 @@ memberships are made by the first ranking that needs them and kept on
 the matrix for every later one, whatever its operator, metric or lambda
 (see :class:`DecisionMatrix`).  A normalized matrix keeps nothing: the CLI
 ranks ``normalize(dm)``, which does one ranking's work and keeps no logs.
+Every entry point, :func:`aggregate_rows` too, takes a raw or a normalized
+matrix and gives the same values for both.
 A caller's numbers are read by :func:`fnnmadm.core.reals`; cells may not be text.
 """
 
@@ -30,7 +32,7 @@ from itertools import chain
 from operator import mul, truediv
 from typing import NamedTuple, Sequence
 
-from .aggregate import OPERATORS, aggregates, check_weights, read_row
+from .aggregate import OPERATORS, aggregates, check_weights, membership_logs, read_row
 from .core import CELLS, Fnnn, check_cell, check_lambda, check_normal, checked_fnnn, reals
 from .distance import FORMULAS, euclidean, hamming, phi_of
 from .errors import (
@@ -40,7 +42,6 @@ from .errors import (
     LambdaInvalid,
     LengthMismatch,
     NotFinite,
-    NotNormalized,
     SpreadNonPositive,
     UnknownName,
     ValidationError,
@@ -71,8 +72,8 @@ class DecisionMatrix:
     see them, it keeps what every ranking of it reads alike, made on first
     use: its normalized copy, which holds plain floats (a new location and
     spread per cell, about 64 bytes; the membership tuples are shared where
-    they hold plain floats), and the xlogs of each membership channel an
-    operator reads, one list per row and channel (up to three floats per
+    they hold plain floats), and the xlogs of its memberships, as
+    :func:`~fnnmadm.aggregate.membership_logs` gives them (three floats per
     cell, about 96 bytes: some 1 MiB for 500 x 20 cells).  Nothing that
     depends on the operator, metric, lambda or weights is kept, and the
     matrix is immutable, so what it keeps stays valid.  A normalized
@@ -127,17 +128,16 @@ class DecisionMatrix:
                                                          for c in row[2:])))
                      for normal, row in zip(_normal_rows(self.rows), self.rows))
         normal = object.__new__(_NormalizedMatrix)  # not made by __init__, so not checked again
-        # the fields alone: this matrix's memo would keep its logs alive with the copy
+        # the fields alone: this matrix's logs would stay alive with the copy
         vars(normal).update(alternatives=self.alternatives, attributes=self.attributes,
                             rows=rows, weights=self.weights, normalized=True)
         return normal
 
     @cached_property
-    def _logs(self) -> dict[int, list[list[float]]]:
-        """The memo of :func:`~fnnmadm.aggregate.aggregates` for this raw
-        matrix: a membership channel's logs in every row, for each channel
-        read so far."""
-        return {}
+    def _logs(self) -> list[list[list[float]]]:
+        """:func:`~fnnmadm.aggregate.membership_logs` of this raw matrix's
+        normalized rows."""
+        return membership_logs(self._normal_copy.rows)
 
     def __getstate__(self):  # the fields alone: what the matrix keeps is made again on use
         return {k: v for k, v in vars(self).items() if k in self.__dataclass_fields__}
@@ -263,13 +263,20 @@ def normalize(dm: DecisionMatrix) -> DecisionMatrix:
     return dm if dm.normalized else dm._normal_copy
 
 
+def _normalized_logs(dm: DecisionMatrix):
+    """The rows of ``normalize(dm)`` and their membership logs: those a raw
+    ``dm`` keeps, or taken anew of a normalized one, which keeps none."""
+    if dm.normalized:
+        return dm.rows, membership_logs(dm.rows)
+    return dm._normal_copy.rows, dm._logs
+
+
 def aggregate_rows(dm: DecisionMatrix, operator: str, lam: float = 1.0) -> tuple[Fnnn, ...]:
-    """Reduce each alternative's row to a single value with the attribute
-    weights; requires a normalized matrix, and takes PipelineConfig's rules."""
-    if not dm.normalized:
-        raise NotNormalized("normalize the decision matrix before aggregating")
+    """Reduce each alternative's normalized row to a single value with the
+    attribute weights, as :func:`run_pipeline` does; ``dm`` may be raw or
+    normalized, and the operator and lam take PipelineConfig's rules."""
     lam = PipelineConfig(operator, lam=lam).lam
-    (aggs,) = aggregates(operator, dm.rows, {}, dm.weights, [lam])  # a copy keeps no logs
+    (aggs,) = aggregates(operator, *_normalized_logs(dm), dm.weights, [lam])
     return tuple(checked_fnnn(*a) for a in aggs)
 
 
@@ -333,7 +340,7 @@ class PipelineConfig:
     def __post_init__(self):
         for kind, name, names in (("operator", self.operator, OPERATORS),
                                   ("metric", self.metric, METRICS)):
-            if name not in names:
+            if not (isinstance(name, str) and name in names):  # a list does not hash
                 raise UnknownName(f"unknown {kind} {name!r}; choose from {sorted(names)}")
         object.__setattr__(self, "lam", check_lambda(self.lam))
 
@@ -373,16 +380,14 @@ class _Evaluation(NamedTuple):
 def _evaluations(dm: DecisionMatrix, operator: str, metric: str, lams: Sequence[float]):
     """Yield the ranking at each of the checked values ``lams``.
 
-    The normalized rows and the membership logs are those a raw ``dm``
-    keeps (see :class:`DecisionMatrix`); a normalized one takes its logs
-    anew.  :func:`~fnnmadm.aggregate.aggregates` gives every row's
-    aggregate at each value, doing each row's lam-free work once.  Raises
-    NotFinite when a value overflows float64.
+    The normalized rows and their membership logs are those of
+    :func:`_normalized_logs`.  :func:`~fnnmadm.aggregate.aggregates` gives
+    every row's aggregate at each value, doing each row's lam-free work
+    once.  Raises NotFinite when a value overflows float64.
     """
     formula = FORMULAS[metric]
     phi_positive, phi_negative = phi_of(1.0, 1.0, 0.0), phi_of(0.0, 0.0, 1.0)
-    logs = {} if dm.normalized else dm._logs
-    aggs_at = aggregates(operator, normalize(dm).rows, logs, dm.weights, lams)
+    aggs_at = aggregates(operator, *_normalized_logs(dm), dm.weights, lams)
     for lam, aggs in zip(lams, aggs_at):
         etas = [a[0] for a in aggs]
         xis = [a[1] for a in aggs]
@@ -470,10 +475,15 @@ def lambda_sweep(
     report.
 
     This is where a grid is checked: EmptyInput for no values,
-    LambdaInvalid unless every value passes ``check_lambda`` and the
-    values strictly increase.
+    LambdaInvalid for a grid that is not iterable, or unless every value
+    passes ``check_lambda`` and the values strictly increase.
     """
-    lams = [check_lambda(v) for v in lambdas]
+    try:
+        grid = iter(lambdas)
+    except TypeError:
+        kind = type(lambdas).__name__
+        raise LambdaInvalid(f"lambda values must be iterable, not {kind}") from None
+    lams = [check_lambda(v) for v in grid]
     if not lams:
         raise EmptyInput("sweep needs at least one lambda value")
     if any(b <= a for a, b in zip(lams, lams[1:])):

@@ -422,6 +422,51 @@ def test_operators_match_decimal_property(name, lam, cells, raw_weights):
     assert_matches_decimal(name, cells, ws, lam)
 
 
+# ---------------------------------------------------------------------------
+# Fermatean fuzzy oracle: at lambda = 1, the truths and falsities of fnnwa and
+# fnnwg are those of Senapati & Yager's Fermatean fuzzy weighted averaging and
+# geometric operators (FFWA, FFWG), written here from their formulas alone
+
+
+def root_of_complement(vs, ws):
+    """(1 - prod (1 - v_k**3)**w_k)**(1/3), with 1 - prod taken as its equal
+    -expm1(sum w_k * log1p(-v_k**3)).  Taken as written, 1 - prod cancels: at
+    eight memberships of 0.1 it is off by 1.5e-13 relative (a 60-digit Decimal
+    evaluation), at 0.01 by 1e-10, and near 0 by 4e-2 (1e-5); in this form it
+    stays within 2e-15 of the operators from 0.001 up."""
+    return (-math.expm1(math.fsum(w * math.log1p(-v ** 3) for v, w in zip(vs, ws)))) ** (1 / 3)
+
+
+def ffwa(mus, nus, ws):
+    """FFWA's (mu, nu): ((1 - prod (1 - mu_k**3)**w_k)**(1/3), prod nu_k**w_k)."""
+    return root_of_complement(mus, ws), math.prod(nu ** w for nu, w in zip(nus, ws))
+
+
+def ffwg(mus, nus, ws):
+    """FFWG's (mu, nu): (prod mu_k**w_k, (1 - prod (1 - nu_k**3)**w_k)**(1/3))."""
+    return math.prod(mu ** w for mu, w in zip(mus, ws)), root_of_complement(nus, ws)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    cells=st.lists(
+        st.tuples(*[st.floats(0.1, 0.95)] * 3).filter(
+            lambda c: c[0] ** 3 + c[1] ** 3 + c[2] ** 3 <= 2.0),
+        min_size=1, max_size=8,
+    ),
+    raw_weights=st.lists(st.floats(0.01, 1.0), min_size=8, max_size=8),
+)
+def test_fnnwa_and_fnnwg_at_lambda_1_are_ffwa_and_ffwg(cells, raw_weights):
+    ws = check_weights(raw_weights[: len(cells)], renormalize=True)
+    values = [make_fnnn(0.5, 0.2, *c) for c in cells]
+    ts, fs = [c[0] for c in cells], [c[2] for c in cells]
+    for operator, oracle in ((fnnwa, ffwa), (fnnwg, ffwg)):
+        out = operator(values, ws, 1.0)
+        mu, nu = oracle(ts, fs, ws)
+        assert out.t == pytest.approx(mu, rel=1e-13, abs=0.0)
+        assert out.f == pytest.approx(nu, rel=1e-13, abs=0.0)
+
+
 # every x**lam of the first two underflows float64, so sum(w * x**lam) is 0;
 # 5**1000 of the third overflows
 POWER_MEAN_ROWS = {300: (0.02, 0.05, 0.08), 1e3: (2.0, 3.0, 5.0), 1e4: (0.5, 0.8, 0.9)}

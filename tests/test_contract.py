@@ -25,15 +25,19 @@ from fnnmadm import (
     MembershipTriple,
     PipelineConfig,
     accuracy_ffn,
+    aggregate_rows,
     boxplus,
     boxtimes,
     check_weights,
     closeness,
     euclidean,
     hamming,
+    lambda_sweep,
+    make_decision_matrix,
     make_fnnn,
     membership_at,
     normal_distance,
+    normalize,
     power,
     rank,
     run_pipeline,
@@ -208,3 +212,38 @@ def test_decision_matrix(value, at):
         return run_pipeline(DecisionMatrix(("A", "B"), ("x", "y"), rows, (0.5, 0.5))).closeness
 
     holds(ranked)
+
+
+@pytest.mark.parametrize("name", sorted(OPERATORS))
+@settings(max_examples=40, deadline=None)
+@given(cells=st.lists(st.lists(values(), min_size=2, max_size=2), min_size=1, max_size=3),
+       lam=lams, data=st.data())
+def test_aggregate_rows(name, cells, lam, data):
+    """On a raw matrix and on its normalized copy, the same aggregates."""
+    weights = data.draw(weight_vectors(2))
+    labels = [f"A{k}" for k in range(len(cells))]
+
+    def matrix():
+        return make_decision_matrix(labels, ["x", "y"], cells, weights)
+
+    raw = holds(lambda: aggregate_rows(matrix(), name, lam))
+    normalized = holds(lambda: aggregate_rows(normalize(matrix()), name, lam))
+    assert raw == normalized
+
+
+MATRIX_2X2 = DecisionMatrix(("A", "B"), ("x", "y"),
+                            [[[1.0, 2.0], [0.5, 0.25], [0.8, 0.3], [0.5, 0.4], [0.2, 0.6]],
+                             [[1.5, 0.5], [0.3, 0.6], [0.4, 0.9], [0.5, 0.2], [0.7, 0.1]]],
+                            (0.6, 0.4))
+
+
+@settings(max_examples=80, deadline=None)
+@given(operator=st.sampled_from(sorted(OPERATORS)), metric=st.sampled_from(sorted(METRICS)),
+       grid=st.one_of(st.lists(st.one_of(lams, not_floats), max_size=4), not_floats,
+                      st.sampled_from([None, 3.0, 2, True, object()])))
+def test_lambda_sweep(operator, metric, grid):
+    def swept():
+        return [row.closeness for row in
+                lambda_sweep(MATRIX_2X2, PipelineConfig(operator, metric), grid).rows]
+
+    holds(swept)

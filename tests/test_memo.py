@@ -4,6 +4,7 @@ memberships, made on first use and shared by every later ranking of it."""
 import copy
 import dataclasses
 import gc
+import pathlib
 import pickle
 import random
 
@@ -26,6 +27,7 @@ from fnnmadm import (
 
 LAMS = (1.0, 3.0, 12.5, 34.0)
 FIELDS = {"alternatives", "attributes", "rows", "weights"}
+SEEDED_12X6 = pathlib.Path(__file__).parent / "golden" / "seeded_12x6.csv"
 
 
 def _seeded_matrix(n=100, m=20, seed=5):
@@ -64,6 +66,7 @@ def _calls():
                 ]
         calls += [lambda dm, op=operator, lam=lam: aggregate_rows(normalize(dm), op, lam)
                   for lam in LAMS]
+        calls += [lambda dm, op=operator, lam=lam: aggregate_rows(dm, op, lam) for lam in LAMS]
     return calls
 
 
@@ -79,8 +82,7 @@ def test_rankings_of_one_matrix_equal_those_of_fresh_matrices(engineers_matrix, 
 
 
 def test_a_matrix_takes_each_membership_log_once(monkeypatch):
-    # fnnwa reads the logs of t and i, fnnwg those of i and f, and the
-    # generalized operators all three: four rankings take each log once
+    # the first ranking takes the logs of t, i and f in every row, and later ones none
     calls = _counting_xlogs(monkeypatch)
     dm = _seeded_matrix(n=7, m=4)
     for operator in ("fnnwa", "fnnwg", "gfnnwa", "gfnnwg"):
@@ -91,11 +93,32 @@ def test_a_matrix_takes_each_membership_log_once(monkeypatch):
     assert len(calls) == dm.n_alternatives * 3
 
 
-def test_a_one_shot_ranking_takes_only_the_logs_it_reads(monkeypatch):
+@pytest.mark.parametrize("operator", OPERATORS)
+def test_a_one_shot_ranking_takes_three_logs_per_row(monkeypatch, operator):
+    # every operator takes the logs of all three memberships, though fnnwa
+    # reads only those of t and i, and fnnwg only those of i and f
     calls = _counting_xlogs(monkeypatch)
     dm = _seeded_matrix(n=7, m=4)
-    run_pipeline(dm, PipelineConfig("fnnwg"))
-    assert len(calls) == dm.n_alternatives * 2
+    run_pipeline(dm, PipelineConfig(operator))
+    assert len(calls) == dm.n_alternatives * 3
+
+
+@pytest.mark.parametrize("matrix", ["engineers", "seeded_12x6"])
+def test_aggregate_rows_gives_what_a_ranking_gives_on_either_matrix(
+        monkeypatch, engineers_matrix, matrix):
+    if matrix == "engineers":
+        dm = _fresh(engineers_matrix)
+    else:
+        dm = cli._build_matrix(cli._read_raw(str(SEEDED_12X6)))
+    grid = [(operator, lam) for operator in OPERATORS for lam in (1.0, 2.5, 34.0)]
+    calls = _counting_xlogs(monkeypatch)
+    raw = [aggregate_rows(dm, operator, lam) for operator, lam in grid]
+    ranked = [run_pipeline(dm, PipelineConfig(operator, lam=lam)).aggregates
+              for operator, lam in grid]
+    assert len(calls) == dm.n_alternatives * 3  # the raw matrix takes its logs once
+    normalized = [aggregate_rows(normalize(dm), operator, lam) for operator, lam in grid]
+    assert len(calls) == dm.n_alternatives * 3 * (1 + len(grid))  # the copy takes them anew
+    assert raw == normalized == ranked  # bit for bit
 
 
 def test_a_matrix_normalizes_once_and_a_normalized_one_keeps_no_copy(engineers_matrix):

@@ -28,7 +28,6 @@ from fnnmadm import (
     MembershipOutOfRange,
     NormalDomainError,
     NotFinite,
-    NotNormalized,
     PipelineConfig,
     SpreadNonPositive,
     UnknownName,
@@ -474,11 +473,6 @@ def test_normalize_column_scale_invariance(engineers_matrix):
     assert run_pipeline(nm).ordering == run_pipeline(nms).ordering
 
 
-def test_aggregate_rows_requires_normalized(engineers_matrix):
-    with pytest.raises(NotNormalized):
-        aggregate_rows(engineers_matrix, "fnnwa", 1)
-
-
 def test_aggregate_rows_golden_and_fold(engineers_matrix):
     nm = normalize(engineers_matrix)
     aggs = aggregate_rows(nm, "fnnwa", 1)
@@ -701,6 +695,13 @@ def test_pipeline_config_validation():
         PipelineConfig(lam=0.5)
 
 
+@pytest.mark.parametrize("field, name", [("operator", []), ("metric", {}), ("operator", {"a"})])
+def test_pipeline_config_types_a_name_that_does_not_hash(field, name):
+    # the lookup raised a bare TypeError: unhashable type
+    with pytest.raises(UnknownName, match=rf"^unknown {field} "):
+        PipelineConfig(**{field: name})
+
+
 # ---------------------------------------------------------------------------
 # sweep
 
@@ -740,16 +741,16 @@ def test_sweep_single_lambda_equals_pipeline(engineers_matrix, matrix, operator,
         assert row.ordering == rep.ordering
 
 
-@pytest.mark.parametrize("operator, logs_per_row",
-                         [("fnnwa", 2), ("fnnwg", 2), ("gfnnwa", 3), ("gfnnwg", 3)])
-def test_sweep_takes_membership_logs_once_per_row(monkeypatch, operator, logs_per_row):
-    # the lam-free work of each row is done once per sweep, not once per lambda
+@pytest.mark.parametrize("operator", ["fnnwa", "fnnwg", "gfnnwa", "gfnnwg"])
+def test_sweep_takes_membership_logs_once_per_row(monkeypatch, operator):
+    # the lam-free work of each row is done once per sweep, not once per lambda:
+    # the logs of its t, i and f
     calls = []
     xlogs = aggregate.xlogs
     monkeypatch.setattr(aggregate, "xlogs", lambda values: calls.append(1) or xlogs(values))
     dm = _seeded_matrix()
     lambda_sweep(dm, PipelineConfig(operator=operator), list(range(1, 35)))
-    assert len(calls) == dm.n_alternatives * logs_per_row
+    assert len(calls) == dm.n_alternatives * 3
 
 
 @pytest.mark.parametrize("operator", ["gfnnwa", "gfnnwg"])
@@ -776,6 +777,21 @@ def test_sweep_requires_increasing_lambdas(engineers_matrix):
 def test_sweep_checks_every_lambda(engineers_matrix, lambdas):
     with pytest.raises(LambdaInvalid):
         lambda_sweep(engineers_matrix, PipelineConfig(), lambdas)
+
+
+@pytest.mark.parametrize("lambdas", [None, 3.0, 2, object()])
+def test_sweep_types_a_grid_that_is_not_iterable(engineers_matrix, lambdas):
+    # iterating it raised a bare TypeError: ... is not iterable
+    with pytest.raises(LambdaInvalid, match=r"^lambda values must be iterable, not "):
+        lambda_sweep(engineers_matrix, PipelineConfig(), lambdas)
+
+
+@pytest.mark.parametrize("value, reason", [(None, r"^lam must be a real number"),
+                                           (0.5, r"^lam = 0\.5 must be a finite real >= 1")])
+def test_sweep_names_a_bad_value_inside_a_grid_as_check_lambda_does(engineers_matrix, value,
+                                                                     reason):
+    with pytest.raises(LambdaInvalid, match=reason):
+        lambda_sweep(engineers_matrix, PipelineConfig(), [1.0, value])
 
 
 def test_sweep_spot_rows_match_published_table(engineers_matrix):
