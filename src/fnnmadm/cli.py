@@ -256,8 +256,8 @@ def _ordering_str(report_labels) -> str:
 
 
 class _Cells(NamedTuple):
-    """Values as five columns of floats, as :func:`cmd_rank` renders a report's
-    cells: a normalized row, the matrix's own tuples, or the aggregates."""
+    """Values as five columns of finite plain floats, which :func:`_json_chunks` does not check:
+    a report's normalized row, the matrix's own tuples, or the aggregates."""
 
     eta: tuple[float, ...]
     xi: tuple[float, ...]
@@ -329,15 +329,11 @@ def _json_chunks(o, nl: str):
     Python, one generator per container, which made rendering the slowest
     step of a large ``rank``.  Here a list whose items are all finite
     plain floats, plain ints or strings is one piece, joined in one call,
-    and so is a _Cells record of finite plain floats, rendered as the list
-    of its dicts: it fills one format template per value.  Other
-    containers, and a record that holds anything else, yield their items'
-    pieces in turn.
+    and so is a _Cells record, rendered as the list of its dicts: it fills
+    one format template per value, with the ``repr`` of each float, so a
+    record must hold finite plain floats.  Other containers yield their
+    items' pieces in turn.
     """
-    if type(o) is _Cells:
-        values = [*chain.from_iterable(o)]
-        if not ({*map(type, values)} == {float} and all(map(math.isfinite, values))):
-            o = o.dicts()  # rendered as the dicts it stands for
     if not isinstance(o, (list, tuple, dict)) or not o:
         yield json.dumps(o)  # a scalar or an empty container takes one line
         return
@@ -350,12 +346,11 @@ def _json_chunks(o, nl: str):
             sep = "," + inner
         yield nl + "}"
         return
-    kinds = set(map(type, o))
     if type(o) is _Cells:
         cell = inner + "  "
         template = f"{{{cell}{(',' + cell).join(_CELL_ENTRIES)}{inner}}}"
         items = map(template.__mod__, zip(*_by_key(o)))
-    elif kinds == {float} and all(map(math.isfinite, o)):
+    elif (kinds := set(map(type, o))) == {float} and all(map(math.isfinite, o)):
         items = map(float.__repr__, o)
     elif kinds == {int}:
         items = map(int.__repr__, o)

@@ -5,7 +5,8 @@ normal-shaped membership curve with truth, indeterminacy and falsity
 degrees whose cubic sum is bounded by 2.  All operations are pure
 functions over immutable values.  The real parameter ``lam >= 1``
 controls the root/power structure of the membership algebra; ``lam = 1``
-gives the base operations.  A caller's numbers are read by :func:`reals`.
+gives the base operations.  A caller's numbers are read once, where they
+enter, by :func:`reals`, into plain floats; text is one number, never a vector.
 """
 
 from __future__ import annotations
@@ -29,10 +30,14 @@ from .errors import (
 CUBIC_SUM_BOUND = 2.0
 CELLS = "eta, xi, t, i, f must be real numbers"  # what reals says of a value's components
 _MAX = 1.7976931348623157e308  # the largest float64: 10**400 < inf, but not <= _MAX
+TEXT = (str, bytes, bytearray)  # no vector of numbers, though float() reads each of its items
 
 
 def reals(values, error: type[Exception], what: str) -> tuple[float, ...]:
-    """float() of each value, in a tuple; error(f"{what} in float64's range") for one it rejects."""
+    """float() of each value, in a tuple; error(f"{what} in float64's range") for one it
+    rejects, and error(f"{what}, not str") for text, which is one value, not a vector."""
+    if isinstance(values, TEXT):
+        raise error(f"{what}, not {type(values).__name__}")
     try:
         return tuple([*map(float, values)])  # sized once: a shrunk guess strands free-list blocks
     except (TypeError, ValueError, OverflowError):
@@ -57,19 +62,16 @@ def check_membership(t: float, i: float, f: float) -> None:
 
 @dataclass(frozen=True)
 class MembershipTriple:
-    """Truth, indeterminacy and falsity degrees, each in [0, 1]."""
+    """Truth, indeterminacy and falsity degrees in [0, 1], as :func:`reals` reads them."""
 
     t: float
     i: float
     f: float
 
     def __post_init__(self):
-        try:
-            check_membership(self.t, self.i, self.f)
-        except (TypeError, ValueError, ArithmeticError):  # a number to read first, by reals
-            t, i, f = reals((self.t, self.i, self.f), ValidationError, "t, i, f must be real numbers")
-            check_membership(t, i, f)
-            vars(self).update(t=t, i=i, f=f)
+        t, i, f = reals((self.t, self.i, self.f), ValidationError, "t, i, f must be real numbers")
+        check_membership(t, i, f)
+        vars(self).update(t=t, i=i, f=f)
 
     def cubic_sum(self) -> float:
         return self.t ** 3 + self.i ** 3 + self.f ** 3
@@ -78,18 +80,15 @@ class MembershipTriple:
 @dataclass(frozen=True)
 class NormalParams:
     """Finite location and finite, strictly positive spread of a normal
-    membership curve."""
+    membership curve, as :func:`reals` reads them."""
 
     eta: float
     xi: float
 
     def __post_init__(self):
-        try:
-            check_normal(self.eta, self.xi)
-        except (TypeError, ValueError, ArithmeticError):  # a number to read first, by reals
-            eta, xi = reals((self.eta, self.xi), ValidationError, "eta and xi must be real numbers")
-            check_normal(eta, xi)
-            vars(self).update(eta=eta, xi=xi)
+        eta, xi = reals((self.eta, self.xi), ValidationError, "eta and xi must be real numbers")
+        check_normal(eta, xi)
+        vars(self).update(eta=eta, xi=xi)
 
 
 def check_normal(eta: float, xi: float) -> None:
@@ -105,7 +104,8 @@ def check_normal(eta: float, xi: float) -> None:
 
 @dataclass(frozen=True)
 class Fnnn:
-    """A Fermatean neutrosophic normal number ``<(eta, xi); t, i, f>``.
+    """A Fermatean neutrosophic normal number ``<(eta, xi); t, i, f>``, made
+    of a :class:`NormalParams` and a :class:`MembershipTriple`.
 
     Construction through :func:`make_fnnn` additionally enforces the
     cubic-sum bound; combining operations only guarantee componentwise
@@ -114,6 +114,11 @@ class Fnnn:
 
     normal: NormalParams
     mu: MembershipTriple
+
+    def __post_init__(self):
+        if not (isinstance(self.normal, NormalParams) and isinstance(self.mu, MembershipTriple)):
+            raise ValidationError("a value is made of a NormalParams and a MembershipTriple, "
+                                  f"not {type(self.normal).__name__} and {type(self.mu).__name__}")
 
     @property
     def eta(self) -> float:

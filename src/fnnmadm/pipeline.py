@@ -20,7 +20,8 @@ the matrix for every later one, whatever its operator, metric or lambda
 ranks ``normalize(dm)``, which does one ranking's work and keeps no logs.
 Every entry point, :func:`aggregate_rows` too, takes a raw or a normalized
 matrix and gives the same values for both.
-A caller's numbers are read by :func:`fnnmadm.core.reals`; cells may not be text.
+A caller's numbers are read by :func:`fnnmadm.core.reals` into plain floats,
+a matrix's when it is made; cells may not be text, nor text be a vector.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from operator import mul, truediv
 from typing import NamedTuple, Sequence
 
 from .aggregate import OPERATORS, aggregates, check_weights, membership_logs, read_row
-from .core import CELLS, Fnnn, check_cell, check_lambda, check_normal, checked_fnnn, reals
+from .core import CELLS, TEXT, Fnnn, check_cell, check_lambda, check_normal, checked_fnnn, reals
 from .distance import FORMULAS, euclidean, hamming, phi_of
 from .errors import (
     DegenerateCloseness,
@@ -56,13 +57,13 @@ METRICS = {"hamming": hamming, "euclidean": euclidean}
 class DecisionMatrix:
     """n alternatives x m attributes of FNNN cells plus attribute weights.
 
-    ``rows`` holds one row per alternative: five tuples of m floats, the
-    eta, xi, t, i and f of its cells.  ``cells`` and ``row`` build ``Fnnn``
-    values on demand.  A matrix raises the first of :func:`_problems`
+    ``rows`` holds one row per alternative: five tuples of m plain floats,
+    the eta, xi, t, i and f of its cells.  ``cells`` and ``row`` build
+    ``Fnnn`` values on demand.  A matrix raises the first of :func:`_problems`
     when made, so each of its cells passes ``core.check_cell``, it always
     normalizes, and it holds its labels, rows and weights as tuples (of str,
-    of tuples, of floats), whatever iterables it was given, so two matrices
-    of the same cells are equal and hash.  ``normalized`` is not
+    of tuples, of floats), whatever iterables and reals it was given, so two
+    matrices of the same cells are equal and hash.  ``normalized`` is not
     a constructor argument: only :func:`normalize` sets it, on a copy of a
     checked matrix, whose type raises ValidationError if the constructor
     makes one, as ``dataclasses.replace`` would.
@@ -71,8 +72,8 @@ class DecisionMatrix:
     hashing, ``repr``, ``dataclasses.replace``, copies and pickles do not
     see them, it keeps what every ranking of it reads alike, made on first
     use: its normalized copy, which holds plain floats (a new location and
-    spread per cell, about 64 bytes; the membership tuples are shared where
-    they hold plain floats), and the xlogs of its memberships, as
+    spread per cell, about 64 bytes; the membership tuples are shared), and
+    the xlogs of its memberships, as
     :func:`~fnnmadm.aggregate.membership_logs` gives them (three floats per
     cell, about 96 bytes: some 1 MiB for 500 x 20 cells).  Nothing that
     depends on the operator, metric, lambda or weights is kept, and the
@@ -91,12 +92,14 @@ class DecisionMatrix:
         alternatives = tuple(map(str, self.alternatives or ()))  # None: EmptyInput, as () is
         attributes = tuple(map(str, self.attributes or ()))
         rows = () if self.rows is None else tuple(tuple(map(tuple, row)) for row in self.rows)
-        weights = () if self.weights is None else tuple(self.weights)
+        weights = () if self.weights is None else self.weights
+        weights = weights if isinstance(weights, TEXT) else tuple(weights)  # reals rejects text
         for _, problem in _problems(alternatives, attributes, rows, weights):
             raise problem
-        weights = tuple(map(float, weights))
+        if {*map(type, chain.from_iterable(chain.from_iterable(rows)))} != {float}:
+            rows = tuple(tuple(reals(channel, NotFinite, CELLS) for channel in row) for row in rows)
         vars(self).update(alternatives=alternatives, attributes=attributes, rows=rows,
-                          weights=weights)
+                          weights=tuple(map(float, weights)))
 
     @property
     def n_alternatives(self) -> int:
@@ -121,12 +124,8 @@ class DecisionMatrix:
 
     @cached_property
     def _normal_copy(self) -> DecisionMatrix:
-        """This raw matrix normalized, as :func:`normalize` returns it."""
-        values = chain.from_iterable(chain.from_iterable(row[2:] for row in self.rows))
-        plain = {*map(type, values)} == {float}  # then the memberships' tuples are shared
-        rows = tuple((*normal, *(row[2:] if plain else (reals(c, NotFinite, CELLS)
-                                                         for c in row[2:])))
-                     for normal, row in zip(_normal_rows(self.rows), self.rows))
+        """This raw matrix normalized, as :func:`normalize` returns it, its memberships shared."""
+        rows = tuple((*normal, *row[2:]) for normal, row in zip(_normal_rows(self.rows), self.rows))
         normal = object.__new__(_NormalizedMatrix)  # not made by __init__, so not checked again
         # the fields alone: this matrix's logs would stay alive with the copy
         vars(normal).update(alternatives=self.alternatives, attributes=self.attributes,
@@ -317,14 +316,10 @@ def rank(values: Sequence[float]) -> list[int]:
     """Indices sorted by descending closeness; ties break on lower index.
     Raises NotFinite for a NaN, which has no place in the order, and
     ValidationError for a value :func:`~fnnmadm.core.reals` rejects."""
-    vals = list(values)
+    vals = reals(values, ValidationError, "values to rank must be real numbers")
     if not vals:
         raise EmptyInput("cannot rank zero alternatives")
-    try:
-        nan = any(map(math.isnan, vals))
-    except (TypeError, ValueError, ArithmeticError):  # float()'s faults, typed by reals
-        return rank(reals(vals, ValidationError, "values to rank must be real numbers"))
-    if nan:
+    if any(map(math.isnan, vals)):
         raise NotFinite("values to rank must be numbers; a value is NaN")
     return sorted(range(len(vals)), key=lambda k: (-vals[k], k))
 
@@ -475,9 +470,11 @@ def lambda_sweep(
     report.
 
     This is where a grid is checked: EmptyInput for no values,
-    LambdaInvalid for a grid that is not iterable, or unless every value
-    passes ``check_lambda`` and the values strictly increase.
+    LambdaInvalid for text or a grid that is not iterable, or unless every
+    value passes ``check_lambda`` and the values strictly increase.
     """
+    if isinstance(lambdas, TEXT):  # iterable, but one value, not a grid
+        raise LambdaInvalid(f"lambda values must be real numbers, not {type(lambdas).__name__}")
     try:
         grid = iter(lambdas)
     except TypeError:

@@ -83,6 +83,17 @@ def test_check_weights_reads_what_float_reads():
     assert check_weights(("0.25", Fraction(3, 4))) == (0.25, 0.75)
 
 
+@pytest.mark.parametrize("kind", [str, bytes, bytearray])
+def test_text_is_no_weight_vector(kind):
+    # float() read each character of "55" (or each byte of b"55"), which
+    # renormalized to (0.5, 0.5), and fnnwa took "1" as the weights (1.0,)
+    reason = f"^weights must be real numbers, not {kind.__name__}$"
+    with pytest.raises(WeightInvalid, match=reason):
+        check_weights(kind("55") if kind is str else kind(b"55"), renormalize=True)
+    with pytest.raises(WeightInvalid, match=reason):
+        fnnwa([make_fnnn(1, 1, 0.5, 0.5, 0.5)], kind("1") if kind is str else kind(b"1"))
+
+
 def test_check_weights_length_mismatch():
     with pytest.raises(LengthMismatch):
         check_weights((0.5, 0.5), n=3)

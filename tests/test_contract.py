@@ -6,14 +6,18 @@ near the square root of the largest float, 1.7e308, infinities and NaN)
 with values drawn log-uniformly up to 1.7e308; lambda reaches 1.7e308 too.
 Every number a caller passes is also drawn from values that ``float`` may
 reject: text, None, ints beyond float64 and other types; a matrix's cells
-also from Decimal NaNs, which do not compare with floats.
+also from Decimal NaNs, which do not compare with floats.  Values and
+matrices are also made of real numbers of other types (int, bool,
+Fraction, Decimal, a float subclass, numpy's float64); what they hold, and
+every result of them, is made of plain floats.
 """
 
 import math
 from decimal import Decimal
+from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fnnmadm import (
@@ -23,6 +27,7 @@ from fnnmadm import (
     FnnError,
     Fnnn,
     MembershipTriple,
+    NormalParams,
     PipelineConfig,
     accuracy_ffn,
     aggregate_rows,
@@ -31,6 +36,14 @@ from fnnmadm import (
     check_weights,
     closeness,
     euclidean,
+    fnnwa,
+    fnnwg,
+    fold_fnnwa,
+    fold_fnnwg,
+    fold_gfnnwa,
+    fold_gfnnwg,
+    gfnnwa,
+    gfnnwg,
     hamming,
     lambda_sweep,
     make_decision_matrix,
@@ -38,6 +51,7 @@ from fnnmadm import (
     membership_at,
     normal_distance,
     normalize,
+    phi,
     power,
     rank,
     run_pipeline,
@@ -247,3 +261,116 @@ def test_lambda_sweep(operator, metric, grid):
                 lambda_sweep(MATRIX_2X2, PipelineConfig(operator, metric), grid).rows]
 
     holds(swept)
+
+
+class _Sub(float):
+    """A float subclass, as numpy's float64 is one."""
+
+
+# the types other than float that a caller may pass real numbers in
+KINDS = {"int": int, "bool": bool, "Fraction": Fraction, "Decimal": Decimal, "float-subclass": _Sub,
+         "float64": None}  # numpy's, imported by the test that takes it
+
+
+def kind_of(name: str):
+    """The type named ``name``; the numpy case is skipped where numpy is absent."""
+    if name == "float64":
+        return pytest.importorskip("numpy").float64
+    return KINDS[name]
+
+
+def plain(out) -> bool:
+    """Whether every number in a result (a float, a value or one of its
+    parts, or a sequence of them) is a finite plain float."""
+    if isinstance(out, Fnnn):
+        out = (out.normal, out.mu)
+    elif isinstance(out, NormalParams):
+        out = (out.eta, out.xi)
+    elif isinstance(out, MembershipTriple):
+        out = (out.t, out.i, out.f)
+    if isinstance(out, (list, tuple)):
+        return all(map(plain, out))
+    return type(out) is float and math.isfinite(out)
+
+
+def made(call, *args):
+    """The result of ``call(*args)``, asserted plain, or None for an FnnError."""
+    try:
+        out = call(*args)
+    except FnnError:
+        return None
+    assert plain(out), (getattr(call, "__name__", call), args, out)
+    return out
+
+
+def as_kind(kind, x):
+    """A drawn float in ``kind`` where that type holds it (no int holds a NaN);
+    anything else as it is."""
+    if type(x) is not float:
+        return x
+    try:
+        return kind(x)
+    except (ValueError, OverflowError):
+        return x
+
+
+# two cells that every type above holds exactly, and as valid values
+EXACT = [(2.0, 1.0, 1.0, 0.0, 1.0), (1.0, 2.0, 0.0, 1.0, 0.0)]
+nowhere = st.just(-1)  # the place of no component: none is replaced by bad
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+@settings(max_examples=40, deadline=None)
+@example(cell=EXACT[0], other=EXACT[1], w=1.0, lam=3.0, bad=None, at=-1)
+@given(cell=st.tuples(locations, positives, units, units, units),
+       other=st.tuples(locations, positives, units, units, units),
+       w=st.one_of(positives, not_floats), lam=st.one_of(lams, not_floats),
+       bad=not_floats, at=st.one_of(nowhere, st.integers(0, 4)))
+def test_values_of_other_real_numbers_hold_plain_floats(kind, cell, other, w, lam, bad, at):
+    """A value made of parts in ``kind``, one of its components perhaps
+    replaced by ``bad``, and every operation on it, hold plain floats."""
+    kind = kind_of(kind)
+    cell = [as_kind(kind, x) for x in cell]
+    if at >= 0:
+        cell[at] = bad
+    normal = made(NormalParams, *cell[:2])
+    mu = made(MembershipTriple, *cell[2:])
+    b = made(make_fnnn, *(as_kind(kind, x) for x in other))
+    if normal is None or mu is None or b is None:
+        return
+    a = made(Fnnn, normal, mu)
+    w, lam = as_kind(kind, w), as_kind(kind, lam)
+    for distance in (hamming, euclidean):
+        made(distance, a, b)
+    made(phi, a.mu)
+    made(normal_distance, a.normal, b.normal)
+    for operation in (boxplus, boxtimes):
+        made(operation, a, b, lam)
+    for operation in (scale, power):
+        made(operation, w, a, lam)
+    made(membership_at, a, w)
+    for fold in (fnnwa, fnnwg, gfnnwa, gfnnwg, fold_fnnwa, fold_fnnwg, fold_gfnnwa, fold_gfnnwg):
+        made(fold, [a, b], [as_kind(kind, 0.5)] * 2, lam)
+        made(fold, [a], [kind(1)], lam)
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+@settings(max_examples=40, deadline=None)
+@example(cells=EXACT, bad=None, at=(-1, 0))
+@given(cells=st.lists(st.tuples(positives, positives, units, units, units), min_size=2, max_size=2),
+       bad=not_floats, at=st.tuples(st.one_of(nowhere, st.integers(0, 1)), st.integers(0, 4)))
+def test_a_matrix_of_other_real_numbers_holds_plain_floats(kind, cells, bad, at):
+    """A raw 2x1 matrix of cells in ``kind``, one component perhaps replaced
+    by ``bad``, holds plain floats, and so do its cells, its rows and what
+    the scalar API makes of them."""
+    kind = kind_of(kind)
+    rows = [[[as_kind(kind, x)] for x in cell] for cell in cells]
+    if at[0] >= 0:
+        rows[at[0]][at[1]][0] = bad
+    try:
+        dm = DecisionMatrix(("A", "B"), ("x",), rows, [kind(1)])
+    except FnnError:
+        return
+    assert plain([dm.rows, dm.weights, dm.cells, dm.row(0), dm.row(1)])
+    made(hamming, dm.cells[0][0], dm.cells[1][0])
+    made(fnnwa, dm.row(0), dm.weights)

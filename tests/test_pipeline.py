@@ -97,7 +97,8 @@ def test_a_matrix_given_no_rows_raises_a_typed_error():
         DecisionMatrix(("A",), ("x",), None, (1.0,))
 
 
-@pytest.mark.parametrize("weights", [["x"], [None], [10 ** 400]])
+# float() read each character of "1", or each byte of b"\x01", as a weight: both were (1.0,)
+@pytest.mark.parametrize("weights", [["x"], [None], [10 ** 400], "1", b"\x01", bytearray(b"\x01")])
 def test_a_matrix_given_weights_that_are_no_numbers_raises_a_typed_error(weights):
     cell = ((1.0,), (1.0,), (0.5,), (0.5,), (0.5,))
     with pytest.raises(WeightInvalid):
@@ -127,7 +128,7 @@ def test_a_matrix_of_float_subclasses_ranks_in_plain_floats(engineers_matrix, op
     tagged = [tuple(tuple(map(_Tagged, col)) for col in row) for row in engineers_matrix.rows]
     dm = DecisionMatrix(engineers_matrix.alternatives, engineers_matrix.attributes, tagged,
                         list(map(_Tagged, engineers_matrix.weights)))
-    assert dm == engineers_matrix and not _plain_floats(dm.rows)
+    assert dm == engineers_matrix and _plain_floats(dm.rows)  # read once, when it is made
     config = PipelineConfig(operator, lam=3.0)
     rep = run_pipeline(dm, config)
     assert rep == run_pipeline(engineers_matrix, config)
@@ -540,6 +541,23 @@ def test_closeness_and_rank_type_a_value_that_float_rejects(bad):
     assert rank(["0.25", 0.5, Decimal("0.75")]) == [2, 1, 0]  # as float() reads them
 
 
+# text as a vector of numbers: float() read each character, or each byte
+TEXT_VECTORS = pytest.mark.parametrize("kind", [str, bytes, bytearray])
+
+
+def _text(kind, text: str):
+    return text if kind is str else kind(text.encode())
+
+
+@TEXT_VECTORS
+def test_closeness_and_rank_take_no_text(kind):
+    # rank("31") gave [0, 1], and closeness("1", "1") [0.5]
+    with pytest.raises(ValidationError, match=f"^values to rank must be real numbers, not {kind.__name__}$"):
+        rank(_text(kind, "31"))
+    with pytest.raises(ValidationError, match=f"^distances must be real numbers, not {kind.__name__}$"):
+        closeness(_text(kind, "1"), _text(kind, "1"))
+
+
 def test_overflow_is_a_typed_error(tmp_path, capsys):
     big = make_fnnn(1.0, 1e300, 0.5, 0.5, 0.5)
     dm = make_decision_matrix(["A"], ["x"], [[big]], (1.0,))
@@ -784,6 +802,13 @@ def test_sweep_types_a_grid_that_is_not_iterable(engineers_matrix, lambdas):
     # iterating it raised a bare TypeError: ... is not iterable
     with pytest.raises(LambdaInvalid, match=r"^lambda values must be iterable, not "):
         lambda_sweep(engineers_matrix, PipelineConfig(), lambdas)
+
+
+@TEXT_VECTORS
+def test_sweep_takes_no_text_for_a_grid(engineers_matrix, kind):
+    # "134" ranked at lambda 1, 3 and 4, and b"12" at 49 and 50
+    with pytest.raises(LambdaInvalid, match=f"^lambda values must be real numbers, not {kind.__name__}$"):
+        lambda_sweep(engineers_matrix, PipelineConfig(), _text(kind, "134"))
 
 
 @pytest.mark.parametrize("value, reason", [(None, r"^lam must be a real number"),

@@ -108,6 +108,15 @@ def test_generator_types_a_range_that_float_rejects(name, bounds, monkeypatch):
         gen_fnnn(FnnnGenConfig(**{name: bounds}), 1)
 
 
+@pytest.mark.parametrize("bounds", ["01", b"\x00\x01"], ids=["str", "bytes"])
+def test_generator_takes_no_text_for_a_range(bounds, monkeypatch):
+    # float() read each character of "01", or byte, as a bound: the range (0.0, 1.0)
+    monkeypatch.setattr(reference, "random", SimpleNamespace(Random=_no_draws))
+    kind = type(bounds).__name__
+    with pytest.raises(ValidationError, match=f"^eta_range must be two real numbers, not {kind}$"):
+        gen_fnnn(FnnnGenConfig(eta_range=bounds), 1)
+
+
 # ---------------------------------------------------------------------------
 # folds
 
