@@ -37,7 +37,8 @@ from typing import Sequence
 
 from ._numeric import _TINY, left_sum, nested_prob_channel, weighted_prob_sum, xlogs
 from .core import Fnnn, check_lambda, checked_fnnn, checked_result, reals
-from .errors import EmptyInput, LengthMismatch, NormalDomainError, NotFinite, WeightInvalid
+from .errors import (EmptyInput, LengthMismatch, NormalDomainError, NotFinite, ValidationError,
+                     WeightInvalid)
 
 WEIGHT_SUM_TOLERANCE = 1e-6
 
@@ -77,8 +78,22 @@ def check_weights(
     return ws
 
 
+def _values(items) -> tuple[Fnnn, ...]:
+    """``items`` as a tuple; ValidationError names the type of ``items``
+    if it is no iterable, or of the first item that is no Fnnn."""
+    try:
+        items = tuple(items)
+    except TypeError:
+        kind = type(items).__name__
+        raise ValidationError(f"values must be an iterable of Fnnn, not {kind}") from None
+    if not all(map(isinstance, items, repeat(Fnnn))):
+        kind = next(type(v) for v in items if not isinstance(v, Fnnn))
+        raise ValidationError(f"a value must be an Fnnn, not {kind.__name__}")
+    return items
+
+
 def _prepare(items, weights, lam):
-    items = tuple(items)
+    items = _values(items)
     if not items:
         raise EmptyInput("cannot aggregate zero values")
     ws = check_weights(weights, n=len(items))
@@ -86,7 +101,9 @@ def _prepare(items, weights, lam):
 
 
 def read_row(cells: Sequence[Fnnn]) -> tuple[list[float], ...]:
-    """A row of values as five float lists: eta, xi, t, i and f."""
+    """A row of values as five float lists: eta, xi, t, i and f; raises
+    ValidationError for a row that is no iterable of Fnnn."""
+    cells = _values(cells)
     normals = [c.normal for c in cells]
     mus = [c.mu for c in cells]
     etas, xis = [n.eta for n in normals], [n.xi for n in normals]

@@ -16,7 +16,9 @@ of the matrix they read (no logs kept); only a table reads the precision.
 A CSV data row is read in one split and one ``float`` pass over its
 fields.  ``rank --format json`` renders each cell straight from the
 matrix's float rows and the aggregates' columns, without the per-cell
-dicts of :func:`report_to_dict`, to the same bytes.
+dicts of :func:`report_to_dict`, to the same bytes; ``sweep --format
+json`` renders each row alike straight from the sweep's rows, without the
+per-row dicts of :func:`sweep_to_dict`, one piece per row.
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ from .pipeline import (
     PipelineConfig,
     RankingReport,
     SweepResult,
+    SweepRow,
     _problems,
     lambda_sweep,
     normalize,
@@ -274,6 +277,21 @@ _by_key = attrgetter(*sorted(_Cells._fields))  # the columns in the order JSON k
 _CELL_ENTRIES = [f'"{k}": %r' for k in sorted(_Cells._fields)]
 
 
+class _SweepRows(NamedTuple):
+    """A sweep's rows and the labels their orderings index, which
+    :func:`_json_chunks` does not check: each closeness and lambda a finite
+    plain float, as :func:`~fnnmadm.pipeline.lambda_sweep` gives them."""
+
+    rows: tuple[SweepRow, ...]
+    labels: tuple[str, ...]
+
+    def dicts(self) -> list[dict]:
+        """Each row as :func:`sweep_to_dict` gives it."""
+        return [{"lambda": row.lam, "closeness": list(row.closeness),
+                 "ordering": list(row.ordering),
+                 "ordering_labels": [self.labels[k] for k in row.ordering]} for row in self.rows]
+
+
 def _report_doc(rep: RankingReport) -> dict:
     """The document of :func:`report_to_dict` with its cells as _Cells records."""
     dm = rep.matrix
@@ -331,8 +349,9 @@ def _json_chunks(o, nl: str):
     plain floats, plain ints or strings is one piece, joined in one call,
     and so is a _Cells record, rendered as the list of its dicts: it fills
     one format template per value, with the ``repr`` of each float, so a
-    record must hold finite plain floats.  Other containers yield their
-    items' pieces in turn.
+    record must hold finite plain floats.  A _SweepRows record is rendered
+    as the list of its dicts too, one template and one piece per row.
+    Other containers yield their items' pieces in turn.
     """
     if not isinstance(o, (list, tuple, dict)) or not o:
         yield json.dumps(o)  # a scalar or an empty container takes one line
@@ -345,6 +364,9 @@ def _json_chunks(o, nl: str):
             yield from _json_chunks(v, inner)
             sep = "," + inner
         yield nl + "}"
+        return
+    if type(o) is _SweepRows:  # one piece per row, so that a long sweep streams
+        yield from _sweep_row_chunks(o, inner, nl)
         return
     if type(o) is _Cells:
         cell = inner + "  "
@@ -365,6 +387,24 @@ def _json_chunks(o, nl: str):
         yield nl + "]"
         return
     yield f"[{inner}{(',' + inner).join(items)}{nl}]"
+
+
+def _sweep_row_chunks(record: _SweepRows, inner: str, nl: str):
+    """Yield a _SweepRows record as :func:`_json_chunks` renders the list
+    of its dicts, one piece per row: each row fills one template with the
+    ``repr`` of its numbers and its labels, each encoded once."""
+    key, item = inner + "  ", inner + "    "
+    numbers, labels = (f"[{item}{(',' + item).join([spec] * len(record.labels))}{key}]"
+                       for spec in ("%r", "%s"))
+    template = (f'{{{key}"closeness": {numbers},{key}"lambda": %r,{key}"ordering": {numbers},'
+                f'{key}"ordering_labels": {labels}{inner}}}')
+    encoded = [*map(_encode_str, record.labels)]
+    sep = "[" + inner
+    for row in record.rows:
+        yield sep + template % (*row.closeness, row.lam, *row.ordering,
+                                *map(encoded.__getitem__, row.ordering))
+        sep = "," + inner
+    yield nl + "]" if record.rows else "[]"
 
 
 def _print_json(obj) -> None:
@@ -429,20 +469,12 @@ def _render_rank_csv(rep: RankingReport) -> str:
     return _csv_text(rows)
 
 
-def sweep_to_dict(result: SweepResult, dm: DecisionMatrix, config: PipelineConfig) -> dict:
-    labels = dm.alternatives
+def _sweep_doc(result: SweepResult, dm: DecisionMatrix, config: PipelineConfig) -> dict:
+    """The document of :func:`sweep_to_dict` with its rows as one _SweepRows record."""
     return {
         "config": {"operator": config.operator, "metric": config.metric},
-        "alternatives": list(labels),
-        "rows": [
-            {
-                "lambda": row.lam,
-                "closeness": list(row.closeness),
-                "ordering": list(row.ordering),
-                "ordering_labels": [labels[k] for k in row.ordering],
-            }
-            for row in result.rows
-        ],
+        "alternatives": list(dm.alternatives),
+        "rows": _SweepRows(result.rows, dm.alternatives),
         "transitions": [
             {
                 "lambda": tr.lam,
@@ -452,6 +484,12 @@ def sweep_to_dict(result: SweepResult, dm: DecisionMatrix, config: PipelineConfi
             for tr in result.transitions
         ],
     }
+
+
+def sweep_to_dict(result: SweepResult, dm: DecisionMatrix, config: PipelineConfig) -> dict:
+    doc = _sweep_doc(result, dm, config)
+    doc["rows"] = doc["rows"].dicts()
+    return doc
 
 
 def _render_sweep_table(result: SweepResult, dm: DecisionMatrix, prec: int) -> str:
@@ -527,7 +565,7 @@ def cmd_sweep(args) -> int:
         with open(args.plot_out, "w", encoding="utf-8") as fh:
             fh.write(closeness_csv(result, dm.alternatives) + "\n")
     if args.format == "json":
-        _print_json(sweep_to_dict(result, dm, config))
+        _print_json(_sweep_doc(result, dm, config))
     elif args.format == "csv":
         print(closeness_csv(result, dm.alternatives, ordering=True))
     else:

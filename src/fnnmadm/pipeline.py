@@ -29,8 +29,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
-from operator import mul, truediv
+from itertools import chain, repeat
+from operator import add, mul, truediv
 from typing import NamedTuple, Sequence
 
 from .aggregate import OPERATORS, aggregates, check_weights, membership_logs, read_row
@@ -63,7 +63,8 @@ class DecisionMatrix:
     when made, so each of its cells passes ``core.check_cell``, it always
     normalizes, and it holds its labels, rows and weights as tuples (of str,
     of tuples, of floats), whatever iterables and reals it was given, so two
-    matrices of the same cells are equal and hash.  ``normalized`` is not
+    matrices of the same cells are equal and hash; rows, a row or a channel
+    that is text or no iterable raises ValidationError.  ``normalized`` is not
     a constructor argument: only :func:`normalize` sets it, on a copy of a
     checked matrix, whose type raises ValidationError if the constructor
     makes one, as ``dataclasses.replace`` would.
@@ -91,9 +92,13 @@ class DecisionMatrix:
     def __post_init__(self):
         alternatives = tuple(map(str, self.alternatives or ()))  # None: EmptyInput, as () is
         attributes = tuple(map(str, self.attributes or ()))
-        rows = () if self.rows is None else tuple(tuple(map(tuple, row)) for row in self.rows)
+        rows = () if self.rows is None else _read_rows(self.rows)
         weights = () if self.weights is None else self.weights
-        weights = weights if isinstance(weights, TEXT) else tuple(weights)  # reals rejects text
+        if not isinstance(weights, TEXT):  # reals rejects text, and what is no iterable
+            try:
+                weights = tuple(weights)
+            except TypeError:
+                pass
         for _, problem in _problems(alternatives, attributes, rows, weights):
             raise problem
         if {*map(type, chain.from_iterable(chain.from_iterable(rows)))} != {float}:
@@ -167,6 +172,36 @@ def make_decision_matrix(
     """
     # a generator, so that the matrix holds each row as tuples before it reads the next
     return DecisionMatrix(alternatives, attributes, (read_row(row) for row in cells), weights)
+
+
+def _tuple(values, what: str) -> tuple:
+    """``values`` as a tuple; ValidationError(f"{what}, not <type>") for
+    text, which ``core.reals`` takes for no vector, or for no iterable."""
+    if not isinstance(values, TEXT):
+        try:
+            return tuple(values)
+        except TypeError:
+            pass
+    raise ValidationError(f"{what}, not {type(values).__name__}")
+
+
+def _read_rows(rows) -> tuple[tuple[tuple, ...], ...]:
+    """The caller's rows as tuples of channel tuples, each read once."""
+    read = []
+    for row in _tuple(rows, "rows must be an iterable of rows"):
+        try:
+            if isinstance(row, TEXT):
+                raise TypeError
+            row = tuple(row)
+            if any(map(isinstance, row, repeat(TEXT))):
+                raise TypeError
+            read.append(tuple(map(tuple, row)))
+        except TypeError:  # name the row, or its first channel, at fault
+            what = f"row {len(read)} must be five iterables of real numbers"
+            for channel in _tuple(row, what):
+                _tuple(channel, what)
+            raise
+    return tuple(read)
 
 
 def _problems(alternatives, attributes, rows, weights):
@@ -298,30 +333,46 @@ def ideal_values(aggregates: Sequence[Fnnn]) -> tuple[Fnnn, Fnnn]:
 
 
 def closeness(dplus: Sequence[float], dminus: Sequence[float]) -> list[float]:
-    """Relative closeness D- / (D+ + D-) per alternative, each in [0, 1]."""
+    """Relative closeness D- / (D+ + D-) per alternative, each in [0, 1]: the
+    caller's distances are validated here, at the public boundary, and
+    computed by :func:`_closeness`, the one core, which rankings call."""
     dp, dn = (reals(d, ValidationError, "distances must be real numbers") for d in (dplus, dminus))
     if len(dp) != len(dn):
         raise LengthMismatch(f"distance vectors differ in length: {len(dp)} vs {len(dn)}")
+    # a distance that is not finite is the core's NotFinite, which comes first
+    if any(v < 0 for v in dp + dn) and all(map(math.isfinite, dp + dn)):
+        raise ValidationError("distances must be nonnegative")
+    return list(_closeness(dp, dn))
+
+
+def _closeness(dp: tuple[float, ...], dn: tuple[float, ...]) -> tuple[float, ...]:
+    """:func:`closeness` of nonnegative plain floats of one length; raises
+    NotFinite for one that overflowed, DegenerateCloseness where both vanish."""
     if not all(map(math.isfinite, dp + dn)):
         raise NotFinite("distances must be finite; a value overflowed float64")
-    if any(v < 0 for v in dp) or any(v < 0 for v in dn):
-        raise ValidationError("distances must be nonnegative")
-    totals = [p + n for p, n in zip(dp, dn)]
+    totals = [*map(add, dp, dn)]
     if 0.0 in totals:
         raise DegenerateCloseness(f"D+ + D- is zero for alternative index {totals.index(0.0)}")
-    return [n / total for n, total in zip(dn, totals)]
+    return tuple(map(truediv, dn, totals))
 
 
 def rank(values: Sequence[float]) -> list[int]:
     """Indices sorted by descending closeness; ties break on lower index.
-    Raises NotFinite for a NaN, which has no place in the order, and
-    ValidationError for a value :func:`~fnnmadm.core.reals` rejects."""
+    The caller's values are validated here, at the public boundary
+    (NotFinite for a NaN, which has no place in the order, ValidationError
+    for a value :func:`~fnnmadm.core.reals` rejects), and sorted by
+    :func:`_rank`, the one core, which rankings call."""
     vals = reals(values, ValidationError, "values to rank must be real numbers")
     if not vals:
         raise EmptyInput("cannot rank zero alternatives")
     if any(map(math.isnan, vals)):
         raise NotFinite("values to rank must be numbers; a value is NaN")
-    return sorted(range(len(vals)), key=lambda k: (-vals[k], k))
+    return list(_rank(vals))
+
+
+def _rank(vals: tuple[float, ...]) -> tuple[int, ...]:
+    """:func:`rank` of plain floats, no NaN; a reversed sort is stable."""
+    return tuple(sorted(range(len(vals)), key=vals.__getitem__, reverse=True))
 
 
 @dataclass(frozen=True)
@@ -378,7 +429,10 @@ def _evaluations(dm: DecisionMatrix, operator: str, metric: str, lams: Sequence[
     The normalized rows and their membership logs are those of
     :func:`_normalized_logs`.  :func:`~fnnmadm.aggregate.aggregates` gives
     every row's aggregate at each value, doing each row's lam-free work
-    once.  Raises NotFinite when a value overflows float64.
+    once.  Its distances and closeness are nonnegative plain floats, so it
+    calls the cores of :func:`closeness` and :func:`rank` directly, without
+    their validation of a caller's values.  Raises NotFinite when a value
+    overflows float64.
     """
     formula = FORMULAS[metric]
     phi_positive, phi_negative = phi_of(1.0, 1.0, 0.0), phi_of(0.0, 0.0, 1.0)
@@ -394,8 +448,8 @@ def _evaluations(dm: DecisionMatrix, operator: str, metric: str, lams: Sequence[
         dminus = tuple(
             formula(p, eta, xi, phi_negative, *negative) for p, eta, xi in zip(phis, etas, xis)
         )
-        close = tuple(closeness(dplus, dminus))
-        yield _Evaluation(lam, aggs, positive, negative, dplus, dminus, close, tuple(rank(close)))
+        close = _closeness(dplus, dminus)
+        yield _Evaluation(lam, aggs, positive, negative, dplus, dminus, close, _rank(close))
 
 
 def run_pipeline(dm: DecisionMatrix, config: PipelineConfig = PipelineConfig()) -> RankingReport:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import engineers_case as case
 from fnnmadm import (
+    FOLDS,
     OPERATORS,
     DecisionMatrix,
     EmptyInput,
@@ -18,6 +19,7 @@ from fnnmadm import (
     LengthMismatch,
     NormalDomainError,
     PipelineConfig,
+    ValidationError,
     WeightInvalid,
     check_weights,
     fnnwa,
@@ -27,6 +29,7 @@ from fnnmadm import (
     gen_weights,
     gfnnwa,
     gfnnwg,
+    make_decision_matrix,
     make_fnnn,
     normalize,
     run_pipeline,
@@ -136,6 +139,30 @@ def test_operators_reject_empty_and_mismatched_input():
             op([], [], 1)
         with pytest.raises(LengthMismatch):
             op([v, v], [1.0], 1)
+
+
+# each raised a bare AttributeError: 'str' object has no attribute 'normal', or a
+# bare TypeError: 'int' object is not iterable
+@pytest.mark.parametrize("aggregation", [*OPERATORS.values(), *FOLDS.values()],
+                         ids=[*OPERATORS, *(f"fold_{name}" for name in FOLDS)])
+def test_an_item_that_is_no_value_raises_a_typed_error(aggregation):
+    v = make_fnnn(1, 1, 0.5, 0.5, 0.5)
+    with pytest.raises(ValidationError, match=r"^a value must be an Fnnn, not str$"):
+        aggregation(["x"], [1])
+    with pytest.raises(ValidationError, match=r"^a value must be an Fnnn, not tuple$"):
+        aggregation([v, (1.0, 1.0, 0.5, 0.5, 0.5)], [0.5, 0.5])
+    with pytest.raises(ValidationError, match=r"^values must be an iterable of Fnnn, not int$"):
+        aggregation(3, [1])
+
+
+def test_a_matrix_of_cells_that_are_no_values_raises_a_typed_error():
+    v = make_fnnn(1, 1, 0.5, 0.5, 0.5)
+    with pytest.raises(ValidationError, match=r"^a value must be an Fnnn, not str$"):
+        make_decision_matrix(["A"], ["x"], [["x"]], [1])
+    with pytest.raises(ValidationError, match=r"^a value must be an Fnnn, not NoneType$"):
+        make_decision_matrix(["A", "B"], ["x"], [[v], [None]], [1])
+    with pytest.raises(ValidationError, match=r"^values must be an iterable of Fnnn, not float$"):
+        make_decision_matrix(["A"], ["x"], [0.5], [1])
 
 
 # ---------------------------------------------------------------------------

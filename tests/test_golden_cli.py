@@ -49,6 +49,7 @@ def _commands() -> list[list[str]]:
          "--lambda", "34", "--format", "json"],
         ["sweep", "tests/golden/seeded_12x6.csv", "--operator", "gfnnwg", "--lambda-range", "1..34",
          "--format", "json"],
+        ["sweep", "tests/golden/awkward_labels.json", "--lambdas", "1,2.5,34", "--format", "json"],
     ]
     for name in ("invalid_cells", "invalid_values", "locations", "zero_location",
                  "normalized_inf", "normalized_zero", "several_problems"):

@@ -24,11 +24,23 @@ from fnnmadm import (
     cli,
     gen_fnnn,
     gen_weights,
+    lambda_sweep,
     make_decision_matrix,
     normalize,
     run_pipeline,
 )
-from fnnmadm.cli import _Cells, _dump_json, _json_chunks, fnnn_to_dict, parse_problem, report_to_dict
+from fnnmadm.cli import (
+    _Cells,
+    _SweepRows,
+    _dump_json,
+    _json_chunks,
+    _sweep_doc,
+    fnnn_to_dict,
+    parse_problem,
+    report_to_dict,
+    sweep_to_dict,
+)
+from fnnmadm.pipeline import SweepRow
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -218,6 +230,41 @@ def test_rank_json_prints_what_report_to_dict_holds(doc, operator, metric, lam):
     assert out.getvalue() == json.dumps(report_to_dict(rep), indent=2, sort_keys=True) + "\n"
 
 
+def listed(lams) -> tuple[list[str], list[float]]:
+    return ["--lambdas", ",".join(map(repr, lams))], lams
+
+
+# grids of one lambda, of fractional lambdas and the paper's 1..34, as argv and values
+GRIDS = (st.sampled_from([[1.0], [34.0], [2.5]])
+         | st.lists(st.floats(1.0, 34.0), min_size=1, max_size=4, unique=True).map(sorted)
+         ).map(listed) | st.just((["--lambda-range", "1..34"], [float(v) for v in range(1, 35)]))
+
+
+@settings(max_examples=100, deadline=None)
+@example(doc=NOTED, operator="fnnwa", metric="hamming", grid=listed([1.0, 2.5, 34.0]))
+@given(doc=problems(), operator=st.sampled_from(sorted(OPERATORS)),
+       metric=st.sampled_from(sorted(METRICS)), grid=GRIDS)
+def test_sweep_json_prints_what_sweep_to_dict_holds(doc, operator, metric, grid):
+    argv, lams = grid
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "problem.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(["sweep", path, "--operator", operator, "--metric", metric, *argv,
+                             "--format", "json"])
+        dm, config = normalize(parse_problem(path)), PipelineConfig(operator, metric)
+    result = lambda_sweep(dm, config, lams)
+    assert code == 0
+    assert out.getvalue() == json.dumps(sweep_to_dict(result, dm, config), indent=2,
+                                        sort_keys=True) + "\n"
+    # each row streams as a piece of its own, and no piece holds two
+    pieces = _json_chunks(_sweep_doc(result, dm, config), "\n")
+    rows = [piece.count('"closeness": [') for piece in pieces]
+    assert max(rows) == 1 and sum(rows) == len(lams)
+
+
 CELL_VALUES = FLOATS.filter(math.isfinite)
 
 
@@ -233,6 +280,16 @@ def test_a_record_renders_as_the_dicts_it_stands_for(columns):
     doc = {"normalized": [record, record], "aggregates": record}
     assert _dump_json(doc) == stdlib(
         {"normalized": [record.dicts()] * 2, "aggregates": record.dicts()})
+
+
+@pytest.mark.parametrize("rows", [(), (SweepRow(1.0, (0.25, -0.0, 1.0), (2, 0, 1)),),
+                                  (SweepRow(1.5, (5e-324,), (0,)),) * 3],
+                         ids=["no-rows", "one-row", "three-rows"])
+def test_a_sweep_record_renders_as_the_dicts_it_stands_for(rows):
+    labels = ('"a"', "%r", "é\n")[:len(rows[0].closeness) if rows else 1]
+    record = _SweepRows(rows, labels)
+    assert _dump_json({"rows": record, "x": [record]}) == stdlib(
+        {"rows": record.dicts(), "x": [record.dicts()]})
 
 
 @pytest.mark.parametrize("path", ["demos/engineers.csv", "tests/golden/seeded_12x6.csv"])

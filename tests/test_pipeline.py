@@ -97,12 +97,32 @@ def test_a_matrix_given_no_rows_raises_a_typed_error():
         DecisionMatrix(("A",), ("x",), None, (1.0,))
 
 
-# float() read each character of "1", or each byte of b"\x01", as a weight: both were (1.0,)
-@pytest.mark.parametrize("weights", [["x"], [None], [10 ** 400], "1", b"\x01", bytearray(b"\x01")])
+# float() read each character of "1", or each byte of b"\x01", as a weight: both were
+# (1.0,); tuple() of 3.0 raised a bare TypeError
+@pytest.mark.parametrize("weights", [["x"], [None], [10 ** 400], "1", b"\x01", bytearray(b"\x01"),
+                                     3.0])
 def test_a_matrix_given_weights_that_are_no_numbers_raises_a_typed_error(weights):
     cell = ((1.0,), (1.0,), (0.5,), (0.5,), (0.5,))
     with pytest.raises(WeightInvalid):
         DecisionMatrix(("A",), ("x",), (cell,), weights)
+
+
+CELL = ((1.0,), (1.0,), (0.5,), (0.5,), (0.5,))
+
+
+# each raised a bare TypeError (tuple() of a float or an int), or, for bytes channels, made
+# a valid matrix of the cell (1, 1, 0, 0, 0), as each byte was read as an int
+@pytest.mark.parametrize("rows, message", [
+    (3.0, "rows must be an iterable of rows, not float"),
+    ([5], "row 0 must be five iterables of real numbers, not int"),
+    ([b"abcde"], "row 0 must be five iterables of real numbers, not bytes"),
+    ([(b"\x01", bytearray(b"\x01"), b"\x00", b"\x00", b"\x00")],
+     "row 0 must be five iterables of real numbers, not bytes"),
+    ([CELL, ("1", *CELL[1:])], "row 1 must be five iterables of real numbers, not str"),
+], ids=["float-rows", "int-row", "bytes-row", "bytes-channels", "str-channel"])
+def test_rows_of_no_iterables_or_of_text_raise_a_typed_error(rows, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        DecisionMatrix(("A", "B"), ("x",), rows, (1.0,))
 
 
 class _Tagged(float):
