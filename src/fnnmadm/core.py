@@ -35,13 +35,15 @@ TEXT = (str, bytes, bytearray)  # no vector of numbers, though float() reads eac
 
 def reals(values, error: type[Exception], what: str) -> tuple[float, ...]:
     """float() of each value, in a tuple; error(f"{what} in float64's range") for one it
-    rejects, and error(f"{what}, not str") for text, which is one value, not a vector."""
-    if isinstance(values, TEXT):
-        raise error(f"{what}, not {type(values).__name__}")
-    try:
-        return tuple([*map(float, values)])  # sized once: a shrunk guess strands free-list blocks
-    except (TypeError, ValueError, OverflowError):
-        raise error(f"{what} in float64's range") from None
+    rejects, and error(f"{what}, not <type>") for text, which is one value, not a vector,
+    and for a single number or anything else that is no iterable."""
+    if not isinstance(values, TEXT):
+        try:
+            return tuple([*map(float, values)])  # sized once; a shrunk guess parks free-list blocks
+        except (TypeError, ValueError, OverflowError):
+            if hasattr(values, "__iter__") or hasattr(values, "__getitem__"):  # a vector
+                raise error(f"{what} in float64's range") from None
+    raise error(f"{what}, not {type(values).__name__}")
 
 
 def _check_unit(name: str, v: float) -> None:

@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import chain
 from operator import add, mul, truediv
 from typing import NamedTuple, Sequence
 
@@ -59,15 +59,16 @@ class DecisionMatrix:
 
     ``rows`` holds one row per alternative: five tuples of m plain floats,
     the eta, xi, t, i and f of its cells.  ``cells`` and ``row`` build
-    ``Fnnn`` values on demand.  A matrix raises the first of :func:`_problems`
-    when made, so each of its cells passes ``core.check_cell``, it always
-    normalizes, and it holds its labels, rows and weights as tuples (of str,
-    of tuples, of floats), whatever iterables and reals it was given, so two
-    matrices of the same cells are equal and hash; rows, a row or a channel
-    that is text or no iterable raises ValidationError.  ``normalized`` is not
-    a constructor argument: only :func:`normalize` sets it, on a copy of a
-    checked matrix, whose type raises ValidationError if the constructor
-    makes one, as ``dataclasses.replace`` would.
+    ``Fnnn`` values on demand.  A matrix reads its rows once, into plain
+    floats as ``make_fnnn`` reads a cell (see :func:`_read_rows`), then raises
+    the first of :func:`_problems`, so each of its cells passes
+    ``core.check_cell`` and it always normalizes.  It holds its labels, rows
+    and weights as tuples (of str, of tuples, of floats), whatever iterables
+    and reals it was given, so two matrices of the same cells are equal and
+    hash; labels that are text or no iterable raise ValidationError, as rows
+    do.  ``normalized`` is not a constructor argument: only :func:`normalize`
+    sets it, on a copy of a checked matrix, whose type raises ValidationError
+    if the constructor makes one, as ``dataclasses.replace`` would.
 
     A raw matrix reads itself once.  Outside its fields, so that equality,
     hashing, ``repr``, ``dataclasses.replace``, copies and pickles do not
@@ -90,19 +91,20 @@ class DecisionMatrix:
     normalized: bool = field(default=False, init=False)
 
     def __post_init__(self):
-        alternatives = tuple(map(str, self.alternatives or ()))  # None: EmptyInput, as () is
-        attributes = tuple(map(str, self.attributes or ()))
-        rows = () if self.rows is None else _read_rows(self.rows)
+        alternatives, attributes = (
+            () if labels is None  # EmptyInput, as () is
+            else tuple(map(str, _tuple(labels, f"{kind} must be an iterable of labels")))
+            for kind, labels in (("alternatives", self.alternatives),
+                                 ("attributes", self.attributes)))
+        rows, unread = _read_rows(() if self.rows is None else self.rows)
         weights = () if self.weights is None else self.weights
         if not isinstance(weights, TEXT):  # reals rejects text, and what is no iterable
             try:
                 weights = tuple(weights)
             except TypeError:
                 pass
-        for _, problem in _problems(alternatives, attributes, rows, weights):
+        for _, problem in _problems(alternatives, attributes, rows, weights, unread):
             raise problem
-        if {*map(type, chain.from_iterable(chain.from_iterable(rows)))} != {float}:
-            rows = tuple(tuple(reals(channel, NotFinite, CELLS) for channel in row) for row in rows)
         vars(self).update(alternatives=alternatives, attributes=attributes, rows=rows,
                           weights=tuple(map(float, weights)))
 
@@ -185,38 +187,47 @@ def _tuple(values, what: str) -> tuple:
     raise ValidationError(f"{what}, not {type(values).__name__}")
 
 
-def _read_rows(rows) -> tuple[tuple[tuple, ...], ...]:
-    """The caller's rows as tuples of channel tuples, each read once."""
-    read = []
-    for row in _tuple(rows, "rows must be an iterable of rows"):
-        try:
-            if isinstance(row, TEXT):
-                raise TypeError
-            row = tuple(row)
-            if any(map(isinstance, row, repeat(TEXT))):
-                raise TypeError
-            read.append(tuple(map(tuple, row)))
-        except TypeError:  # name the row, or its first channel, at fault
-            what = f"row {len(read)} must be five iterables of real numbers"
-            for channel in _tuple(row, what):
-                _tuple(channel, what)
-            raise
-    return tuple(read)
+def _read_rows(rows):
+    """The caller's rows as tuples of channel tuples, and the error of each
+    cell that cannot be read, by (row, column).  A row of plain floats, or
+    of channels that differ in width, is kept as it is; any other is read
+    as ``make_fnnn`` reads a cell, ``float()`` of each value.  A cell with a
+    value that has no ``__float__`` (text, None) is a ValidationError that
+    lists its types, one ``float()`` rejects NotFinite: it holds NaNs, which
+    ``check_cell`` rejects, and :func:`_problems` reports its error in place.
+    Rows, a row or a channel that is text or no iterable raises at once."""
+    read, unread = [], {}
+    for i, row in enumerate(_tuple(rows, "rows must be an iterable of rows")):
+        what = f"row {i} must be five iterables of real numbers"
+        row = tuple(_tuple(channel, what) for channel in _tuple(row, what))
+        if {*map(type, chain.from_iterable(row))} - {float} and len({*map(len, row)}) == 1:
+            cells = []
+            for j, cell in enumerate(zip(*row)):
+                try:
+                    if not all(hasattr(v, "__float__") for v in cell):
+                        kinds = ", ".join(type(v).__name__ for v in cell)
+                        raise ValidationError(f"{CELLS}: {kinds}")
+                    cells.append(reals(cell, NotFinite, CELLS))
+                except ValidationError as e:
+                    unread[i, j] = e
+                    cells.append((math.nan,) * len(cell))
+            row = tuple(zip(*cells))
+        read.append(row)
+    return tuple(read), unread
 
 
-def _problems(alternatives, attributes, rows, weights):
-    """Yield ``(cell, error)`` for each reason the matrix cannot be ranked;
-    ``cell`` is the (row, column) the error names, or None.
+def _problems(alternatives, attributes, rows, weights, unread={}):  # unread is only read
+    """Yield ``(cell, error)`` for each reason the matrix of plain-float rows
+    cannot be ranked; ``cell`` is the (row, column) the error names, or None.
 
-    In this order: ``check_cell``'s error for each cell it rejects, row by
-    row, in floats if its components do not compare or add (a Decimal NaN;
-    a Decimal and a float), ValidationError if one is text or None and
-    NotFinite if ``reals`` rejects one; ZeroLocation for each other
-    location of 0 or less; if there is neither, check_normal's
-    error for each spread that normalizes out of float64's range;
-    DuplicateLabel for each repeated label; the error of ``check_weights``
-    unless ``weights`` is None.  A zero-sized matrix, or one whose rows do
-    not each hold five tuples of one value per attribute, raises at once.
+    In this order: for each cell ``check_cell`` rejects, row by row, the
+    error of :func:`_read_rows` in ``unread``, else ``check_cell``'s;
+    ZeroLocation for each other location of 0 or less; if there is
+    neither, check_normal's error for each spread that normalizes out of
+    float64's range; DuplicateLabel for each repeated label; the error of
+    ``check_weights`` unless ``weights`` is None.  A zero-sized matrix, or
+    one whose rows do not each hold five tuples of one value per
+    attribute, raises at once.
     """
     if not alternatives or not attributes:
         raise EmptyInput("need at least one alternative and one attribute")
@@ -234,25 +245,19 @@ def _problems(alternatives, attributes, rows, weights):
     for i, row in enumerate(rows):
         for j, cell in enumerate(zip(*row)):
             try:
-                try:
-                    check_cell(*cell)
-                except (TypeError, ValueError, ArithmeticError):  # a str, a Decimal NaN, 10**400
-                    if not all(hasattr(v, "__float__") for v in cell):
-                        kinds = ", ".join(type(v).__name__ for v in cell)
-                        raise ValidationError(f"{CELLS}: {kinds}")
-                    check_cell(*reals(cell, NotFinite, CELLS))
+                check_cell(*cell)
             except ValidationError as e:
                 faulty.add((i, j))
+                e = unread.get((i, j), e)
                 yield at(type(e), i, j, str(e))
     located = not faulty and (eta_lo := min(min(row[0]) for row in rows)) > 0.0
     for i, row in enumerate(() if located else rows):
         for j, eta in enumerate(row[0]):
             if (i, j) not in faulty and not eta > 0.0:
                 yield at(ZeroLocation, i, j, f"eta = {eta!r} must be > 0 for normalization")
-    if located:  # the extrema as floats, which divide whatever mix of real types the rows hold
-        eta_lo, eta_hi = float(eta_lo), float(max(max(row[0]) for row in rows))
-        xi_lo = float(min(min(row[1]) for row in rows))
-        xi_hi = float(max(max(row[1]) for row in rows))
+    if located:
+        eta_hi = max(max(row[0]) for row in rows)
+        xi_lo, xi_hi = min(min(row[1]) for row in rows), max(max(row[1]) for row in rows)
         # a spread normalizes to (xi / max xi) * (xi / eta); when the extrema keep
         # both factors in [1e-150, 1e150], every product is in range, else check each
         in_range = xi_lo / xi_hi > 1e-150 and xi_lo / eta_hi > 1e-150 and xi_hi / eta_lo < 1e150
@@ -277,12 +282,11 @@ def _problems(alternatives, attributes, rows, weights):
 
 def _normal_rows(rows):
     """Each row's locations over the column maximum, and spreads over the
-    column maximum times the cell's own spread-to-location ratio, in
-    plain floats (a numpy float would carry its type through every result)."""
-    eta_max = reals(map(max, zip(*(row[0] for row in rows))), NotFinite, CELLS)
-    xi_max = reals(map(max, zip(*(row[1] for row in rows))), NotFinite, CELLS)
+    column maximum times the cell's own spread-to-location ratio; plain
+    floats in, as a matrix holds them, and plain floats out."""
+    eta_max = [*map(max, zip(*(row[0] for row in rows)))]
+    xi_max = [*map(max, zip(*(row[1] for row in rows)))]
     for etas, xis, *_ in rows:
-        etas, xis = reals(etas, NotFinite, CELLS), reals(xis, NotFinite, CELLS)
         yield (tuple(map(truediv, etas, eta_max)),
                tuple(map(mul, map(truediv, xis, xi_max), map(truediv, xis, etas))))
 
@@ -353,6 +357,9 @@ def _closeness(dp: tuple[float, ...], dn: tuple[float, ...]) -> tuple[float, ...
     totals = [*map(add, dp, dn)]
     if 0.0 in totals:
         raise DegenerateCloseness(f"D+ + D- is zero for alternative index {totals.index(0.0)}")
+    if math.inf in totals:  # two finite distances whose sum overflows: halve both first
+        return tuple(n / t if t < math.inf else n / 2 / (p / 2 + n / 2)
+                     for p, n, t in zip(dp, dn, totals))
     return tuple(map(truediv, dn, totals))
 
 

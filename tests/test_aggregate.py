@@ -77,8 +77,10 @@ def test_check_weights_rejects_non_finite(weights):
 @pytest.mark.parametrize("renormalize", [False, True])
 def test_check_weights_types_a_weight_that_is_no_real_number(weights, renormalize):
     # float() raised a bare ValueError for "x", a TypeError for None and an
-    # OverflowError for an int beyond float64; a bare number is no vector
-    with pytest.raises(WeightInvalid, match=r"^weights must be real numbers in float64's range$"):
+    # OverflowError for an int beyond float64; a bare number, or None, is no vector,
+    # which was named as a number out of range
+    reason = " in float64's range" if isinstance(weights, tuple) else f", not {type(weights).__name__}"
+    with pytest.raises(WeightInvalid, match=f"^weights must be real numbers{reason}$"):
         check_weights(weights, renormalize=renormalize)
 
 

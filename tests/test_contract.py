@@ -9,7 +9,9 @@ reject: text, None, ints beyond float64 and other types; a matrix's cells
 also from Decimal NaNs, which do not compare with floats.  Values and
 matrices are also made of real numbers of other types (int, bool,
 Fraction, Decimal, a float subclass, numpy's float64); what they hold, and
-every result of them, is made of plain floats.
+every result of them, is made of plain floats.  A matrix reads a cell of
+ints, Fractions, Decimals and floats as make_fnnn does, near the edges where
+the exact values and their floats fall on either side of a rule.
 """
 
 import math
@@ -28,7 +30,10 @@ from fnnmadm import (
     Fnnn,
     MembershipTriple,
     NormalParams,
+    NotFinite,
     PipelineConfig,
+    SpreadNonPositive,
+    ZeroLocation,
     accuracy_ffn,
     aggregate_rows,
     boxplus,
@@ -226,6 +231,61 @@ def test_decision_matrix(value, at):
         return run_pipeline(DecisionMatrix(("A", "B"), ("x", "y"), rows, (0.5, 0.5))).closeness
 
     holds(ranked)
+
+
+@st.composite
+def near(draw, base: int):
+    """``base``, or ``base`` plus or minus 10**-k for k up to 400, as an int, a
+    Fraction, a Decimal or a float; the exact value and its float may fall on
+    either side of a bound at ``base``."""
+    sign, k = draw(st.sampled_from([-1, 0, 1])), draw(st.integers(1, 400))
+    kind = draw(st.sampled_from([int, Fraction, Decimal, float]))
+    if kind is int:
+        return base
+    if kind is Decimal:  # from text, which is exact, where Decimal arithmetic rounds
+        return Decimal(f"{base * 10 ** k + sign}e-{k}")
+    return kind(base + sign * Fraction(1, 10 ** k))
+
+
+exact_components = st.one_of(
+    near(0), near(1), st.fractions(), st.decimals(allow_nan=True), st.floats(),
+    st.sampled_from([Decimal("NaN"), Decimal("sNaN"), 10 ** 400, Fraction(10 ** 400),
+                     5e-324, math.nextafter(1.0, 2.0), math.nextafter(1.0, 0.0)]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(cell=st.tuples(*[exact_components] * 5))
+@example(cell=(1, 0.5, Fraction(1) + Fraction(1, 10 ** 30), 0.5, 0.5))  # t = 1.0 as a float
+@example(cell=tuple(map(Decimal, ("1", "0.5", "1", "1", "0.000001"))))  # a cubic sum of 2.0
+@example(cell=(1.0, 0.5, Fraction(1), Fraction(1), Fraction(1, 10 ** 6)))
+@example(cell=(Decimal("1e-400"), 0.5, 0.5, 0.5, 0.5))  # a location of 0.0
+def test_a_matrix_reads_a_cell_as_make_fnnn_does(cell):
+    """Next to a valid cell, the matrix rejects ``cell`` exactly when make_fnnn
+    does, with its error, and otherwise holds make_fnnn's floats.  Its own
+    rules, a location > 0 that normalizes into float64's range, are apart."""
+    rows = [tuple((v,) for v in cell), ((1.0,), (0.5,), (0.5,), (0.5,), (0.5,))]
+
+    def matrix():
+        return DecisionMatrix(("A", "B"), ("x",), rows, (1.0,))
+
+    try:
+        value = make_fnnn(*cell)
+    except FnnError as e:
+        with pytest.raises(type(e)) as raised:
+            matrix()
+        assert str(raised.value) == f"invalid cell at (A, x): {e}"
+        return
+    try:
+        dm = matrix()
+    except ZeroLocation:
+        assert not value.eta > 0.0
+        return
+    except (NotFinite, SpreadNonPositive) as e:
+        assert value.eta > 0.0 and "): normalized " in str(e)
+        return
+    assert value.eta > 0.0
+    assert [channel[0] for channel in dm.rows[0]] == [value.eta, value.xi, value.t, value.i, value.f]
+    assert all(type(channel[0]) is float for channel in dm.rows[0])
 
 
 @pytest.mark.parametrize("name", sorted(OPERATORS))

@@ -103,8 +103,10 @@ def test_a_matrix_given_no_rows_raises_a_typed_error():
                                      3.0])
 def test_a_matrix_given_weights_that_are_no_numbers_raises_a_typed_error(weights):
     cell = ((1.0,), (1.0,), (0.5,), (0.5,), (0.5,))
-    with pytest.raises(WeightInvalid):
+    with pytest.raises(WeightInvalid) as raised:
         DecisionMatrix(("A",), ("x",), (cell,), weights)
+    if weights == 3.0:  # a single number is no vector; it was named as a number out of range
+        assert str(raised.value) == "weights must be real numbers, not float"
 
 
 CELL = ((1.0,), (1.0,), (0.5,), (0.5,), (0.5,))
@@ -198,6 +200,46 @@ def test_a_cell_that_does_not_compare_with_floats_is_named(at, value, error, rea
     with pytest.raises(error) as raised:
         DecisionMatrix(("A", "B"), ("x",), rows, (1.0,))
     assert str(raised.value) == "invalid cell at (A, x): " + reason.format(("eta", "xi")[at])
+
+
+def _beside_a_valid_cell(cell):
+    """A 2x1 matrix of ``cell`` at (A, x) and a valid cell at (B, x)."""
+    rows = [tuple((v,) for v in cell), ((1.0,), (0.5,), (0.5,), (0.5,), (0.5,))]
+    return DecisionMatrix(("A", "B"), ("x",), rows, (1.0,))
+
+
+@pytest.mark.parametrize("cell", [
+    (1, 0.5, Fraction(1) + Fraction(1, 10 ** 30), 0.5, 0.5),
+    tuple(map(Decimal, ("1", "0.5", "1", "1", "0.000001"))),
+    (1.0, 0.5, Fraction(1), Fraction(1), Fraction(1, 10 ** 6)),
+], ids=["Fraction-t-above-1", "Decimal-cubic-sum-above-2", "Fraction-cubic-sum-above-2"])
+def test_a_matrix_checks_a_cell_as_make_fnnn_does(cell):
+    # the matrix checked the exact values, which make_fnnn reads as floats: it raised
+    # MembershipOutOfRange for t = 1 + 1e-30 and CubicSumExceeded for 2 + 1e-18, and
+    # on Python 3.11 formatting a Fraction in check_cell's message raised a TypeError,
+    # whose fallback then accepted the last cell in floats
+    value = make_fnnn(*cell)
+    dm = _beside_a_valid_cell(cell)
+    assert [channel[0] for channel in dm.rows[0]] == [value.eta, value.xi, value.t, value.i, value.f]
+    assert _plain_floats(dm.rows)
+
+
+@pytest.mark.parametrize("eta", [Fraction(1, 10 ** 400), Decimal("1e-400")], ids=["Fraction", "Decimal"])
+def test_a_location_that_is_0_as_a_float_is_a_zero_location(eta):
+    # the exact check passed the location, and normalization then divided by 0.0: a bare
+    # ZeroDivisionError
+    assert make_fnnn(eta, 0.5, 0.5, 0.5, 0.5).eta == 0.0
+    with pytest.raises(ZeroLocation, match=r"^invalid cell at \(A, x\): eta = 0\.0 must be > 0 "):
+        _beside_a_valid_cell((eta, 0.5, 0.5, 0.5, 0.5))
+
+
+@pytest.mark.parametrize("labels, kind", [(3, "int"), (2.0, "float"), ("AB", "str"), (b"AB", "bytes")])
+@pytest.mark.parametrize("at", ["alternatives", "attributes"])
+def test_labels_that_are_no_iterable_or_text_raise_a_typed_error(at, labels, kind):
+    # 3 and 2.0 raised a bare TypeError, and "AB" was read as the two labels A and B
+    given = {"alternatives": ("A", "B"), "attributes": ("x",), at: labels}
+    with pytest.raises(ValidationError, match=f"^{at} must be an iterable of labels, not {kind}$"):
+        DecisionMatrix(given["alternatives"], given["attributes"], [CELL, CELL], (1.0,))
 
 
 def _decimal_mixed(rows):
@@ -547,6 +589,12 @@ def test_closeness_values():
         closeness([0.1], [0.1, 0.2])
     with pytest.raises(ValidationError, match="^distances must be nonnegative$"):
         closeness([-1.0], [1.0])
+
+
+def test_closeness_of_finite_distances_whose_sum_overflows():
+    # D+ + D- was inf, so D- / (D+ + D-) read 0.0
+    assert closeness([1e308], [1e308]) == [0.5]
+    assert closeness([1.5e308, 1.0], [1e308, 1.0]) == [0.4, 0.5]
 
 
 @pytest.mark.parametrize("bad", ["x", None, 10 ** 400, Decimal("sNaN")],

@@ -102,9 +102,11 @@ def test_generator_rejects_a_config_it_cannot_draw_from(cfg, message, monkeypatc
     ("xi_range", (0.0, 0.5, 1.0)),
 ], ids=["int-beyond-float64", "xi-text", "membership-text", "not-a-pair", "three-bounds"])
 def test_generator_types_a_range_that_float_rejects(name, bounds, monkeypatch):
-    # a bare OverflowError from random.uniform, or a bare TypeError or ValueError
+    # a bare OverflowError from random.uniform, or a bare TypeError or ValueError;
+    # a single number is no pair, as text is none
     monkeypatch.setattr(reference, "random", SimpleNamespace(Random=_no_draws))
-    with pytest.raises(ValidationError, match=rf"^{name} must be two real numbers in float64's range$"):
+    reason = " in float64's range" if isinstance(bounds, tuple) else f", not {type(bounds).__name__}"
+    with pytest.raises(ValidationError, match=rf"^{name} must be two real numbers{reason}$"):
         gen_fnnn(FnnnGenConfig(**{name: bounds}), 1)
 
 
