@@ -18,8 +18,10 @@ Each closed form is written once, as a generator over one row of values
 read into five float lists (eta, xi, t, i, f) by :func:`read_row`, and
 the xlogs of its t, i and f, which :func:`membership_logs` takes of every
 row at once.  The generator first computes what else does not depend on
-lam: for fnnwa and fnnwg the location, the spread and one membership.  It
-then yields the aggregate at each lam it is given, clipped and checked by
+lam: for fnnwa and fnnwg the location, the spread and one membership, and
+for gfnnwg the location and the spread, which are fnnwg's times
+lam**(sum w - 1), a factor of 1.0 where the weights sum to 1.  It then
+yields the aggregate at each lam it is given, clipped and checked by
 :func:`fnnmadm.core.checked_result`, the one rule for every operation's
 result.  :func:`aggregates` alone runs them: it advances every row's
 generator at each lam and alone types their float faults.  The operators
@@ -160,28 +162,17 @@ def _gfnnwa(row, log_t, log_i, log_f, ws, lams):
         yield checked_result(eta, xi, t, i, f)
 
 
-def _scaled_geometric(xs, ws, lam: float) -> float:
-    """prod_i (lam * x_i)**w_i / lam, gfnnwg's location and spread; where
-    that overflows (a weight above 1 may overflow one power), as its equal
-    lam**(sum w - 1) * prod_i x_i**w_i."""
-    try:
-        value = math.prod(map(math.pow, map(mul, repeat(lam), xs), ws)) / lam
-    except OverflowError:
-        value = math.inf
-    if value < math.inf:
-        return value
-    return math.pow(lam, math.fsum(ws) - 1.0) * math.prod(map(math.pow, xs, ws))
-
-
 def _gfnnwg(row, log_t, log_i, log_f, ws, lams):
     etas, xis = row[0], row[1]
+    eta = math.prod(map(math.pow, etas, ws))
+    xi = math.prod(x ** w for w, x in zip(ws, xis))
+    excess = math.fsum(ws) - 1.0
     for lam in lams:
-        eta = _scaled_geometric(etas, ws, lam)
-        xi = _scaled_geometric(xis, ws, lam)
+        scale = lam ** excess
         t = nested_prob_channel(log_t, ws, lam)
         i = weighted_prob_sum(log_i, ws, lam)
         f = weighted_prob_sum(log_f, ws, 3.0 * lam * lam)
-        yield checked_result(eta, xi, t, i, f)
+        yield checked_result(eta * scale, xi * scale, t, i, f)
 
 
 # each operator's closed form over one row, by name

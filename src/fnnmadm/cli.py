@@ -14,7 +14,7 @@ that option's value (``--weig -0.5,1.5``); elsewhere it is a positional
 (``validate -1.csv``).  ``rank`` and ``sweep`` rank the normalized copy
 of the matrix they read (no logs kept); only a table reads the precision.
 A CSV data row is read in one split and one ``float`` pass over its
-fields.  ``rank --format json`` renders each cell straight from the
+fields, as the next row arrives.  ``rank --format json`` renders each cell straight from the
 matrix's float rows and the aggregates' columns, without the per-cell
 dicts of :func:`report_to_dict`, to the same bytes; ``sweep --format
 json`` renders each row alike straight from the sweep's rows, without the
@@ -108,46 +108,63 @@ def _parse_cell(text: str, row: int, col: int) -> tuple[float, ...]:
         return tuple(_numbers([p.strip() for p in parts], f"cell {text!r}", row, col))
 
 
+def _parse_row(row: list[str], r: int, m: int) -> tuple[tuple[float, ...], ...]:
+    """The eta, xi, t, i and f of every cell of data row ``r``, which must hold m cells."""
+    if len(row) != m + 1:
+        raise ParseError(f"row has {len(row) - 1} cells, expected {m}", row=r)
+    cells = row[1:]
+    try:  # the row's fields in one split and one float pass, cell after cell
+        if [*map(str.count, cells, repeat(";"))] != [4] * m:
+            raise ValueError("a cell without five fields")
+        values = tuple(map(float, ";".join(cells).split(";")))
+    except ValueError:  # the per-cell reader names the first cell at fault
+        values = tuple(chain.from_iterable(
+            _parse_cell(cell, r, c) for c, cell in enumerate(cells, start=2)))
+    return values[0::5], values[1::5], values[2::5], values[3::5], values[4::5]
+
+
 def _read_csv_problem(path: str) -> RawProblem:
+    """The problem in a CSV file.  Each data row is parsed as the next one
+    arrives, so only the last, which may be the weights row, is held back.
+    A fault is raised once the whole file is read, as if it had been read
+    first: the header's, the weights row's, no data rows, then the first
+    data row's.  Rows are numbered from the header, blank rows not counted."""
+    alternatives, rows, fault = [], [], None
+
+    def take(row, r):  # data row r, unless an earlier one was at fault
+        nonlocal fault
+        if fault is None:
+            try:
+                rows.append(_parse_row(row, r, m))
+                alternatives.append(row[0].strip())
+            except ParseError as e:
+                fault = e
+
     with open(path, newline="", encoding="utf-8") as fh:
-        rows = [r for r in csv.reader(fh) if r and any(field.strip() for field in r)]
-    if not rows:
+        lines = (r for r in csv.reader(fh) if r and any(field.strip() for field in r))
+        header = next(lines, [])
+        m, n, last = len(header) - 1, 1, None
+        for n, line in enumerate(lines, start=2):
+            if last is not None:
+                take(last, n - 1)
+            last = line
+    if not header:
         raise ParseError(f"{path}: file is empty")
-    header = rows[0]
-    if len(header) < 2:
+    if m < 1:
         raise ParseError("header must be 'alt,<attr1>,...,<attrm>'", row=1)
-    attributes = [h.strip() for h in header[1:]]
     weights = None
-    data_rows = rows[1:]
-    if data_rows and data_rows[-1][0].strip().lower() == "weights":
-        wrow = data_rows.pop()
-        if len(wrow) != len(attributes) + 1:
-            raise ParseError(
-                f"weights row has {len(wrow) - 1} entries, expected {len(attributes)}",
-                row=len(rows),
-            )
-        weights = _numbers(wrow[1:], "weights row", len(rows))
-    if not data_rows:
+    if last is not None and last[0].strip().lower() == "weights":
+        if len(last) != m + 1:
+            raise ParseError(f"weights row has {len(last) - 1} entries, expected {m}", row=n)
+        weights = _numbers(last[1:], "weights row", n)
+    elif last is not None:
+        take(last, n)
+    if fault is not None:
+        raise fault
+    if not rows:
         raise ParseError("no alternative rows found")
-    alternatives, rows = [], []
-    four_each = [4] * len(attributes)  # the ';' of each cell of a row
-    for r, row in enumerate(data_rows, start=2):
-        if len(row) != len(attributes) + 1:
-            raise ParseError(
-                f"row has {len(row) - 1} cells, expected {len(attributes)}", row=r
-            )
-        alternatives.append(row[0].strip())
-        cells = row[1:]
-        try:  # the row's fields in one split and one float pass, cell after cell
-            if [*map(str.count, cells, repeat(";"))] != four_each:
-                raise ValueError("a cell without five fields")
-            values = tuple(map(float, ";".join(cells).split(";")))
-        except ValueError:  # the per-cell reader names the first cell at fault
-            values = tuple(chain.from_iterable(
-                _parse_cell(cell, r, c) for c, cell in enumerate(cells, start=2)))
-        # the eta, xi, t, i and f of every cell
-        rows.append((values[0::5], values[1::5], values[2::5], values[3::5], values[4::5]))
-    return RawProblem(tuple(alternatives), tuple(attributes), tuple(rows), weights)
+    attributes = tuple(h.strip() for h in header[1:])
+    return RawProblem(tuple(alternatives), attributes, tuple(rows), weights)
 
 
 def _read_json_problem(path: str) -> RawProblem:

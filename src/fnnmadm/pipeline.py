@@ -66,9 +66,10 @@ class DecisionMatrix:
     and weights as tuples (of str, of tuples, of floats), whatever iterables
     and reals it was given, so two matrices of the same cells are equal and
     hash; labels that are text or no iterable raise ValidationError, as rows
-    do.  ``normalized`` is not a constructor argument: only :func:`normalize`
-    sets it, on a copy of a checked matrix, whose type raises ValidationError
-    if the constructor makes one, as ``dataclasses.replace`` would.
+    do, and so does a label that is None or bytes.  ``normalized`` is not a
+    constructor argument: only :func:`normalize` sets it, on a copy of a
+    checked matrix, whose type raises ValidationError if the constructor
+    makes one, as ``dataclasses.replace`` would.
 
     A raw matrix reads itself once.  Outside its fields, so that equality,
     hashing, ``repr``, ``dataclasses.replace``, copies and pickles do not
@@ -91,11 +92,8 @@ class DecisionMatrix:
     normalized: bool = field(default=False, init=False)
 
     def __post_init__(self):
-        alternatives, attributes = (
-            () if labels is None  # EmptyInput, as () is
-            else tuple(map(str, _tuple(labels, f"{kind} must be an iterable of labels")))
-            for kind, labels in (("alternatives", self.alternatives),
-                                 ("attributes", self.attributes)))
+        alternatives, attributes = (_labels(self.alternatives, "alternatives"),
+                                    _labels(self.attributes, "attributes"))
         rows, unread = _read_rows(() if self.rows is None else self.rows)
         weights = () if self.weights is None else self.weights
         if not isinstance(weights, TEXT):  # reals rejects text, and what is no iterable
@@ -185,6 +183,20 @@ def _tuple(values, what: str) -> tuple:
         except TypeError:
             pass
     raise ValidationError(f"{what}, not {type(values).__name__}")
+
+
+def _labels(labels, kind: str) -> tuple[str, ...]:
+    """``labels`` as a tuple of ``str()`` of each, () for None (EmptyInput,
+    as () is); ValidationError names the type of a label that is None or
+    bytes, which ``str()`` would read as 'None' or "b'...'"."""
+    if labels is None:
+        return ()
+    labels = _tuple(labels, f"{kind} must be an iterable of labels")
+    for label in labels:
+        if label is None or isinstance(label, (bytes, bytearray)):
+            raise ValidationError(
+                f"{kind} must be labels of text or numbers, not {type(label).__name__}")
+    return tuple(map(str, labels))
 
 
 def _read_rows(rows):

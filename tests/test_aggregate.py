@@ -605,3 +605,43 @@ def test_gfnnwg_where_a_weight_above_1_overflows_a_power(lam):
     rows = (((1.0,), (1.797,), (0.5,), (0.5,), (0.5,)), ((1.0,), (1.0,), (0.4,), (0.5,), (0.5,)))
     dm = DecisionMatrix(("A", "B"), ("x",), rows, ws)
     assert run_pipeline(dm, PipelineConfig("gfnnwg", lam=lam)).ordering == (0, 1)
+
+
+# (1/lam) prod (lam x_j)^w_j = lam^(sum w - 1) prod x_j^w_j, so where the
+# weights sum to exactly 1, lam acts on gfnnwg's memberships alone
+GFNNWG_LAMBDAS = (1.0, 2.5, 3.0, 12.5, 34.0, 1e10)
+
+
+def assert_gfnnwg_normal_part_is_fnnwgs(values, ws):
+    base = fnnwg(values, ws)
+    excess = math.fsum(ws) - 1.0
+    for lam in GFNNWG_LAMBDAS:
+        out = gfnnwg(values, ws, lam)
+        scale = lam ** excess  # exactly 1.0 where excess is 0.0: fnnwg's bits at every lam
+        assert (out.eta, out.xi) == (base.eta * scale, base.xi * scale), lam
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 8), renormalize=st.booleans())
+def test_gfnnwg_location_and_spread_are_fnnwgs_at_every_lambda(seed, n, renormalize):
+    rng = random.Random(seed)
+    values = gen_fnnn(FnnnGenConfig(seed=seed), n)
+    if renormalize:  # about one vector in four sums to other than exactly 1 by fsum
+        ws = check_weights([rng.uniform(0.01, 1.0) for _ in range(n)], renormalize=True)
+    else:
+        ws = gen_weights(rng, n)
+    assert_gfnnwg_normal_part_is_fnnwgs(values, ws)
+
+
+@pytest.mark.parametrize("row", range(len(case.RAW_CELLS)))
+def test_gfnnwg_location_and_spread_are_fnnwgs_on_the_engineers(row):
+    values = [make_fnnn(*c) for c in case.RAW_CELLS[row]]
+    assert math.fsum(case.WEIGHTS) == 1.0
+    assert_gfnnwg_normal_part_is_fnnwgs(values, case.WEIGHTS)
+
+
+def test_gfnnwg_location_and_spread_scale_with_weights_off_1():
+    ws = check_weights((8, 9, 9, 9), renormalize=True)
+    assert math.fsum(ws) != 1.0
+    for row in case.RAW_CELLS:
+        assert_gfnnwg_normal_part_is_fnnwgs([make_fnnn(*c) for c in row], ws)

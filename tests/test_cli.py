@@ -13,6 +13,7 @@ import shutil
 import subprocess
 import sys
 import threading
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -21,10 +22,13 @@ from hypothesis import strategies as st
 import engineers_case as case
 from fnnmadm import (
     DegenerateCloseness,
+    FnnnGenConfig,
     MembershipOutOfRange,
     ParseError,
     PipelineConfig,
     cli,
+    gen_fnnn,
+    gen_weights,
     lambda_sweep,
     normalize,
     rank,
@@ -301,6 +305,68 @@ def test_a_faulty_row_raises_the_cell_readers_error(tmp_path, cells, at, bad):
         cli._read_csv_problem(str(tmp_path / "rows.csv"))
     e = caught.value
     assert (str(e), e.reason, e.row, e.col) == (str(expected), expected.reason, 3, expected.col)
+
+
+# files with two faults each, or one at a row that blank rows do not count: the
+# fault reported is the one the reader reports when it has read the whole file
+TWO_FAULTS = {
+    "row-then-weights": (f"alt,x\nA,{ONE_CELL},{ONE_CELL}\nB,{ONE_CELL}\nweights,0.5,0.5\n",
+                         "weights row has 2 entries, expected 1 (row 4)"),
+    "row-then-weights-number": ("alt,x\nA,1;1\nweights,abc\n",
+                                "weights row: could not convert string to float: 'abc' (row 3)"),
+    "header-then-weights": (f"alt\nA,{ONE_CELL}\nweights,1,2\n",
+                            "header must be 'alt,<attr1>,...,<attrm>' (row 1)"),
+    "two-rows": (f"alt,x\nA,{ONE_CELL};1\nB,x;1;0.5;0.5;0.5\nweights,1\n",
+                 f"cell '{ONE_CELL};1' must have 5 ';'-separated fields eta;xi;t;i;f (row 2, column 2)"),
+    "last-row-after-blank-rows": (f"alt,x\n\nA,{ONE_CELL}\n  ,  \nB,{ONE_CELL},{ONE_CELL}\n",
+                                  "row has 2 cells, expected 1 (row 3)"),
+    "header-then-undecodable": (f"alt\nA,{ONE_CELL}\nB,\udcff\n",
+                                "<path>: 'utf-8' codec can't decode byte 0xff in position 24: "
+                                "invalid start byte"),
+    "row-then-undecodable": ("alt,x\nA,1;1\nB,\udcff\n",
+                             "<path>: 'utf-8' codec can't decode byte 0xff in position 14: "
+                             "invalid start byte"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TWO_FAULTS))
+def test_the_csv_reader_reports_faults_in_the_order_of_the_files_parts(tmp_path, name):
+    # the header's, the weights row's, no data rows, then the first data row's;
+    # a file that cannot be read reports that first
+    text, expected = TWO_FAULTS[name]
+    path = tmp_path / "two-faults.csv"
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
+    with pytest.raises(ParseError) as caught:
+        cli._read_raw(str(path))
+    assert str(caught.value).replace(str(path), "<path>") == expected
+
+
+def write_seeded_csv(path, n, m, seed=7):
+    """An n x m problem file of seeded values and weights."""
+    values = gen_fnnn(FnnnGenConfig(seed=seed), n * m)
+    lines = ["alt," + ",".join(f"C{j}" for j in range(m))]
+    for k in range(n):
+        cells = values[k * m:(k + 1) * m]
+        lines.append(f"A{k}," + ",".join(";".join(map(repr, (v.eta, v.xi, v.t, v.i, v.f)))
+                                          for v in cells))
+    lines.append("weights," + ",".join(map(repr, gen_weights(random.Random(seed), m))))
+    path.write_text("\n".join(lines) + "\n")
+
+
+def test_the_csv_reader_holds_no_row_lists_beside_what_it_returns(tmp_path):
+    # every csv.reader row was kept until the last was read: on 500 x 20 the
+    # peak was 1.9 times what the returned problem holds
+    path = tmp_path / "500x20.csv"
+    write_seeded_csv(path, 500, 20)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        raw = cli._read_raw(str(path))
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(raw.rows) == 500 and len(raw.weights) == 20
+    assert peak <= 1.25 * held, (peak, held)
 
 
 # ---------------------------------------------------------------------------

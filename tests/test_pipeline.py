@@ -242,6 +242,18 @@ def test_labels_that_are_no_iterable_or_text_raise_a_typed_error(at, labels, kin
         DecisionMatrix(given["alternatives"], given["attributes"], [CELL, CELL], (1.0,))
 
 
+@pytest.mark.parametrize("label", [None, b"A", bytearray(b"A")], ids=["None", "bytes", "bytearray"])
+@pytest.mark.parametrize("at", ["alternatives", "attributes"])
+def test_a_label_that_is_none_or_bytes_raises_a_typed_error(at, label):
+    # str() read None as the label 'None' and b"A" as "b'A'"
+    given = {"alternatives": (label, "B"), "attributes": ("x",)}
+    if at == "attributes":
+        given = {"alternatives": ("A", "B"), "attributes": (label,)}
+    kind = type(label).__name__
+    with pytest.raises(ValidationError, match=f"^{at} must be labels of text or numbers, not {kind}$"):
+        DecisionMatrix(given["alternatives"], given["attributes"], [CELL, CELL], (1.0,))
+
+
 def _decimal_mixed(rows):
     """The rows with every other value a Decimal of it, the rest as they are."""
     return [tuple(tuple(Decimal(v) if (i + j + k) % 2 else v for k, v in enumerate(col))
