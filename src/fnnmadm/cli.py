@@ -14,10 +14,14 @@ that option's value (``--weig -0.5,1.5``); elsewhere it is a positional
 (``validate -1.csv``).  ``rank`` and ``sweep`` rank the normalized copy
 of the matrix they read (no logs kept); only a table reads the precision.
 A CSV data row is read in one split and one ``float`` pass over its
-fields, as the next row arrives.  ``rank --format json`` renders each cell straight from the
-matrix's float rows and the aggregates' columns, without the per-cell
-dicts of :func:`report_to_dict`, to the same bytes; ``sweep --format
-json`` renders each row alike straight from the sweep's rows, without the
+fields, as the next row arrives.  A line with no quote, CR or NUL is
+split on commas without csv.reader, which reads the file from the first
+other line on: only those characters and the line ends are special to
+csv, so every row is the one csv.reader gives.  ``rank --format json``
+renders each cell straight from the matrix's float rows and the
+aggregates' columns, without the per-cell dicts of
+:func:`report_to_dict`, to the same bytes; ``sweep --format json``
+renders each row alike straight from the sweep's rows, without the
 per-row dicts of :func:`sweep_to_dict`, one piece per row.
 """
 
@@ -123,9 +127,30 @@ def _parse_row(row: list[str], r: int, m: int) -> tuple[tuple[float, ...], ...]:
     return values[0::5], values[1::5], values[2::5], values[3::5], values[4::5]
 
 
+def _csv_rows(fh):
+    """Yield the rows ``csv.reader(fh)`` yields, for a file opened with
+    ``newline=""``, one line at a time.  Only ``,``, ``"`` and the line
+    ends are special to csv's default dialect, so a line with no ``"``,
+    no CR and no NUL (which csv rejects before 3.11) that is no longer
+    than csv's field limit is split on ``,`` here, its ``\\n`` dropped.
+    csv.reader, which scans character by character, reads from the
+    first other line to the end: the plain lines before it each ended a
+    record, so it starts at one."""
+    limit = csv.field_size_limit()
+    for line in fh:
+        if '"' in line or "\r" in line or "\0" in line or len(line) > limit:
+            yield from csv.reader(chain([line], fh))
+            return
+        line = line.removesuffix("\n")
+        yield line.split(",") if line else []
+
+
 def _read_csv_problem(path: str) -> RawProblem:
     """The problem in a CSV file.  Each data row is parsed as the next one
     arrives, so only the last, which may be the weights row, is held back.
+    Its lines are read by :func:`_csv_rows`: csv.reader reads them only
+    from the first that holds a quote, a CR or a NUL, or is too long,
+    and every row is the one csv.reader gives.
     A fault is raised once the whole file is read, as if it had been read
     first: the header's, the weights row's, no data rows, then the first
     data row's.  Rows are numbered from the header, blank rows not counted."""
@@ -141,7 +166,7 @@ def _read_csv_problem(path: str) -> RawProblem:
                 fault = e
 
     with open(path, newline="", encoding="utf-8") as fh:
-        lines = (r for r in csv.reader(fh) if r and any(field.strip() for field in r))
+        lines = (r for r in _csv_rows(fh) if r and any(field.strip() for field in r))
         header = next(lines, [])
         m, n, last = len(header) - 1, 1, None
         for n, line in enumerate(lines, start=2):

@@ -369,6 +369,87 @@ def test_the_csv_reader_holds_no_row_lists_beside_what_it_returns(tmp_path):
     assert peak <= 1.25 * held, (peak, held)
 
 
+# the characters special to csv, one its default dialect reads as text (";"), and
+# "\x0b", "\x85" and "\u2028", which split str.splitlines but not a file's lines
+CSV_TEXT = st.text(st.sampled_from([",", '"', "\r", "\n", "\0", ";", " ", "a", "1",
+                                    "\x0b", "\x85", "\u2028", "é"]), max_size=40)
+
+
+def csv_outcome(read, text):
+    """The rows ``read`` yields from ``text``, or the message of its csv.Error."""
+    try:
+        return list(read(io.StringIO(text, newline="")))
+    except csv.Error as e:
+        return f"csv.Error: {e}"
+
+
+@settings(max_examples=500, deadline=None)
+@example(text="\n", limit=None)
+@example(text="a\0b,c\n", limit=None)  # csv rejects a NUL before 3.11 and keeps it after
+@example(text="a,b\r\nc", limit=None)
+@example(text='a,b\n"c\nd",e\n', limit=None)  # a quoted field over two lines after a plain line
+@example(text="a,b\nc", limit=None)  # the last line has no "\n"
+@example(text="abcd\n", limit=4)  # longer than the limit, its field is not
+@example(text="abcde\n", limit=4)
+@given(text=CSV_TEXT, limit=st.none() | st.integers(1, 8))
+def test_csv_rows_are_the_rows_csv_reader_yields(text, limit):
+    default = csv.field_size_limit()
+    try:
+        if limit is not None:
+            csv.field_size_limit(limit)
+        assert csv_outcome(cli._csv_rows, text) == csv_outcome(csv.reader, text)
+    finally:
+        csv.field_size_limit(default)
+
+
+PLAIN_LABELS = ("A", "B", "C")
+
+
+def read_or_fault(path):
+    """The problem in ``path`` with its floats as hex, or its ParseError's message, row and column."""
+    try:
+        raw = cli._read_raw(str(path))
+    except ParseError as e:
+        return str(e), e.row, e.col
+    return raw._replace(rows=hexes(raw.rows), weights=[w.hex() for w in raw.weights])
+
+
+@pytest.mark.parametrize("fault", [False, True], ids=["valid", "faulty"])
+@pytest.mark.parametrize("alternatives", [PLAIN_LABELS, ("A", "Smith, J.", 'B"q')],
+                         ids=["plain-labels", "quoted-labels"])
+def test_a_problem_reads_the_same_whatever_its_line_ends_and_quoting(tmp_path, alternatives, fault):
+    # "\n" and plain labels: every line is split on ","; "\n" and quoted labels: csv.reader
+    # reads from the first quoted row on; "\r\n": csv.reader reads every line
+    cells = [";".join(map(repr, (v.eta, v.xi, v.t, v.i, v.f)))
+             for v in gen_fnnn(FnnnGenConfig(seed=3), 6)]
+    rows = [["alt", "x", "y"], [alternatives[0], *cells[0:2]], [],
+            [alternatives[1], *cells[2:4]], [alternatives[2], *cells[4:6]],
+            ["weights", "0.25", "0.75"]]
+    if fault:  # at row 4, as the blank row is not counted
+        rows[4][2] = "1;1;0.5;0.5"
+    lf, crlf = tmp_path / "lf.csv", tmp_path / "crlf.csv"
+    for path, ends in ((lf, "\n"), (crlf, "\r\n")):
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh, lineterminator=ends).writerows(rows)
+    text = lf.read_text(encoding="utf-8")
+    assert ('"' in text) == (alternatives != PLAIN_LABELS) and "\r" not in text
+    got = read_or_fault(lf)
+    assert got == read_or_fault(crlf)
+    if fault:
+        assert got == ("cell '1;1;0.5;0.5' must have 5 ';'-separated fields eta;xi;t;i;f "
+                       "(row 4, column 3)", 4, 3)
+    else:
+        assert got.alternatives == alternatives and len(got.rows) == 3
+
+
+def test_the_quoted_crlf_fixture_is_the_engineers_problem_relabelled(engineers_csv_path):
+    path = ROOT / "tests" / "golden" / "quoted_crlf.csv"
+    assert path.read_bytes().count(b"\r\n") == 8  # no checkout rewrote its line ends
+    quoted, plain = (cli._read_raw(str(p)) for p in (path, engineers_csv_path))
+    assert quoted.alternatives == ("Smith, J.", 'B"q', "E3", "E4", "E5")
+    assert quoted._replace(alternatives=plain.alternatives) == plain
+
+
 # ---------------------------------------------------------------------------
 # rank
 
