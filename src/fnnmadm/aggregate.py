@@ -38,7 +38,7 @@ from operator import mul
 from typing import Sequence
 
 from ._numeric import _TINY, left_sum, nested_prob_channel, weighted_prob_sum, xlogs
-from .core import Fnnn, check_lambda, checked_fnnn, checked_result, reals
+from .core import Fnnn, check_lambda, checked_fnnn, checked_result, items, reals
 from .errors import (EmptyInput, LengthMismatch, NormalDomainError, NotFinite, ValidationError,
                      WeightInvalid)
 
@@ -80,18 +80,14 @@ def check_weights(
     return ws
 
 
-def _values(items) -> tuple[Fnnn, ...]:
-    """``items`` as a tuple; ValidationError names the type of ``items``
-    if it is no iterable, or of the first item that is no Fnnn."""
-    try:
-        items = tuple(items)
-    except TypeError:
-        kind = type(items).__name__
-        raise ValidationError(f"values must be an iterable of Fnnn, not {kind}") from None
-    if not all(map(isinstance, items, repeat(Fnnn))):
-        kind = next(type(v) for v in items if not isinstance(v, Fnnn))
+def _values(values) -> tuple[Fnnn, ...]:
+    """``values`` as :func:`~fnnmadm.core.items` reads it; ValidationError names the
+    type of ``values`` if it is text or no iterable, or of the first item that is no Fnnn."""
+    values = items(values, ValidationError, "values must be an iterable of Fnnn")
+    if not all(map(isinstance, values, repeat(Fnnn))):
+        kind = next(type(v) for v in values if not isinstance(v, Fnnn))
         raise ValidationError(f"a value must be an Fnnn, not {kind.__name__}")
-    return items
+    return values
 
 
 def _prepare(items, weights, lam):

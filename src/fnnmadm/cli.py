@@ -59,6 +59,7 @@ from .pipeline import (
     RankingReport,
     SweepResult,
     SweepRow,
+    _labels,
     _problems,
     lambda_sweep,
     normalize,
@@ -209,8 +210,8 @@ def _read_json_problem(path: str) -> RawProblem:
     fields = (alternatives, attributes, raw_cells, [] if weights is None else weights)
     if not all(isinstance(v, list) for v in fields):
         raise ParseError(f"{path}: alternatives, attributes, cells and weights must be lists")
-    alternatives = [str(a) for a in alternatives]
-    attributes = [str(a) for a in attributes]
+    alternatives = _labels(alternatives, "alternatives")
+    attributes = _labels(attributes, "attributes")
     for kind, labels in (("alternative", alternatives), ("attribute", attributes)):
         for label in labels:  # a lone surrogate, from a \ud800 escape, is no UTF-8 text
             try:
@@ -234,7 +235,7 @@ def _read_json_problem(path: str) -> RawProblem:
         rows.append(tuple(zip(*row)))
     if weights is not None:
         weights = _numbers(weights, f"{path}: weights must be numbers")
-    return RawProblem(tuple(alternatives), tuple(attributes), tuple(rows), weights)
+    return RawProblem(alternatives, attributes, tuple(rows), weights)
 
 
 def _read_raw(path: str, fmt: str | None = None) -> RawProblem:

@@ -5,8 +5,8 @@ normal-shaped membership curve with truth, indeterminacy and falsity
 degrees whose cubic sum is bounded by 2.  All operations are pure
 functions over immutable values.  The real parameter ``lam >= 1``
 controls the root/power structure of the membership algebra; ``lam = 1``
-gives the base operations.  A caller's numbers are read once, where they
-enter, by :func:`reals`, into plain floats; text is one number, never a vector.
+gives the base operations.  A caller's sequences are read once, by :func:`items`,
+and its numbers by :func:`reals`, into plain floats; text is never a vector.
 """
 
 from __future__ import annotations
@@ -33,17 +33,25 @@ _MAX = 1.7976931348623157e308  # the largest float64: 10**400 < inf, but not <= 
 TEXT = (str, bytes, bytearray)  # no vector of numbers, though float() reads each of its items
 
 
-def reals(values, error: type[Exception], what: str) -> tuple[float, ...]:
-    """float() of each value, in a tuple; error(f"{what} in float64's range") for one it
-    rejects, and error(f"{what}, not <type>") for text, which is one value, not a vector,
-    and for a single number or anything else that is no iterable."""
+def items(values, error: type[Exception], what: str) -> tuple:
+    """``values`` as a tuple; error(f"{what}, not <type>") for text, which is one
+    value, not a vector, and for a single number or anything else that is no iterable."""
     if not isinstance(values, TEXT):
         try:
-            return tuple([*map(float, values)])  # sized once; a shrunk guess parks free-list blocks
-        except (TypeError, ValueError, OverflowError):
-            if hasattr(values, "__iter__") or hasattr(values, "__getitem__"):  # a vector
-                raise error(f"{what} in float64's range") from None
+            return tuple(values)
+        except TypeError:
+            pass
     raise error(f"{what}, not {type(values).__name__}")
+
+
+def reals(values, error: type[Exception], what: str) -> tuple[float, ...]:
+    """float() of each item :func:`items` reads, in a tuple; error(f"{what} in float64's
+    range") for one that float() rejects."""
+    values = items(values, error, what)
+    try:
+        return tuple([*map(float, values)])  # sized once; a shrunk guess parks free-list blocks
+    except (TypeError, ValueError, OverflowError):
+        raise error(f"{what} in float64's range") from None
 
 
 def _check_unit(name: str, v: float) -> None:

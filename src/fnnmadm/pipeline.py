@@ -20,8 +20,8 @@ the matrix for every later one, whatever its operator, metric or lambda
 ranks ``normalize(dm)``, which does one ranking's work and keeps no logs.
 Every entry point, :func:`aggregate_rows` too, takes a raw or a normalized
 matrix and gives the same values for both.
-A caller's numbers are read by :func:`fnnmadm.core.reals` into plain floats,
-a matrix's when it is made; cells may not be text, nor text be a vector.
+A caller's sequences and numbers are read by :mod:`fnnmadm.core`'s ``items`` and
+``reals``, a matrix's when it is made; cells may not be text, nor text be a vector.
 """
 
 from __future__ import annotations
@@ -30,11 +30,12 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
+from numbers import Number
 from operator import add, mul, truediv
 from typing import NamedTuple, Sequence
 
-from .aggregate import OPERATORS, aggregates, check_weights, membership_logs, read_row
-from .core import CELLS, TEXT, Fnnn, check_cell, check_lambda, check_normal, checked_fnnn, reals
+from .aggregate import OPERATORS, _values, aggregates, check_weights, membership_logs, read_row
+from .core import CELLS, Fnnn, check_cell, check_lambda, check_normal, checked_fnnn, items, reals
 from .distance import FORMULAS, euclidean, hamming, phi_of
 from .errors import (
     DegenerateCloseness,
@@ -66,10 +67,11 @@ class DecisionMatrix:
     and weights as tuples (of str, of tuples, of floats), whatever iterables
     and reals it was given, so two matrices of the same cells are equal and
     hash; labels that are text or no iterable raise ValidationError, as rows
-    do, and so does a label that is None or bytes.  ``normalized`` is not a
-    constructor argument: only :func:`normalize` sets it, on a copy of a
-    checked matrix, whose type raises ValidationError if the constructor
-    makes one, as ``dataclasses.replace`` would.
+    do, and so does a label that is neither text nor a number; its weights
+    are read once.  ``normalized`` is not a constructor argument: only
+    :func:`normalize` sets it, on a copy of a checked matrix, whose type
+    raises ValidationError if the constructor makes one, as
+    ``dataclasses.replace`` would.
 
     A raw matrix reads itself once.  Outside its fields, so that equality,
     hashing, ``repr``, ``dataclasses.replace``, copies and pickles do not
@@ -95,16 +97,11 @@ class DecisionMatrix:
         alternatives, attributes = (_labels(self.alternatives, "alternatives"),
                                     _labels(self.attributes, "attributes"))
         rows, unread = _read_rows(() if self.rows is None else self.rows)
-        weights = () if self.weights is None else self.weights
-        if not isinstance(weights, TEXT):  # reals rejects text, and what is no iterable
-            try:
-                weights = tuple(weights)
-            except TypeError:
-                pass
-        for _, problem in _problems(alternatives, attributes, rows, weights, unread):
+        for _, problem in _problems(alternatives, attributes, rows, None, unread):
             raise problem
+        weights = check_weights(() if self.weights is None else self.weights, n=len(attributes))
         vars(self).update(alternatives=alternatives, attributes=attributes, rows=rows,
-                          weights=tuple(map(float, weights)))
+                          weights=weights)
 
     @property
     def n_alternatives(self) -> int:
@@ -174,26 +171,15 @@ def make_decision_matrix(
     return DecisionMatrix(alternatives, attributes, (read_row(row) for row in cells), weights)
 
 
-def _tuple(values, what: str) -> tuple:
-    """``values`` as a tuple; ValidationError(f"{what}, not <type>") for
-    text, which ``core.reals`` takes for no vector, or for no iterable."""
-    if not isinstance(values, TEXT):
-        try:
-            return tuple(values)
-        except TypeError:
-            pass
-    raise ValidationError(f"{what}, not {type(values).__name__}")
-
-
 def _labels(labels, kind: str) -> tuple[str, ...]:
     """``labels`` as a tuple of ``str()`` of each, () for None (EmptyInput,
-    as () is); ValidationError names the type of a label that is None or
-    bytes, which ``str()`` would read as 'None' or "b'...'"."""
+    as () is); ValidationError names the type of a label that is a bool, or is
+    neither text nor a number, which ``str()`` would read as 'True' or 'None'."""
     if labels is None:
         return ()
-    labels = _tuple(labels, f"{kind} must be an iterable of labels")
+    labels = items(labels, ValidationError, f"{kind} must be an iterable of labels")
     for label in labels:
-        if label is None or isinstance(label, (bytes, bytearray)):
+        if isinstance(label, bool) or not isinstance(label, (str, Number)):
             raise ValidationError(
                 f"{kind} must be labels of text or numbers, not {type(label).__name__}")
     return tuple(map(str, labels))
@@ -209,9 +195,10 @@ def _read_rows(rows):
     ``check_cell`` rejects, and :func:`_problems` reports its error in place.
     Rows, a row or a channel that is text or no iterable raises at once."""
     read, unread = [], {}
-    for i, row in enumerate(_tuple(rows, "rows must be an iterable of rows")):
+    for i, row in enumerate(items(rows, ValidationError, "rows must be an iterable of rows")):
         what = f"row {i} must be five iterables of real numbers"
-        row = tuple(_tuple(channel, what) for channel in _tuple(row, what))
+        row = tuple(items(channel, ValidationError, what)
+                    for channel in items(row, ValidationError, what))
         if {*map(type, chain.from_iterable(row))} - {float} and len({*map(len, row)}) == 1:
             cells = []
             for j, cell in enumerate(zip(*row)):
@@ -341,8 +328,8 @@ def _ideal_values(positive, negative) -> tuple[Fnnn, Fnnn]:
 
 def ideal_values(aggregates: Sequence[Fnnn]) -> tuple[Fnnn, Fnnn]:
     """Positive ideal <(max eta, min xi); 1, 1, 0> and negative ideal
-    <(min eta, max xi); 0, 0, 1> over the aggregated alternatives."""
-    aggs = tuple(aggregates)
+    <(min eta, max xi); 0, 0, 1> over the aggregates, an iterable of Fnnn."""
+    aggs = _values(aggregates)
     if not aggs:
         raise EmptyInput("cannot take ideals of zero aggregates")
     return _ideal_values(*_ideals([a.eta for a in aggs], [a.xi for a in aggs]))
@@ -546,13 +533,7 @@ def lambda_sweep(
     LambdaInvalid for text or a grid that is not iterable, or unless every
     value passes ``check_lambda`` and the values strictly increase.
     """
-    if isinstance(lambdas, TEXT):  # iterable, but one value, not a grid
-        raise LambdaInvalid(f"lambda values must be real numbers, not {type(lambdas).__name__}")
-    try:
-        grid = iter(lambdas)
-    except TypeError:
-        kind = type(lambdas).__name__
-        raise LambdaInvalid(f"lambda values must be iterable, not {kind}") from None
+    grid = items(lambdas, LambdaInvalid, "lambda values must be real numbers")
     lams = [check_lambda(v) for v in grid]
     if not lams:
         raise EmptyInput("sweep needs at least one lambda value")

@@ -614,6 +614,36 @@ def test_a_label_holding_a_lone_surrogate_is_a_data_error(tmp_path, capsys, argv
     assert err == f"error: {path}: {kind} label '\\ud800' holds a lone surrogate\n"
 
 
+def _two_label_json(path, at, label):
+    """A valid 2x1 JSON problem, its first label in ``at`` replaced by ``label``."""
+    labels = {"alternatives": ["A", "B"], "attributes": ["x"]}
+    labels[at][0] = label
+    cells = [{"eta": 1, "xi": 1, "t": t, "i": 0.5, "f": 0.5} for t in (0.5, 0.4)]
+    path.write_text(json.dumps({**labels, "cells": cells, "weights": [1]}))
+
+
+@pytest.mark.parametrize("label, kind", [(None, "NoneType"), (["a"], "list"), ({"k": 1}, "dict"),
+                                         (True, "bool")], ids=["null", "array", "object", "true"])
+@pytest.mark.parametrize("at", ["alternatives", "attributes"])
+@pytest.mark.parametrize("command", ["rank", "validate"])
+def test_a_json_label_that_is_no_text_or_number_is_a_data_error(tmp_path, capsys, command, at,
+                                                                 label, kind):
+    # str() read them as the labels 'None', "['a']", "{'k': 1}" and 'True', and rank exited 0
+    path = tmp_path / "problem.json"
+    _two_label_json(path, at, label)
+    code, out, err = run_cli(capsys, command, str(path))
+    assert (code, out) == (EXIT_DATA, "")
+    assert err == f"error: {at} must be labels of text or numbers, not {kind}\n"
+
+
+def test_a_json_label_that_is_a_number_is_its_text(tmp_path, capsys):
+    path = tmp_path / "problem.json"
+    _two_label_json(path, "alternatives", 2.5)
+    code, out, _ = run_cli(capsys, "rank", str(path), "--format", "json")
+    assert code == EXIT_OK
+    assert json.loads(out)["ordering_labels"] == ["2.5", "B"]
+
+
 def test_rank_bad_operator_is_usage_error(engineers_csv_path, capsys):
     code, _, _ = run_cli(capsys, "rank", engineers_csv_path, "--operator", "wavg")
     assert code == EXIT_USAGE

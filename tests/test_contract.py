@@ -50,6 +50,7 @@ from fnnmadm import (
     gfnnwa,
     gfnnwg,
     hamming,
+    ideal_values,
     lambda_sweep,
     make_decision_matrix,
     make_fnnn,
@@ -206,6 +207,16 @@ def test_pipeline_config(operator, metric, lam):
 def test_closeness(dplus, dminus):
     close = holds(closeness, dplus, dminus)
     assert close is None or all(0.0 <= c <= 1.0 for c in close)
+
+
+# each raised a bare TypeError (3 is not iterable) or AttributeError (None has no eta)
+@settings(max_examples=40, deadline=None)
+@given(aggs=st.one_of(st.lists(st.one_of(values(), not_floats), max_size=3), not_floats))
+@example(aggs=3)
+@example(aggs=[None])
+@example(aggs="ab")
+def test_ideal_values(aggs):
+    holds(ideal_values, aggs)
 
 
 @settings(max_examples=40, deadline=None)

@@ -28,6 +28,7 @@ PLOT = "<plot>"  # stands for the --plot-out path; the fixture stores the file
 ENGINEERS = "demos/engineers.csv"
 OPERATORS = ("fnnwa", "fnnwg", "gfnnwa", "gfnnwg")
 METRICS = ("hamming", "euclidean")
+NULL_LABEL = "tests/golden/null_label.json"
 
 
 def _commands() -> list[list[str]]:
@@ -55,6 +56,8 @@ def _commands() -> list[list[str]]:
                  "normalized_inf", "normalized_zero", "several_problems"):
         path = f"tests/golden/{name}.csv"
         out += [["validate", path], ["rank", path, "--format", "json"]]
+    # a JSON null label, which str() once read as the label 'None'
+    out += [["validate", NULL_LABEL], ["rank", NULL_LABEL, "--format", "json"]]
     return out
 
 

@@ -242,16 +242,43 @@ def test_labels_that_are_no_iterable_or_text_raise_a_typed_error(at, labels, kin
         DecisionMatrix(given["alternatives"], given["attributes"], [CELL, CELL], (1.0,))
 
 
-@pytest.mark.parametrize("label", [None, b"A", bytearray(b"A")], ids=["None", "bytes", "bytearray"])
+@pytest.mark.parametrize("label", [None, b"A", bytearray(b"A"), ["A"], {"k": 1}, True],
+                         ids=["None", "bytes", "bytearray", "list", "dict", "bool"])
 @pytest.mark.parametrize("at", ["alternatives", "attributes"])
 def test_a_label_that_is_none_or_bytes_raises_a_typed_error(at, label):
-    # str() read None as the label 'None' and b"A" as "b'A'"
+    # str() read None as the label 'None', b"A" as "b'A'", ["A"] as "['A']",
+    # {"k": 1} as "{'k': 1}" and True as 'True'
     given = {"alternatives": (label, "B"), "attributes": ("x",)}
     if at == "attributes":
         given = {"alternatives": ("A", "B"), "attributes": (label,)}
     kind = type(label).__name__
     with pytest.raises(ValidationError, match=f"^{at} must be labels of text or numbers, not {kind}$"):
         DecisionMatrix(given["alternatives"], given["attributes"], [CELL, CELL], (1.0,))
+
+
+def test_a_label_that_is_a_number_is_its_text():
+    dm = DecisionMatrix((1, Decimal("2.5")), (Fraction(1, 2),), [CELL, CELL], (1.0,))
+    assert (dm.alternatives, dm.attributes) == (("1", "2.5"), ("1/2",))
+
+
+class _Counted:
+    """A real number that counts how often float() reads it."""
+
+    def __init__(self, value):
+        self.value, self.reads = value, 0
+
+    def __float__(self):
+        self.reads += 1
+        return self.value
+
+
+def test_a_matrix_reads_each_weight_once():
+    # the weights check read each weight, and the matrix then read it again to store it
+    weights = [_Counted(0.25), _Counted(0.75)]
+    row = ((1.0, 1.0), (1.0, 1.0), (0.5, 0.5), (0.5, 0.5), (0.5, 0.5))
+    dm = DecisionMatrix(("A",), ("x", "y"), (row,), weights)
+    assert [w.reads for w in weights] == [1, 1]
+    assert dm.weights == (0.25, 0.75) and all(type(w) is float for w in dm.weights)
 
 
 def _decimal_mixed(rows):
@@ -880,7 +907,7 @@ def test_sweep_checks_every_lambda(engineers_matrix, lambdas):
 @pytest.mark.parametrize("lambdas", [None, 3.0, 2, object()])
 def test_sweep_types_a_grid_that_is_not_iterable(engineers_matrix, lambdas):
     # iterating it raised a bare TypeError: ... is not iterable
-    with pytest.raises(LambdaInvalid, match=r"^lambda values must be iterable, not "):
+    with pytest.raises(LambdaInvalid, match=r"^lambda values must be real numbers, not "):
         lambda_sweep(engineers_matrix, PipelineConfig(), lambdas)
 
 
