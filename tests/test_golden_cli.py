@@ -52,6 +52,9 @@ def _commands() -> list[list[str]]:
          "--format", "json"],
         ["sweep", "tests/golden/awkward_labels.json", "--lambdas", "1,2.5,34", "--format", "json"],
     ]
+    # the lambda loop of the other three operators, as gfnnwg's sweep above
+    out += [["sweep", "tests/golden/seeded_12x6.csv", "--operator", op, "--lambda-range", "1..34",
+             "--format", "json"] for op in ("fnnwa", "fnnwg", "gfnnwa")]
     for name in ("invalid_cells", "invalid_values", "locations", "zero_location",
                  "normalized_inf", "normalized_zero", "several_problems"):
         path = f"tests/golden/{name}.csv"
