@@ -35,12 +35,15 @@ TEXT = (str, bytes, bytearray)  # no vector of numbers, though float() reads eac
 
 def items(values, error: type[Exception], what: str) -> tuple:
     """``values`` as a tuple; error(f"{what}, not <type>") for text, which is one
-    value, not a vector, and for a single number or anything else that is no iterable."""
+    value, not a vector, and for a single number or anything else that is no iterable.
+    An error raised while iterating propagates as raised."""
     if not isinstance(values, TEXT):
         try:
-            return tuple(values)
+            iter(values)
         except TypeError:
             pass
+        else:  # tuple() copies a list at C speed, and returns a tuple as it is
+            return tuple(values)
     raise error(f"{what}, not {type(values).__name__}")
 
 

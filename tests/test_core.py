@@ -26,14 +26,16 @@ from fnnmadm import (
     boxplus,
     boxtimes,
     check_lambda,
+    check_weights,
     gen_fnnn,
+    ideal_values,
     make_fnnn,
     membership_at,
     power,
     scale,
     score_ffn,
 )
-from fnnmadm.core import check_cell
+from fnnmadm.core import check_cell, reals
 
 LAMBDAS = (1.0, 2.0, 3.0, 5.0, 10.0)
 # values that float() rejects, with a bare ValueError, TypeError or OverflowError
@@ -503,3 +505,19 @@ def test_score_rejects_bad_pairs():
         score_ffn(1.2, 0.0)
     with pytest.raises(CubicSumExceeded):
         accuracy_ffn(0.9, 0.9)  # 2 * 0.729 > 1
+
+
+def test_an_error_raised_while_iterating_is_not_taken_for_no_iterable():
+    # core.items took a TypeError raised by the caller's own iterator for "no
+    # iterable": check_weights named the generator's type, not its error
+    def gen():
+        yield 0.5
+        raise TypeError("boom inside")
+
+    for read in (check_weights, ideal_values, lambda values: reals(values, WeightInvalid, "w")):
+        with pytest.raises(TypeError, match="^boom inside$"):
+            read(gen())
+    with pytest.raises(WeightInvalid, match="^weights must be real numbers, not float$"):
+        check_weights(0.5)
+    with pytest.raises(ValidationError, match="^values must be an iterable of Fnnn, not str$"):
+        ideal_values("ab")
