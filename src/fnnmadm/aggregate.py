@@ -14,20 +14,22 @@ and a parameter ``lam >= 1``:
 Each closed form agrees with its definitional fold of the primitive
 operations (see :mod:`fnnmadm.reference`) to within float accumulation.
 
-Each closed form is written once, as a generator over one row of values
-read into five float lists (eta, xi, t, i, f) by :func:`read_row`, and
-the xlogs of its t, i and f, which :func:`membership_logs` takes of every
-row at once.  The generator first computes what else does not depend on
-lam: for fnnwa and fnnwg the location, the spread and one membership, and
-for gfnnwg the location and the spread, which are fnnwg's times
-lam**(sum w - 1), a factor of 1.0 where the weights sum to 1.  It then
-yields the aggregate at each lam it is given, clipped and checked by
-:func:`fnnmadm.core.checked_result`, the one rule for every operation's
-result.  :func:`aggregates` alone runs them: it advances every row's
-generator at each lam and alone types their float faults.  The operators
-below take it over one row at one lam, with that row's logs, and the
-pipeline over every row at one lam or at each lam of a sweep, with the
-logs a raw matrix keeps.
+Each closed form is written once, as a pair over one row of values read
+into five float lists (eta, xi, t, i, f) by :func:`read_row`.  The first
+part, ``free(row, ws)``, gives what does not depend on lam: for fnnwa the
+location, the spread and f, for fnnwg the location, the spread and t, and
+for gfnnwg fnnwg's location and spread with sum(w) - 1; gfnnwa has none.
+The second, ``at(free, log_t, log_i, log_f, ws, lam)``, gives the
+aggregate at one lam from those and the xlogs that :func:`membership_logs`
+takes of every row's t, i and f; gfnnwg scales its location and spread by
+lam**(sum w - 1), 1.0 where the weights sum to 1.  Each result is clipped
+and checked by :func:`fnnmadm.core.checked_result`, the one rule for
+every operation's result.  :func:`aggregates` alone runs them and types
+their float faults: it takes every row's lam-free values once, unless it
+is given them, then builds every row's aggregate at each lam in one list,
+and holds no state per row between values.  The operators below take it
+over one row at one lam, and the pipeline over every row at one lam or
+each lam of a sweep, with what a raw matrix keeps.
 """
 
 from __future__ import annotations
@@ -108,26 +110,23 @@ def read_row(cells: Sequence[Fnnn]) -> tuple[list[float], ...]:
     return etas, xis, [m.t for m in mus], [m.i for m in mus], [m.f for m in mus]
 
 
-def _fnnwa(row, log_t, log_i, _, ws, lams):
-    etas, xis, _, _, fs = row
-    eta = left_sum(map(mul, ws, etas))
-    xi = left_sum(map(mul, ws, xis))
-    f = math.prod(v ** w for w, v in zip(ws, fs))
-    for lam in lams:
-        t = weighted_prob_sum(log_t, ws, 3.0 * lam)
-        i = weighted_prob_sum(log_i, ws, lam)
-        yield checked_result(eta, xi, t, i, f)
+def _fnnwa_free(row, ws):
+    eta, xi = left_sum(map(mul, ws, row[0])), left_sum(map(mul, ws, row[1]))
+    return eta, xi, math.prod(map(math.pow, row[4], ws))
 
 
-def _fnnwg(row, _, log_i, log_f, ws, lams):
-    etas, xis, ts, _, _ = row
-    eta = math.prod(map(math.pow, etas, ws))
-    xi = math.prod(x ** w for w, x in zip(ws, xis))
-    t = math.prod(v ** w for w, v in zip(ws, ts))
-    for lam in lams:
-        i = weighted_prob_sum(log_i, ws, lam)
-        f = weighted_prob_sum(log_f, ws, 3.0 * lam)
-        yield checked_result(eta, xi, t, i, f)
+def _fnnwa_at(free, log_t, log_i, _, ws, lam):
+    t, i = weighted_prob_sum(log_t, ws, 3.0 * lam), weighted_prob_sum(log_i, ws, lam)
+    return checked_result(free[0], free[1], t, i, free[2])
+
+
+def _fnnwg_free(row, ws):
+    return tuple(math.prod(map(math.pow, xs, ws)) for xs in row[:3])  # eta, xi and t
+
+
+def _fnnwg_at(free, _, log_i, log_f, ws, lam):
+    i, f = weighted_prob_sum(log_i, ws, lam), weighted_prob_sum(log_f, ws, 3.0 * lam)
+    return checked_result(*free, i, f)
 
 
 def _power_mean(xs, ws, lam: float) -> float:
@@ -147,32 +146,27 @@ def _power_mean(xs, ws, lam: float) -> float:
     return math.pow(total, 1.0 / lam)
 
 
-def _gfnnwa(row, log_t, log_i, log_f, ws, lams):
-    etas, xis = row[0], row[1]
-    for lam in lams:
-        eta = _power_mean(etas, ws, lam)
-        xi = _power_mean(xis, ws, lam)
-        t = weighted_prob_sum(log_t, ws, 3.0 * lam * lam)
-        i = weighted_prob_sum(log_i, ws, lam)
-        f = nested_prob_channel(log_f, ws, lam)
-        yield checked_result(eta, xi, t, i, f)
+def _gfnnwa_at(row, log_t, log_i, log_f, ws, lam):
+    eta, xi = _power_mean(row[0], ws, lam), _power_mean(row[1], ws, lam)
+    t, i = weighted_prob_sum(log_t, ws, 3.0 * lam * lam), weighted_prob_sum(log_i, ws, lam)
+    return checked_result(eta, xi, t, i, nested_prob_channel(log_f, ws, lam))
 
 
-def _gfnnwg(row, log_t, log_i, log_f, ws, lams):
-    etas, xis = row[0], row[1]
-    eta = math.prod(map(math.pow, etas, ws))
-    xi = math.prod(x ** w for w, x in zip(ws, xis))
-    excess = math.fsum(ws) - 1.0
-    for lam in lams:
-        scale = lam ** excess
-        t = nested_prob_channel(log_t, ws, lam)
-        i = weighted_prob_sum(log_i, ws, lam)
-        f = weighted_prob_sum(log_f, ws, 3.0 * lam * lam)
-        yield checked_result(eta * scale, xi * scale, t, i, f)
+def _gfnnwg_free(row, ws):
+    eta, xi = _fnnwg_free(row[:2], ws)
+    return eta, xi, math.fsum(ws) - 1.0
 
 
-# each operator's closed form over one row, by name
-_CLOSED_FORMS = {"fnnwa": _fnnwa, "fnnwg": _fnnwg, "gfnnwa": _gfnnwa, "gfnnwg": _gfnnwg}
+def _gfnnwg_at(free, log_t, log_i, log_f, ws, lam):
+    scale = lam ** free[2]
+    t, i = nested_prob_channel(log_t, ws, lam), weighted_prob_sum(log_i, ws, lam)
+    f = weighted_prob_sum(log_f, ws, 3.0 * lam * lam)
+    return checked_result(free[0] * scale, free[1] * scale, t, i, f)
+
+
+# each operator's closed form over one row: its lam-free part (gfnnwa has none) and its lam part
+_CLOSED_FORMS = {"fnnwa": (_fnnwa_free, _fnnwa_at), "fnnwg": (_fnnwg_free, _fnnwg_at),
+                 "gfnnwa": (None, _gfnnwa_at), "gfnnwg": (_gfnnwg_free, _gfnnwg_at)}
 
 
 def membership_logs(rows) -> list[list[list[float]]]:
@@ -181,18 +175,30 @@ def membership_logs(rows) -> list[list[list[float]]]:
     return [[xlogs(row[k]) for row in rows] for k in (2, 3, 4)]
 
 
-def aggregates(operator: str, rows, logs, ws, lams):
+def lam_free(operator: str, rows, ws):
+    """Every row's lam-free values under ``operator`` (``rows`` itself for gfnnwa,
+    which has none); raises a bare OverflowError, which :func:`aggregates` types."""
+    free = _CLOSED_FORMS[operator][0]
+    return rows if free is None else [free(row, ws) for row in rows]
+
+
+def aggregates(operator: str, rows, logs, free, ws, lams):
     """Yield, at each of the checked values ``lams``, the list of every
-    row's aggregate (eta, xi, t, i, f) under ``operator``, from one
-    generator per row, given the row and its membership logs; ``logs`` are
-    :func:`membership_logs` of ``rows``, read and not written.
+    row's aggregate (eta, xi, t, i, f) under ``operator``, from its
+    :func:`lam_free` values ``free`` (taken here when None) and its
+    :func:`membership_logs` ``logs``, both read and not written.
     Raises NotFinite when a power overflows float64, and NormalDomainError
     for a fractional power of a negative location (ValueError in math.pow)."""
-    generator = _CLOSED_FORMS[operator]
-    values = [generator(row, t, i, f, ws, lams) for row, t, i, f in zip(rows, *logs)]
+    at = _CLOSED_FORMS[operator][1]
     for lam in lams:
         try:
-            aggs = [next(v) for v in values]
+            if free is None:
+                # every row's lam-free part, before any row's first lam; a fault
+                # names the first lam, as one in the lam part would.  A matrix's
+                # locations are > 0, so no lam-free part of a matrix raises
+                # ValueError, and doing it first changes no error.
+                free = lam_free(operator, rows, ws)
+            aggs = [at(v, t, i, f, ws, lam) for v, t, i, f in zip(free, *logs)]
         except ValueError:
             raise NormalDomainError(
                 "cannot raise a negative location to a fractional power") from None
@@ -204,7 +210,7 @@ def aggregates(operator: str, rows, logs, ws, lams):
 def _aggregate(operator, items, weights, lam) -> Fnnn:
     items, ws, lam = _prepare(items, weights, lam)
     rows = [read_row(items)]
-    [[agg]] = aggregates(operator, rows, membership_logs(rows), ws, [lam])
+    [[agg]] = aggregates(operator, rows, membership_logs(rows), None, ws, [lam])
     return checked_fnnn(*agg)
 
 

@@ -15,9 +15,11 @@ and a ranking run wraps the values at its one parameter into a report.
 
 A raw matrix reads itself once: its normalized copy and the logs of its
 memberships are made by the first ranking that needs them and kept on
-the matrix for every later one, whatever its operator, metric or lambda
-(see :class:`DecisionMatrix`).  A normalized matrix keeps nothing: the CLI
-ranks ``normalize(dm)``, which does one ranking's work and keeps no logs.
+the matrix for every later one, whatever its operator, metric or lambda,
+and so are each operator's lam-free row values, so that a later ranking
+at a new lambda does only lambda's work (see :class:`DecisionMatrix`).
+A normalized matrix keeps nothing: the CLI ranks ``normalize(dm)``,
+which does one ranking's work and keeps nothing.
 Every entry point, :func:`aggregate_rows` too, takes a raw or a normalized
 matrix and gives the same values for both.
 A caller's sequences and numbers are read by :mod:`fnnmadm.core`'s ``items`` and
@@ -34,7 +36,8 @@ from numbers import Number
 from operator import add, mul, truediv
 from typing import NamedTuple, Sequence
 
-from .aggregate import OPERATORS, _values, aggregates, check_weights, membership_logs, read_row
+from .aggregate import (OPERATORS, _values, aggregates, check_weights, lam_free, membership_logs,
+                        read_row)
 from .core import CELLS, Fnnn, check_cell, check_lambda, check_normal, checked_fnnn, items, reals
 from .distance import FORMULAS, euclidean, hamming, phi_of
 from .errors import (
@@ -80,11 +83,16 @@ class DecisionMatrix:
     spread per cell, about 64 bytes; the membership tuples are shared), and
     the xlogs of its memberships, as
     :func:`~fnnmadm.aggregate.membership_logs` gives them (three floats per
-    cell, about 96 bytes: some 1 MiB for 500 x 20 cells).  Nothing that
-    depends on the operator, metric, lambda or weights is kept, and the
-    matrix is immutable, so what it keeps stays valid.  A normalized
-    matrix keeps nothing: a report holds it, so a ranking of it takes its
-    logs anew, and the raw matrix's logs go when the raw matrix goes.
+    cell, about 96 bytes: some 1 MiB for 500 x 20 cells).  For each
+    operator it has ranked under, it keeps too the lam-free values of each
+    row under its own weights, as :func:`~fnnmadm.aggregate.lam_free` gives
+    them: at most three floats per row (about 136 bytes: 0.65 MiB per
+    operator for 5000 rows), and nothing new for gfnnwa, which has none.
+    Values whose computation overflowed are not kept.  Nothing that
+    depends on the metric or lambda is kept, and the matrix is immutable,
+    so what it keeps stays valid.  A normalized matrix keeps nothing: a
+    report holds it, so a ranking of it takes its logs and lam-free values
+    anew, and what the raw matrix keeps goes when the raw matrix goes.
     """
 
     alternatives: tuple[str, ...]
@@ -129,7 +137,7 @@ class DecisionMatrix:
         """This raw matrix normalized, as :func:`normalize` returns it, its memberships shared."""
         rows = tuple((*normal, *row[2:]) for normal, row in zip(_normal_rows(self.rows), self.rows))
         normal = object.__new__(_NormalizedMatrix)  # not made by __init__, so not checked again
-        # the fields alone: this matrix's logs would stay alive with the copy
+        # the fields alone: what this matrix keeps would stay alive with the copy
         vars(normal).update(alternatives=self.alternatives, attributes=self.attributes,
                             rows=rows, weights=self.weights, normalized=True)
         return normal
@@ -139,6 +147,11 @@ class DecisionMatrix:
         """:func:`~fnnmadm.aggregate.membership_logs` of this raw matrix's
         normalized rows."""
         return membership_logs(self._normal_copy.rows)
+
+    @cached_property
+    def _lam_free(self) -> dict[str, list]:
+        """Each operator's lam-free row values, as :func:`_aggregation_inputs` keeps them."""
+        return {}
 
     def __getstate__(self):  # the fields alone: what the matrix keeps is made again on use
         return {k: v for k, v in vars(self).items() if k in self.__dataclass_fields__}
@@ -300,12 +313,20 @@ def normalize(dm: DecisionMatrix) -> DecisionMatrix:
     return dm if dm.normalized else dm._normal_copy
 
 
-def _normalized_logs(dm: DecisionMatrix):
-    """The rows of ``normalize(dm)`` and their membership logs: those a raw
-    ``dm`` keeps, or taken anew of a normalized one, which keeps none."""
+def _aggregation_inputs(dm: DecisionMatrix, operator: str):
+    """The rows of ``normalize(dm)``, their membership logs and their
+    lam-free values under ``operator``: those a raw ``dm`` keeps; of a
+    normalized one, which keeps none, the logs taken anew and None for the
+    values, which :func:`~fnnmadm.aggregate.aggregates` then takes."""
     if dm.normalized:
-        return dm.rows, membership_logs(dm.rows)
-    return dm._normal_copy.rows, dm._logs
+        return dm.rows, membership_logs(dm.rows), None
+    rows, kept = dm._normal_copy.rows, dm._lam_free
+    if operator not in kept:
+        try:
+            kept[operator] = lam_free(operator, rows, dm.weights)
+        except OverflowError:  # not kept: aggregates takes them again and types the fault
+            pass
+    return rows, dm._logs, kept.get(operator)
 
 
 def aggregate_rows(dm: DecisionMatrix, operator: str, lam: float = 1.0) -> tuple[Fnnn, ...]:
@@ -313,7 +334,7 @@ def aggregate_rows(dm: DecisionMatrix, operator: str, lam: float = 1.0) -> tuple
     attribute weights, as :func:`run_pipeline` does; ``dm`` may be raw or
     normalized, and the operator and lam take PipelineConfig's rules."""
     lam = PipelineConfig(operator, lam=lam).lam
-    (aggs,) = aggregates(operator, *_normalized_logs(dm), dm.weights, [lam])
+    (aggs,) = aggregates(operator, *_aggregation_inputs(dm, operator), dm.weights, [lam])
     return tuple(checked_fnnn(*a) for a in aggs)
 
 
@@ -432,17 +453,16 @@ class _Evaluation(NamedTuple):
 def _evaluations(dm: DecisionMatrix, operator: str, metric: str, lams: Sequence[float]):
     """Yield the ranking at each of the checked values ``lams``.
 
-    The normalized rows and their membership logs are those of
-    :func:`_normalized_logs`.  :func:`~fnnmadm.aggregate.aggregates` gives
-    every row's aggregate at each value, doing each row's lam-free work
-    once.  Its distances and closeness are nonnegative plain floats, so it
-    calls the cores of :func:`closeness` and :func:`rank` directly, without
-    their validation of a caller's values.  Raises NotFinite when a value
-    overflows float64.
+    :func:`~fnnmadm.aggregate.aggregates` gives every row's aggregate at
+    each value from what :func:`_aggregation_inputs` gives, doing only
+    each value's work.  Its distances and closeness are nonnegative plain
+    floats, so it calls the cores of :func:`closeness` and :func:`rank`
+    directly, without their validation of a caller's values.  Raises
+    NotFinite when a value overflows float64.
     """
     formula = FORMULAS[metric]
     phi_positive, phi_negative = phi_of(1.0, 1.0, 0.0), phi_of(0.0, 0.0, 1.0)
-    aggs_at = aggregates(operator, *_normalized_logs(dm), dm.weights, lams)
+    aggs_at = aggregates(operator, *_aggregation_inputs(dm, operator), dm.weights, lams)
     for lam, aggs in zip(lams, aggs_at):
         etas = [a[0] for a in aggs]
         xis = [a[1] for a in aggs]
@@ -467,7 +487,7 @@ def run_pipeline(dm: DecisionMatrix, config: PipelineConfig = PipelineConfig()) 
     bound (informational, never an error).  Raises NotFinite when a value
     overflows float64.
     """
-    # dm, not the copy the report holds, keeps the logs
+    # dm, not the copy the report holds, keeps the logs and lam-free values
     (ev,) = _evaluations(dm, config.operator, config.metric, [config.lam])
     nm = normalize(dm)
     aggs = tuple(checked_fnnn(*a) for a in ev.aggregates)
@@ -523,11 +543,10 @@ def lambda_sweep(
     and transitions; each row equals :func:`run_pipeline`'s at its value.
 
     The matrix's float rows and weights are used as they are, as the
-    matrix checked them when it was made, with the normalized copy and
-    membership logs the matrix keeps for every ranking of it; each row's
-    generator does its other lam-free work once, each value then
-    evaluates only what depends on it, on plain floats, and builds no
-    report.
+    matrix checked them when it was made, with the normalized copy,
+    membership logs and lam-free row values the matrix keeps for every
+    ranking of it; each value then evaluates only what depends on it, on
+    plain floats, and builds no report.
 
     This is where a grid is checked: EmptyInput for no values,
     LambdaInvalid for text or a grid that is not iterable, or unless every

@@ -1,5 +1,6 @@
-"""What a matrix keeps of itself: its normalized copy and the logs of its
-memberships, made on first use and shared by every later ranking of it."""
+"""What a matrix keeps of itself: its normalized copy, the logs of its
+memberships and each operator's lam-free row values, made on first use and
+shared by every later ranking of it."""
 
 import copy
 import dataclasses
@@ -14,6 +15,7 @@ from fnnmadm import aggregate, cli
 from fnnmadm import (
     METRICS,
     OPERATORS,
+    NotFinite,
     FnnnGenConfig,
     PipelineConfig,
     aggregate_rows,
@@ -21,6 +23,7 @@ from fnnmadm import (
     gen_weights,
     lambda_sweep,
     make_decision_matrix,
+    make_fnnn,
     normalize,
     run_pipeline,
 )
@@ -47,6 +50,24 @@ def _counting_xlogs(monkeypatch):
     xlogs = aggregate.xlogs
     monkeypatch.setattr(aggregate, "xlogs", lambda values: calls.append(1) or xlogs(values))
     return calls
+
+
+def _counting_lam_free(monkeypatch):
+    """Count the rows each operator's lam-free part reads, by operator."""
+    calls = dict.fromkeys(OPERATORS, 0)
+    for operator, (free, at) in aggregate._CLOSED_FORMS.items():
+        if free is not None:
+            def counted(row, ws, operator=operator, free=free):
+                calls[operator] += 1
+                return free(row, ws)
+            monkeypatch.setitem(aggregate._CLOSED_FORMS, operator, (counted, at))
+    return calls
+
+
+def _rank_every_way(dm, operator):
+    run_pipeline(dm, PipelineConfig(operator, lam=3.0))
+    lambda_sweep(dm, PipelineConfig(operator), LAMS)
+    aggregate_rows(dm, operator, 12.5)
 
 
 def _calls():
@@ -121,6 +142,41 @@ def test_aggregate_rows_gives_what_a_ranking_gives_on_either_matrix(
     assert raw == normalized == ranked  # bit for bit
 
 
+def test_a_raw_matrix_takes_each_operators_lam_free_part_once(monkeypatch):
+    calls = _counting_lam_free(monkeypatch)
+    dm = _seeded_matrix(n=7, m=4)
+    for _ in range(2):
+        for operator in OPERATORS:
+            _rank_every_way(dm, operator)
+    # gfnnwa has no lam-free part: it reads the normalized rows, and keeps nothing new
+    assert calls == {"fnnwa": 7, "fnnwg": 7, "gfnnwa": 0, "gfnnwg": 7}
+    assert vars(dm)["_lam_free"]["gfnnwa"] is normalize(dm).rows
+
+
+def test_a_normalized_matrix_takes_the_lam_free_part_on_every_call(monkeypatch):
+    calls = _counting_lam_free(monkeypatch)
+    dm = _seeded_matrix(n=7, m=4)
+    nm = normalize(dm)
+    for operator in OPERATORS:
+        _rank_every_way(nm, operator)
+    assert calls == {"fnnwa": 3 * 7, "fnnwg": 3 * 7, "gfnnwa": 0, "gfnnwg": 3 * 7}
+    assert set(vars(nm)) == FIELDS | {"normalized"}
+
+
+def test_a_lam_free_part_that_overflows_is_not_kept():
+    # a weight inside the sum tolerance but above 1 overflows fnnwg's spread,
+    # which is lam-free: each call names its own first lambda
+    dm = make_decision_matrix(["A"], ["x"], [[make_fnnn(1, 1.797e308, 0.5, 0.5, 0.5)]],
+                              (1.000001,))
+    with pytest.raises(NotFinite, match=r"^a value overflowed float64 at lambda = 1$"):
+        run_pipeline(dm, PipelineConfig("fnnwg"))
+    with pytest.raises(NotFinite, match=r"^a value overflowed float64 at lambda = 3$"):
+        lambda_sweep(dm, PipelineConfig("fnnwg"), [3.0])
+    assert "fnnwg" not in vars(dm).get("_lam_free", {})
+    run_pipeline(dm, PipelineConfig("fnnwa"))  # fnnwa's location is a sum, and is kept
+    assert set(vars(dm)["_lam_free"]) == {"fnnwa"}
+
+
 def test_a_matrix_normalizes_once_and_a_normalized_one_keeps_no_copy(engineers_matrix):
     dm = _fresh(engineers_matrix)
     nm = normalize(dm)
@@ -157,6 +213,16 @@ def test_a_copy_or_a_pickle_of_a_matrix_keeps_nothing(engineers_matrix):
     nm = normalize(warm)
     made = pickle.loads(pickle.dumps(nm))
     assert made == nm and made.normalized and set(vars(made)) == FIELDS | {"normalized"}
+
+
+def test_copies_pickles_and_replacements_keep_nothing_after_every_operator(engineers_matrix):
+    warm = _fresh(engineers_matrix)
+    for operator in OPERATORS:
+        _rank_every_way(warm, operator)
+    assert set(vars(warm)["_lam_free"]) == set(OPERATORS)
+    for made in (copy.copy(warm), copy.deepcopy(warm), pickle.loads(pickle.dumps(warm)),
+                 dataclasses.replace(warm)):
+        assert made == warm and set(vars(made)) == FIELDS
 
 
 def test_the_memo_is_not_part_of_the_value(engineers_matrix):
