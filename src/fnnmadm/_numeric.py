@@ -21,9 +21,10 @@ computing the log-sum-exp and softmax functions"); where p * log v
 overflows, it returns the channel's limit.  One comparison after the
 loop selects that path (the nested channel adds one per cell, inside a
 branch it already takes), so every result whose accumulator stays in
-the normal range is computed exactly as without it.  The hot loops
-inline ``log_one_minus_exp`` in the same order of operations, so they
-call no Python function per cell.
+the normal range is computed exactly as without it.  The hot loops and
+the kernels' tails inline ``log_one_minus_exp`` in the same order of
+operations, and :func:`xlogs` inlines :func:`xlog`, so they call no
+Python function per cell and none per result on its common path.
 
 :func:`weighted_prob_sum` is the one weighted channel: the closed forms
 call it over a row, ``scale`` and ``power`` with one term, and
@@ -81,7 +82,7 @@ def log_neg_log_one_minus_exp(z: float) -> float:
 def xlogs(values) -> list[float]:
     """xlog of each value in [0, 1], and -inf for a value of 0, whose
     log is undefined (math.log(0) raises)."""
-    return [xlog(v) if v > 0.0 else _NEG_INF for v in values]
+    return [(log1p(v - 1.0) if v > 0.5 else log(v)) if v > 0.0 else _NEG_INF for v in values]
 
 
 def weighted_prob_sum(logs, weights, p: float) -> float:
@@ -102,7 +103,8 @@ def weighted_prob_sum(logs, weights, p: float) -> float:
         terms = [log(w) + log_neg_log_one_minus_exp(p * lv) for lv, w in zip(logs, weights)]
         peak = max(terms)
         return exp((peak + log(left_sum(exp(x - peak) for x in terms))) / p)
-    return exp(log_one_minus_exp(acc) / p)
+    # log_one_minus_exp(acc) inline, as acc < 0; at acc == -inf, log1p gives -0.0 for its 0.0
+    return exp((log(-expm1(acc)) if acc > _LOG_HALF else log1p(-exp(acc))) / p)
 
 
 def prob_sum_root(a: float, b: float, p: float) -> float:
@@ -139,8 +141,11 @@ def nested_prob_channel(logs, weights, lam: float) -> float:
         log_prod += w * log_d
     if log_prod == _NEG_INF:  # a v == 0, or p * log v overflowed: the channel's limit
         return exp(left_sum(w * lv for lv, w in zip(logs, weights)))
-    log_u = log_one_minus_exp(log_prod) / lam  # log (1 - prod)^(1/lam)
+    if log_prod >= 0.0:  # every d == 1: log_u is -inf, and the channel 1
+        return 1.0
+    # log_one_minus_exp inline, here and below, as log_prod < 0 and log_u < 0
+    log_u = (log(-expm1(log_prod)) if log_prod > _LOG_HALF else log1p(-exp(log_prod))) / lam
     if log_u > -_TINY:  # below the normal range: 1 - u is -log_u
         return exp((log_neg_log_one_minus_exp(log_prod) - log_lam) / p)
-    return exp(log_one_minus_exp(log_u) / p)
+    return exp((log(-expm1(log_u)) if log_u > _LOG_HALF else log1p(-exp(log_u))) / p)
 

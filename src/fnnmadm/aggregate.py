@@ -198,7 +198,7 @@ def aggregates(operator: str, rows, logs, free, ws, lams):
                 # locations are > 0, so no lam-free part of a matrix raises
                 # ValueError, and doing it first changes no error.
                 free = lam_free(operator, rows, ws)
-            aggs = [at(v, t, i, f, ws, lam) for v, t, i, f in zip(free, *logs)]
+            aggs = [*map(at, free, *logs, repeat(ws), repeat(lam))]
         except ValueError:
             raise NormalDomainError(
                 "cannot raise a negative location to a fractional power") from None

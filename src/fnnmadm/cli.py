@@ -381,6 +381,20 @@ def _dump_json(obj) -> str:
     return "".join(_json_chunks(obj, "\n"))
 
 
+def _plain_json(o) -> str | None:
+    """The text ``json.dumps`` gives a plain str, a plain int or a finite
+    plain float, from the encoder's own routines; None for any other value,
+    a bool, a subclass or a non-finite float included."""
+    kind = type(o)
+    if kind is str:
+        return _encode_str(o)
+    if kind is int:
+        return int.__repr__(o)
+    if kind is float and -math.inf < o < math.inf:
+        return float.__repr__(o)
+    return None
+
+
 def _json_chunks(o, nl: str):
     """Yield the text of one value, at the depth whose line break and
     indent is ``nl``, in pieces that join to :func:`_dump_json`'s.
@@ -394,17 +408,24 @@ def _json_chunks(o, nl: str):
     one format template per value, with the ``repr`` of each float, so a
     record must hold finite plain floats.  A _SweepRows record is rendered
     as the list of its dicts too, one template and one piece per row.
-    Other containers yield their items' pieces in turn.
+    Other containers yield their items' pieces in turn.  A scalar that
+    :func:`_plain_json` renders, alone or as a dict's value, is one piece
+    (with its key), made without ``json.dumps``.
     """
     if not isinstance(o, (list, tuple, dict)) or not o:
-        yield json.dumps(o)  # a scalar or an empty container takes one line
+        yield _plain_json(o) or json.dumps(o)  # a scalar or an empty container takes one line
         return
     inner = nl + "  "
     if isinstance(o, dict):
         sep = "{" + inner
         for k, v in sorted(o.items()):
-            yield f"{sep}{_encode_str(k)}: "  # TypeError for a key that is no str
-            yield from _json_chunks(v, inner)
+            key = f"{sep}{_encode_str(k)}: "  # TypeError for a key that is no str
+            text = _plain_json(v)
+            if text is None:
+                yield key
+                yield from _json_chunks(v, inner)
+            else:
+                yield key + text
             sep = "," + inner
         yield nl + "}"
         return

@@ -167,8 +167,11 @@ def checked_result(eta: float, xi: float, t: float, i: float, f: float) -> tuple
     """The rule for what an operation computed: memberships are clipped to
     [0, 1] against round-off, then all is checked as a value's components
     are (a NaN passes clipping); no cubic-sum bound is applied."""
-    t, i, f = clip01(t), clip01(i), clip01(f)
-    check_normal(eta, xi)
+    t = 0.0 if t <= 0.0 else (1.0 if t >= 1.0 else t)  # clip01 of each, inline
+    i = 0.0 if i <= 0.0 else (1.0 if i >= 1.0 else i)
+    f = 0.0 if f <= 0.0 else (1.0 if f >= 1.0 else f)
+    if not (-_MAX <= eta <= _MAX and 0.0 < xi <= _MAX):  # one test, as in check_cell
+        check_normal(eta, xi)
     check_membership(t, i, f)
     return eta, xi, t, i, f
 
@@ -221,7 +224,10 @@ def make_fnnn(eta: float, xi: float, t: float, i: float, f: float) -> Fnnn:
 def check_lambda(lam: float) -> float:
     """Validate the operation parameter; any finite real >= 1, or a value
     ``float`` reads as one, is accepted."""
-    (lam,) = reals((lam,), LambdaInvalid, "lam must be a real number")
+    try:
+        lam = float(lam)
+    except (TypeError, ValueError, ArithmeticError):  # float()'s faults, typed by reals
+        (lam,) = reals((lam,), LambdaInvalid, "lam must be a real number")
     if not 1.0 <= lam < math.inf:
         raise LambdaInvalid(f"lam = {lam!r} must be a finite real >= 1")
     return lam

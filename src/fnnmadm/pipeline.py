@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
+from itertools import chain, repeat
 from numbers import Number
 from operator import add, mul, truediv
 from typing import NamedTuple, Sequence
@@ -464,16 +464,11 @@ def _evaluations(dm: DecisionMatrix, operator: str, metric: str, lams: Sequence[
     phi_positive, phi_negative = phi_of(1.0, 1.0, 0.0), phi_of(0.0, 0.0, 1.0)
     aggs_at = aggregates(operator, *_aggregation_inputs(dm, operator), dm.weights, lams)
     for lam, aggs in zip(lams, aggs_at):
-        etas = [a[0] for a in aggs]
-        xis = [a[1] for a in aggs]
-        phis = [phi_of(t, i, f) for _, _, t, i, f in aggs]
+        etas, xis, ts, is_, fs = zip(*aggs)  # the aggregates' columns, each read once
+        phis = [*map(phi_of, ts, is_, fs)]
         positive, negative = _ideals(etas, xis)
-        dplus = tuple(
-            formula(p, eta, xi, phi_positive, *positive) for p, eta, xi in zip(phis, etas, xis)
-        )
-        dminus = tuple(
-            formula(p, eta, xi, phi_negative, *negative) for p, eta, xi in zip(phis, etas, xis)
-        )
+        dplus = tuple(map(formula, phis, etas, xis, repeat(phi_positive), *map(repeat, positive)))
+        dminus = tuple(map(formula, phis, etas, xis, repeat(phi_negative), *map(repeat, negative)))
         close = _closeness(dplus, dminus)
         yield _Evaluation(lam, aggs, positive, negative, dplus, dminus, close, _rank(close))
 
@@ -531,7 +526,19 @@ class SweepResult:
 
 def detect_transitions(rows: Sequence[SweepRow]) -> tuple[Transition, ...]:
     """Transitions are exactly the rows whose ordering differs from the
-    row before them."""
+    row before them.  The caller's rows are read by
+    :func:`~fnnmadm.core.items` (ValidationError for text, no iterable or
+    an item that is no SweepRow) and compared by :func:`_transitions`, the
+    one core, which a sweep calls."""
+    rows = items(rows, ValidationError, "rows must be an iterable of SweepRow")
+    if not all(map(isinstance, rows, repeat(SweepRow))):
+        kind = next(type(row) for row in rows if not isinstance(row, SweepRow))
+        raise ValidationError(f"a row must be a SweepRow, not {kind.__name__}")
+    return _transitions(rows)
+
+
+def _transitions(rows: tuple[SweepRow, ...]) -> tuple[Transition, ...]:
+    """:func:`detect_transitions` of a tuple of SweepRows."""
     return tuple(Transition(cur.lam, prev.ordering, cur.ordering)
                  for prev, cur in zip(rows, rows[1:]) if cur.ordering != prev.ordering)
 
@@ -553,7 +560,7 @@ def lambda_sweep(
     value passes ``check_lambda`` and the values strictly increase.
     """
     grid = items(lambdas, LambdaInvalid, "lambda values must be real numbers")
-    lams = [check_lambda(v) for v in grid]
+    lams = [*map(check_lambda, grid)]
     if not lams:
         raise EmptyInput("sweep needs at least one lambda value")
     if any(b <= a for a, b in zip(lams, lams[1:])):
@@ -562,4 +569,4 @@ def lambda_sweep(
         SweepRow(ev.lam, ev.closeness, ev.ordering)
         for ev in _evaluations(dm, config.operator, config.metric, lams)
     )
-    return SweepResult(rows=rows, transitions=detect_transitions(rows))
+    return SweepResult(rows=rows, transitions=_transitions(rows))

@@ -12,6 +12,7 @@ the composition, step by step here, nor the linear two-term sum of
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from functools import reduce
@@ -83,6 +84,10 @@ class FnnnGenConfig:
     seed: int = 0
 
 
+_SEEDS = (int, float, str, bytes, bytearray)  # what random.Random takes, None aside
+_TRIPLE_DRAWS = 10000  # of a membership triple for one value, before its band is refused
+
+
 def _open_uniform(rng: random.Random, lo: float, hi: float) -> float:
     while True:
         u = rng.uniform(lo, hi)
@@ -109,15 +114,27 @@ def _bounds(cfg: FnnnGenConfig, name: str) -> tuple[float, float]:
 def gen_fnnn(cfg: FnnnGenConfig, count: int) -> list[Fnnn]:
     """Generate ``count`` valid values, reproducibly under ``cfg.seed``.
     Raises ValidationError for a count that is no int, EmptyInput for one
-    below 1, and ValidationError, before any value is drawn, for ranges
-    that no value can be drawn from."""
+    below 1, and ValidationError, before any value is drawn, for a cfg
+    that is no FnnnGenConfig, a seed that ``random.Random`` does not take,
+    and ranges that no value can be drawn from; ValidationError too for a
+    membership band where 10000 draws give no triple within the bound."""
     _check_size("count", count)
+    if not isinstance(cfg, FnnnGenConfig):
+        raise ValidationError(f"cfg must be an FnnnGenConfig, not {type(cfg).__name__}")
+    if not (cfg.seed is None or isinstance(cfg.seed, _SEEDS)):
+        raise ValidationError(f"seed must be an int, a float, text or None, "
+                              f"not {type(cfg.seed).__name__}")
     eta_range, xi_range = _bounds(cfg, "eta_range"), _bounds(cfg, "xi_range")
-    # a draw is repeated until it fits, so a range that nothing fits would never return
+    # a draw is repeated until it fits, so a range that nothing fits would never
+    # return; nor would one with a bound of -inf, from which a draw is NaN
     for name, (lo, hi) in (("eta_range", eta_range), ("xi_range", xi_range)):
         if not lo < hi:
             raise ValidationError(f"{name} = {(lo, hi)!r} needs lo < hi")
+        if not (-math.inf < lo and hi < math.inf):
+            raise ValidationError(f"{name} = {(lo, hi)!r} needs finite bounds")
     mlo, mhi = _bounds(cfg, "membership_range")
+    if not (0.0 <= mlo and mhi <= 1.0):
+        raise ValidationError(f"membership_range = {(mlo, mhi)!r} needs 0 <= lo, hi <= 1")
     if not (mlo <= mhi and 3.0 * mlo ** 3 <= CUBIC_SUM_BOUND):
         raise ValidationError(
             f"membership_range = {(mlo, mhi)!r} needs lo <= hi, 3 * lo^3 <= {CUBIC_SUM_BOUND:g}"
@@ -127,20 +144,26 @@ def gen_fnnn(cfg: FnnnGenConfig, count: int) -> list[Fnnn]:
     for _ in range(count):
         eta = _open_uniform(rng, *eta_range)
         xi = _open_uniform(rng, *xi_range)
-        while True:
+        for _ in range(_TRIPLE_DRAWS):  # a band just inside the bound holds few triples
             t = rng.uniform(mlo, mhi)
             i = rng.uniform(mlo, mhi)
             f = rng.uniform(mlo, mhi)
             if t ** 3 + i ** 3 + f ** 3 <= CUBIC_SUM_BOUND:
                 break
+        else:
+            raise ValidationError(f"membership_range = {(mlo, mhi)!r} gave no triple with "
+                                  f"t^3 + i^3 + f^3 <= {CUBIC_SUM_BOUND:g} in {_TRIPLE_DRAWS} draws")
         out.append(make_fnnn(eta, xi, t, i, f))
     return out
 
 
 def gen_weights(rng: random.Random, n: int) -> tuple[float, ...]:
     """A random strictly positive weight vector normalized to sum 1;
-    raises ValidationError for an n that is no int, EmptyInput for n < 1."""
+    raises ValidationError for an n that is no int or an rng that is no
+    ``random.Random``, EmptyInput for n < 1."""
     _check_size("n", n)
+    if not isinstance(rng, random.Random):
+        raise ValidationError(f"rng must be a random.Random, not {type(rng).__name__}")
     raw = [rng.uniform(0.05, 1.0) for _ in range(n)]
     total = left_sum(raw)
     ws = [w / total for w in raw]

@@ -34,7 +34,9 @@ from fnnmadm import (
     normalize,
     run_pipeline,
 )
-from fnnmadm._numeric import nested_prob_channel, xlogs
+from fnnmadm import core
+from fnnmadm._numeric import (_LOG_HALF, _TINY, left_sum, log_neg_log_one_minus_exp,
+                              log_one_minus_exp, nested_prob_channel, weighted_prob_sum, xlogs)
 
 LAMBDAS = (1.0, 2.0, 3.0, 5.0, 10.0)
 
@@ -645,3 +647,142 @@ def test_gfnnwg_location_and_spread_scale_with_weights_off_1():
     assert math.fsum(ws) != 1.0
     for row in case.RAW_CELLS:
         assert_gfnnwg_normal_part_is_fnnwgs([make_fnnn(*c) for c in row], ws)
+
+
+# ---------------------------------------------------------------------------
+# the kernels' tails, which inline log_one_minus_exp, against copies that call it
+
+
+def tail_reference_prob_sum(logs, weights, p):
+    """weighted_prob_sum as written with its tail calling log_one_minus_exp."""
+    acc = 0.0
+    for lv, w in zip(logs, weights):
+        if lv == 0.0:
+            return 1.0
+        if lv != -math.inf:
+            acc += w * log_one_minus_exp(p * lv)
+    if acc > -_TINY:
+        top = max(logs)
+        if p * top == -math.inf:
+            return math.exp(top)
+        terms = [math.log(w) + log_neg_log_one_minus_exp(p * lv) for lv, w in zip(logs, weights)]
+        peak = max(terms)
+        return math.exp((peak + math.log(left_sum(math.exp(x - peak) for x in terms))) / p)
+    return math.exp(log_one_minus_exp(acc) / p)
+
+
+def nested_log_prod(logs, weights, lam):
+    """The accumulator log prod d_i^w of nested_prob_channel's loop."""
+    log_prod = 0.0
+    for lv, w in zip(logs, weights):
+        if lv == -math.inf:
+            log_prod = -math.inf
+            continue
+        if lv == 0.0:
+            continue
+        z = 3.0 * lam * lv
+        log_eps = lam * log_one_minus_exp(z)
+        if log_eps > _LOG_HALF:
+            log_d = log_one_minus_exp(log_eps) if log_eps < -_TINY else math.log(lam) + z
+        else:
+            log_d = log_one_minus_exp(log_eps)
+        log_prod += w * log_d
+    return log_prod
+
+
+def tail_reference_nested(logs, weights, lam):
+    """nested_prob_channel as written with its tail calling log_one_minus_exp."""
+    log_prod = nested_log_prod(logs, weights, lam)
+    if log_prod == -math.inf:
+        return math.exp(left_sum(w * lv for lv, w in zip(logs, weights)))
+    log_u = log_one_minus_exp(log_prod) / lam
+    if log_u > -_TINY:
+        return math.exp((log_neg_log_one_minus_exp(log_prod) - math.log(lam)) / (3.0 * lam))
+    return math.exp(log_one_minus_exp(log_u) / (3.0 * lam))
+
+
+def straddling(accumulator, target, w0, steps=32):
+    """The weights next to ``w0`` whose accumulator is nearest ``target`` from
+    below and from above, and at it where one is."""
+    ws = [w0]
+    for _ in range(steps):
+        ws = [math.nextafter(ws[0], 0.0), *ws, math.nextafter(ws[-1], math.inf)]
+    accs = {w: accumulator(w) for w in ws}
+    below = max((w for w in ws if accs[w] < target), key=accs.get)
+    above = min((w for w in ws if accs[w] > target), key=accs.get)
+    return [below, *[w for w in ws if accs[w] == target][:1], above]
+
+
+def seeded_row(seed, n=4):
+    """The logs of n memberships drawn in [0, 1], and n weights."""
+    rng = random.Random(seed)
+    return tuple(xlogs([rng.uniform(0.0, 1.0) for _ in range(n)])), gen_weights(rng, n)
+
+
+def prob_sum_acc(w, lv=-1.0, p=1.0):
+    return 0.0 + w * log_one_minus_exp(p * lv)
+
+
+def nested_log_u(w, lam=2.0):
+    return log_one_minus_exp(nested_log_prod((-1.0,), (w,), lam)) / lam
+
+
+TAIL_CASES = [
+    *(("prob_sum", (-1.0,), (w,), 1.0)  # acc by _LOG_HALF and by -_TINY
+      for target in (_LOG_HALF, -_TINY)
+      for w in straddling(prob_sum_acc, target, target / prob_sum_acc(1.0))),
+    *(("nested", (-1.0,), (w,), 1.0)  # log_prod by _LOG_HALF and by -_TINY
+      for target in (_LOG_HALF, -_TINY)
+      for w in straddling(lambda w: nested_log_prod((-1.0,), (w,), 1.0), target,
+                          target / nested_log_prod((-1.0,), (1.0,), 1.0))),
+    *(("nested", (-1.0,), (w,), 2.0)  # log_u by _LOG_HALF and by -_TINY
+      for target, log_prod in ((_LOG_HALF, math.log(0.75)), (-_TINY, math.log(2.0 * _TINY)))
+      for w in straddling(nested_log_u, target, log_prod / nested_log_prod((-1.0,), (1.0,), 2.0))),
+    ("nested", (0.0, 0.0), (0.5, 0.5), 3.0),  # every d == 1: log_prod 0.0 and log_u -inf
+    # a term w * log d that underflows to -0.0; log_prod, from +0.0, stays +0.0, as
+    # 0.0 + -0.0 is: no accumulator starts at or reaches -0.0
+    ("nested", (-0.01,), (5e-324,), 1.0),
+    ("nested", (-0.01, 0.0), (5e-324, 1.0), 1.0),
+    ("prob_sum", (-1e-3,), (1.7e308,), 1.0),  # acc == -inf
+    ("prob_sum", (-1.0,), (5e-324,), 1.0),  # a term that underflows to -0.0: acc stays 0.0
+    *(("prob_sum", logs, (0.5, 0.5), math.inf)  # p = inf
+      for logs in [(-0.5, -2.0), (0.0, -1.0), (-math.inf, -math.inf), (-math.inf, -1e-300)]),
+    ("nested", (-math.inf, -0.5), (0.5, 0.5), 2.0),
+    *((kernel, *seeded_row(seed), param) for seed in range(6) for kernel, param in
+      [("prob_sum", 3.0), ("prob_sum", 34.0), ("prob_sum", 3.0 * 34.0 ** 2),
+       ("nested", 1.0), ("nested", 2.5), ("nested", 34.0)]),
+]
+TAIL_KERNELS = {"prob_sum": (weighted_prob_sum, tail_reference_prob_sum),
+                "nested": (nested_prob_channel, tail_reference_nested)}
+
+
+@pytest.mark.parametrize("kernel, logs, weights, param", TAIL_CASES)
+def test_kernel_tails_keep_the_bits_of_log_one_minus_exp(kernel, logs, weights, param):
+    fast, reference = TAIL_KERNELS[kernel]
+    assert fast(logs, weights, param).hex() == reference(logs, weights, param).hex()
+
+
+@pytest.mark.parametrize("lam", [1.0, 34.0])
+@pytest.mark.parametrize("operation", [core.scale, core.power])
+def test_a_weight_of_1e300_keeps_the_bits_of_log_one_minus_exp(operation, lam, monkeypatch):
+    values = [make_fnnn(1.0, 1.0, *mu) for mu in ((0.5, 0.5, 0.5), (0.999, 1e-3, 0.9),
+                                                  (1e-3, 0.999, 0.2))]
+
+    def bits():
+        return [[x.hex() for x in components(operation(1e300, a, lam))] for a in values]
+
+    fast = bits()
+    monkeypatch.setattr(core, "weighted_prob_sum", tail_reference_prob_sum)
+    assert bits() == fast
+
+
+@pytest.mark.parametrize("kernel, param", [("prob_sum", 1.0), ("prob_sum", 3.0), ("nested", 1.0),
+                                           ("nested", 1.5), ("nested", 2.0)])
+def test_kernel_tails_keep_the_bits_on_both_sides_of_each_branch(kernel, param):
+    # one term drawn at random: accumulators on both sides of each branch point, where
+    # log(-expm1(z)) and log1p(-exp(z)) may round the channel to different last bits
+    fast, reference = TAIL_KERNELS[kernel]
+    rng = random.Random(30)
+    for _ in range(4000):
+        args = (-rng.uniform(0.01, 3.0),), (rng.uniform(0.001, 1.0),), param
+        assert fast(*args).hex() == reference(*args).hex(), args

@@ -1,7 +1,8 @@
 """The scalar API's contract: every call returns finite values or raises an
 FnnError, whatever numbers it is given.
 
-The inputs mix float64's special values (signed zeros, subnormals, 1e154,
+Every public callable has a case here, which a meta-test checks.  The
+inputs mix float64's special values (signed zeros, subnormals, 1e154,
 near the square root of the largest float, 1.7e308, infinities and NaN)
 with values drawn log-uniformly up to 1.7e308; lambda reaches 1.7e308 too.
 Every number a caller passes is also drawn from values that ``float`` may
@@ -14,20 +15,25 @@ ints, Fractions, Decimals and floats as make_fnnn does, near the edges where
 the exact values and their floats fall on either side of a rule.
 """
 
+import ast
 import math
+import random
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import fnnmadm
 from fnnmadm import (
     METRICS,
     OPERATORS,
     DecisionMatrix,
     FnnError,
     Fnnn,
+    FnnnGenConfig,
     MembershipTriple,
     NormalParams,
     NotFinite,
@@ -38,8 +44,10 @@ from fnnmadm import (
     aggregate_rows,
     boxplus,
     boxtimes,
+    check_lambda,
     check_weights,
     closeness,
+    detect_transitions,
     euclidean,
     fnnwa,
     fnnwg,
@@ -47,6 +55,8 @@ from fnnmadm import (
     fold_fnnwg,
     fold_gfnnwa,
     fold_gfnnwg,
+    gen_fnnn,
+    gen_weights,
     gfnnwa,
     gfnnwg,
     hamming,
@@ -445,3 +455,79 @@ def test_a_matrix_of_other_real_numbers_holds_plain_floats(kind, cells, bad, at)
     assert plain([dm.rows, dm.weights, dm.cells, dm.row(0), dm.row(1)])
     made(hamming, dm.cells[0][0], dm.cells[1][0])
     made(fnnwa, dm.row(0), dm.weights)
+
+
+@settings(max_examples=80, deadline=None)
+@given(lam=st.one_of(lams, reals, not_floats))
+def test_check_lambda(lam):
+    checked = holds(check_lambda, lam)
+    if checked is not None:  # a plain float in [1, inf), as float() reads lam
+        assert type(checked) is float and 1.0 <= checked == float(lam)
+
+
+# sweep rows of every operator and metric, whose orderings differ from one another
+SWEPT = [row for operator in sorted(OPERATORS) for metric in sorted(METRICS)
+         for row in lambda_sweep(MATRIX_2X2, PipelineConfig(operator, metric), [1, 3, 34]).rows]
+
+
+@settings(max_examples=80, deadline=None)
+@given(rows=st.one_of(st.lists(st.one_of(st.sampled_from(SWEPT), not_floats), max_size=5),
+                      not_floats))
+@example(rows=SWEPT)
+def test_detect_transitions(rows):
+    def transitions():
+        found = detect_transitions(rows)
+        changes = sum(a.ordering != b.ordering for a, b in zip(rows, rows[1:]))
+        assert len(found) == changes and all(t.ordering != t.previous for t in found)
+        return [t.lam for t in found]
+
+    holds(transitions)
+
+
+# a count or size is drawn small, as gen_fnnn and gen_weights draw a valid one in full
+sizes = st.one_of(st.integers(-1, 4), st.text(max_size=2), st.none(), st.just(1j), reals)
+ranges = st.one_of(st.tuples(*[st.one_of(units, reals, not_floats)] * 2), not_floats)
+configs = st.builds(FnnnGenConfig, ranges, ranges, ranges,
+                    st.one_of(st.integers(), reals, not_floats))
+
+
+@settings(max_examples=80, deadline=None)
+@given(cfg=st.one_of(configs, not_floats), count=sizes)
+@example(cfg=FnnnGenConfig(eta_range=(-math.inf, 1.0)), count=1)  # each draw was a NaN
+@example(cfg=FnnnGenConfig(membership_range=(0.8735, 1.0)), count=1)  # few triples fit
+@example(cfg=FnnnGenConfig(membership_range=(-1e200, 0.5)), count=1)  # lo^3 overflowed
+@example(cfg=FnnnGenConfig(seed=[1]), count=1)
+def test_gen_fnnn(cfg, count):
+    values = holds(gen_fnnn, cfg, count)
+    if values is not None:  # count values, each of them valid
+        assert len(values) == count and all(v.is_valid() for v in values)
+
+
+@settings(max_examples=80, deadline=None)
+@given(rng=st.one_of(st.integers().map(random.Random), not_floats), n=sizes)
+def test_gen_weights(rng, n):
+    ws = holds(gen_weights, rng, n)
+    if ws is not None:  # n weights that check_weights takes as they are
+        assert len(ws) == n and check_weights(ws) == ws
+
+
+# named here, not called: the errors a call raises, and the results it returns
+EXEMPT = {
+    "CubicSumExceeded", "DegenerateCloseness", "DuplicateLabel", "EmptyInput", "FnnError",
+    "LambdaInvalid", "LengthMismatch", "MembershipOutOfRange", "NormalDomainError", "NotFinite",
+    "ParseError", "SpreadNonPositive", "UnknownName", "ValidationError", "WeightInvalid",
+    "WeightNonPositive", "ZeroLocation",
+    "RankingReport", "SweepResult", "Transition",
+}
+
+
+def test_every_public_callable_has_a_case():
+    """Each callable in ``fnnmadm.__all__`` but the exempt names is named
+    in a test above, in its body or its decorators."""
+    tree = ast.parse(Path(__file__).read_text(encoding="utf-8"))
+    named = {node.id for test in tree.body
+             if isinstance(test, ast.FunctionDef) and test.name.startswith("test_")
+             for node in ast.walk(test) if isinstance(node, ast.Name)}
+    public = {name for name in fnnmadm.__all__ if callable(getattr(fnnmadm, name))}
+    assert EXEMPT <= public
+    assert sorted(public - EXEMPT - named) == []

@@ -124,6 +124,22 @@ class Label(str):
 @example(doc=[{"a": 1.0, "b": Loud(2.0)}, {"a": 3.0, "b": 4.0}])
 @example(doc=[{"a": 1.0, "b": 2.0}, Record(a=3.0, b=4.0)])
 @example(doc=[{"a": 1.0, Label("b"): 2.0}, {"a": 3.0, "b": 4.0}])
+# one scalar of each kind as a dict's value: a plain str, int or finite float is
+# rendered without json.dumps, every other kind through it
+@example(doc={"k": True})
+@example(doc={"k": None})
+@example(doc={"k": math.nan})
+@example(doc={"k": -math.inf})
+@example(doc={"k": -0.0})
+@example(doc={"k": 5e-324})
+@example(doc={"k": 2**70})
+@example(doc={"k": Level.HIGH})
+@example(doc={"k": Loud(2.0)})
+@example(doc={"k": Label("q")})
+@example(doc={"k": ""})
+@example(doc={"k": []})
+@example(doc={"k": {}})
+@example(doc={"k": ()})
 @given(doc=TREES)
 def test_renders_as_the_standard_library(doc):
     assert _dump_json(doc) == stdlib(doc)
