@@ -60,6 +60,7 @@ from .pipeline import (
     PipelineConfig,
     RankingReport,
     SweepResult,
+    SweepRow,
     Transition,
     aggregate_rows,
     closeness,

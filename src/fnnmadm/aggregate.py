@@ -15,7 +15,7 @@ Each closed form agrees with its definitional fold of the primitive
 operations (see :mod:`fnnmadm.reference`) to within float accumulation.
 
 Each closed form is written once, as a pair over one row of values read
-into five float lists (eta, xi, t, i, f) by :func:`read_row`.  The first
+into five float tuples (eta, xi, t, i, f) by :func:`read_row`.  The first
 part, ``free(row, ws)``, gives what does not depend on lam: for fnnwa the
 location, the spread and f, for fnnwg the location, the spread and t, and
 for gfnnwg fnnwg's location and spread with sum(w) - 1; gfnnwa has none.
@@ -36,11 +36,11 @@ from __future__ import annotations
 
 import math
 from itertools import repeat
-from operator import mul
+from operator import attrgetter, mul
 from typing import Sequence
 
 from ._numeric import _TINY, left_sum, nested_prob_channel, weighted_prob_sum, xlogs
-from .core import Fnnn, check_lambda, checked_fnnn, checked_result, items, reals
+from .core import VALUE, Fnnn, check_lambda, checked_fnnn, checked_result, items, of_type, reals
 from .errors import (EmptyInput, LengthMismatch, NormalDomainError, NotFinite, ValidationError,
                      WeightInvalid)
 
@@ -86,10 +86,7 @@ def _values(values) -> tuple[Fnnn, ...]:
     """``values`` as :func:`~fnnmadm.core.items` reads it; ValidationError names the
     type of ``values`` if it is text or no iterable, or of the first item that is no Fnnn."""
     values = items(values, ValidationError, "values must be an iterable of Fnnn")
-    if not all(map(isinstance, values, repeat(Fnnn))):
-        kind = next(type(v) for v in values if not isinstance(v, Fnnn))
-        raise ValidationError(f"a value must be an Fnnn, not {kind.__name__}")
-    return values
+    return of_type(values, Fnnn, VALUE)
 
 
 def _prepare(items, weights, lam):
@@ -100,14 +97,20 @@ def _prepare(items, weights, lam):
     return items, ws, check_lambda(lam)
 
 
-def read_row(cells: Sequence[Fnnn]) -> tuple[list[float], ...]:
-    """A row of values as five float lists: eta, xi, t, i and f; raises
-    ValidationError for a row that is no iterable of Fnnn."""
+_NORMAL, _MU = attrgetter("normal"), attrgetter("mu")
+_ETA, _XI, _T, _I, _F = map(attrgetter, ("eta", "xi", "t", "i", "f"))
+
+
+def read_row(cells: Sequence[Fnnn], kinds: set | None = None) -> tuple[tuple[float, ...], ...]:
+    """A row of values as five float tuples, eta, xi, t, i and f, each part
+    of a value read once; adds the type of each part to ``kinds`` where it
+    is given.  Raises ValidationError for a row that is no iterable of Fnnn."""
     cells = _values(cells)
-    normals = [c.normal for c in cells]
-    mus = [c.mu for c in cells]
-    etas, xis = [n.eta for n in normals], [n.xi for n in normals]
-    return etas, xis, [m.t for m in mus], [m.i for m in mus], [m.f for m in mus]
+    normals, mus = [*map(_NORMAL, cells)], [*map(_MU, cells)]
+    if kinds is not None:
+        kinds.update(map(type, normals), map(type, mus))
+    return (tuple(map(_ETA, normals)), tuple(map(_XI, normals)),
+            tuple(map(_T, mus)), tuple(map(_I, mus)), tuple(map(_F, mus)))
 
 
 def _fnnwa_free(row, ws):

@@ -6,13 +6,16 @@ degrees whose cubic sum is bounded by 2.  All operations are pure
 functions over immutable values.  The real parameter ``lam >= 1``
 controls the root/power structure of the membership algebra; ``lam = 1``
 gives the base operations.  A caller's sequences are read once, by :func:`items`,
-and its numbers by :func:`reals`, into plain floats; text is never a vector.
+and its numbers by :func:`reals`, into plain floats; text is never a vector.  An
+object a public function takes as a value, a matrix or a config is checked once
+per call, by :func:`of_type`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 from ._numeric import clip01, prob_sum_root, weighted_prob_sum, xlogs
 from .errors import (
@@ -31,6 +34,7 @@ CUBIC_SUM_BOUND = 2.0
 CELLS = "eta, xi, t, i, f must be real numbers"  # what reals says of a value's components
 _MAX = 1.7976931348623157e308  # the largest float64: 10**400 < inf, but not <= _MAX
 TEXT = (str, bytes, bytearray)  # no vector of numbers, though float() reads each of its items
+VALUE = "a value must be an Fnnn"  # what of_type says of an object that is no value
 
 
 def items(values, error: type[Exception], what: str) -> tuple:
@@ -55,6 +59,16 @@ def reals(values, error: type[Exception], what: str) -> tuple[float, ...]:
         return tuple([*map(float, values)])  # sized once; a shrunk guess parks free-list blocks
     except (TypeError, ValueError, OverflowError):
         raise error(f"{what} in float64's range") from None
+
+
+def of_type(objects: tuple, kind: type, what: str) -> tuple:
+    """``objects``, a tuple, if each is a ``kind``; else ValidationError(f"{what},
+    not <type>") names the type of the first that is not.  A public function checks
+    what it is given with it once per call, never per cell or per lambda."""
+    if not all(map(isinstance, objects, repeat(kind))):
+        bad = next(type(o) for o in objects if not isinstance(o, kind))
+        raise ValidationError(f"{what}, not {bad.__name__}")
+    return objects
 
 
 def _check_unit(name: str, v: float) -> None:
@@ -196,6 +210,12 @@ def check_cell(eta: float, xi: float, t: float, i: float, f: float) -> None:
         raise CubicSumExceeded(f"t^3 + i^3 + f^3 = {cubic:.6g} exceeds {CUBIC_SUM_BOUND:g}")
 
 
+def cubic_sums(ts, is_, fs) -> list[float]:
+    """t^3 + i^3 + f^3 of each cell of the memberships ts, is_ and fs, as
+    :func:`check_cell` takes it to compare with the bound."""
+    return [t ** 3 + i ** 3 + f ** 3 for t, i, f in zip(ts, is_, fs)]
+
+
 def checked_fnnn(eta: float, xi: float, t: float, i: float, f: float) -> Fnnn:
     """The value of float components checked before, by :func:`check_cell`
     or as a value's components; the types' own checks are not run again."""
@@ -244,6 +264,7 @@ def boxplus(a: Fnnn, b: Fnnn, lam: float = 1.0) -> Fnnn:
     """Additive combination: locations and spreads add; truth and
     indeterminacy combine by the probabilistic sum in their lam-powered
     domains; falsity multiplies."""
+    of_type((a, b), Fnnn, VALUE)
     lam = check_lambda(lam)
     p = 3.0 * lam
     t = prob_sum_root(a.t, b.t, p)
@@ -255,6 +276,7 @@ def boxplus(a: Fnnn, b: Fnnn, lam: float = 1.0) -> Fnnn:
 def boxtimes(a: Fnnn, b: Fnnn, lam: float = 1.0) -> Fnnn:
     """Multiplicative combination: the mirror image of :func:`boxplus`
     with the roles of truth and falsity exchanged."""
+    of_type((a, b), Fnnn, VALUE)
     lam = check_lambda(lam)
     p = 3.0 * lam
     t = a.t * b.t
@@ -265,6 +287,7 @@ def boxtimes(a: Fnnn, b: Fnnn, lam: float = 1.0) -> Fnnn:
 
 def scale(w: float, a: Fnnn, lam: float = 1.0) -> Fnnn:
     """Weighted multiple ``w * a`` for any real weight w > 0."""
+    of_type((a,), Fnnn, VALUE)
     w = _check_weight(w)
     lam = check_lambda(lam)
     if w == 1.0:
@@ -281,6 +304,7 @@ def power(w: float, a: Fnnn, lam: float = 1.0) -> Fnnn:
     Raises NormalDomainError when eta is negative and w fractional, and
     NotFinite when eta or xi overflows float64.
     """
+    of_type((a,), Fnnn, VALUE)
     w = _check_weight(w)
     lam = check_lambda(lam)
     if w == 1.0:
@@ -305,6 +329,7 @@ def membership_at(a: Fnnn, x: float) -> MembershipTriple:
     The attenuation factor exp(-(|x - eta| / xi)^3) scales truth and
     indeterminacy toward 0 and falsity toward 1 away from the peak.
     """
+    of_type((a,), Fnnn, VALUE)
     (x,) = reals((x,), ValidationError, "x must be a real number")
     z = abs(x - a.eta) / a.xi
     g = 0.0 if z >= 1e6 else math.exp(-(z * z * z))

@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import math
 
-from .core import Fnnn, MembershipTriple, NormalParams
+from .core import VALUE, Fnnn, MembershipTriple, NormalParams, of_type
 from .errors import NotFinite
 
 
 def phi(mu: MembershipTriple) -> float:
     """(1 + t^3 + i^3 - f^3) / 3, in [0, 1] for any valid triple."""
+    of_type((mu,), MembershipTriple, "mu must be a MembershipTriple")
     return phi_of(mu.t, mu.i, mu.f)
 
 
@@ -32,7 +33,8 @@ def phi_of(t: float, i: float, f: float) -> float:
 
 def hamming(a: Fnnn, b: Fnnn) -> float:
     """Phi-weighted L1-style distance on the (eta, xi) plane."""
-    return hamming_of(phi(a.mu), a.eta, a.xi, phi(b.mu), b.eta, b.xi)
+    of_type((a, b), Fnnn, VALUE)
+    return hamming_of(phi_of(a.t, a.i, a.f), a.eta, a.xi, phi_of(b.t, b.i, b.f), b.eta, b.xi)
 
 
 def hamming_of(pa: float, ea: float, xa: float, pb: float, eb: float, xb: float) -> float:
@@ -45,7 +47,8 @@ def hamming_of(pa: float, ea: float, xa: float, pb: float, eb: float, xb: float)
 
 def euclidean(a: Fnnn, b: Fnnn) -> float:
     """Phi-weighted cubic-mean distance on the (eta, xi) plane."""
-    return euclidean_of(phi(a.mu), a.eta, a.xi, phi(b.mu), b.eta, b.xi)
+    of_type((a, b), Fnnn, VALUE)
+    return euclidean_of(phi_of(a.t, a.i, a.f), a.eta, a.xi, phi_of(b.t, b.i, b.f), b.eta, b.xi)
 
 
 def euclidean_of(pa: float, ea: float, xa: float, pb: float, eb: float, xb: float) -> float:
@@ -63,6 +66,7 @@ FORMULAS = {"hamming": hamming_of, "euclidean": euclidean_of}
 def normal_distance(p: NormalParams, q: NormalParams) -> float:
     """Plain cubic-mean distance between two normal parameter pairs.
     Raises NotFinite where it exceeds the largest float64."""
+    of_type((p, q), NormalParams, "p and q must be NormalParams")
     d = _cubic_mean(abs(p.eta - q.eta), abs(p.xi - q.xi))
     if d == math.inf:  # no scaling helps: the mean is at least its larger difference
         raise NotFinite(f"the distance between {p} and {q} overflows float64")

@@ -38,7 +38,8 @@ from typing import NamedTuple, Sequence
 
 from .aggregate import (OPERATORS, _values, aggregates, check_weights, lam_free, membership_logs,
                         read_row)
-from .core import CELLS, Fnnn, check_cell, check_lambda, check_normal, checked_fnnn, items, reals
+from .core import (CELLS, CUBIC_SUM_BOUND, Fnnn, MembershipTriple, NormalParams, check_cell,
+                   check_lambda, check_normal, checked_fnnn, cubic_sums, items, of_type, reals)
 from .distance import FORMULAS, euclidean, hamming, phi_of
 from .errors import (
     DegenerateCloseness,
@@ -55,6 +56,8 @@ from .errors import (
 )
 
 METRICS = {"hamming": hamming, "euclidean": euclidean}
+# what of_type says of a matrix or a config of another type
+_MATRIX, _CONFIG = "dm must be a DecisionMatrix", "config must be a PipelineConfig"
 
 
 @dataclass(frozen=True, repr=False)
@@ -66,7 +69,9 @@ class DecisionMatrix:
     ``Fnnn`` values on demand.  A matrix reads its rows once, into plain
     floats as ``make_fnnn`` reads a cell (see :func:`_read_rows`), then raises
     the first of :func:`_problems`, so each of its cells passes
-    ``core.check_cell`` and it always normalizes.  It holds its labels, rows
+    ``core.check_cell`` and it always normalizes; rows of values, from
+    :func:`make_decision_matrix`, are read by :func:`_read_values`, and
+    checked only for what their values do not carry.  It holds its labels, rows
     and weights as tuples (of str, of tuples, of floats), whatever iterables
     and reals it was given, so two matrices of the same cells are equal and
     hash; labels that are text or no iterable raise ValidationError, as rows
@@ -104,8 +109,12 @@ class DecisionMatrix:
     def __post_init__(self):
         alternatives, attributes = (_labels(self.alternatives, "alternatives"),
                                     _labels(self.attributes, "attributes"))
-        rows, unread = _read_rows(() if self.rows is None else self.rows)
-        for _, problem in _problems(alternatives, attributes, rows, None, unread):
+        rows, unread, exact = self.rows, {}, False
+        if type(rows) is _Values:
+            rows, exact = _read_values(rows.cells)
+        if not exact:
+            rows, unread = _read_rows(() if rows is None else rows)
+        for _, problem in _problems(alternatives, attributes, rows, None, unread, exact):
             raise problem
         weights = check_weights(() if self.weights is None else self.weights, n=len(attributes))
         vars(self).update(alternatives=alternatives, attributes=attributes, rows=rows,
@@ -169,19 +178,38 @@ class _NormalizedMatrix(DecisionMatrix):
         )
 
 
+class _Values(NamedTuple):
+    """Rows of values, as :func:`make_decision_matrix` gives them to a matrix,
+    which reads them after its labels, by :func:`_read_values`."""
+
+    cells: object
+
+
 def make_decision_matrix(
     alternatives: Sequence[str],
     attributes: Sequence[str],
     cells: Sequence[Sequence[Fnnn]],
     weights: Sequence[float],
 ) -> DecisionMatrix:
-    """A raw matrix of ``Fnnn`` cells, read once into its float rows; it
-    checks itself (see :class:`DecisionMatrix`), so it rejects a cell above
-    the cubic-sum bound, as an aggregate may be.  To rescale weights that
-    do not sum to 1, pass ``check_weights(weights, renormalize=True)``.
+    """A raw matrix of ``Fnnn`` cells, each value's parts read once into its
+    float rows.  ``cells`` is read as :class:`DecisionMatrix` reads rows, after
+    the labels: None is no rows, and text or no iterable a ValidationError.
+
+    A value whose parts are of the exact types ``NormalParams`` and
+    ``MembershipTriple`` was checked when they were made, so the matrix does not
+    check its finite location, finite positive spread and memberships in
+    [0, 1] again.  It checks every rule a value does not carry: the cubic-sum
+    bound, which an operation's result, an aggregate say, may exceed (a row
+    above it is checked cell by cell, so that the error names its cell); then
+    the positive locations and spreads that normalize into float64's range,
+    the labels and the weights (see :func:`_problems`).  A matrix with any
+    part of another type, a subclass say, is checked in full, as a matrix of
+    numbers is.  A value altered with ``object.__setattr__``, or unpickled from
+    foreign bytes, is outside this contract, as it is for every frozen value.
+    To rescale weights that do not sum to 1, pass
+    ``check_weights(weights, renormalize=True)``.
     """
-    # a generator, so that the matrix holds each row as tuples before it reads the next
-    return DecisionMatrix(alternatives, attributes, (read_row(row) for row in cells), weights)
+    return DecisionMatrix(alternatives, attributes, _Values(cells), weights)
 
 
 def _labels(labels, kind: str) -> tuple[str, ...]:
@@ -196,6 +224,17 @@ def _labels(labels, kind: str) -> tuple[str, ...]:
             raise ValidationError(
                 f"{kind} must be labels of text or numbers, not {type(label).__name__}")
     return tuple(map(str, labels))
+
+
+def _read_values(cells):
+    """The rows of values ``cells`` as a matrix holds them, each row read by
+    :func:`~fnnmadm.aggregate.read_row`, and whether every part of every value
+    is of the exact types NormalParams and MembershipTriple.  None is no rows;
+    rows that are text or no iterable raise, as for :func:`_read_rows`."""
+    kinds, what = set(), "rows must be an iterable of rows"
+    rows = tuple(read_row(row, kinds) for row in items(() if cells is None else cells,
+                                                       ValidationError, what))
+    return rows, kinds <= {NormalParams, MembershipTriple}
 
 
 def _read_rows(rows):
@@ -228,12 +267,15 @@ def _read_rows(rows):
     return tuple(read), unread
 
 
-def _problems(alternatives, attributes, rows, weights, unread={}):  # unread is only read
+def _problems(alternatives, attributes, rows, weights, unread={}, exact=False):  # unread: only read
     """Yield ``(cell, error)`` for each reason the matrix of plain-float rows
     cannot be ranked; ``cell`` is the (row, column) the error names, or None.
 
     In this order: for each cell ``check_cell`` rejects, row by row, the
-    error of :func:`_read_rows` in ``unread``, else ``check_cell``'s;
+    error of :func:`_read_rows` in ``unread``, else ``check_cell``'s (with
+    ``exact``, for rows read from values of the exact library types, which
+    :func:`_read_values` tells, only a row with a cubic sum above the bound
+    is checked, as the types carry every other rule of ``check_cell``);
     ZeroLocation for each other location of 0 or less; if there is
     neither, check_normal's error for each spread that normalizes out of
     float64's range; DuplicateLabel for each repeated label; the error of
@@ -255,6 +297,8 @@ def _problems(alternatives, attributes, rows, weights, unread={}):  # unread is 
 
     faulty = set()
     for i, row in enumerate(rows):
+        if exact and max(cubic_sums(*row[2:])) <= CUBIC_SUM_BOUND:
+            continue
         for j, cell in enumerate(zip(*row)):
             try:
                 check_cell(*cell)
@@ -308,8 +352,9 @@ def normalize(dm: DecisionMatrix) -> DecisionMatrix:
     plain floats; memberships keep their values and no ``Fnnn`` is built.
     A raw matrix makes its normalized copy once and keeps it, so each call
     returns the same copy; a normalized matrix is returned as it is.
-    Checks nothing: a raw :class:`DecisionMatrix` checked when it was made
-    that it normalizes."""
+    Checks only that ``dm`` is a :class:`DecisionMatrix`: a raw one checked
+    when it was made that it normalizes."""
+    of_type((dm,), DecisionMatrix, _MATRIX)
     return dm if dm.normalized else dm._normal_copy
 
 
@@ -333,6 +378,7 @@ def aggregate_rows(dm: DecisionMatrix, operator: str, lam: float = 1.0) -> tuple
     """Reduce each alternative's normalized row to a single value with the
     attribute weights, as :func:`run_pipeline` does; ``dm`` may be raw or
     normalized, and the operator and lam take PipelineConfig's rules."""
+    of_type((dm,), DecisionMatrix, _MATRIX)
     lam = PipelineConfig(operator, lam=lam).lam
     (aggs,) = aggregates(operator, *_aggregation_inputs(dm, operator), dm.weights, [lam])
     return tuple(checked_fnnn(*a) for a in aggs)
@@ -482,9 +528,11 @@ def run_pipeline(dm: DecisionMatrix, config: PipelineConfig = PipelineConfig()) 
     bound (informational, never an error).  Raises NotFinite when a value
     overflows float64.
     """
+    of_type((dm,), DecisionMatrix, _MATRIX)
+    of_type((config,), PipelineConfig, _CONFIG)
     # dm, not the copy the report holds, keeps the logs and lam-free values
     (ev,) = _evaluations(dm, config.operator, config.metric, [config.lam])
-    nm = normalize(dm)
+    nm = dm if dm.normalized else dm._normal_copy  # normalize(dm), whose check is made
     aggs = tuple(checked_fnnn(*a) for a in ev.aggregates)
     positive, negative = _ideal_values(ev.positive, ev.negative)
     notes = []
@@ -531,10 +579,7 @@ def detect_transitions(rows: Sequence[SweepRow]) -> tuple[Transition, ...]:
     an item that is no SweepRow) and compared by :func:`_transitions`, the
     one core, which a sweep calls."""
     rows = items(rows, ValidationError, "rows must be an iterable of SweepRow")
-    if not all(map(isinstance, rows, repeat(SweepRow))):
-        kind = next(type(row) for row in rows if not isinstance(row, SweepRow))
-        raise ValidationError(f"a row must be a SweepRow, not {kind.__name__}")
-    return _transitions(rows)
+    return _transitions(of_type(rows, SweepRow, "a row must be a SweepRow"))
 
 
 def _transitions(rows: tuple[SweepRow, ...]) -> tuple[Transition, ...]:
@@ -559,6 +604,8 @@ def lambda_sweep(
     LambdaInvalid for text or a grid that is not iterable, or unless every
     value passes ``check_lambda`` and the values strictly increase.
     """
+    of_type((dm,), DecisionMatrix, _MATRIX)
+    of_type((config,), PipelineConfig, _CONFIG)
     grid = items(lambdas, LambdaInvalid, "lambda values must be real numbers")
     lams = [*map(check_lambda, grid)]
     if not lams:

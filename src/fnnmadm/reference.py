@@ -21,7 +21,8 @@ from typing import Sequence
 
 from ._numeric import left_sum
 from .aggregate import _prepare
-from .core import CUBIC_SUM_BOUND, Fnnn, boxplus, boxtimes, make_fnnn, power, reals, scale
+from .core import (CUBIC_SUM_BOUND, Fnnn, boxplus, boxtimes, make_fnnn, of_type, power, reals,
+                   scale)
 from .errors import EmptyInput, ValidationError
 
 
@@ -116,11 +117,11 @@ def gen_fnnn(cfg: FnnnGenConfig, count: int) -> list[Fnnn]:
     Raises ValidationError for a count that is no int, EmptyInput for one
     below 1, and ValidationError, before any value is drawn, for a cfg
     that is no FnnnGenConfig, a seed that ``random.Random`` does not take,
-    and ranges that no value can be drawn from; ValidationError too for a
+    and ranges that no value can be drawn from, a range whose width
+    overflows float64 among them; ValidationError too for a
     membership band where 10000 draws give no triple within the bound."""
     _check_size("count", count)
-    if not isinstance(cfg, FnnnGenConfig):
-        raise ValidationError(f"cfg must be an FnnnGenConfig, not {type(cfg).__name__}")
+    of_type((cfg,), FnnnGenConfig, "cfg must be an FnnnGenConfig")
     if not (cfg.seed is None or isinstance(cfg.seed, _SEEDS)):
         raise ValidationError(f"seed must be an int, a float, text or None, "
                               f"not {type(cfg.seed).__name__}")
@@ -132,6 +133,8 @@ def gen_fnnn(cfg: FnnnGenConfig, count: int) -> list[Fnnn]:
             raise ValidationError(f"{name} = {(lo, hi)!r} needs lo < hi")
         if not (-math.inf < lo and hi < math.inf):
             raise ValidationError(f"{name} = {(lo, hi)!r} needs finite bounds")
+        if hi - lo == math.inf:  # a draw, lo + (hi - lo) * u, would be inf or NaN
+            raise ValidationError(f"{name} = {(lo, hi)!r} needs hi - lo in float64's range")
     mlo, mhi = _bounds(cfg, "membership_range")
     if not (0.0 <= mlo and mhi <= 1.0):
         raise ValidationError(f"membership_range = {(mlo, mhi)!r} needs 0 <= lo, hi <= 1")
@@ -162,8 +165,7 @@ def gen_weights(rng: random.Random, n: int) -> tuple[float, ...]:
     raises ValidationError for an n that is no int or an rng that is no
     ``random.Random``, EmptyInput for n < 1."""
     _check_size("n", n)
-    if not isinstance(rng, random.Random):
-        raise ValidationError(f"rng must be a random.Random, not {type(rng).__name__}")
+    of_type((rng,), random.Random, "rng must be a random.Random")
     raw = [rng.uniform(0.05, 1.0) for _ in range(n)]
     total = left_sum(raw)
     ws = [w / total for w in raw]

@@ -39,6 +39,7 @@ from fnnmadm import (
     NotFinite,
     PipelineConfig,
     SpreadNonPositive,
+    ValidationError,
     ZeroLocation,
     accuracy_ffn,
     aggregate_rows,
@@ -107,6 +108,11 @@ def values(draw):
         assume(False)
 
 
+# a value, mostly, or an object that is none: a part of one, a number, text, None
+objects = st.one_of(values(), values(), values(), not_floats,
+                    st.sampled_from([NormalParams(1.0, 0.5), MembershipTriple(0.5, 0.5, 0.5)]))
+
+
 @st.composite
 def weight_vectors(draw, n: int):
     """Mostly weights that check_weights accepts, some scaled to the edge of
@@ -151,20 +157,21 @@ def test_make_fnnn(components):
 
 @pytest.mark.parametrize("operation", [boxplus, boxtimes])
 @settings(max_examples=40, deadline=None)
-@given(a=values(), b=values(), lam=lams)
+@given(a=objects, b=objects, lam=lams)
 def test_binary_operations(operation, a, b, lam):
     holds(operation, a, b, lam)
 
 
 @pytest.mark.parametrize("operation", [scale, power])
 @settings(max_examples=40, deadline=None)
-@given(w=st.one_of(reals, not_floats), a=values(), lam=lams)
+@given(w=st.one_of(reals, not_floats), a=objects, lam=lams)
+@example(w=1.0, a="x", lam=1.0)  # a weight of 1 returned the object as it was given
 def test_scale_and_power(operation, w, a, lam):
     holds(operation, w, a, lam)
 
 
 @settings(max_examples=40, deadline=None)
-@given(a=values(), x=st.one_of(reals, not_floats))
+@given(a=objects, x=st.one_of(reals, not_floats))
 def test_membership_at(a, x):
     holds(membership_at, a, x)
 
@@ -177,11 +184,13 @@ def test_score_and_accuracy_ffn(measure, t, f):
 
 
 @settings(max_examples=40, deadline=None)
-@given(a=values(), b=values())
+@given(a=objects, b=objects)
 def test_distances(a, b):
     holds(hamming, a, b)
     holds(euclidean, a, b)
-    holds(normal_distance, a.normal, b.normal)
+    # the parts of a value, or the object itself, which may be one part or none
+    holds(normal_distance, getattr(a, "normal", a), getattr(b, "normal", b))
+    holds(phi, getattr(a, "mu", a))
 
 
 @pytest.mark.parametrize("name", sorted(OPERATORS))
@@ -330,6 +339,48 @@ MATRIX_2X2 = DecisionMatrix(("A", "B"), ("x", "y"),
                             [[[1.0, 2.0], [0.5, 0.25], [0.8, 0.3], [0.5, 0.4], [0.2, 0.6]],
                              [[1.5, 0.5], [0.3, 0.6], [0.4, 0.9], [0.5, 0.2], [0.7, 0.1]]],
                             (0.6, 0.4))
+
+
+# each raised a bare AttributeError, or, for scale and power at a weight of 1,
+# returned the object it was given
+@pytest.mark.parametrize("call, args, message", [
+    (normalize, ([1.0],), "dm must be a DecisionMatrix, not list"),
+    (run_pipeline, (None,), "dm must be a DecisionMatrix, not NoneType"),
+    (run_pipeline, (MATRIX_2X2, "fnnwa"), "config must be a PipelineConfig, not str"),
+    (aggregate_rows, (MATRIX_2X2.rows, "fnnwa"), "dm must be a DecisionMatrix, not tuple"),
+    (lambda_sweep, ("x", PipelineConfig(), [1]), "dm must be a DecisionMatrix, not str"),
+    (lambda_sweep, (MATRIX_2X2, {"operator": "fnnwa"}, [1]),
+     "config must be a PipelineConfig, not dict"),
+    (phi, (MATRIX_2X2.cells[0][0],), "mu must be a MembershipTriple, not Fnnn"),
+    (hamming, (MATRIX_2X2.cells[0][0], MembershipTriple(0.5, 0.5, 0.5)),
+     "a value must be an Fnnn, not MembershipTriple"),
+    (euclidean, (None, MATRIX_2X2.cells[0][0]), "a value must be an Fnnn, not NoneType"),
+    (normal_distance, (NormalParams(1.0, 1.0), MATRIX_2X2.cells[0][0]),
+     "p and q must be NormalParams, not Fnnn"),
+    (membership_at, ((1.0, 0.5, 0.5, 0.5, 0.5), 1.0), "a value must be an Fnnn, not tuple"),
+    (boxplus, (MATRIX_2X2.cells[0][0], 1.0), "a value must be an Fnnn, not float"),
+    (boxtimes, ("x", MATRIX_2X2.cells[0][0]), "a value must be an Fnnn, not str"),
+    (scale, (1.0, "x"), "a value must be an Fnnn, not str"),
+    (power, (1.0, None), "a value must be an Fnnn, not NoneType"),
+], ids=lambda arg: getattr(arg, "__name__", None))
+def test_an_object_of_another_type_is_named(call, args, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        call(*args)
+
+
+@settings(max_examples=40, deadline=None)
+@given(dm=st.one_of(st.sampled_from([MATRIX_2X2, normalize(MATRIX_2X2), MATRIX_2X2.cells]),
+                    not_floats),
+       config=st.one_of(st.builds(PipelineConfig, st.sampled_from(sorted(OPERATORS)),
+                                  st.sampled_from(sorted(METRICS))), not_floats),
+       lam=lams)
+def test_a_matrix_and_a_config(dm, config, lam):
+    """A matrix, raw or normalized, or an object that is none, and a config or
+    an object that is none, at every entry point that takes them."""
+    holds(lambda: normalize(dm).rows)
+    holds(lambda: aggregate_rows(dm, "gfnnwa", lam))
+    holds(lambda: run_pipeline(dm, config).closeness)
+    holds(lambda: [row.closeness for row in lambda_sweep(dm, config, [1.0, 3.0]).rows])
 
 
 @settings(max_examples=80, deadline=None)
@@ -517,7 +568,7 @@ EXEMPT = {
     "LambdaInvalid", "LengthMismatch", "MembershipOutOfRange", "NormalDomainError", "NotFinite",
     "ParseError", "SpreadNonPositive", "UnknownName", "ValidationError", "WeightInvalid",
     "WeightNonPositive", "ZeroLocation",
-    "RankingReport", "SweepResult", "Transition",
+    "RankingReport", "SweepResult", "SweepRow", "Transition",
 }
 
 

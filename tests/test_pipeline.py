@@ -4,6 +4,7 @@ import dataclasses
 import math
 import pickle
 import random
+import re
 from decimal import Decimal
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 import engineers_case as case
 from fnnmadm import aggregate, core, pipeline
 from fnnmadm import (
+    METRICS,
     OPERATORS,
     CubicSumExceeded,
     DecisionMatrix,
@@ -396,6 +398,103 @@ def test_make_decision_matrix_rejects_a_cell_above_the_cubic_sum_bound():
     assert not agg.is_valid()
     with pytest.raises(CubicSumExceeded, match=r"^invalid cell at \(A, x\): "):
         make_decision_matrix(["A"], ["x"], [[agg]], (1.0,))
+
+
+# each raised a bare TypeError from iter(cells), before the labels were read
+@pytest.mark.parametrize("cells, error, message", [
+    (5, ValidationError, "rows must be an iterable of rows, not int"),
+    ("ab", ValidationError, "rows must be an iterable of rows, not str"),
+    (None, LengthMismatch, "1 alternatives but 0 cell rows"),
+], ids=["int", "str", "None"])
+def test_make_decision_matrix_reads_cells_as_a_matrix_reads_rows(cells, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        make_decision_matrix(["A"], ["x"], cells, [1.0])
+    with pytest.raises(error, match=f"^{message}$"):
+        DecisionMatrix(["A"], ["x"], cells, [1.0])
+    # the labels are read first
+    with pytest.raises(ValidationError, match="^attributes must be an iterable of labels, not int$"):
+        make_decision_matrix(["A"], 3, cells, [1.0])
+
+
+def test_a_matrix_and_a_config_are_checked_once_per_call(monkeypatch, engineers_matrix):
+    # never per cell or per lambda
+    calls = []
+    of_type = pipeline.of_type
+    monkeypatch.setattr(pipeline, "of_type", lambda *args: calls.append(args[2]) or of_type(*args))
+    lambda_sweep(engineers_matrix, PipelineConfig(), range(1, 35))
+    run_pipeline(engineers_matrix)
+    aggregate_rows(engineers_matrix, "fnnwg", 2)
+    normalize(engineers_matrix)
+    matrix, config = "dm must be a DecisionMatrix", "config must be a PipelineConfig"
+    assert calls == [matrix, config] * 2 + [matrix] * 2
+
+
+def _counting_check_cell(monkeypatch):
+    calls = []
+    check = pipeline.check_cell
+    monkeypatch.setattr(pipeline, "check_cell", lambda *cell: calls.append(cell) or check(*cell))
+    return calls
+
+
+def test_a_matrix_of_values_checks_only_rows_above_the_cubic_sum_bound(monkeypatch):
+    # values of the exact library types carry their finite location, finite positive
+    # spread and memberships in [0, 1]; a row is checked cell by cell only where one
+    # of its cubic sums exceeds the bound, so that the error names the cell
+    values = gen_fnnn(FnnnGenConfig(seed=5), 12)
+    above = fnnwa([make_fnnn(1, 1, 1, 0, 1), make_fnnn(1, 1, 0, 1, 1)], [0.5, 0.5])
+    calls = _counting_check_cell(monkeypatch)
+    labels = ["A", "B", "C"], ["x", "y", "z", "w"]
+    dm = make_decision_matrix(*labels, [values[0:4], values[4:8], values[8:12]], [0.25] * 4)
+    assert calls == [] and dm.cells == (tuple(values[0:4]), tuple(values[4:8]), tuple(values[8:12]))
+    rows = [values[0:4], [*values[4:6], above, values[6]], values[8:12]]
+    with pytest.raises(CubicSumExceeded, match=r"^invalid cell at \(B, z\): t\^3 \+ i\^3 \+ f\^3 = "):
+        make_decision_matrix(*labels, rows, [0.25] * 4)
+    assert len(calls) == 3  # B's cells up to the first above the bound
+    calls.clear()
+    read = tuple(map(aggregate.read_row, rows))
+    problems = list(pipeline._problems(*labels, read, None, exact=True))
+    assert [cell for cell, _ in problems] == [(1, 2)] and len(calls) == 4
+    calls.clear()
+    assert [cell for cell, _ in pipeline._problems(*labels, read, None)] == [(1, 2)]
+    assert len(calls) == 12  # a matrix of numbers checks every cell
+
+
+class _LooseNormal(core.NormalParams):
+    def __post_init__(self):  # skips the checks of NormalParams
+        pass
+
+
+class _LooseTriple(core.MembershipTriple):
+    def __post_init__(self):  # skips the checks of MembershipTriple
+        pass
+
+
+@pytest.mark.parametrize("normal, mu, error, reason", [
+    (_LooseNormal(math.nan, 1.0), None, NotFinite, "eta must be a finite number"),
+    (_LooseNormal(1.0, -1.0), None, SpreadNonPositive, "xi = -1.0 must be > 0"),
+    (None, _LooseTriple(1.5, 0.5, 0.5), MembershipOutOfRange, "t = 1.5 is outside [0, 1]"),
+    (_LooseNormal("1", 1.0), None, ValidationError,
+     "eta, xi, t, i, f must be real numbers: str, float, float, float, float"),
+    (_LooseNormal(2, 1.0), None, None, None),
+], ids=["nan-location", "negative-spread", "truth-above-1", "text-location", "int-location"])
+def test_a_matrix_of_values_checks_parts_of_other_types_in_full(normal, mu, error, reason,
+                                                                 monkeypatch):
+    # a part of a subclass carries none of its type's rules: its matrix keeps the checks of
+    # a matrix of numbers, and names the cell as a matrix made of its components does
+    ok = make_fnnn(1.0, 1.0, 0.5, 0.5, 0.5)
+    odd = Fnnn(normal or ok.normal, mu or ok.mu)
+    components = [(1.0, 1.0, 0.5, 0.5, 0.5), (odd.eta, odd.xi, odd.t, odd.i, odd.f)]
+    calls = _counting_check_cell(monkeypatch)
+    if error is None:
+        dm = make_decision_matrix(["A"], ["x", "y"], [[ok, odd]], [0.5, 0.5])
+        assert type(dm.rows[0][0][1]) is float and len(calls) == 2
+        assert dm.rows == DecisionMatrix(["A"], ["x", "y"], [tuple(zip(*components))], [0.5, 0.5]).rows
+        return
+    with pytest.raises(error) as raised:
+        make_decision_matrix(["A"], ["x", "y"], [[ok, odd]], [0.5, 0.5])
+    assert str(raised.value) == f"invalid cell at (A, y): {reason}"
+    with pytest.raises(error, match=f"^{re.escape(str(raised.value))}$"):
+        DecisionMatrix(["A"], ["x", "y"], [tuple(zip(*components))], [0.5, 0.5])
 
 
 ANY_FLOAT = st.floats() | st.floats(0.0, 1.0) | st.sampled_from([0.0, 1.0, 1e-300, 1e300])
@@ -916,6 +1015,25 @@ def test_sweep_takes_no_text_for_a_grid(engineers_matrix, kind):
     # "134" ranked at lambda 1, 3 and 4, and b"12" at 49 and 50
     with pytest.raises(LambdaInvalid, match=f"^lambda values must be real numbers, not {kind.__name__}$"):
         lambda_sweep(engineers_matrix, PipelineConfig(), _text(kind, "134"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 6), m=st.integers(1, 5),
+       operator=st.sampled_from(sorted(OPERATORS)), metric=st.sampled_from(sorted(METRICS)),
+       lam=st.sampled_from([1.0, 3.0, 34.0]),
+       eta=st.floats(0.0, 1.7e308, exclude_min=True), xi=st.floats(0.0, 1.7e308, exclude_min=True))
+def test_the_distance_to_the_negative_ideal_never_reads_its_location(seed, n, m, operator, metric,
+                                                                      lam, eta, xi):
+    # the negative ideal's memberships (0, 0, 1) give it phi = 0, so D- is the distance
+    # to <(eta, xi); 0, 0, 1> for every finite positive (eta, xi), bit for bit
+    cells = gen_fnnn(FnnnGenConfig(seed=seed), n * m)
+    dm = make_decision_matrix([f"A{k}" for k in range(n)], [f"C{j}" for j in range(m)],
+                              [cells[k * m:(k + 1) * m] for k in range(n)],
+                              gen_weights(random.Random(seed), m))
+    report = run_pipeline(dm, PipelineConfig(operator, metric, lam))
+    elsewhere = make_fnnn(eta, xi, 0, 0, 1)
+    for agg, d_minus in zip(report.aggregates, report.d_minus):
+        assert METRICS[metric](agg, elsewhere) == d_minus
 
 
 @pytest.mark.parametrize("value, reason", [(None, r"^lam must be a real number"),

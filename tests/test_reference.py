@@ -87,7 +87,13 @@ def _no_draws(seed):
     ({"xi_range": (2.0, 1.0)}, r"xi_range = \(2.0, 1.0\) needs lo < hi"),
     ({"membership_range": (0.95, 1.0)},
      r"membership_range = \(0.95, 1.0\) needs lo <= hi, 3 \* lo\^3 <= 2"),
-], ids=["eta_range=(1.0, 1.0)", "xi_range=(2.0, 1.0)", "membership_range=(0.95, 1.0)"])
+    # a width that overflows float64: every draw was inf, a NotFinite that named no range
+    ({"eta_range": (-1.7e308, 1.7e308)},
+     r"eta_range = \(-1.7e\+308, 1.7e\+308\) needs hi - lo in float64's range"),
+    ({"xi_range": (-1e308, 1e308)},
+     r"xi_range = \(-1e\+308, 1e\+308\) needs hi - lo in float64's range"),
+], ids=["eta_range=(1.0, 1.0)", "xi_range=(2.0, 1.0)", "membership_range=(0.95, 1.0)",
+        "eta_range=(-1.7e308, 1.7e308)", "xi_range=(-1e308, 1e308)"])
 def test_generator_rejects_a_config_it_cannot_draw_from(cfg, message, monkeypatch):
     monkeypatch.setattr(reference, "random", SimpleNamespace(Random=_no_draws))
     with pytest.raises(ValidationError, match=f"^{message}$"):
