@@ -210,12 +210,6 @@ def check_cell(eta: float, xi: float, t: float, i: float, f: float) -> None:
         raise CubicSumExceeded(f"t^3 + i^3 + f^3 = {cubic:.6g} exceeds {CUBIC_SUM_BOUND:g}")
 
 
-def cubic_sums(ts, is_, fs) -> list[float]:
-    """t^3 + i^3 + f^3 of each cell of the memberships ts, is_ and fs, as
-    :func:`check_cell` takes it to compare with the bound."""
-    return [t ** 3 + i ** 3 + f ** 3 for t, i, f in zip(ts, is_, fs)]
-
-
 def checked_fnnn(eta: float, xi: float, t: float, i: float, f: float) -> Fnnn:
     """The value of float components checked before, by :func:`check_cell`
     or as a value's components; the types' own checks are not run again."""

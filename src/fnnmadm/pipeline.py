@@ -39,7 +39,7 @@ from typing import NamedTuple, Sequence
 from .aggregate import (OPERATORS, _values, aggregates, check_weights, lam_free, membership_logs,
                         read_row)
 from .core import (CELLS, CUBIC_SUM_BOUND, Fnnn, MembershipTriple, NormalParams, check_cell,
-                   check_lambda, check_normal, checked_fnnn, cubic_sums, items, of_type, reals)
+                   check_lambda, check_normal, checked_fnnn, items, of_type, reals)
 from .distance import FORMULAS, euclidean, hamming, phi_of
 from .errors import (
     DegenerateCloseness,
@@ -297,7 +297,9 @@ def _problems(alternatives, attributes, rows, weights, unread={}, exact=False): 
 
     faulty = set()
     for i, row in enumerate(rows):
-        if exact and max(cubic_sums(*row[2:])) <= CUBIC_SUM_BOUND:
+        # check_cell's own sum, so the test is bit for bit the same
+        if exact and all(t ** 3 + i ** 3 + f ** 3 <= CUBIC_SUM_BOUND
+                         for t, i, f in zip(*row[2:])):
             continue
         for j, cell in enumerate(zip(*row)):
             try:
@@ -528,11 +530,10 @@ def run_pipeline(dm: DecisionMatrix, config: PipelineConfig = PipelineConfig()) 
     bound (informational, never an error).  Raises NotFinite when a value
     overflows float64.
     """
-    of_type((dm,), DecisionMatrix, _MATRIX)
+    nm = normalize(dm)  # which checks the type of dm
     of_type((config,), PipelineConfig, _CONFIG)
     # dm, not the copy the report holds, keeps the logs and lam-free values
     (ev,) = _evaluations(dm, config.operator, config.metric, [config.lam])
-    nm = dm if dm.normalized else dm._normal_copy  # normalize(dm), whose check is made
     aggs = tuple(checked_fnnn(*a) for a in ev.aggregates)
     positive, negative = _ideal_values(ev.positive, ev.negative)
     notes = []

@@ -108,8 +108,8 @@ def values(draw):
         assume(False)
 
 
-# a value, mostly, or an object that is none: a part of one, a number, text, None
-objects = st.one_of(values(), values(), values(), not_floats,
+# a value or an object that is none: a part of one, a number, text, None
+objects = st.one_of(values(), not_floats,
                     st.sampled_from([NormalParams(1.0, 0.5), MembershipTriple(0.5, 0.5, 0.5)]))
 
 
@@ -157,21 +157,20 @@ def test_make_fnnn(components):
 
 @pytest.mark.parametrize("operation", [boxplus, boxtimes])
 @settings(max_examples=40, deadline=None)
-@given(a=objects, b=objects, lam=lams)
+@given(a=values(), b=values(), lam=lams)
 def test_binary_operations(operation, a, b, lam):
     holds(operation, a, b, lam)
 
 
 @pytest.mark.parametrize("operation", [scale, power])
 @settings(max_examples=40, deadline=None)
-@given(w=st.one_of(reals, not_floats), a=objects, lam=lams)
-@example(w=1.0, a="x", lam=1.0)  # a weight of 1 returned the object as it was given
+@given(w=st.one_of(reals, not_floats), a=values(), lam=lams)
 def test_scale_and_power(operation, w, a, lam):
     holds(operation, w, a, lam)
 
 
 @settings(max_examples=40, deadline=None)
-@given(a=objects, x=st.one_of(reals, not_floats))
+@given(a=values(), x=st.one_of(reals, not_floats))
 def test_membership_at(a, x):
     holds(membership_at, a, x)
 
@@ -184,8 +183,23 @@ def test_score_and_accuracy_ffn(measure, t, f):
 
 
 @settings(max_examples=40, deadline=None)
-@given(a=objects, b=objects)
+@given(a=values(), b=values())
 def test_distances(a, b):
+    holds(hamming, a, b)
+    holds(euclidean, a, b)
+    holds(normal_distance, a.normal, b.normal)
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=objects, b=objects, w=st.one_of(reals, not_floats), lam=lams)
+@example(a="x", b="x", w=1.0, lam=1.0)  # a weight of 1 returned the object as it was given
+def test_an_object_of_another_type(a, b, w, lam):
+    """Each function of values, given objects that may be no value."""
+    for operation in (boxplus, boxtimes):
+        holds(operation, a, b, lam)
+    for operation in (scale, power):
+        holds(operation, w, a, lam)
+    holds(membership_at, a, w)
     holds(hamming, a, b)
     holds(euclidean, a, b)
     # the parts of a value, or the object itself, which may be one part or none
