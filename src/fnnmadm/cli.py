@@ -96,7 +96,10 @@ class RawProblem(NamedTuple):
 def _numbers(values, where: str, row: int | None = None, col: int | None = None) -> list[float]:
     """The fields of a cell, or the weights, of either file format as
     floats.  Anything ``float`` rejects, an integer too large for a float
-    included, is a ParseError that names ``where``."""
+    included, and a JSON ``true`` or ``false``, which ``float`` reads as 1
+    or 0, is a ParseError that names ``where``."""
+    if bool in map(type, values):
+        raise ParseError(f"{where}: true and false are no numbers", row=row, col=col)
     try:
         return list(map(float, values))
     except (TypeError, ValueError, OverflowError) as e:
@@ -147,46 +150,36 @@ def _csv_rows(fh):
 
 
 def _read_csv_problem(path: str) -> RawProblem:
-    """The problem in a CSV file.  Each data row is parsed as the next one
-    arrives, so only the last, which may be the weights row, is held back.
-    Its lines are read by :func:`_csv_rows`: csv.reader reads them only
-    from the first that holds a quote, a CR or a NUL, or is too long,
-    and every row is the one csv.reader gives.
-    A fault is raised once the whole file is read, as if it had been read
-    first: the header's, the weights row's, no data rows, then the first
-    data row's.  Rows are numbered from the header, blank rows not counted."""
-    alternatives, rows, fault = [], [], None
-
-    def take(row, r):  # data row r, unless an earlier one was at fault
-        nonlocal fault
-        if fault is None:
-            try:
-                rows.append(_parse_row(row, r, m))
-                alternatives.append(row[0].strip())
-            except ParseError as e:
-                fault = e
-
+    """The problem in a CSV file, read in one pass.  Each data row is parsed
+    as the next one arrives, so only the last, which may be the weights row,
+    is held back.  Its lines are read by :func:`_csv_rows`: csv.reader reads
+    them only from the first that holds a quote, a CR or a NUL, or is too
+    long, and every row is the one csv.reader gives.  The first fault in
+    file order is raised where it is met, the weights row's and a lack of
+    data rows at the end; an undecodable byte when its block is decoded.
+    Rows are numbered from the header, blank rows not counted."""
+    alternatives, rows = [], []
     with open(path, newline="", encoding="utf-8") as fh:
         lines = (r for r in _csv_rows(fh) if r and any(field.strip() for field in r))
         header = next(lines, [])
+        if not header:
+            raise ParseError(f"{path}: file is empty")
         m, n, last = len(header) - 1, 1, None
+        if m < 1:
+            raise ParseError("header must be 'alt,<attr1>,...,<attrm>'", row=1)
         for n, line in enumerate(lines, start=2):
             if last is not None:
-                take(last, n - 1)
+                rows.append(_parse_row(last, n - 1, m))
+                alternatives.append(last[0].strip())
             last = line
-    if not header:
-        raise ParseError(f"{path}: file is empty")
-    if m < 1:
-        raise ParseError("header must be 'alt,<attr1>,...,<attrm>'", row=1)
     weights = None
     if last is not None and last[0].strip().lower() == "weights":
         if len(last) != m + 1:
             raise ParseError(f"weights row has {len(last) - 1} entries, expected {m}", row=n)
         weights = _numbers(last[1:], "weights row", n)
     elif last is not None:
-        take(last, n)
-    if fault is not None:
-        raise fault
+        rows.append(_parse_row(last, n, m))
+        alternatives.append(last[0].strip())
     if not rows:
         raise ParseError("no alternative rows found")
     attributes = tuple(h.strip() for h in header[1:])
@@ -402,9 +395,9 @@ def _json_chunks(o, nl: str):
     A writer can send each piece on as it comes, so no copy of the whole
     text is built.  The standard library encodes indented output in pure
     Python, one generator per container, which made rendering the slowest
-    step of a large ``rank``.  Here a list whose items are all finite
-    plain floats, plain ints or strings is one piece, joined in one call,
-    and so is a _Cells record, rendered as the list of its dicts: it fills
+    step of a large ``rank``.  Here a list whose every item
+    :func:`_plain_json` renders is one piece, joined in one call, and so
+    is a _Cells record, rendered as the list of its dicts: it fills
     one format template per value, with the ``repr`` of each float, so a
     record must hold finite plain floats.  A _SweepRows record is rendered
     as the list of its dicts too, one template and one piece per row.
@@ -436,13 +429,7 @@ def _json_chunks(o, nl: str):
         cell = inner + "  "
         template = f"{{{cell}{(',' + cell).join(_CELL_ENTRIES)}{inner}}}"
         items = map(template.__mod__, zip(*_by_key(o)))
-    elif (kinds := set(map(type, o))) == {float} and all(map(math.isfinite, o)):
-        items = map(float.__repr__, o)
-    elif kinds == {int}:
-        items = map(int.__repr__, o)
-    elif kinds == {str}:
-        items = map(_encode_str, o)
-    else:
+    elif None in (items := [*map(_plain_json, o)]):
         sep = "[" + inner
         for v in o:
             yield sep
@@ -714,13 +701,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_lambda=True):
+    def add_file(p):
         p.add_argument("path", help="problem file (CSV or JSON)")
         p.add_argument(
             "--input-format",
             choices=("csv", "json"),
             help="problem file format (default: by extension)",
         )
+
+    def add_common(p, with_lambda=True):
+        add_file(p)
         p.add_argument(
             "--operator",
             choices=sorted(OPERATORS),
@@ -788,8 +778,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_val = sub.add_parser("validate", help="report every reason rank would reject the file for")
-    p_val.add_argument("path", help="problem file (CSV or JSON)")
-    p_val.add_argument("--input-format", choices=("csv", "json"))
+    add_file(p_val)
     p_val.set_defaults(func=cmd_validate)
     return parser
 

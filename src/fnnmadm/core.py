@@ -251,6 +251,8 @@ def _check_weight(w: float) -> float:
     (w,) = reals((w,), WeightInvalid, "a weight must be a real number")
     if not w > 0.0:
         raise WeightNonPositive(f"weight {w!r} must be > 0")
+    if w == math.inf:
+        raise WeightInvalid(f"weight {w!r} must be a finite number > 0")
     return w
 
 

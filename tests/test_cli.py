@@ -181,6 +181,22 @@ def test_unconvertible_json_is_a_parse_error(tmp_path, capsys, text):
 
 
 @pytest.mark.parametrize(
+    "text, where",
+    [(_one_cell_json(eta="true"), "cell object 0"), (_one_cell_json(weight="true"), "weights"),
+     (_one_cell_json(weight="false"), "weights")],
+    ids=["true-cell", "true-weight", "false-weight"],
+)
+def test_a_json_boolean_cell_field_or_weight_is_a_data_error(tmp_path, capsys, text, where):
+    # float read true as 1.0, and rank exited 0
+    path = tmp_path / "problem.json"
+    path.write_text(text)
+    for command in ("rank", "validate"):
+        code, out, err = run_cli(capsys, command, str(path))
+        assert (code, out) == (EXIT_DATA, ""), command
+        assert where in err and "true and false are no numbers" in err, command
+
+
+@pytest.mark.parametrize(
     "text",
     [
         "alt,x\nA,1;1;0.5;0.5;0.5\nA,1;1;0.5;0.5;0.5\nweights,1\n",
@@ -308,37 +324,61 @@ def test_a_faulty_row_raises_the_cell_readers_error(tmp_path, cells, at, bad):
 
 
 # files with two faults each, or one at a row that blank rows do not count: the
-# fault reported is the one the reader reports when it has read the whole file
+# fault reported is the first in file order, a weights row's met at the end
 TWO_FAULTS = {
     "row-then-weights": (f"alt,x\nA,{ONE_CELL},{ONE_CELL}\nB,{ONE_CELL}\nweights,0.5,0.5\n",
-                         "weights row has 2 entries, expected 1 (row 4)"),
+                         "row has 2 cells, expected 1 (row 2)"),
     "row-then-weights-number": ("alt,x\nA,1;1\nweights,abc\n",
-                                "weights row: could not convert string to float: 'abc' (row 3)"),
+                                "cell '1;1' must have 5 ';'-separated fields eta;xi;t;i;f "
+                                "(row 2, column 2)"),
     "header-then-weights": (f"alt\nA,{ONE_CELL}\nweights,1,2\n",
                             "header must be 'alt,<attr1>,...,<attrm>' (row 1)"),
     "two-rows": (f"alt,x\nA,{ONE_CELL};1\nB,x;1;0.5;0.5;0.5\nweights,1\n",
                  f"cell '{ONE_CELL};1' must have 5 ';'-separated fields eta;xi;t;i;f (row 2, column 2)"),
     "last-row-after-blank-rows": (f"alt,x\n\nA,{ONE_CELL}\n  ,  \nB,{ONE_CELL},{ONE_CELL}\n",
                                   "row has 2 cells, expected 1 (row 3)"),
+    # text is decoded in blocks as it is read, so a byte near the start is met first
     "header-then-undecodable": (f"alt\nA,{ONE_CELL}\nB,\udcff\n",
                                 "<path>: 'utf-8' codec can't decode byte 0xff in position 24: "
                                 "invalid start byte"),
     "row-then-undecodable": ("alt,x\nA,1;1\nB,\udcff\n",
                              "<path>: 'utf-8' codec can't decode byte 0xff in position 14: "
                              "invalid start byte"),
+    # and one more than 1 MiB on is never decoded
+    "row-then-far-undecodable": ("alt,x\nA,1;1\n" + f"B,{ONE_CELL}\n" * 60_000 + "C,\udcff\n",
+                                 "cell '1;1' must have 5 ';'-separated fields eta;xi;t;i;f "
+                                 "(row 2, column 2)"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(TWO_FAULTS))
-def test_the_csv_reader_reports_faults_in_the_order_of_the_files_parts(tmp_path, name):
-    # the header's, the weights row's, no data rows, then the first data row's;
-    # a file that cannot be read reports that first
+def test_the_csv_reader_reports_the_first_fault_in_file_order(tmp_path, name):
     text, expected = TWO_FAULTS[name]
     path = tmp_path / "two-faults.csv"
     path.write_bytes(text.encode("utf-8", "surrogateescape"))
     with pytest.raises(ParseError) as caught:
         cli._read_raw(str(path))
     assert str(caught.value).replace(str(path), "<path>") == expected
+
+
+def test_the_csv_reader_reads_no_row_after_a_faulty_data_row(tmp_path, monkeypatch):
+    # a faulty row 2 of a 5000 x 20 file was raised once the whole file was read
+    path = tmp_path / "long.csv"
+    write_seeded_csv(path, 1000, 3)
+    lines = path.read_text().splitlines()
+    lines[2] = "A1,1;1,1;1,1;1"  # data row 3
+    path.write_text("\n".join(lines) + "\n")
+    csv_rows, read = cli._csv_rows, []
+
+    def counted(fh):
+        for row in csv_rows(fh):
+            read.append(row)
+            yield row
+
+    monkeypatch.setattr(cli, "_csv_rows", counted)
+    with pytest.raises(ParseError, match=r"^cell '1;1' .* \(row 3, column 2\)$"):
+        cli._read_csv_problem(str(path))
+    assert len(read) == 4  # the header, rows 2 and 3, and row 4, which row 3 was held back for
 
 
 def write_seeded_csv(path, n, m, seed=7):
@@ -642,6 +682,16 @@ def test_a_json_label_that_is_a_number_is_its_text(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "rank", str(path), "--format", "json")
     assert code == EXIT_OK
     assert json.loads(out)["ordering_labels"] == ["2.5", "B"]
+
+
+@pytest.mark.parametrize("command", ["rank", "sweep", "validate"])
+def test_every_command_explains_its_file_arguments(capsys, monkeypatch, command):
+    # validate declared --input-format without its help text
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help text to the terminal's width
+    code, out, _ = run_cli(capsys, command, "--help")
+    assert code == EXIT_OK
+    assert "problem file (CSV or JSON)" in out
+    assert "problem file format (default: by extension)" in out
 
 
 def test_rank_bad_operator_is_usage_error(engineers_csv_path, capsys):

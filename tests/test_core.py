@@ -436,12 +436,18 @@ def test_primitives_keep_a_tiny_membership_where_its_log_power_overflows():
     assert (boxplus(v, v, lam).t, boxtimes(v, v, lam).f) == (tiny, tiny)
 
 
-def test_scale_rejects_nonpositive_weight():
-    v = make_fnnn(1, 1, 0.5, 0.5, 0.5)
-    with pytest.raises(WeightNonPositive):
-        scale(0.0, v, 1)
-    with pytest.raises(WeightNonPositive):
-        power(-1.0, v, 1)
+@pytest.mark.parametrize("op", [scale, power])
+@pytest.mark.parametrize("w, error, message", [
+    (math.inf, WeightInvalid, "weight inf must be a finite number > 0"),
+    (0.0, WeightNonPositive, "weight 0.0 must be > 0"),
+    (-1.0, WeightNonPositive, "weight -1.0 must be > 0"),
+    (-math.inf, WeightNonPositive, "weight -inf must be > 0"),
+    (math.nan, WeightNonPositive, "weight nan must be > 0"),
+])
+def test_a_scalar_weight_that_is_no_finite_positive_number_is_named(op, w, error, message):
+    # scale(inf, v) raised NotFinite on eta and power(inf, v) SpreadNonPositive on xi
+    with pytest.raises(error, match=f"^{message}$"):
+        op(w, make_fnnn(1, 1, 0.5, 0.5, 0.5), 1)
 
 
 def test_power_fractional_of_negative_location_rejected():

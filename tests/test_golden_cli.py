@@ -29,6 +29,7 @@ ENGINEERS = "demos/engineers.csv"
 OPERATORS = ("fnnwa", "fnnwg", "gfnnwa", "gfnnwg")
 METRICS = ("hamming", "euclidean")
 NULL_LABEL = "tests/golden/null_label.json"
+BOOL_NUMBER = "tests/golden/bool_number.json"
 
 
 def _commands() -> list[list[str]]:
@@ -61,6 +62,8 @@ def _commands() -> list[list[str]]:
         out += [["validate", path], ["rank", path, "--format", "json"]]
     # a JSON null label, which str() once read as the label 'None'
     out += [["validate", NULL_LABEL], ["rank", NULL_LABEL, "--format", "json"]]
+    # a JSON true as a cell field, which float() once read as 1.0
+    out += [["validate", BOOL_NUMBER], ["rank", BOOL_NUMBER, "--format", "json"]]
     return out
 
 
