@@ -218,13 +218,14 @@ def _read_json_problem(path: str) -> RawProblem:
     for i in range(n):
         row = []
         for j in range(m):
-            where = f"cell object {i * m + j}"
+            # named by its index and labels: a JSON file has no rows or columns to number
+            where = f"cell object {i * m + j} ({alternatives[i]!r}, {attributes[j]!r})"
             d = raw_cells[i * m + j]
             try:
                 fields = [d[k] for k in ("eta", "xi", "t", "i", "f")]
             except (KeyError, TypeError) as e:
-                raise ParseError(f"{where}: {e}", row=i, col=j) from None
-            row.append(_numbers(fields, where, i, j))
+                raise ParseError(f"{where}: {e}") from None
+            row.append(_numbers(fields, where))
         rows.append(tuple(zip(*row)))
     if weights is not None:
         weights = _numbers(weights, f"{path}: weights must be numbers")

@@ -2,7 +2,10 @@
 
 A value ``<(eta, xi); t, i, f>`` couples the location/spread pair of a
 normal-shaped membership curve with truth, indeterminacy and falsity
-degrees whose cubic sum is bounded by 2.  All operations are pure
+degrees whose cubic sum is bounded by 2.  A value is three frozen dataclass
+objects with slots and no ``__dict__``, an :class:`Fnnn` of a :class:`NormalParams`
+and a :class:`MembershipTriple`; each field is stored through its slot's descriptor,
+by :func:`checked_fnnn` and the types' checks.  All operations are pure
 functions over immutable values.  The real parameter ``lam >= 1``
 controls the root/power structure of the membership algebra; ``lam = 1``
 gives the base operations.  A caller's sequences are read once, by :func:`items`,
@@ -14,7 +17,7 @@ per call, by :func:`of_type`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from itertools import repeat
 
 from ._numeric import clip01, prob_sum_root, weighted_prob_sum, xlogs
@@ -87,7 +90,7 @@ def check_membership(t: float, i: float, f: float) -> None:
         _check_unit("f", f)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MembershipTriple:
     """Truth, indeterminacy and falsity degrees in [0, 1], as :func:`reals` reads them."""
 
@@ -98,13 +101,15 @@ class MembershipTriple:
     def __post_init__(self):
         t, i, f = reals((self.t, self.i, self.f), ValidationError, "t, i, f must be real numbers")
         check_membership(t, i, f)
-        vars(self).update(t=t, i=i, f=f)
+        _SET_T(self, t)
+        _SET_I(self, i)
+        _SET_F(self, f)
 
     def cubic_sum(self) -> float:
         return self.t ** 3 + self.i ** 3 + self.f ** 3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NormalParams:
     """Finite location and finite, strictly positive spread of a normal
     membership curve, as :func:`reals` reads them."""
@@ -115,7 +120,8 @@ class NormalParams:
     def __post_init__(self):
         eta, xi = reals((self.eta, self.xi), ValidationError, "eta and xi must be real numbers")
         check_normal(eta, xi)
-        vars(self).update(eta=eta, xi=xi)
+        _SET_ETA(self, eta)
+        _SET_XI(self, xi)
 
 
 def check_normal(eta: float, xi: float) -> None:
@@ -129,7 +135,7 @@ def check_normal(eta: float, xi: float) -> None:
         raise SpreadNonPositive(f"xi = {xi!r} must be > 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Fnnn:
     """A Fermatean neutrosophic normal number ``<(eta, xi); t, i, f>``, made
     of a :class:`NormalParams` and a :class:`MembershipTriple`.
@@ -177,6 +183,26 @@ class Fnnn:
         )
 
 
+def _frozen(self, name, *value):
+    raise FrozenInstanceError(f"cannot assign to or delete field {name!r}")
+
+
+# set once the classes are made: with slots, dataclasses' own frozen __setattr__ and
+# __delattr__ raise a bare TypeError for a name that is no field on Python 3.10-3.13
+for _kind in (NormalParams, MembershipTriple, Fnnn):
+    _kind.__setattr__ = _kind.__delattr__ = _frozen
+del _kind
+
+# Each field's setter: its slot's member descriptor, bound once.  A value's fields are
+# stored through them, not through object.__setattr__, which looks the descriptor up
+# on every call; the values have no __dict__ to update.
+_new = object.__new__
+_SET_ETA, _SET_XI = NormalParams.eta.__set__, NormalParams.xi.__set__
+_SET_T, _SET_I, _SET_F = (MembershipTriple.t.__set__, MembershipTriple.i.__set__,
+                          MembershipTriple.f.__set__)
+_SET_NORMAL, _SET_MU = Fnnn.normal.__set__, Fnnn.mu.__set__
+
+
 def checked_result(eta: float, xi: float, t: float, i: float, f: float) -> tuple[float, ...]:
     """The rule for what an operation computed: memberships are clipped to
     [0, 1] against round-off, then all is checked as a value's components
@@ -212,16 +238,17 @@ def check_cell(eta: float, xi: float, t: float, i: float, f: float) -> None:
 
 def checked_fnnn(eta: float, xi: float, t: float, i: float, f: float) -> Fnnn:
     """The value of float components checked before, by :func:`check_cell`
-    or as a value's components; the types' own checks are not run again."""
-    new, put = object.__new__, object.__setattr__  # put sets a field as a frozen __init__ does
-    normal, mu, value = new(NormalParams), new(MembershipTriple), new(Fnnn)
-    put(normal, "eta", eta)
-    put(normal, "xi", xi)
-    put(mu, "t", t)
-    put(mu, "i", i)
-    put(mu, "f", f)
-    put(value, "normal", normal)
-    put(value, "mu", mu)
+    or as a value's components; the types' own checks are not run again.
+    Its three objects are made without ``__init__``, and each field is stored
+    through its slot's bound setter, with no ``object.__setattr__`` lookup."""
+    normal, mu, value = _new(NormalParams), _new(MembershipTriple), _new(Fnnn)
+    _SET_ETA(normal, eta)
+    _SET_XI(normal, xi)
+    _SET_T(mu, t)
+    _SET_I(mu, i)
+    _SET_F(mu, f)
+    _SET_NORMAL(value, normal)
+    _SET_MU(value, mu)
     return value
 
 
@@ -320,13 +347,16 @@ def power(w: float, a: Fnnn, lam: float = 1.0) -> Fnnn:
 
 
 def membership_at(a: Fnnn, x: float) -> MembershipTriple:
-    """Evaluate the normal membership curve at point x.
+    """Evaluate the normal membership curve at point x, a real number or
+    +-inf, where it gives (0, 0, 1); a NaN x is a ValidationError.
 
     The attenuation factor exp(-(|x - eta| / xi)^3) scales truth and
     indeterminacy toward 0 and falsity toward 1 away from the peak.
     """
     of_type((a,), Fnnn, VALUE)
     (x,) = reals((x,), ValidationError, "x must be a real number")
+    if x != x:  # the curve is nowhere at NaN; at +-inf it is in its tails
+        raise ValidationError("x must be a number, not NaN")
     z = abs(x - a.eta) / a.xi
     g = 0.0 if z >= 1e6 else math.exp(-(z * z * z))
     return MembershipTriple(

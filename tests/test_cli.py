@@ -182,8 +182,8 @@ def test_unconvertible_json_is_a_parse_error(tmp_path, capsys, text):
 
 @pytest.mark.parametrize(
     "text, where",
-    [(_one_cell_json(eta="true"), "cell object 0"), (_one_cell_json(weight="true"), "weights"),
-     (_one_cell_json(weight="false"), "weights")],
+    [(_one_cell_json(eta="true"), "cell object 0 ('A', 'x'): "),
+     (_one_cell_json(weight="true"), "weights"), (_one_cell_json(weight="false"), "weights")],
     ids=["true-cell", "true-weight", "false-weight"],
 )
 def test_a_json_boolean_cell_field_or_weight_is_a_data_error(tmp_path, capsys, text, where):
@@ -247,7 +247,9 @@ ONE_CELL = "1;1;0.5;0.5;0.5"
          "expected 2 cells (row-major), got 0"),
         ("fields.json", '{"alternatives": ["A"], "attributes": ["x", "y"], "cells": '
          '[{"eta": 1, "xi": 1, "t": 0.5, "i": 0.5, "f": 0.5}, {"eta": 1}]}',
-         "'xi' (row 0, column 1)"),
+         "error: cell object 1 ('A', 'y'): 'xi'\n"),  # by its index and labels: no row or column
+        ("label.json", '{"alternatives": ["A, x)\\n"], "attributes": ["\\u001b[2J"], "cells": '
+         '[{"eta": 1}]}', "error: cell object 0 ('A, x)\\n', '\\x1b[2J'): 'xi'\n"),  # escaped
     ],
 )
 def test_reader_errors_name_their_place(tmp_path, capsys, name, text, place):

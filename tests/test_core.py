@@ -474,6 +474,17 @@ def test_membership_at_tails():
         assert (mu.t, mu.i, mu.f) == (0.0, 0.0, 1.0)
 
 
+def test_membership_at_a_nan_point_names_x():
+    # the curve at NaN was NaN, and the triple made of it named t, which no caller passed
+    v = make_fnnn(0.0, 1.0, 0.8, 0.6, 0.4)
+    with pytest.raises(ValidationError, match=r"^x must be a number, not NaN$") as raised:
+        membership_at(v, math.nan)
+    assert type(raised.value) is ValidationError
+    for x in (math.inf, -math.inf):  # the tails, as far from the peak as a point can be
+        mu = membership_at(v, x)
+        assert (mu.t, mu.i, mu.f) == (0.0, 0.0, 1.0)
+
+
 def test_membership_at_unit_offset():
     v = make_fnnn(0, 1, 1, 1, 0)
     mu = membership_at(v, 1.0)

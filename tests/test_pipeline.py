@@ -497,6 +497,30 @@ def test_a_matrix_of_values_checks_parts_of_other_types_in_full(normal, mu, erro
         DecisionMatrix(["A"], ["x", "y"], [tuple(zip(*components))], [0.5, 0.5])
 
 
+class _PlainNormal(core.NormalParams):
+    """A subclass that keeps the checks of NormalParams, with a __dict__ besides."""
+
+
+class _PlainTriple(core.MembershipTriple):
+    """A subclass that keeps the checks of MembershipTriple, with a __dict__ besides."""
+
+
+def test_a_plain_subclass_of_a_slotted_part_is_checked_in_full(monkeypatch):
+    # only the exact types skip the checks their values carry: a subclass, here one
+    # with a __dict__ of its own, may carry other rules
+    ok = make_fnnn(1.0, 1.0, 0.5, 0.5, 0.5)
+    parts = _PlainNormal(2, 1.0), _PlainTriple(0.25, 0.5, 0.5)
+    assert all(vars(part) == {} for part in parts)
+    calls = _counting_check_cell(monkeypatch)
+    row = [ok, Fnnn(parts[0], ok.mu), Fnnn(ok.normal, parts[1])]
+    dm = make_decision_matrix(["A"], ["x", "y", "z"], [row], [0.25, 0.25, 0.5])
+    assert len(calls) == 3 and all(type(v) is float for channel in dm.rows[0] for v in channel)
+    assert dm.rows[0][0] == (1.0, 2.0, 1.0) and dm.rows[0][2] == (0.5, 0.5, 0.25)
+    calls.clear()
+    make_decision_matrix(["A"], ["x"], [[ok]], [1.0])
+    assert calls == []  # a matrix of the exact types checks no cell in range
+
+
 ANY_FLOAT = st.floats() | st.floats(0.0, 1.0) | st.sampled_from([0.0, 1.0, 1e-300, 1e300])
 ANY_CELL = st.tuples(ANY_FLOAT, ANY_FLOAT, ANY_FLOAT, ANY_FLOAT, ANY_FLOAT)
 UNIT_CELL = st.tuples(
