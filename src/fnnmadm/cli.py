@@ -4,7 +4,8 @@ Problem files are CSV (header ``alt,<attr...>``, cells ``eta;xi;t;i;f``,
 optional trailing ``weights,...`` row) or JSON (object with
 ``alternatives``, ``attributes``, ``weights`` and a row-major ``cells``
 array of 5-field objects).  Exit codes: 0 success, 1 usage error,
-2 data/validation error, 3 degenerate computation.
+2 data/validation error, 3 degenerate computation, 141 (128 + SIGPIPE)
+when the reader of stdout closed it early, with nothing printed.
 
 :func:`main` may be called repeatedly in one process: it builds its
 parser on the first call, not at import, and reuses it.  An argument
@@ -13,11 +14,13 @@ option: after an option that takes a value, abbreviated or not, it is
 that option's value (``--weig -0.5,1.5``); elsewhere it is a positional
 (``validate -1.csv``).  ``rank`` and ``sweep`` rank the normalized copy
 of the matrix they read (no logs kept); only a table reads the precision.
-A CSV data row is read in one split and one ``float`` pass over its
-fields, as the next row arrives.  A line with no quote, CR or NUL is
-split on commas without csv.reader, which reads the file from the first
-other line on: only those characters and the line ends are special to
-csv, so every row is the one csv.reader gives.  ``rank --format json``
+A file is checked once, and its matrix holds the reader's rows of plain
+floats as they are, not read again by the constructor (see
+:func:`_build_matrix`).  A CSV data row is read in one split and one
+``float`` pass over its fields, as the next row arrives.  A line with no
+quote, CR or NUL is split on commas without csv.reader, which reads the
+file from the first other line on: only those characters and the line
+ends are special to csv, so every row is the one csv.reader gives.  ``rank --format json``
 renders each cell straight from the matrix's float rows and the
 aggregates' columns, without the per-cell dicts of
 :func:`report_to_dict`, to the same bytes; ``sweep --format json``
@@ -60,6 +63,7 @@ from .pipeline import (
     SweepResult,
     SweepRow,
     _labels,
+    _made,
     _problems,
     lambda_sweep,
     normalize,
@@ -70,6 +74,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_DEGENERATE = 3
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a tool a closed pipe stopped
 
 DEFAULT_PRECISION = 4
 MAX_PRECISION = 17  # float64 carries at most 17 significant digits
@@ -245,22 +250,26 @@ def _build_matrix(
     weights_override: list[float] | None = None,
     renormalize: bool = False,
 ) -> DecisionMatrix:
-    """The matrix of ``raw``, with ``weights_override`` as its weights if given.  A fault of
-    the weights comes after the matrix's other problems; one of ``weights_override`` is
-    a usage problem, _UsageError (exit 1), as --weights that do not parse are."""
+    """The matrix of ``raw``, with ``weights_override`` as its weights if given.
+
+    The problem is checked once: the first of :func:`_problems` over its labels and rows,
+    then its weights, so a fault of the weights comes after the matrix's other problems;
+    one of ``weights_override`` is a usage problem, _UsageError (exit 1), as --weights that
+    do not parse are.  The matrix then holds the reader's rows as they are, plain floats in
+    tuples, which the constructor would read and check again; it equals
+    ``DecisionMatrix(*raw)``."""
+    for _, problem in _problems(*raw._replace(weights=None)):
+        raise problem
     weights = weights_override if weights_override is not None else raw.weights
+    if weights is None:
+        raise ParseError("no weights: embed a 'weights' row or pass --weights")
     try:
-        if weights is None:
-            raise ParseError("no weights: embed a 'weights' row or pass --weights")
-        if renormalize:
-            weights = check_weights(weights, n=len(raw.attributes), renormalize=True)
-        return DecisionMatrix(raw.alternatives, raw.attributes, raw.rows, weights)
-    except (ParseError, LengthMismatch, WeightInvalid) as e:
-        for _, problem in _problems(*raw._replace(weights=None)):
-            raise problem from None
+        weights = check_weights(weights, n=len(raw.attributes), renormalize=renormalize)
+    except (LengthMismatch, WeightInvalid) as e:
         if weights_override is None:
             raise
         raise _UsageError(f"--weights: {e}") from None
+    return _made(DecisionMatrix, *raw._replace(weights=weights))
 
 
 def parse_problem(path: str, fmt: str | None = None) -> DecisionMatrix:
@@ -807,6 +816,15 @@ def main(argv=None) -> int:
     except DegenerateCloseness as e:
         print(f"error: degenerate computation: {e}", file=sys.stderr)
         return EXIT_DEGENERATE
+    except BrokenPipeError:  # the reader stopped early, which is no fault of the data
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, OSError, ValueError):  # no real stream: left as it is
+            return EXIT_BROKEN_PIPE
+        devnull = os.open(os.devnull, os.O_WRONLY)  # so the flush at exit writes to nowhere
+        os.dup2(devnull, fd)
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except (FnnError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DATA

@@ -79,7 +79,10 @@ class DecisionMatrix:
     are read once.  ``normalized`` is not a constructor argument: only
     :func:`normalize` sets it, on a copy of a checked matrix, whose type
     raises ValidationError if the constructor makes one, as
-    ``dataclasses.replace`` would.
+    ``dataclasses.replace`` would.  The CLI checks a problem file once, by
+    :func:`_problems` and ``check_weights``, and makes its matrix of the
+    reader's rows of plain floats as they are, through :func:`_made`, without
+    the constructor; it equals the matrix the constructor makes of them.
 
     A raw matrix reads itself once.  Outside its fields, so that equality,
     hashing, ``repr``, ``dataclasses.replace``, copies and pickles do not
@@ -145,11 +148,8 @@ class DecisionMatrix:
     def _normal_copy(self) -> DecisionMatrix:
         """This raw matrix normalized, as :func:`normalize` returns it, its memberships shared."""
         rows = tuple((*normal, *row[2:]) for normal, row in zip(_normal_rows(self.rows), self.rows))
-        normal = object.__new__(_NormalizedMatrix)  # not made by __init__, so not checked again
         # the fields alone: what this matrix keeps would stay alive with the copy
-        vars(normal).update(alternatives=self.alternatives, attributes=self.attributes,
-                            rows=rows, weights=self.weights, normalized=True)
-        return normal
+        return _made(_NormalizedMatrix, self.alternatives, self.attributes, rows, self.weights)
 
     @cached_property
     def _logs(self) -> list[list[list[float]]]:
@@ -176,6 +176,17 @@ class _NormalizedMatrix(DecisionMatrix):
             "a normalized matrix is made only by normalize: "
             "replace fields of the raw matrix and normalize that"
         )
+
+
+def _made(kind, alternatives, attributes, rows, weights) -> DecisionMatrix:
+    """A matrix of type ``kind`` that holds the fields given as they are, made without
+    its constructor, so only of fields that passed its checks; a raw one reads
+    ``normalized`` from its class, as the constructor leaves it."""
+    dm = object.__new__(kind)
+    vars(dm).update(alternatives=alternatives, attributes=attributes, rows=rows, weights=weights)
+    if kind is _NormalizedMatrix:
+        vars(dm)["normalized"] = True
+    return dm
 
 
 class _Values(NamedTuple):

@@ -8,12 +8,14 @@ import json
 import math
 import os
 import pathlib
+import pickle
 import random
 import shutil
 import subprocess
 import sys
 import threading
 import tracemalloc
+from itertools import chain
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -21,6 +23,7 @@ from hypothesis import strategies as st
 
 import engineers_case as case
 from fnnmadm import (
+    DecisionMatrix,
     DegenerateCloseness,
     FnnnGenConfig,
     MembershipOutOfRange,
@@ -31,6 +34,7 @@ from fnnmadm import (
     gen_weights,
     lambda_sweep,
     normalize,
+    pipeline,
     rank,
     run_pipeline,
 )
@@ -259,6 +263,93 @@ def test_reader_errors_name_their_place(tmp_path, capsys, name, text, place):
         code, out, err = run_cli(capsys, command, str(path))
         assert code == EXIT_DATA and out == "", command
         assert err.startswith("error: ") and place in err, command
+
+
+# ---------------------------------------------------------------------------
+# building the matrix: one check of a file, on the reader's rows as they are
+
+READ_FILES = ["demos/engineers.csv", "tests/golden/seeded_12x6.csv",
+              "tests/golden/quoted_crlf.csv", "tests/golden/awkward_labels.json"]
+
+
+def _count_calls(monkeypatch, module, name, calls):
+    made = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return made(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["rank", "demos/engineers.csv", "--format", "json"], EXIT_OK),
+    (["sweep", "tests/golden/seeded_12x6.csv", "--lambda-range", "1..3"], EXIT_OK),
+    (["rank", "demos/engineers.csv", "--weights", "1,1,1,1"], EXIT_USAGE),
+    (["rank", "tests/golden/several_problems.csv"], EXIT_DATA),
+    (["rank", "<weights off by 0.1>"], EXIT_DATA),
+])
+def test_the_cli_checks_a_file_once_and_reads_no_number_again(
+        argv, code, tmp_path, capsys, monkeypatch):
+    if argv[1].startswith("<"):
+        argv[1] = str(tmp_path / "off.csv")
+        pathlib.Path(argv[1]).write_text(f"alt,x,y\nA,{ONE_CELL},{ONE_CELL}\nweights,0.5,0.4\n")
+    monkeypatch.chdir(ROOT)
+    calls = []
+    _count_calls(monkeypatch, pipeline, "_read_rows", calls)
+    for module in (pipeline, cli):  # the constructor's name and the CLI's
+        _count_calls(monkeypatch, module, "_problems", calls)
+    assert run_cli(capsys, *argv)[0] == code
+    assert calls == ["_problems"]
+
+
+@pytest.mark.parametrize("path", READ_FILES)
+def test_the_cli_builds_the_matrix_the_constructor_makes(path):
+    raw = cli._read_raw(str(ROOT / path))
+    built, made = cli._build_matrix(raw), DecisionMatrix(*raw)
+    assert type(built) is type(made) is DecisionMatrix
+    assert built == made and hash(built) == hash(made)
+    assert vars(built) == vars(made) and pickle.dumps(built) == pickle.dumps(made)
+    assert built.normalized is made.normalized is False
+    assert repr(normalize(built).rows) == repr(normalize(made).rows)  # bit for bit
+    assert normalize(built) is normalize(built)  # the raw matrix keeps its copy
+
+
+@pytest.mark.parametrize("path", [*READ_FILES, "<a JSON field written as 1>"])
+def test_both_readers_give_only_exact_floats(path, tmp_path):
+    if path.startswith("<"):
+        path = tmp_path / "ints.json"
+        path.write_text('{"alternatives": ["A"], "attributes": ["x"], "weights": [1], '
+                        '"cells": [{"eta": 1, "xi": 2, "t": 0, "i": 1, "f": 0}]}')
+    raw = cli._read_raw(str(ROOT / path))
+    assert type(raw.rows) is tuple and {*map(type, raw.rows)} == {tuple}
+    channels = [*chain.from_iterable(raw.rows)]
+    assert {*map(type, channels)} == {tuple}
+    assert {*map(type, chain.from_iterable(channels))} == {*map(type, raw.weights)} == {float}
+
+
+TWICE = "alternative label 'A' appears twice"
+
+
+@pytest.mark.parametrize("text, flags, first", [
+    # a cell fault comes before a fault of --weights
+    (f"alt,x,y\nA,{ONE_CELL},1;1;1.5;.5;.5\nweights,.5,.5\n", ["--weights", "1,2,3"],
+     "invalid cell at (A, y): t = 1.5 is outside [0, 1]"),
+    # a cell fault, or a repeated label, comes before a weight that underflows when rescaled
+    (f"alt,x,y\nA,0;1;.5;.5;.5,{ONE_CELL}\nweights,1e-300,1e300\n", ["--renormalize-weights"],
+     "invalid cell at (A, x): eta = 0.0 must be > 0 for normalization"),
+    (f"alt,x,y\nA,{ONE_CELL},{ONE_CELL}\nA,{ONE_CELL},{ONE_CELL}\n",
+     ["--weights", "1e-300,1e300", "--renormalize-weights"], TWICE),
+    # a repeated label comes before a missing weights row
+    (f"alt,x\nA,{ONE_CELL}\nA,{ONE_CELL}\n", [], TWICE),
+])
+def test_rank_reports_the_first_fault_in_the_order_validate_lists(
+        tmp_path, capsys, text, flags, first):
+    path = tmp_path / "problem.csv"
+    path.write_text(text)
+    assert run_cli(capsys, "rank", str(path), *flags) == (EXIT_DATA, "", f"error: {first}\n")
+    _, listed, _ = run_cli(capsys, "validate", str(path))
+    assert listed.splitlines()[0].endswith(first.removeprefix("invalid cell at "))
 
 
 # ---------------------------------------------------------------------------
@@ -1411,6 +1502,34 @@ def test_python_m_fnnmadm_prints_and_exits_as_main(capsys, monkeypatch, argv):
                           text=True, timeout=60, env=env)
     assert (done.returncode, done.stdout, done.stderr) == (code, out, err)
     assert code == (EXIT_OK if len(argv) > 2 else EXIT_DATA)
+
+
+def test_a_reader_that_stops_early_is_no_data_error():
+    # a closed stdout is no fault of the data: nothing is printed, and the exit
+    # status is 141 (128 + SIGPIPE), as a shell reports for a tool a closed pipe stopped
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    argv = [sys.executable, "-X", "dev", "-W", "error", "-m", "fnnmadm", "sweep",
+            str(ROOT / "tests" / "golden" / "seeded_12x6.csv"), "--lambda-range", "1..3000",
+            "--format", "csv"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=env) as child:
+        assert child.stdout.read(10) == b"lambda,D1,"
+        child.stdout.close()  # the rest, some 0.7 MB, is more than a pipe holds
+        err = child.stderr.read()
+        code = child.wait(timeout=60)
+    assert (code, err) == (141, b"")
+
+
+def test_a_closed_stdout_that_is_no_real_stream_is_left_as_it_is(
+        engineers_csv_path, capsys, monkeypatch):
+    class Closed(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    stdout = Closed()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(["rank", engineers_csv_path]) == 141
+    assert sys.stdout is stdout and capsys.readouterr().err == ""
 
 
 def test_import_builds_no_parser():
