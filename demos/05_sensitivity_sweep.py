@@ -12,7 +12,7 @@ plotting.  Equivalent CLI run:
 import pathlib
 
 from fnnmadm import PipelineConfig, lambda_sweep
-from fnnmadm.cli import closeness_csv, parse_problem
+from fnnmadm.cli import parse_problem, write_closeness_csv
 
 HERE = pathlib.Path(__file__).parent
 dm = parse_problem(str(HERE / "engineers.csv"))
@@ -44,5 +44,6 @@ for tr in sweep.transitions:
 print("(the recommended alternative itself flips at the last transition)")
 
 out = HERE / "closeness_vs_lambda.csv"
-out.write_text(closeness_csv(sweep, labels) + "\n")  # what --plot-out writes
+with open(out, "w", encoding="utf-8") as fh:  # what --plot-out writes, a row at a time
+    write_closeness_csv(fh, sweep, labels)
 print(f"\nplot data written to {out.name}")

@@ -25,7 +25,11 @@ renders each cell straight from the matrix's float rows and the
 aggregates' columns, without the per-cell dicts of
 :func:`report_to_dict`, to the same bytes; ``sweep --format json``
 renders each row alike straight from the sweep's rows, without the
-per-row dicts of :func:`sweep_to_dict`, one piece per row.
+per-row dicts of :func:`sweep_to_dict`, one piece per row.  Every format
+of ``rank`` and ``sweep``, and the ``--plot-out`` file, is written as it is
+rendered, a piece at a time: a table a line at a time, CSV a row at a time
+through one csv.writer on its stream, so no copy of the whole text is built.
+A label stdout cannot encode stops the output where it is met (exit 1).
 """
 
 from __future__ import annotations
@@ -33,7 +37,6 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import io
 import json
 import math
 import os
@@ -98,15 +101,20 @@ class RawProblem(NamedTuple):
     weights: list[float] | None
 
 
-def _numbers(values, where: str, row: int | None = None, col: int | None = None) -> list[float]:
+def _as_floats(values) -> list[float]:
     """The fields of a cell, or the weights, of either file format as
-    floats.  Anything ``float`` rejects, an integer too large for a float
-    included, and a JSON ``true`` or ``false``, which ``float`` reads as 1
-    or 0, is a ParseError that names ``where``."""
+    floats.  Anything ``float`` rejects raises TypeError, ValueError or, for
+    an integer too large for a float, OverflowError; so does a JSON ``true``
+    or ``false``, which ``float`` reads as 1 or 0, as a ValueError."""
     if bool in map(type, values):
-        raise ParseError(f"{where}: true and false are no numbers", row=row, col=col)
+        raise ValueError("true and false are no numbers")
+    return list(map(float, values))
+
+
+def _numbers(values, where: str, row: int | None = None, col: int | None = None) -> list[float]:
+    """:func:`_as_floats` of ``values``, a fault a ParseError that names ``where``."""
     try:
-        return list(map(float, values))
+        return _as_floats(values)
     except (TypeError, ValueError, OverflowError) as e:
         raise ParseError(f"{where}: {e}", row=row, col=col) from None
 
@@ -223,14 +231,14 @@ def _read_json_problem(path: str) -> RawProblem:
     for i in range(n):
         row = []
         for j in range(m):
-            # named by its index and labels: a JSON file has no rows or columns to number
-            where = f"cell object {i * m + j} ({alternatives[i]!r}, {attributes[j]!r})"
             d = raw_cells[i * m + j]
             try:
-                fields = [d[k] for k in ("eta", "xi", "t", "i", "f")]
-            except (KeyError, TypeError) as e:
+                row.append(_as_floats([d[k] for k in ("eta", "xi", "t", "i", "f")]))
+            except (KeyError, TypeError, ValueError, OverflowError) as e:
+                # named, only now, by its index and labels: a JSON file has no rows or
+                # columns to number
+                where = f"cell object {i * m + j} ({alternatives[i]!r}, {attributes[j]!r})"
                 raise ParseError(f"{where}: {e}") from None
-            row.append(_numbers(fields, where))
         rows.append(tuple(zip(*row)))
     if weights is not None:
         weights = _numbers(weights, f"{path}: weights must be numbers")
@@ -468,66 +476,48 @@ def _sweep_row_chunks(record: _SweepRows, inner: str, nl: str):
     yield nl + "]" if record.rows else "[]"
 
 
-def _print_json(obj) -> None:
-    """Print ``obj`` to stdout as :func:`_dump_json` renders it, piece by
-    piece as it is rendered."""
-    sys.stdout.writelines(_json_chunks(obj, "\n"))
-    sys.stdout.write("\n")
+def _render_json(doc):
+    """Yield ``doc`` as :func:`_dump_json` renders it, then a line break,
+    in the pieces of :func:`_json_chunks`."""
+    yield from _json_chunks(doc, "\n")
+    yield "\n"
 
 
-def _render_rank_table(rep: RankingReport, prec: int) -> str:
+def _render_rank_table(rep: RankingReport, prec: int):
+    """Yield the lines of ``rank``'s table, each with its line break."""
     dm = rep.matrix
-    lines = [
-        f"operator={rep.config.operator}  metric={rep.config.metric}  "
-        f"lambda={rep.config.lam:g}",
-        "",
-        "Normalized decision matrix:",
-    ]
+    yield (f"operator={rep.config.operator}  metric={rep.config.metric}  "
+           f"lambda={rep.config.lam:g}\n")
+    yield "\nNormalized decision matrix:\n"
     width = max(len(a) for a in dm.alternatives)
     for label, row in zip(dm.alternatives, dm.rows):
         cells = "  ".join(_fmt_fnnn(c, prec) for c in zip(*row))
-        lines.append(f"  {label:<{width}}  {cells}")
-    lines += ["", "Aggregates:"]
+        yield f"  {label:<{width}}  {cells}\n"
+    yield "\nAggregates:\n"
     for label, agg in zip(dm.alternatives, rep.aggregates):
-        lines.append(f"  {label:<{width}}  {_fmt_fnnn(fnnn_to_dict(agg).values(), prec)}")
-    lines += [
-        "",
-        f"Positive ideal: {_fmt_fnnn(fnnn_to_dict(rep.positive_ideal).values(), prec)}",
-        f"Negative ideal: {_fmt_fnnn(fnnn_to_dict(rep.negative_ideal).values(), prec)}",
-        "",
-        "Distances and closeness:",
-        f"  {'alt':<{width}}  {'D+':>{prec + 4}}  {'D-':>{prec + 4}}  "
-        f"{'D*':>{prec + 4}}  rank",
-    ]
+        yield f"  {label:<{width}}  {_fmt_fnnn(fnnn_to_dict(agg).values(), prec)}\n"
+    yield f"\nPositive ideal: {_fmt_fnnn(fnnn_to_dict(rep.positive_ideal).values(), prec)}\n"
+    yield f"Negative ideal: {_fmt_fnnn(fnnn_to_dict(rep.negative_ideal).values(), prec)}\n"
+    yield "\nDistances and closeness:\n"
+    yield (f"  {'alt':<{width}}  {'D+':>{prec + 4}}  {'D-':>{prec + 4}}  "
+           f"{'D*':>{prec + 4}}  rank\n")
     position = {k: r + 1 for r, k in enumerate(rep.ordering)}
     for k, label in enumerate(dm.alternatives):
-        lines.append(
-            f"  {label:<{width}}  {rep.d_plus[k]:>{prec + 4}.{prec}f}  "
-            f"{rep.d_minus[k]:>{prec + 4}.{prec}f}  "
-            f"{rep.closeness[k]:>{prec + 4}.{prec}f}  {position[k]:>4}"
-        )
-    lines += ["", f"Ranking: {_ordering_str(rep.ordered_labels())}"]
+        yield (f"  {label:<{width}}  {rep.d_plus[k]:>{prec + 4}.{prec}f}  "
+               f"{rep.d_minus[k]:>{prec + 4}.{prec}f}  "
+               f"{rep.closeness[k]:>{prec + 4}.{prec}f}  {position[k]:>4}\n")
+    yield f"\nRanking: {_ordering_str(rep.ordered_labels())}\n"
     for note in rep.notes:
-        lines.append(f"note: {note}")
-    return "\n".join(lines)
+        yield f"note: {note}\n"
 
 
-def _csv_text(rows) -> str:
-    """Rows of str fields as CSV, quoted as RFC 4180 asks (only a field
-    that holds a comma, a quote or a line break), without the last line
-    break."""
-    out = io.StringIO()
-    csv.writer(out, quoting=csv.QUOTE_MINIMAL, lineterminator="\n").writerows(rows)
-    return out.getvalue()[:-1]
-
-
-def _render_rank_csv(rep: RankingReport) -> str:
+def _render_rank_csv(rep: RankingReport):
+    """Yield the rows of ``rank``'s CSV, each a list of str fields."""
     position = {k: r + 1 for r, k in enumerate(rep.ordering)}
-    rows = [["alternative", "d_plus", "d_minus", "closeness", "rank"]]
+    yield ["alternative", "d_plus", "d_minus", "closeness", "rank"]
     for k, label in enumerate(rep.matrix.alternatives):
         values = (rep.d_plus[k], rep.d_minus[k], rep.closeness[k])
-        rows.append([label, *map(repr, values), str(position[k])])
-    return _csv_text(rows)
+        yield [label, *map(repr, values), str(position[k])]
 
 
 def _sweep_doc(result: SweepResult, dm: DecisionMatrix, config: PipelineConfig) -> dict:
@@ -553,40 +543,42 @@ def sweep_to_dict(result: SweepResult, dm: DecisionMatrix, config: PipelineConfi
     return doc
 
 
-def _render_sweep_table(result: SweepResult, dm: DecisionMatrix, prec: int) -> str:
+def _render_sweep_table(result: SweepResult, dm: DecisionMatrix, prec: int):
+    """Yield the lines of ``sweep``'s table, each with its line break."""
     labels = dm.alternatives
     head = "  ".join(f"{a:>{prec + 3}}" for a in labels)
-    lines = [f"{'lambda':>7}  {head}  ordering"]
+    yield f"{'lambda':>7}  {head}  ordering\n"
     transition_lams = {tr.lam for tr in result.transitions}
     for row in result.rows:
         vals = "  ".join(f"{v:>{prec + 3}.{prec}f}" for v in row.closeness)
         mark = "  <- transition" if row.lam in transition_lams else ""
-        lines.append(
-            f"{row.lam:>7g}  {vals}  "
-            f"{_ordering_str([labels[k] for k in row.ordering])}{mark}"
-        )
+        yield f"{row.lam:>7g}  {vals}  {_ordering_str([labels[k] for k in row.ordering])}{mark}\n"
     if result.transitions:
-        lines.append("")
-        for tr in result.transitions:
-            lines.append(
-                f"transition at lambda={tr.lam:g}: "
-                f"{_ordering_str([labels[k] for k in tr.previous])} -> "
-                f"{_ordering_str([labels[k] for k in tr.ordering])}"
-            )
-    return "\n".join(lines)
+        yield "\n"
+    for tr in result.transitions:
+        yield (f"transition at lambda={tr.lam:g}: "
+               f"{_ordering_str([labels[k] for k in tr.previous])} -> "
+               f"{_ordering_str([labels[k] for k in tr.ordering])}\n")
 
 
-def closeness_csv(result: SweepResult, labels, ordering: bool = False) -> str:
-    """The ``lambda,D1,...,Dn`` closeness table, one row per lambda, at
-    full precision; ``ordering`` appends each row's ordering by label."""
+def _csv_writer(fh):
+    """A csv.writer to ``fh`` that writes each row as it is given, quoted as
+    RFC 4180 asks (only a field that holds a comma, a quote or a line break)."""
+    return csv.writer(fh, lineterminator="\n")
+
+
+def write_closeness_csv(fh, result: SweepResult, labels, ordering: bool = False) -> None:
+    """Write to ``fh`` the ``lambda,D1,...,Dn`` closeness table, one row per
+    lambda at full precision, each as it is made; ``ordering`` appends each
+    row's ordering by label."""
     head = ["lambda"] + [f"D{k + 1}" for k in range(len(labels))]
-    rows = [head + ["ordering"] if ordering else head]
+    writer = _csv_writer(fh)
+    writer.writerow(head + ["ordering"] if ordering else head)
     for row in result.rows:
-        fields = [repr(row.lam)] + [repr(v) for v in row.closeness]
+        fields = [repr(row.lam), *map(repr, row.closeness)]
         if ordering:
             fields.append(_ordering_str([labels[k] for k in row.ordering]))
-        rows.append(fields)
-    return _csv_text(rows)
+        writer.writerow(fields)
 
 
 # ---------------------------------------------------------------------------
@@ -606,12 +598,12 @@ class _UsageError(Exception):
 def cmd_rank(args) -> int:
     dm = _load_matrix(args)
     rep = run_pipeline(dm, PipelineConfig(operator=args.operator, metric=args.metric, lam=args.lam))
-    if args.format == "json":
-        _print_json(_report_doc(rep))
-    elif args.format == "csv":
-        print(_render_rank_csv(rep))
+    if args.format == "csv":
+        _csv_writer(sys.stdout).writerows(_render_rank_csv(rep))
+    elif args.format == "json":
+        sys.stdout.writelines(_render_json(_report_doc(rep)))
     else:
-        print(_render_rank_table(rep, _precision()))
+        sys.stdout.writelines(_render_rank_table(rep, _precision()))
     return EXIT_OK
 
 
@@ -624,13 +616,13 @@ def cmd_sweep(args) -> int:
         raise _UsageError(str(e)) from None
     if args.plot_out:
         with open(args.plot_out, "w", encoding="utf-8") as fh:
-            fh.write(closeness_csv(result, dm.alternatives) + "\n")
-    if args.format == "json":
-        _print_json(_sweep_doc(result, dm, config))
-    elif args.format == "csv":
-        print(closeness_csv(result, dm.alternatives, ordering=True))
+            write_closeness_csv(fh, result, dm.alternatives)
+    if args.format == "csv":
+        write_closeness_csv(sys.stdout, result, dm.alternatives, ordering=True)
+    elif args.format == "json":
+        sys.stdout.writelines(_render_json(_sweep_doc(result, dm, config)))
     else:
-        print(_render_sweep_table(result, dm, _precision()))
+        sys.stdout.writelines(_render_sweep_table(result, dm, _precision()))
     return EXIT_OK
 
 

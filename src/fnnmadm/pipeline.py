@@ -69,9 +69,9 @@ class DecisionMatrix:
     ``Fnnn`` values on demand.  A matrix reads its rows once, into plain
     floats as ``make_fnnn`` reads a cell (see :func:`_read_rows`), then raises
     the first of :func:`_problems`, so each of its cells passes
-    ``core.check_cell`` and it always normalizes; rows of values, from
-    :func:`make_decision_matrix`, are read by :func:`_read_values`, and
-    checked only for what their values do not carry.  It holds its labels, rows
+    ``core.check_cell`` and it always normalizes.  :func:`make_decision_matrix`
+    reads rows of values itself, by :func:`_read_values`, and checks only what
+    values of the exact library types do not carry.  It holds its labels, rows
     and weights as tuples (of str, of tuples, of floats), whatever iterables
     and reals it was given, so two matrices of the same cells are equal and
     hash; labels that are text or no iterable raise ValidationError, as rows
@@ -112,12 +112,8 @@ class DecisionMatrix:
     def __post_init__(self):
         alternatives, attributes = (_labels(self.alternatives, "alternatives"),
                                     _labels(self.attributes, "attributes"))
-        rows, unread, exact = self.rows, {}, False
-        if type(rows) is _Values:
-            rows, exact = _read_values(rows.cells)
-        if not exact:
-            rows, unread = _read_rows(() if rows is None else rows)
-        for _, problem in _problems(alternatives, attributes, rows, None, unread, exact):
+        rows, unread = _read_rows(() if self.rows is None else self.rows)
+        for _, problem in _problems(alternatives, attributes, rows, None, unread):
             raise problem
         weights = check_weights(() if self.weights is None else self.weights, n=len(attributes))
         vars(self).update(alternatives=alternatives, attributes=attributes, rows=rows,
@@ -189,13 +185,6 @@ def _made(kind, alternatives, attributes, rows, weights) -> DecisionMatrix:
     return dm
 
 
-class _Values(NamedTuple):
-    """Rows of values, as :func:`make_decision_matrix` gives them to a matrix,
-    which reads them after its labels, by :func:`_read_values`."""
-
-    cells: object
-
-
 def make_decision_matrix(
     alternatives: Sequence[str],
     attributes: Sequence[str],
@@ -213,14 +202,23 @@ def make_decision_matrix(
     bound, which an operation's result, an aggregate say, may exceed (a row
     above it is checked cell by cell, so that the error names its cell); then
     the positive locations and spreads that normalize into float64's range,
-    the labels and the weights (see :func:`_problems`).  A matrix with any
-    part of another type, a subclass say, is checked in full, as a matrix of
-    numbers is.  A value altered with ``object.__setattr__``, or unpickled from
-    foreign bytes, is outside this contract, as it is for every frozen value.
-    To rescale weights that do not sum to 1, pass
-    ``check_weights(weights, renormalize=True)``.
+    the labels and the weights (see :func:`_problems`), and holds the rows it
+    read, made through :func:`_made`.  A matrix with any part of another type,
+    a subclass say, is made by the constructor, and so checked in full, as a
+    matrix of numbers is.  Either way it equals the constructor's.  A value
+    altered with ``object.__setattr__``, or unpickled from foreign bytes, is
+    outside this contract, as it is for every frozen value.  To rescale
+    weights that do not sum to 1, pass ``check_weights(weights, renormalize=True)``.
     """
-    return DecisionMatrix(alternatives, attributes, _Values(cells), weights)
+    alternatives, attributes = (_labels(alternatives, "alternatives"),
+                                _labels(attributes, "attributes"))
+    rows, exact = _read_values(cells)
+    if not exact:
+        return DecisionMatrix(alternatives, attributes, rows, weights)
+    for _, problem in _problems(alternatives, attributes, rows, None, exact=True):
+        raise problem
+    weights = check_weights(() if weights is None else weights, n=len(attributes))
+    return _made(DecisionMatrix, alternatives, attributes, rows, weights)
 
 
 def _labels(labels, kind: str) -> tuple[str, ...]:

@@ -950,35 +950,107 @@ def test_json_output_is_the_standard_library_rendering(problem, capsys, request)
 
 
 class Pieces(io.StringIO):
-    """A stdout that keeps the length of each piece written to it."""
+    """A stdout, or a plot file, that keeps each piece written to it."""
 
     def __init__(self):
         super().__init__()
-        self.sizes = []
+        self.pieces = []
 
     def write(self, text):
-        self.sizes.append(len(text))
+        self.pieces.append(text)
         return super().write(text)
 
 
-def test_json_commands_write_the_rendered_document_piece_by_piece(engineers_csv_path):
+def run_to_strings(argv):
+    """The stdout and stderr of ``main(argv)``, each captured whole."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert main(argv) == EXIT_OK
+    return out.getvalue(), err.getvalue()
+
+
+def test_every_format_writes_its_output_piece_by_piece(engineers_csv_path, tmp_path,
+                                                       monkeypatch):
+    # JSON was written a piece at a time; a table and CSV were joined into one string
+    # first, and so was the plot file
     dm = parse_problem(engineers_csv_path)
     config = PipelineConfig("gfnnwa", "euclidean", 3.0)
-    rank_argv = ["rank", engineers_csv_path, "--operator", "gfnnwa", "--metric", "euclidean",
-                 "--lambda", "3", "--format", "json"]
-    sweep_argv = ["sweep", engineers_csv_path, "--operator", "gfnnwa", "--metric", "euclidean",
-                  "--lambdas", "1,3,34", "--format", "json"]
-    expected = [
-        (rank_argv, cli.report_to_dict(run_pipeline(dm, config))),
-        (sweep_argv, cli.sweep_to_dict(lambda_sweep(dm, config, [1.0, 3.0, 34.0]), dm, config)),
-    ]
-    for argv, doc in expected:
-        out = Pieces()
-        with contextlib.redirect_stdout(out):
-            assert main(argv) == EXIT_OK
-        text = out.getvalue()
-        assert text == cli._dump_json(doc) + "\n", argv
-        assert max(out.sizes) < len(text) / 4, argv  # no piece holds the whole document
+    lams = [float(v) for v in range(1, 35)]
+    docs = {"rank": cli.report_to_dict(run_pipeline(dm, config)),
+            "sweep": cli.sweep_to_dict(lambda_sweep(dm, config, lams), dm, config)}
+    opened = []
+
+    def open_plot(path, mode="r", **kwargs):  # the plot file, kept piece by piece
+        if mode != "w":
+            return open(path, mode, **kwargs)
+        opened.append(Pieces())
+        return opened[-1]
+
+    monkeypatch.setattr(cli, "open", open_plot, raising=False)
+    for command in ("rank", "sweep"):
+        for fmt in ("json", "csv", "table"):
+            argv = [command, engineers_csv_path, "--operator", "gfnnwa", "--metric",
+                    "euclidean", "--format", fmt]
+            argv += (["--lambda", "3"] if command == "rank"
+                     else ["--lambda-range", "1..34", "--plot-out", str(tmp_path / "plot.csv")])
+            with monkeypatch.context() as m:
+                m.delattr(cli, "open")  # the expected bytes, written at once to a real file
+                expected, error = run_to_strings(argv)
+            out = Pieces()
+            with contextlib.redirect_stdout(out):
+                assert main(argv) == EXIT_OK
+            text = "".join(out.pieces)
+            assert (text, error) == (expected, ""), argv
+            if fmt == "json":
+                assert text == cli._dump_json(docs[command]) + "\n", argv
+            assert len(out.pieces) > 4 and max(map(len, out.pieces)) < len(text) / 4, argv
+            if command == "sweep":  # no piece holds the whole plot file either
+                plot = "".join(opened.pop().pieces)
+                assert plot == (tmp_path / "plot.csv").read_text(encoding="utf-8"), argv
+    assert opened == []
+
+
+class Discard(io.TextIOBase):
+    """A stdout that discards each piece written to it."""
+
+    def write(self, text):
+        return len(text)
+
+
+def test_every_format_of_a_long_sweep_peaks_at_the_size_of_its_result(monkeypatch):
+    # the CSV and the table of a 3000-lambda sweep were built whole before the first
+    # byte was written: 7.69 and 3.52 MiB, where JSON, written row by row, took 2.35
+    path = str(ROOT / "tests" / "golden" / "seeded_12x6.csv")
+    monkeypatch.setattr(sys, "stdout", Discard())
+    peaks = {}
+    for fmt in ("json", "csv", "table"):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            assert main(["sweep", path, "--lambda-range", "1..3000", "--format", fmt]) == EXIT_OK
+            peaks[fmt] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert max(peaks["csv"], peaks["table"]) <= 1.1 * peaks["json"], peaks
+
+
+@pytest.mark.parametrize("argv", [
+    ["rank", "tests/golden/awkward_labels.json"],
+    ["rank", "tests/golden/awkward_labels.json", "--format", "csv"],
+    ["sweep", "tests/golden/awkward_labels.json", "--lambda-range", "1..34"],
+    ["sweep", "tests/golden/awkward_labels.json", "--lambda-range", "1..34", "--format", "csv"],
+])
+def test_a_label_stdout_cannot_encode_is_a_usage_error(argv):
+    # the output stops where the label is met: what came before it may be written
+    env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONIOENCODING": "ascii"}
+    done = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-m", "fnnmadm", *argv],
+                          capture_output=True, timeout=60, env=env, cwd=ROOT)
+    assert done.returncode == EXIT_USAGE, done.stderr
+    assert done.stderr.startswith(b"error: 'ascii' codec can't encode character '\\xc4' in "
+                                  b"position "), done.stderr
+    assert done.stderr.endswith(b": ordinal not in range(128)\n"), done.stderr
+    assert done.stderr.count(b"\n") == 1, done.stderr  # the one message, no traceback
+    assert "Ä".encode() not in done.stdout
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Seven-step ranking pipeline and the lambda sweep."""
 
 import dataclasses
+import io
 import math
 import pickle
 import random
@@ -160,7 +161,9 @@ def test_a_matrix_of_float_subclasses_ranks_in_plain_floats(engineers_matrix, op
                           rep.negative_ideal, rep.d_plus, rep.d_minus, rep.closeness])
     assert _plain_floats(aggregate_rows(normalize(dm), operator, 3.0))
     assert _plain_floats([row.closeness for row in lambda_sweep(dm, config, [1, 2]).rows])
-    assert "_Tagged" not in cli._render_rank_csv(rep) + _dump_json(report_to_dict(rep))
+    out = io.StringIO()
+    cli._csv_writer(out).writerows(cli._render_rank_csv(rep))
+    assert "_Tagged" not in out.getvalue() + _dump_json(report_to_dict(rep))
 
 
 @pytest.mark.parametrize("number", [Decimal, Fraction])
@@ -495,6 +498,25 @@ def test_a_matrix_of_values_checks_parts_of_other_types_in_full(normal, mu, erro
     assert str(raised.value) == f"invalid cell at (A, y): {reason}"
     with pytest.raises(error, match=f"^{re.escape(str(raised.value))}$"):
         DecisionMatrix(["A"], ["x", "y"], [tuple(zip(*components))], [0.5, 0.5])
+
+
+@pytest.mark.parametrize("parts", ["exact", "subclass"])
+def test_a_matrix_of_values_is_the_matrix_the_constructor_makes(parts):
+    # make_decision_matrix makes a matrix of the exact types without the constructor:
+    # it must equal, hash, hold and pickle as the constructor's matrix of the same floats
+    values = gen_fnnn(FnnnGenConfig(seed=9), 6)
+    if parts == "subclass":
+        values[4] = Fnnn(_PlainNormal(values[4].eta, values[4].xi), values[4].mu)
+    cells = [values[0:3], values[3:6]]
+    labels, weights = (["A", "B"], ["x", "y", "z"]), [0.25, 0.25, 0.5]
+    dm = make_decision_matrix(*labels, cells, weights)
+    rows = [tuple(tuple(getattr(v, k) for v in row) for k in ("eta", "xi", "t", "i", "f"))
+            for row in cells]
+    made = DecisionMatrix(*labels, rows, weights)
+    assert type(dm) is DecisionMatrix and dm == made and hash(dm) == hash(made)
+    assert vars(dm) == vars(made) and list(vars(dm)) == list(vars(made))
+    assert pickle.dumps(dm) == pickle.dumps(made)
+    assert all(type(v) is float for row in dm.rows for channel in row for v in channel)
 
 
 class _PlainNormal(core.NormalParams):
