@@ -23,8 +23,15 @@ loop selects that path (the nested channel adds one per cell, inside a
 branch it already takes), so every result whose accumulator stays in
 the normal range is computed exactly as without it.  The hot loops and
 the kernels' tails inline ``log_one_minus_exp`` in the same order of
-operations, and :func:`xlogs` inlines :func:`xlog`, so they call no
-Python function per cell and none per result on its common path.
+operations, so they call no Python function per cell and none per
+result on its common path.
+
+A membership of 0 (log -inf) needs no test: its weighted term
+``w * log1p(-0.0)`` is -0.0, which leaves the sum as it is, and its nested
+``log d = log lam + -inf`` makes the accumulator -inf, where the channel
+returns its limit.  A membership of 1 (log 0.0; every other log is below
+0) is the one case tested: the weighted channel returns 1 before its loop,
+and the nested loop skips its d == 1, as ``log(-expm1(0.0))`` raises.
 
 :func:`weighted_prob_sum` is the one weighted channel: the closed forms
 call it over a row, ``scale`` and ``power`` with one term, and
@@ -47,12 +54,6 @@ _NEGLIGIBLE = -37.0  # for z below it, -log(1 - e**z) == e**z in float64
 def clip01(x: float) -> float:
     # round-off guard; exact arithmetic keeps the algebra inside [0, 1]
     return 0.0 if x <= 0.0 else (1.0 if x >= 1.0 else x)
-
-
-def xlog(x: float) -> float:
-    """log(x) for x in (0, 1], accurate when x sits just below 1."""
-    # 1 - x is exact for x in [0.5, 1], so log1p(x - 1) loses nothing
-    return math.log1p(x - 1.0) if x > 0.5 else math.log(x)
 
 
 def left_sum(xs) -> float:
@@ -80,21 +81,21 @@ def log_neg_log_one_minus_exp(z: float) -> float:
 
 
 def xlogs(values) -> list[float]:
-    """xlog of each value in [0, 1], and -inf for a value of 0, whose
-    log is undefined (math.log(0) raises)."""
+    """log(v) of each value v in [0, 1], accurate for v just below 1, and
+    -inf for v == 0, whose log is undefined (math.log(0) raises)."""
+    # 1 - v is exact for v in [0.5, 1], so log1p(v - 1) loses nothing
     return [(log1p(v - 1.0) if v > 0.5 else log(v)) if v > 0.0 else _NEG_INF for v in values]
 
 
 def weighted_prob_sum(logs, weights, p: float) -> float:
     """(1 - prod_i (1 - v_i**p)**w_i)**(1/p) over paired logs/weights,
-    with logs[i] = xlog(v_i) as :func:`xlogs` gives them."""
+    with logs[i] = log(v_i) as :func:`xlogs` gives them."""
+    if 0.0 in logs:
+        return 1.0
     acc = 0.0  # log prod (1 - v^p)^w
     for lv, w in zip(logs, weights):
-        if lv == 0.0:  # v == 1; xlog(v) < 0 for every v < 1
-            return 1.0
-        if lv != _NEG_INF:  # v == 0 contributes a neutral factor
-            z = p * lv  # log_one_minus_exp(z) inline, as z < 0
-            acc += w * (log(-expm1(z)) if z > _LOG_HALF else log1p(-exp(z)))
+        z = p * lv  # log_one_minus_exp(z) inline, as z < 0
+        acc += w * (log(-expm1(z)) if z > _LOG_HALF else log1p(-exp(z)))
     if acc > -_TINY:  # below the normal range: 1 - prod is -acc
         top = max(logs)
         if p * top == _NEG_INF:  # p * log(max v) overflows, so does every term; p may be inf
@@ -115,22 +116,19 @@ def prob_sum_root(a: float, b: float, p: float) -> float:
         return 1.0
     if s < _TINY:  # below the normal range: the channel kernel, by its exact path or limit
         return weighted_prob_sum(xlogs((a, b)), (1.0, 1.0), p)
-    return math.exp(xlog(s) / p)
+    return math.exp(xlogs((s,))[0] / p)
 
 
 def nested_prob_channel(logs, weights, lam: float) -> float:
     """(1 - (1 - prod_i d_i**w_i)**(1/lam))**(1/(3 lam)) with
-    d_i = 1 - (1 - v_i**(3 lam))**lam, over logs[i] = xlog(v_i) as
+    d_i = 1 - (1 - v_i**(3 lam))**lam, over logs[i] = log(v_i) as
     :func:`xlogs` gives them; the nested channel of the generalized
     operators."""
     p = 3.0 * lam
     log_lam = log(lam)
     log_prod = 0.0  # log prod d_i^w
     for lv, w in zip(logs, weights):
-        if lv == _NEG_INF:  # v == 0
-            log_prod = _NEG_INF
-            continue
-        if lv == 0.0:  # v == 1: d == 1
+        if lv == 0.0:
             continue
         z = p * lv  # log_one_minus_exp inline, here and below, as z < 0 and log_eps <= 0
         log_eps = lam * (log(-expm1(z)) if z > _LOG_HALF else log1p(-exp(z)))  # log (1-v^p)^lam

@@ -92,8 +92,8 @@ LAMBDA_GRID_CAP = 10_000
 
 
 class RawProblem(NamedTuple):
-    """Parsed but not yet validated problem content, as :func:`_problems`
-    and :class:`DecisionMatrix` take it; weights None if the file has none."""
+    """Parsed but not yet validated problem content, as :class:`DecisionMatrix`
+    takes it, and :func:`_problems` its first three; weights None if the file has none."""
 
     alternatives: tuple[str, ...]
     attributes: tuple[str, ...]
@@ -266,7 +266,7 @@ def _build_matrix(
     do not parse are.  The matrix then holds the reader's rows as they are, plain floats in
     tuples, which the constructor would read and check again; it equals
     ``DecisionMatrix(*raw)``."""
-    for _, problem in _problems(*raw._replace(weights=None)):
+    for _, problem in _problems(*raw[:3]):
         raise problem
     weights = weights_override if weights_override is not None else raw.weights
     if weights is None:
@@ -629,7 +629,12 @@ def cmd_sweep(args) -> int:
 def cmd_validate(args) -> int:
     """Print every reason ``rank`` would reject the file for; ``rank`` reports the first."""
     raw = _read_raw(args.path, args.input_format)
-    problems = list(_problems(*raw))
+    problems = list(_problems(*raw[:3]))
+    if raw.weights is not None:
+        try:
+            check_weights(raw.weights, n=len(raw.attributes))
+        except (LengthMismatch, WeightInvalid) as e:
+            problems.append((None, e))
     for cell, e in problems:
         if cell is not None:
             print(f"invalid cell {str(e).removeprefix('invalid cell at ')}")

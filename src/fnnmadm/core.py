@@ -358,7 +358,7 @@ def membership_at(a: Fnnn, x: float) -> MembershipTriple:
     if x != x:  # the curve is nowhere at NaN; at +-inf it is in its tails
         raise ValidationError("x must be a number, not NaN")
     z = abs(x - a.eta) / a.xi
-    g = 0.0 if z >= 1e6 else math.exp(-(z * z * z))
+    g = math.exp(-(z * z * z))
     return MembershipTriple(
         clip01(a.t * g), clip01(a.i * g), clip01(1.0 - (1.0 - a.f) * g)
     )

@@ -26,10 +26,6 @@ class CubicSumExceeded(ValidationError):
     """The cubic sum of membership degrees exceeded its bound."""
 
 
-class WeightNonPositive(FnnError):
-    """Scalar weight for scaling/powering must be strictly positive."""
-
-
 class NormalDomainError(FnnError):
     """Fractional power of a negative location parameter."""
 
@@ -47,7 +43,11 @@ class DuplicateLabel(FnnError):
 
 
 class WeightInvalid(FnnError):
-    """Weight vector entries must be positive and sum to 1."""
+    """A weight must be finite and positive, and a weight vector sum to 1."""
+
+
+class WeightNonPositive(WeightInvalid):
+    """Scalar weight for scaling/powering must be strictly positive."""
 
 
 class ZeroLocation(FnnError):

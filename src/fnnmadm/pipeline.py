@@ -51,7 +51,6 @@ from .errors import (
     SpreadNonPositive,
     UnknownName,
     ValidationError,
-    WeightInvalid,
     ZeroLocation,
 )
 
@@ -113,7 +112,7 @@ class DecisionMatrix:
         alternatives, attributes = (_labels(self.alternatives, "alternatives"),
                                     _labels(self.attributes, "attributes"))
         rows, unread = _read_rows(() if self.rows is None else self.rows)
-        for _, problem in _problems(alternatives, attributes, rows, None, unread):
+        for _, problem in _problems(alternatives, attributes, rows, unread):
             raise problem
         weights = check_weights(() if self.weights is None else self.weights, n=len(attributes))
         vars(self).update(alternatives=alternatives, attributes=attributes, rows=rows,
@@ -202,7 +201,7 @@ def make_decision_matrix(
     bound, which an operation's result, an aggregate say, may exceed (a row
     above it is checked cell by cell, so that the error names its cell); then
     the positive locations and spreads that normalize into float64's range,
-    the labels and the weights (see :func:`_problems`), and holds the rows it
+    the labels (see :func:`_problems`) and the weights, and holds the rows it
     read, made through :func:`_made`.  A matrix with any part of another type,
     a subclass say, is made by the constructor, and so checked in full, as a
     matrix of numbers is.  Either way it equals the constructor's.  A value
@@ -215,7 +214,7 @@ def make_decision_matrix(
     rows, exact = _read_values(cells)
     if not exact:
         return DecisionMatrix(alternatives, attributes, rows, weights)
-    for _, problem in _problems(alternatives, attributes, rows, None, exact=True):
+    for _, problem in _problems(alternatives, attributes, rows, exact=True):
         raise problem
     weights = check_weights(() if weights is None else weights, n=len(attributes))
     return _made(DecisionMatrix, alternatives, attributes, rows, weights)
@@ -276,7 +275,7 @@ def _read_rows(rows):
     return tuple(read), unread
 
 
-def _problems(alternatives, attributes, rows, weights, unread={}, exact=False):  # unread: only read
+def _problems(alternatives, attributes, rows, unread={}, exact=False):  # unread: only read
     """Yield ``(cell, error)`` for each reason the matrix of plain-float rows
     cannot be ranked; ``cell`` is the (row, column) the error names, or None.
 
@@ -287,10 +286,9 @@ def _problems(alternatives, attributes, rows, weights, unread={}, exact=False): 
     is checked, as the types carry every other rule of ``check_cell``);
     ZeroLocation for each other location of 0 or less; if there is
     neither, check_normal's error for each spread that normalizes out of
-    float64's range; DuplicateLabel for each repeated label; the error of
-    ``check_weights`` unless ``weights`` is None.  A zero-sized matrix, or
-    one whose rows do not each hold five tuples of one value per
-    attribute, raises at once.
+    float64's range; DuplicateLabel for each repeated label.  A zero-sized
+    matrix, or one whose rows do not each hold five tuples of one value
+    per attribute, raises at once.
     """
     if not alternatives or not attributes:
         raise EmptyInput("need at least one alternative and one attribute")
@@ -340,11 +338,6 @@ def _problems(alternatives, attributes, rows, weights, unread={}, exact=False): 
             counts[label] = counts.get(label, 0) + 1
             if counts[label] == 2:
                 yield None, DuplicateLabel(f"{kind} label {label!r} appears twice")
-    if weights is not None:
-        try:
-            check_weights(weights, n=len(attributes))
-        except (LengthMismatch, WeightInvalid) as e:
-            yield None, e
 
 
 def _normal_rows(rows):

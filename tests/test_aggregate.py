@@ -786,3 +786,38 @@ def test_kernel_tails_keep_the_bits_on_both_sides_of_each_branch(kernel, param):
     for _ in range(4000):
         args = (-rng.uniform(0.01, 3.0),), (rng.uniform(0.001, 1.0),), param
         assert fast(*args).hex() == reference(*args).hex(), args
+
+
+def outcome(kernel, *args):
+    """The bits of ``kernel(*args)``, or the type of what it raised."""
+    try:
+        return kernel(*args).hex()
+    except Exception as e:
+        return type(e)
+
+
+def edge_membership(rng):
+    """A membership of 0, of 1, interior, within a few ulps of 1, or subnormal."""
+    kind = rng.randrange(5)
+    if kind < 2:
+        return float(kind)
+    if kind == 2:
+        return rng.uniform(0.0, 1.0)
+    if kind == 3:
+        return 1.0 - rng.randrange(1, 64) * 2.0 ** -53
+    return rng.uniform(5e-324, _TINY)
+
+
+@pytest.mark.parametrize("lam", [1.0, 2.5, 34.0, 1e5, 1e150])
+def test_kernels_carry_memberships_of_0_and_1_as_the_branching_references_do(lam):
+    # the kernels test no cell for a membership of 0, and the weighted one tests for a
+    # membership of 1 before its loop; the references test both in the loop
+    rng = random.Random(36)
+    for _ in range(300):
+        n = rng.randrange(1, 7)
+        logs, ws = xlogs([edge_membership(rng) for _ in range(n)]), gen_weights(rng, n)
+        for p in (lam, 3.0 * lam, 3.0 * lam * lam, math.inf):
+            assert (outcome(weighted_prob_sum, logs, ws, p)
+                    == outcome(tail_reference_prob_sum, logs, ws, p)), (logs, ws, p)
+        assert (outcome(nested_prob_channel, logs, ws, lam)
+                == outcome(tail_reference_nested, logs, ws, lam)), (logs, ws, lam)

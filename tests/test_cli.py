@@ -1576,17 +1576,19 @@ def test_python_m_fnnmadm_prints_and_exits_as_main(capsys, monkeypatch, argv):
     assert code == (EXIT_OK if len(argv) > 2 else EXIT_DATA)
 
 
-def test_a_reader_that_stops_early_is_no_data_error():
+@pytest.mark.parametrize("fmt, head", [("csv", b"lambda,D1,"), ("table", b" lambda   "),
+                                       ("json", b'{\n  "alter')], ids=["csv", "table", "json"])
+def test_a_reader_that_stops_early_is_no_data_error(fmt, head):
     # a closed stdout is no fault of the data: nothing is printed, and the exit
     # status is 141 (128 + SIGPIPE), as a shell reports for a tool a closed pipe stopped
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     argv = [sys.executable, "-X", "dev", "-W", "error", "-m", "fnnmadm", "sweep",
             str(ROOT / "tests" / "golden" / "seeded_12x6.csv"), "--lambda-range", "1..3000",
-            "--format", "csv"]
+            "--format", fmt]
     with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                           env=env) as child:
-        assert child.stdout.read(10) == b"lambda,D1,"
-        child.stdout.close()  # the rest, some 0.7 MB, is more than a pipe holds
+        assert child.stdout.read(10) == head
+        child.stdout.close()  # the rest, 0.5 to 2.3 MB, is more than a pipe holds
         err = child.stderr.read()
         code = child.wait(timeout=60)
     assert (code, err) == (141, b"")

@@ -450,6 +450,14 @@ def test_a_scalar_weight_that_is_no_finite_positive_number_is_named(op, w, error
         op(w, make_fnnn(1, 1, 0.5, 0.5, 0.5), 1)
 
 
+@pytest.mark.parametrize("op, w", [(scale, 0.0), (power, -1.0), (scale, math.nan)])
+def test_except_weight_invalid_catches_every_fault_of_a_scalar_weight(op, w):
+    # WeightNonPositive was a sibling of WeightInvalid, which check_weights raises
+    # for the same rule
+    with pytest.raises(WeightInvalid):
+        op(w, make_fnnn(1, 1, 0.5, 0.5, 0.5), 1)
+
+
 def test_power_fractional_of_negative_location_rejected():
     v = make_fnnn(-2.0, 1, 0.5, 0.5, 0.5)
     with pytest.raises(NormalDomainError):

@@ -455,10 +455,10 @@ def test_a_matrix_of_values_checks_only_rows_above_the_cubic_sum_bound(monkeypat
     assert len(calls) == 3  # B's cells up to the first above the bound
     calls.clear()
     read = tuple(map(aggregate.read_row, rows))
-    problems = list(pipeline._problems(*labels, read, None, exact=True))
+    problems = list(pipeline._problems(*labels, read, exact=True))
     assert [cell for cell, _ in problems] == [(1, 2)] and len(calls) == 4
     calls.clear()
-    assert [cell for cell, _ in pipeline._problems(*labels, read, None)] == [(1, 2)]
+    assert [cell for cell, _ in pipeline._problems(*labels, read)] == [(1, 2)]
     assert len(calls) == 12  # a matrix of numbers checks every cell
 
 
@@ -683,7 +683,7 @@ def test_matrix_takes_spreads_that_span_a_wide_range():
 
 def test_a_nan_location_does_not_hide_a_nonpositive_one():
     rows = (((math.nan, -1.0), (1.0, 1.0), (0.5, 0.5), (0.5, 0.5), (0.5, 0.5)),)
-    problems = pipeline._problems(("A",), ("x", "y"), rows, (0.5, 0.5))
+    problems = pipeline._problems(("A",), ("x", "y"), rows)
     assert [(cell, str(e)) for cell, e in problems] == [
         ((0, 0), "invalid cell at (A, x): eta must be a finite number"),
         ((0, 1), "invalid cell at (A, y): eta = -1.0 must be > 0 for normalization"),
